@@ -57,11 +57,55 @@ class Assumption:
     detail: str = ""
 
 
+class _Summary:
+    """What the bounds read from one sequence, computed once per instance.
+
+    Equal specs share a code, an index into `distinct`: their variance and
+    moments are computed once, and they share one MomentProfile object per
+    order.  The sorted copy of a sequence shares `distinct` and the
+    distinct-profile cache with it.
+    """
+
+    def __init__(self, distinct, codes, variances, distinct_profiles):
+        self.distinct = distinct
+        self.codes = codes
+        self.variances = variances
+        self.distinct_profiles = distinct_profiles  # {order: profile per distinct spec}
+        self.profiles: dict = {}  # {order: profile per position}
+        self.sorted = None
+
+    @classmethod
+    def of(cls, variables) -> "_Summary":
+        index: dict = {}
+        codes = []
+        prev = code = None
+        for v in variables:
+            if v is not prev:  # the CLI repeats one object `count` times
+                prev, code = v, index.setdefault(v, len(index))
+            codes.append(code)
+        distinct = tuple(index)
+        dvar = [s.variance for s in distinct]
+        return cls(distinct, codes, tuple(map(dvar.__getitem__, codes)), {})
+
+    def permuted(self, order) -> "_Summary":
+        return _Summary(
+            self.distinct,
+            list(map(self.codes.__getitem__, order)),
+            tuple(map(self.variances.__getitem__, order)),
+            self.distinct_profiles,
+        )
+
+
 @dataclass(frozen=True)
 class SequenceSpec:
-    """An ordered family of independent variables."""
+    """An ordered family of independent variables.
+
+    Variances, the sorted copy and moment profiles are computed on first
+    use and cached on the instance.
+    """
 
     variables: tuple[VariableSpec, ...]
+    _cached: _Summary | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "variables", tuple(self.variables))
@@ -72,8 +116,14 @@ class SequenceSpec:
         return len(self.variables)
 
     @property
+    def _summary(self) -> _Summary:
+        if self._cached is None:
+            object.__setattr__(self, "_cached", _Summary.of(self.variables))
+        return self._cached
+
+    @property
     def variances(self) -> tuple[float, ...]:
-        return tuple(v.variance for v in self.variables)
+        return self._summary.variances
 
     @property
     def sorted_nonincreasing(self) -> bool:
@@ -82,15 +132,15 @@ class SequenceSpec:
 
     @property
     def all_symmetric(self) -> bool:
-        return all(v.symmetric for v in self.variables)
+        return all(v.symmetric for v in self._summary.distinct)
 
     @property
     def all_centered(self) -> bool:
-        return all(v.centered for v in self.variables)
+        return all(v.centered for v in self._summary.distinct)
 
     @property
     def all_log_concave(self) -> bool:
-        return all(v.log_concave_tail for v in self.variables)
+        return all(v.log_concave_tail for v in self._summary.distinct)
 
     @property
     def total_variance(self) -> float:
@@ -99,11 +149,31 @@ class SequenceSpec:
     def sorted(self) -> tuple["SequenceSpec", tuple[int, ...]]:
         """Variance-nonincreasing copy plus the applied permutation
         (original 0-based positions in sorted order; stable)."""
-        order = sorted(range(len(self)), key=lambda i: -self.variances[i])
-        return SequenceSpec(tuple(self.variables[i] for i in order)), tuple(order)
+        summary = self._summary
+        if summary.sorted is None:
+            # A reverse sort keeps equal keys in their original order.
+            order = tuple(
+                sorted(range(len(self)), key=summary.variances.__getitem__, reverse=True)
+            )
+            copy = SequenceSpec(tuple(map(self.variables.__getitem__, order)))
+            object.__setattr__(copy, "_cached", summary.permuted(order))
+            summary.sorted = (copy, order)
+        return summary.sorted
 
-    def profiles(self, max_order: int):
-        return [v.moments(max_order) for v in self.variables]
+    def distinct_profiles(self, max_order: int) -> tuple:
+        """One moment profile per distinct spec, in no particular order."""
+        cache = self._summary.distinct_profiles
+        if max_order not in cache:
+            cache[max_order] = tuple(v.moments(max_order) for v in self._summary.distinct)
+        return cache[max_order]
+
+    def profiles(self, max_order: int) -> tuple:
+        """Moment profile of every summand; equal summands share one object."""
+        cache = self._summary.profiles
+        if max_order not in cache:
+            shared = self.distinct_profiles(max_order)
+            cache[max_order] = tuple(map(shared.__getitem__, self._summary.codes))
+        return cache[max_order]
 
 
 @dataclass(frozen=True)
@@ -159,7 +229,7 @@ def _non_certifying(statement_id, p, assumptions, permutation, constants=None):
 
 def compute_m(seq: SequenceSpec) -> int:
     """Head length m = max_k ceil((1/6) E X_k^4 / (E X_k^2)^2)."""
-    worst = max(p.moment(4) / p.variance ** 2 for p in seq.profiles(4))
+    worst = max(p.moment(4) / p.variance ** 2 for p in seq.distinct_profiles(4))
     return _ceil(worst / 6.0)
 
 
@@ -169,7 +239,7 @@ def minimal_C_symmetric(seq: SequenceSpec, r: int) -> float:
     if r < 2:
         return 1.0
     c = 1.0
-    for prof in seq.profiles(2 * r):
+    for prof in seq.distinct_profiles(2 * r):
         if not prof.symmetric:
             raise ValueError("minimal_C_symmetric requires symmetric profiles")
         for l in range(2, r + 1):
@@ -189,7 +259,7 @@ def minimal_C_centered(seq: SequenceSpec, r: int) -> float:
     if r < 1:
         return 1.0
     c = 1.0
-    for prof in seq.profiles(2 * r):
+    for prof in seq.distinct_profiles(2 * r):
         if not prof.centered:
             raise ValueError("minimal_C_centered requires centered profiles")
         for l in range(3, 2 * r + 1):
@@ -362,17 +432,16 @@ def bound_general_p(seq: SequenceSpec, p: float, r: int) -> BoundReport:
         return _non_certifying(
             "truncated_general_p_upper", p, assumptions, perm, constants
         )
-    w = WeightVector(tuple(math.sqrt(x) for x in v))
-    if float(p).is_integer() and int(p) % 2 == 0:
-        rad = rademacher_even_moment(w, int(p) // 2)
-    else:
-        try:
-            rad = rademacher_abs_moment(w, p)
-        except ValueError as exc:
-            assumptions.append(Assumption("enumeration_cap", False, str(exc)))
-            return _non_certifying(
-                "truncated_general_p_upper", p, assumptions, perm, constants
-            )
+    w = WeightVector(tuple(map(math.sqrt, v)))
+    even = float(p).is_integer() and int(p) % 2 == 0
+    try:
+        rad = rademacher_even_moment(w, int(p) // 2) if even else rademacher_abs_moment(w, p)
+    except ValueError as exc:
+        failed = "dynamic_range" if even else "enumeration_cap"
+        assumptions.append(Assumption(failed, False, str(exc)))
+        return _non_certifying(
+            "truncated_general_p_upper", p, assumptions, perm, constants
+        )
     tail_var = sum(v[cutoff - 1 :])
     return BoundReport(
         statement_id="truncated_general_p_upper",
@@ -483,7 +552,7 @@ def latala_logconcave_bounds(
     if head_count == 0:
         head = 0.0
     elif float(p).is_integer() and int(p) % 2 == 0:
-        raw = sum_even_moment([s.moments(int(p)) for s in head_specs], int(p) // 2)
+        raw = sum_even_moment(sorted_seq.profiles(int(p))[:head_count], int(p) // 2)
         head = raw ** (1.0 / p)
     elif 2.0 < p < 4.0:
         res = _charfn.sum_abs_moment_via_haagerup(head_specs, p, tol)

@@ -99,7 +99,7 @@ def _parse_variable(doc: dict) -> list[VariableSpec]:
             raise ConfigError(f"unknown family {family!r}")
     except KeyError as exc:
         raise ConfigError(f"missing parameter {exc} for family {family!r}") from exc
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:
         raise ConfigError(str(exc)) from exc
     return [spec] * count
 
@@ -156,11 +156,12 @@ def _tag(value: float, provenance: str, error: float | None = None) -> dict:
     return out
 
 
-def _norm_estimate(specs: list[VariableSpec], p: float, cfg: RunConfig) -> dict:
+def _norm_estimate(seq: SequenceSpec, p: float, cfg: RunConfig) -> dict:
     """||sum X_k||_p via the best available engine, tagged with provenance."""
     if float(p).is_integer() and int(p) % 2 == 0 and int(p) >= 2:
-        raw = sum_even_moment([s.moments(int(p)) for s in specs], int(p) // 2)
+        raw = sum_even_moment(seq.profiles(int(p)), int(p) // 2)
         return _tag(raw ** (1.0 / p), "exact")
+    specs = seq.variables
     samplable = all(s.family != "raw_moments" for s in specs)
     if 2.0 < p < 4.0 and all(s.symmetric for s in specs) and samplable:
         res = sum_abs_moment_via_haagerup(specs, p, cfg.tol)
@@ -223,14 +224,19 @@ def _all_reports(seq: SequenceSpec, cfg: RunConfig) -> list[BoundReport]:
     return reports
 
 
-def _ground_for_report(seq: SequenceSpec, report: BoundReport, cfg: RunConfig):
-    """Ground truth on the report's target scale, with provenance."""
-    ordered = [seq.variables[i] for i in report.permutation] if report.permutation else list(seq.variables)
-    target = ordered[report.start_index - 1 :]
+def _ground_for_report(ordered: SequenceSpec, report: BoundReport, cfg: RunConfig):
+    """Ground truth on the report's target scale, with provenance.
+
+    `ordered` is the sorted copy of the sequence.  Every bound sorts the
+    same way, so the report's summands are those of `ordered` from
+    start_index on.
+    """
+    start = report.start_index - 1
+    target = ordered.variables[start:]
     p = report.p
     even = float(p).is_integer() and int(p) % 2 == 0
     if even:
-        raw = sum_even_moment([s.moments(int(p)) for s in target], int(p) // 2)
+        raw = sum_even_moment(ordered.profiles(int(p))[start:], int(p) // 2)
         value = raw if report.target_kind == "abs_moment" else raw ** (1.0 / p)
         return value, "exact"
     if all(s.atoms() is not None for s in target):
@@ -252,12 +258,12 @@ def _ground_for_report(seq: SequenceSpec, report: BoundReport, cfg: RunConfig):
 
 
 def _run_moments(cfg: RunConfig) -> tuple[int, list[dict]]:
+    seq = SequenceSpec(tuple(cfg.variables))
     rows = []
     for p in sorted(set(cfg.p_values) | {2.0 * r for r in cfg.r_values}):
-        est = _norm_estimate(cfg.variables, p, cfg)
+        est = _norm_estimate(seq, p, cfg)
         rows.append({"p": p, "lp_norm": est, "gaussian_center": _tag(
-            gaussian_lp_norm(p) * math.sqrt(sum(v.variance for v in cfg.variables)),
-            "exact",
+            gaussian_lp_norm(p) * math.sqrt(seq.total_variance), "exact",
         )})
     return EXIT_OK, rows
 
@@ -269,12 +275,13 @@ def _run_bound(cfg: RunConfig) -> tuple[int, list[dict]]:
 
 def _run_verify(cfg: RunConfig) -> tuple[int, list[dict]]:
     seq = SequenceSpec(tuple(cfg.variables))
+    ordered, _ = seq.sorted()
     rows = []
     status = EXIT_OK
     for report in _all_reports(seq, cfg):
         row = _report_row(report)
         if report.certifying:
-            ground, provenance = _ground_for_report(seq, report, cfg)
+            ground, provenance = _ground_for_report(ordered, report, cfg)
             verdict = verify_report(report, ground)
             gval = getattr(ground, "point", getattr(ground, "value", ground))
             row["ground"] = _tag(float(gval), provenance)
@@ -300,10 +307,7 @@ def _run_check_lemmas(cfg: RunConfig) -> tuple[int, list[dict]]:
         if not passed:
             status = EXIT_FAIL
 
-    families = []
-    for s in sorted_seq.variables:
-        if s.family != "raw_moments" and s not in families:
-            families.append(s)
+    families = [s for s in dict.fromkeys(sorted_seq.variables) if s.family != "raw_moments"]
     for s in families:
         rep = check_cosine_bounds(s)
         record("cosine_bounds", rep.passed, family=s.family, margins=rep.margins)
@@ -312,7 +316,7 @@ def _run_check_lemmas(cfg: RunConfig) -> tuple[int, list[dict]]:
     ):
         m = compute_m(sorted_seq)
         if m < len(sorted_seq):
-            gauss = [distmodel.gaussian(math.sqrt(s.variance)) for s in sorted_seq.variables]
+            gauss = [distmodel.gaussian(math.sqrt(v)) for v in sorted_seq.variances]
             rep = check_main_charfn_inequality(list(sorted_seq.variables), gauss, m)
             record(
                 "charfn_inequality",
@@ -321,6 +325,7 @@ def _run_check_lemmas(cfg: RunConfig) -> tuple[int, list[dict]]:
                 m=m,
                 margins=rep.margins,
             )
+    weights = WeightVector(tuple(map(math.sqrt, sorted_seq.variances)))
     rs = sorted(set(cfg.r_values)) or [2]
     for r in rs:
         for i in range(1, r + 1):
@@ -339,16 +344,13 @@ def _run_check_lemmas(cfg: RunConfig) -> tuple[int, list[dict]]:
                 r=r,
                 i=i,
             )
-        tail = check_symmetric_tail_bounds(seq, r) if seq.all_symmetric else None
+        tail = check_symmetric_tail_bounds(seq, r) if sorted_seq.all_symmetric else None
         if tail is not None and tail.applicable:
             record("symmetric_tail_bounds", tail.passed, r=r, cutoff=tail.cutoff_index)
-        ctail = check_centered_tail_bounds(seq, r) if seq.all_centered else None
+        ctail = check_centered_tail_bounds(seq, r) if sorted_seq.all_centered else None
         if ctail is not None and ctail.applicable:
             record("centered_tail_bounds", ctail.passed, r=r, cutoff=ctail.cutoff_index)
-        w = WeightVector(
-            tuple(sorted((math.sqrt(v) for v in seq.variances), reverse=True))
-        )
-        ratio = check_rademacher_moment_ratio(w, r)
+        ratio = check_rademacher_moment_ratio(weights, r)
         record("rademacher_moment_ratio", ratio.passed, r=r, ratio=ratio.ratio)
     return status, rows
 
@@ -360,8 +362,7 @@ def _run_scan(cfg: RunConfig) -> tuple[int, list[dict]]:
     for n in sorted(set(cfg.n_values)):
         scale = math.sqrt((1.0 / n) / base.variance)
         spec = base.scaled(scale)
-        specs = [spec] * n
-        seq = SequenceSpec(tuple(specs))
+        seq = SequenceSpec((spec,) * n)
         for p in sorted(set(cfg.p_values)):
             if float(p).is_integer() and int(p) % 2 == 0 and p >= 4.0:
                 report = bound_even_symmetric(seq, int(p) // 2)
@@ -373,7 +374,7 @@ def _run_scan(cfg: RunConfig) -> tuple[int, list[dict]]:
                 )[0]
             row = {"n": n, "p": p, "statement": report.statement_id}
             if report.certifying and report.radius is not None:
-                est = _norm_estimate(specs, p, cfg)
+                est = _norm_estimate(seq, p, cfg)
                 deviation = abs(est["value"] - gaussian_lp_norm(p))
                 row["radius"] = _tag(report.radius, "exact")
                 row["deviation"] = est | {"value": deviation}
@@ -453,6 +454,10 @@ def main(argv=None) -> int:
         status, document = run(cfg)
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except ValueError as exc:
+        # An engine refusal that no report absorbed: not a failed check.
+        print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     if cfg.output_path:
         with open(cfg.output_path, "w", encoding="utf-8") as fh:

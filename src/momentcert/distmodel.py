@@ -64,6 +64,8 @@ class MomentProfile:
         mu = self.moments
         if len(mu) < 3:
             raise ValueError("need moments at least up to order 2")
+        if not all(math.isfinite(m) for m in mu):
+            raise ValueError("moments must be finite")
         if abs(mu[0] - 1.0) > _REL_TOL:
             raise ValueError(f"mu_0 must be 1, got {mu[0]!r}")
         if mu[2] <= 0.0:
@@ -127,14 +129,23 @@ class VariableSpec:
     support: tuple[tuple[float, ...], tuple[float, ...]] | None = None
 
     def __post_init__(self) -> None:
+        # Tuples keep specs hashable; sequences group equal specs by hash.
+        object.__setattr__(self, "params", tuple(self.params))
         if self.family == "raw_moments":
             if self.profile is None:
                 raise ValueError("raw_moments spec requires a MomentProfile")
-            if self.support is not None and len(self.support[0]) != len(self.support[1]):
-                raise ValueError("support values and probabilities differ in length")
+            if self.support is not None:
+                values, probs = map(tuple, self.support)
+                if len(values) != len(probs):
+                    raise ValueError("support values and probabilities differ in length")
+                if not all(math.isfinite(x) for x in values + probs):
+                    raise ValueError("support values and probabilities must be finite")
+                object.__setattr__(self, "support", (values, probs))
             return
         if self.support is not None:
             raise ValueError("explicit support is only for raw_moments specs")
+        if not all(math.isfinite(x) for x in self.params):
+            raise ValueError(f"{self.family} parameters must be finite")
         if self.family in ("gaussian", "rademacher", "symmetric_exponential", "uniform"):
             (scale,) = self.params
             if scale <= 0.0:
@@ -344,6 +355,8 @@ def spec_from_atoms(
     p = np.asarray(probs, dtype=float)
     if v.shape != p.shape or v.ndim != 1:
         raise ValueError("values and probs must be 1-d of equal length")
+    if not (np.all(np.isfinite(v)) and np.all(np.isfinite(p))):
+        raise ValueError("values and probs must be finite")
     if np.any(p < 0) or abs(p.sum() - 1.0) > 1e-12:
         raise ValueError("probs must be nonnegative and sum to 1")
     if center:

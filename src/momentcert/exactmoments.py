@@ -36,7 +36,7 @@ class WeightVector:
     sigmas: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "sigmas", tuple(float(s) for s in self.sigmas))
+        object.__setattr__(self, "sigmas", tuple(map(float, self.sigmas)))
         if not self.sigmas:
             raise ValueError("weight vector must be non-empty")
 
@@ -81,36 +81,62 @@ def _check_dynamic_range(variances: Sequence[float]) -> None:
         )
 
 
+def _convolve(a: Sequence[float], b: Sequence[float], order: int) -> list[float]:
+    """Moments of X + Y up to `order` from those of independent X (a) and
+    Y (b): c_t = sum_i C(t, i) a_{t-i} b_i."""
+    out = [0.0] * (order + 1)
+    for t in range(order + 1):
+        acc = 0.0
+        for i in range(t + 1):
+            if b[i] != 0.0 and a[t - i] != 0.0:
+                acc += math.comb(t, i) * a[t - i] * b[i]
+        out[t] = acc
+    return out
+
+
+def _power(mu: Sequence[float], k: int, order: int) -> Sequence[float]:
+    """Moments of the sum of k independent copies of one variable, by
+    repeated squaring of the binomial convolution: O(order^2 log k)."""
+    out = None
+    while True:
+        if k & 1:
+            out = mu if out is None else _convolve(out, mu, order)
+        k >>= 1
+        if not k:
+            return out
+        mu = _convolve(mu, mu, order)
+
+
 def sum_even_moment(profiles: Sequence[MomentProfile], r: int) -> float:
     """E (sum_k X_k)^{2r} for independent centered X_k, exact up to rounding.
 
-    Binomial-convolution recurrence over the partial sums, O(n r^2):
-    m_{j+1, t} = sum_i C(t, i) m_{j, t-i} mu^{(j+1)}_i.
+    Binomial-convolution recurrence over the partial sums,
+    m_{j+1, t} = sum_i C(t, i) m_{j, t-i} mu^{(j+1)}_i.  Consecutive equal
+    profiles form one run, whose k-fold convolution power is taken by
+    repeated squaring, so the cost is O(r^2 log k) per run of length k.
     """
     if r < 0:
         raise ValueError("r must be non-negative")
     if not profiles:
         raise ValueError("need at least one profile")
     order = 2 * r
-    for prof in profiles:
+    n = len(profiles)
+    starts = [0] + [
+        i for i in range(1, n) if profiles[i] is not profiles[i - 1]
+        and profiles[i] != profiles[i - 1]
+    ]
+    runs = [(profiles[a], b - a) for a, b in zip(starts, starts[1:] + [n])]
+    for prof, _ in runs:
         if not prof.centered:
             raise ValueError("sum_even_moment requires centered profiles")
         if prof.max_order < order:
             raise ValueError(
                 f"profile holds moments to order {prof.max_order}, need {order}"
             )
-    _check_dynamic_range([p.variance for p in profiles])
+    _check_dynamic_range([prof.variance for prof, _ in runs])
     m = [1.0] + [0.0] * order
-    for prof in profiles:
-        mu = prof.moments
-        new = [0.0] * (order + 1)
-        for t in range(order + 1):
-            acc = 0.0
-            for i in range(t + 1):
-                if mu[i] != 0.0 and m[t - i] != 0.0:
-                    acc += math.comb(t, i) * m[t - i] * mu[i]
-            new[t] = acc
-        m = new
+    for prof, k in runs:
+        m = _convolve(m, _power(prof.moments, k, order), order)
     return m[order]
 
 
@@ -134,7 +160,10 @@ def rademacher_even_moment(w: WeightVector, r: int) -> float:
     """E (sum_k sigma_k eps_k)^{2r}, exact, via the moment-convolution DP."""
     if r == 0:
         return 1.0
-    profiles = [_rademacher_profile(abs(s), 2 * r) for s in w.sigmas if s != 0.0]
+    weights = [a for a in map(abs, w.sigmas) if a != 0.0]
+    # One profile per distinct |sigma|, shared by its equal weights.
+    shared = {a: _rademacher_profile(a, 2 * r) for a in set(weights)}
+    profiles = [shared[a] for a in weights]
     if not profiles:
         return 0.0
     return sum_even_moment(profiles, r)

@@ -268,6 +268,12 @@ class TestBoundGeneralP:
         rep = bound_general_p(seq_of(gaussian(1.0), 5), 5.0, 2)
         assert not rep.certifying
 
+    def test_extreme_dynamic_range_not_certifying(self):
+        seq = SequenceSpec((gaussian(1.0),) * 5 + (gaussian(1e-5),) * 5)
+        rep = bound_general_p(seq, 4.0, 2)
+        assert not rep.certifying
+        assert [a.name for a in rep.failed_assumptions()] == ["dynamic_range"]
+
 
 class TestRatioCheck:
     def test_two_unit_weights_r1(self):

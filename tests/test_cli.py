@@ -7,10 +7,12 @@ from momentcert.cli import (
     EXIT_FAIL,
     EXIT_OK,
     ConfigError,
+    RunConfig,
     load_config,
     main,
     run,
 )
+from momentcert.distmodel import gaussian, spec_from_atoms, symmetric_three_point
 
 
 def write_config(tmp_path, doc, name="cfg.json"):
@@ -274,3 +276,86 @@ class TestOutputAndMain:
         second = capsys.readouterr().out
         assert first != second
         assert json.loads(first)["seed"] == 1
+
+
+class TestBadInputs:
+    @pytest.mark.parametrize("x", [float("nan"), float("inf"), float("-inf")])
+    @pytest.mark.parametrize(
+        "variable",
+        [
+            {"family": "gaussian", "sigma": "X", "count": 5},
+            {"family": "uniform", "a": "X"},
+            {"family": "symmetric_three_point", "b": 1.0, "q": "X"},
+            {"family": "atoms", "values": [-1.0, "X"], "probs": [0.5, 0.5]},
+            {"family": "raw_moments", "moments": [1.0, 0.0, 1.0, 0.0, "X"],
+             "symmetric": True},
+        ],
+    )
+    def test_non_finite_parameter_is_config_error(self, tmp_path, capsys, variable, x):
+        doc = {"command": "bound", "variables": [variable], "r_values": [2]}
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(doc).replace('"X"', json.dumps(x)))
+        with pytest.raises(ConfigError, match="finite"):
+            load_config(str(path))
+        assert main(["--config", str(path)]) == EXIT_CONFIG
+        assert "configuration error" in capsys.readouterr().err
+
+    def test_null_parameter_is_config_error(self, tmp_path):
+        path = write_config(
+            tmp_path,
+            {"command": "bound", "variables": [{"family": "gaussian", "sigma": None}],
+             "r_values": [2]},
+        )
+        with pytest.raises(ConfigError):
+            load_config(path)
+
+    SPREAD = [
+        {"family": "gaussian", "sigma": 1.0, "count": 5},
+        {"family": "gaussian", "sigma": 1e-5, "count": 5},
+    ]
+
+    def test_dynamic_range_bound_is_non_certifying(self, tmp_path):
+        path = write_config(
+            tmp_path,
+            {"command": "bound", "variables": self.SPREAD, "p_values": [4.0],
+             "r_values": [2]},
+        )
+        status, document = run(load_config(path))
+        assert status == EXIT_OK
+        rows = [r for r in json.loads(document)["rows"]
+                if r["statement"] == "truncated_general_p_upper"]
+        assert [r["failed"] for r in rows] == [["dynamic_range"]]
+
+    def test_engine_refusal_exits_two(self, tmp_path, capsys):
+        path = write_config(
+            tmp_path,
+            {"command": "verify", "variables": self.SPREAD, "p_values": [4.0],
+             "r_values": [2]},
+        )
+        assert main(["--config", path]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "dynamic range" in err
+        assert len(err.strip().splitlines()) == 1
+
+
+class TestRunsGroupedByEquality:
+    @pytest.mark.parametrize("command", ["moments", "bound", "verify"])
+    def test_shared_and_copied_specs_give_identical_documents(self, command):
+        skew = ([-1.0, 0.5, 2.0], [0.3, 0.5, 0.2], 12)
+        shared = (
+            [gaussian(1.0)] * 7
+            + [symmetric_three_point(1.5, 0.2)] * 4
+            + [spec_from_atoms(*skew)] * 5
+        )
+        copies = (
+            [gaussian(1.0) for _ in range(7)]
+            + [symmetric_three_point(1.5, 0.2) for _ in range(4)]
+            + [spec_from_atoms(*skew) for _ in range(5)]
+        )
+        assert len({id(s) for s in copies}) == len(copies)
+        docs = [
+            run(RunConfig(command=command, variables=variables, p_values=[4.0, 6.0],
+                          r_values=[2, 3]))
+            for variables in (shared, copies)
+        ]
+        assert docs[0] == docs[1]

@@ -200,3 +200,44 @@ def test_bad_parameters_rejected():
         symmetric_three_point(1.0, 0.6)
     with pytest.raises(ValueError):
         uniform(-1.0)
+
+
+NON_FINITE = [math.nan, math.inf, -math.inf]
+
+
+class TestNonFiniteRejected:
+    @pytest.mark.parametrize("x", NON_FINITE)
+    @pytest.mark.parametrize(
+        "make",
+        [
+            gaussian,
+            rademacher,
+            symmetric_exponential,
+            uniform,
+            lambda x: symmetric_three_point(x, 0.25),
+            lambda x: symmetric_three_point(1.0, x),
+            lambda x: gaussian(1.0).scaled(x),
+        ],
+    )
+    def test_factories(self, make, x):
+        with pytest.raises(ValueError):
+            make(x)
+
+    @pytest.mark.parametrize("x", NON_FINITE)
+    def test_moment_profile(self, x):
+        with pytest.raises(ValueError, match="finite"):
+            MomentProfile((1.0, 0.0, 1.0, 0.0, x))
+        with pytest.raises(ValueError, match="finite"):
+            MomentProfile((1.0, x, 1.0), centered=False)
+
+    @pytest.mark.parametrize("x", NON_FINITE)
+    def test_spec_from_atoms(self, x):
+        with pytest.raises(ValueError, match="finite"):
+            spec_from_atoms([-1.0, x], [0.5, 0.5], 4)
+        with pytest.raises(ValueError, match="finite"):
+            spec_from_atoms([-1.0, 1.0], [0.5, x], 4)
+
+    def test_raw_moments_support(self):
+        profile = MomentProfile((1.0, 0.0, 1.0), symmetric=True, centered=True)
+        with pytest.raises(ValueError, match="finite"):
+            distmodel.VariableSpec("raw_moments", (), profile, ((-1.0, math.inf), (0.5, 0.5)))

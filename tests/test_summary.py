@@ -1,0 +1,160 @@
+"""The cached sequence summary and the run-length even-moment engine."""
+import math
+
+import numpy as np
+import pytest
+
+from conftest import random_centered_atom_spec, random_symmetric_spec
+from momentcert import (
+    SequenceSpec,
+    compute_m,
+    gaussian,
+    minimal_C_centered,
+    minimal_C_symmetric,
+    spec_from_atoms,
+    sum_even_moment,
+    symmetric_exponential,
+    symmetric_three_point,
+)
+from momentcert.distmodel import VariableSpec
+
+
+def sequential_even_moment(profiles, r):
+    """E (sum X_k)^{2r} by convolving one summand at a time, each moment
+    of the partial sum accumulated with math.fsum."""
+    order = 2 * r
+    m = [1.0] + [0.0] * order
+    for prof in profiles:
+        mu = prof.moments
+        m = [
+            math.fsum(math.comb(t, i) * m[t - i] * mu[i] for i in range(t + 1))
+            for t in range(order + 1)
+        ]
+    return m[order]
+
+
+class TestSortedSummary:
+    def test_sort_reads_each_variance_once(self, monkeypatch):
+        n = 10_000
+        rng = np.random.default_rng(3)
+        scales = rng.uniform(0.5, 2.0, n)
+        scales[::7] = 1.0  # ties, which the sort must keep in input order
+        seq = SequenceSpec(tuple(gaussian(float(s)) for s in scales))
+        calls = [0]
+        real = VariableSpec.variance
+
+        def counting(spec):
+            calls[0] += 1
+            return real.fget(spec)
+
+        monkeypatch.setattr(VariableSpec, "variance", property(counting))
+        first = seq.sorted()
+        assert calls[0] <= n
+        assert seq.sorted() is first
+        srt, perm = first
+        v = [s * s for s in scales]
+        assert list(perm) == sorted(range(n), key=lambda i: -v[i])
+        assert srt.variables == tuple(seq.variables[i] for i in perm)
+        assert srt.sorted_nonincreasing
+
+    def test_equal_specs_share_one_profile(self):
+        a, b = symmetric_exponential(1.0), symmetric_exponential(1.0)
+        seq = SequenceSpec((a, gaussian(2.0), b, a))
+        profs = seq.profiles(6)
+        assert profs[0] is profs[2] is profs[3]
+        assert seq.profiles(6) is profs
+        assert len(seq.distinct_profiles(6)) == 2
+        srt, _ = seq.sorted()
+        assert set(map(id, srt.profiles(6))) == set(map(id, profs))
+
+    def test_flags_read_every_distinct_spec(self):
+        skew = spec_from_atoms([-1.0, 0.0, 2.0], [0.3, 0.4, 0.3], 8)
+        seq = SequenceSpec((gaussian(1.0),) * 5 + (skew,))
+        assert not seq.all_symmetric
+        assert seq.all_centered
+        assert not seq.all_log_concave
+
+
+class TestRunLengthEvenMoment:
+    @pytest.mark.parametrize("k", [1, 2, 3, 7, 64, 1000, 10_000])
+    @pytest.mark.parametrize("kind", ["symmetric", "asymmetric"])
+    def test_single_run_matches_sequential(self, k, kind):
+        if kind == "symmetric":
+            spec = symmetric_three_point(1.3, 0.2)
+        else:
+            spec = spec_from_atoms([-1.0, 0.5, 2.0], [0.3, 0.5, 0.2], 6)
+        prof = spec.moments(6)
+        assert prof.symmetric == (kind == "symmetric")
+        for r in (2, 3):
+            got = sum_even_moment([prof] * k, r)
+            want = sequential_even_moment([prof] * k, r)
+            assert got == pytest.approx(want, rel=1e-13, abs=0.0)
+
+    def test_mixed_runs_match_sequential(self):
+        rng = np.random.default_rng(5)
+        specs = [random_symmetric_spec(rng, min_q=0.1) for _ in range(3)]
+        specs += [random_centered_atom_spec(rng, 6) for _ in range(2)]
+        profiles = []
+        for spec, k in zip(specs * 2, (1, 5, 300, 2, 4000, 17, 1, 1, 64, 900)):
+            profiles += [spec.moments(6)] * k
+        for r in (1, 2, 3):
+            got = sum_even_moment(profiles, r)
+            want = sequential_even_moment(profiles, r)
+            assert got == pytest.approx(want, rel=1e-13, abs=0.0)
+
+    def test_equal_but_distinct_profiles_form_one_run(self):
+        spec = symmetric_exponential(0.8)
+        shared = [spec.moments(4)] * 50
+        copies = [spec.moments(4) for _ in range(50)]
+        assert sum_even_moment(shared, 2) == sum_even_moment(copies, 2)
+
+
+def brute_m(seq):
+    worst = max(v.moments(4).moment(4) / v.moments(4).variance ** 2 for v in seq.variables)
+    return math.ceil(worst / 6.0 - 1e-12)
+
+
+def brute_c_symmetric(seq, r):
+    c = 1.0
+    for v in seq.variables:
+        prof = v.moments(2 * r)
+        for l in range(2, r + 1):
+            ratio = prof.moment(2 * l) * 2 ** l / (math.factorial(2 * l) * prof.variance ** l)
+            if ratio > 1.0:
+                c = max(c, ratio ** (1.0 / (2 * l - 2)))
+    return c
+
+
+def brute_c_centered(seq, r):
+    c = 1.0
+    for v in seq.variables:
+        prof = v.moments(2 * r)
+        for l in range(3, 2 * r + 1):
+            ratio = (
+                abs(prof.moment(l)) * 2 ** (l / 2.0)
+                / (math.factorial(l) * prof.variance ** (l / 2.0))
+            )
+            if ratio > 1.0:
+                c = max(c, ratio ** (1.0 / (l - 2)))
+    return c
+
+
+class TestConstantsOverDistinctProfiles:
+    def test_match_brute_force_exactly(self):
+        rng = np.random.default_rng(9)
+        for _ in range(20):
+            distinct = [random_symmetric_spec(rng) for _ in range(int(rng.integers(1, 5)))]
+            variables = [distinct[int(i)] for i in rng.integers(0, len(distinct), 40)]
+            seq = SequenceSpec(tuple(variables))
+            assert compute_m(seq) == brute_m(seq)
+            for r in (2, 3, 4):
+                assert minimal_C_symmetric(seq, r) == brute_c_symmetric(seq, r)
+                assert minimal_C_centered(seq, r) == brute_c_centered(seq, r)
+
+    def test_centered_match_brute_force_exactly(self):
+        rng = np.random.default_rng(10)
+        for _ in range(10):
+            distinct = [random_centered_atom_spec(rng, 8) for _ in range(3)]
+            seq = SequenceSpec(tuple(distinct[int(i)] for i in rng.integers(0, 3, 30)))
+            for r in (2, 3, 4):
+                assert minimal_C_centered(seq, r) == brute_c_centered(seq, r)
