@@ -547,12 +547,19 @@ def latala_logconcave_bounds(
     tail_start = _ceil(p / 2.0)
     tail_var = sum(v[tail_start - 1 :]) if tail_start <= n else 0.0
     head_specs = sorted_seq.variables[:head_count]
+    constants = {"head_count": head_count, "tail_start": tail_start}
     head_err = 0.0
     head_provenance = "exact"
     if head_count == 0:
         head = 0.0
     elif float(p).is_integer() and int(p) % 2 == 0:
-        raw = sum_even_moment(sorted_seq.profiles(int(p))[:head_count], int(p) // 2)
+        try:
+            raw = sum_even_moment(sorted_seq.profiles(int(p))[:head_count], int(p) // 2)
+        except ValueError as exc:
+            failed = Assumption("dynamic_range", False, str(exc))
+            return two_sided, _non_certifying(
+                "logconcave_sandwich", p, assumptions + (failed,), perm, constants
+            )
         head = raw ** (1.0 / p)
     elif 2.0 < p < 4.0:
         res = _charfn.sum_abs_moment_via_haagerup(head_specs, p, tol)
@@ -575,7 +582,7 @@ def latala_logconcave_bounds(
         lower=max(g_tail, head - head_err),
         upper=g_tail + head + head_err,
         radius=None,
-        constants={"head_count": head_count, "tail_start": tail_start},
+        constants=constants,
         assumptions=assumptions,
         certifying=True,
         permutation=perm,

@@ -22,7 +22,7 @@ import numpy as np
 from scipy import integrate
 
 from .distmodel import VariableSpec
-from .exactmoments import sum_even_moment
+from .exactmoments import run_lengths, sum_even_moment
 
 __all__ = [
     "CharFunction",
@@ -71,19 +71,26 @@ class CharFunction:
 
         The variance is the sum of component variances; the fourth and
         sixth moments of the sum come from the exact convolution engine.
+        Consecutive equal specs form one run: its moments are read once,
+        and phi evaluates its factor once and multiplies it in k times.
+        Multiplying k times rounds exactly like k separate factors, where
+        a power f(t)**k would not.
         """
         if not specs:
             raise ValueError("need at least one spec")
-        profiles = [s.moments(6) for s in specs]
-        variance = sum(p.variance for p in profiles)
+        runs = [(s.moments(6), s.charfn, k) for s, k in run_lengths(specs)]
+        profiles = [prof for prof, _, k in runs for _ in range(k)]
+        variance = sum(prof.variance for prof in profiles)
         m4 = sum_even_moment(profiles, 2)
         m6 = sum_even_moment(profiles, 3)
-        fns = [s.charfn for s in specs]
+        factors = [(f, k) for _, f, k in runs]
 
         def prod(t: np.ndarray) -> np.ndarray:
-            out = np.ones_like(t)
-            for f in fns:
-                out = out * f(t)
+            out = 1.0
+            for f, k in factors:
+                ft = f(t)
+                for _ in range(k):
+                    out = out * ft
             return out
 
         return cls(prod, variance, m4, m6)

@@ -1,7 +1,9 @@
 """Batch front door: read a JSON configuration, run the requested
 computation, emit machine-readable reports (JSON or CSV).
 
-Exit codes: 0 all checks pass, 1 violation or FAIL, 2 configuration error.
+Exit codes: 0 all checks pass; 1 a violation or a FAIL; 2 a configuration
+error, or no FAIL but some `verify` row UNVERIFIED because no engine could
+compute its ground truth (the document is still written).
 """
 from __future__ import annotations
 
@@ -277,22 +279,27 @@ def _run_verify(cfg: RunConfig) -> tuple[int, list[dict]]:
     seq = SequenceSpec(tuple(cfg.variables))
     ordered, _ = seq.sorted()
     rows = []
-    status = EXIT_OK
     for report in _all_reports(seq, cfg):
         row = _report_row(report)
-        if report.certifying:
-            ground, provenance = _ground_for_report(ordered, report, cfg)
-            verdict = verify_report(report, ground)
-            gval = getattr(ground, "point", getattr(ground, "value", ground))
-            row["ground"] = _tag(float(gval), provenance)
-            row["verdict"] = "PASS" if verdict.passed else "FAIL"
-            row["margin"] = verdict.margin
-            if not verdict.passed:
-                status = EXIT_FAIL
-        else:
-            row["verdict"] = "SKIPPED"
         rows.append(row)
-    return status, rows
+        if not report.certifying:
+            row["verdict"] = "SKIPPED"
+            continue
+        try:
+            ground, provenance = _ground_for_report(ordered, report, cfg)
+        except ValueError as exc:  # an engine refused this row's ground truth
+            row["verdict"] = "UNVERIFIED"
+            row["detail"] = str(exc)
+            continue
+        verdict = verify_report(report, ground)
+        gval = getattr(ground, "point", getattr(ground, "value", ground))
+        row["ground"] = _tag(float(gval), provenance)
+        row["verdict"] = "PASS" if verdict.passed else "FAIL"
+        row["margin"] = verdict.margin
+    verdicts = {row["verdict"] for row in rows}
+    if "FAIL" in verdicts:
+        return EXIT_FAIL, rows
+    return (EXIT_CONFIG if "UNVERIFIED" in verdicts else EXIT_OK), rows
 
 
 def _run_check_lemmas(cfg: RunConfig) -> tuple[int, list[dict]]:
@@ -388,8 +395,7 @@ def _run_scan(cfg: RunConfig) -> tuple[int, list[dict]]:
     return status, rows
 
 
-def run(cfg: RunConfig) -> tuple[int, str]:
-    """Execute the configured command; returns (exit_status, document)."""
+def _execute(cfg: RunConfig) -> tuple[int, list[dict]]:
     dispatch = {
         "moments": _run_moments,
         "bound": _run_bound,
@@ -397,16 +403,25 @@ def run(cfg: RunConfig) -> tuple[int, str]:
         "check-lemmas": _run_check_lemmas,
         "scan": _run_scan,
     }
-    status, rows = dispatch[cfg.command](cfg)
+    return dispatch[cfg.command](cfg)
+
+
+def _render(cfg: RunConfig, rows: list[dict]) -> str:
     if cfg.output_format == "csv":
-        return status, _to_csv(rows)
+        return _to_csv(rows)
     doc = {
         "schema_version": SCHEMA_VERSION,
         "command": cfg.command,
         "seed": cfg.seed,
         "rows": rows,
     }
-    return status, json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+
+
+def run(cfg: RunConfig) -> tuple[int, str]:
+    """Execute the configured command; returns (exit_status, document)."""
+    status, rows = _execute(cfg)
+    return status, _render(cfg, rows)
 
 
 def _flatten(row: dict, prefix: str = "") -> dict:
@@ -451,7 +466,8 @@ def main(argv=None) -> int:
         cfg = load_config(
             args.config, seed=args.seed, output_format=args.format, output_path=args.out
         )
-        status, document = run(cfg)
+        status, rows = _execute(cfg)
+        document = _render(cfg, rows)
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
@@ -459,6 +475,13 @@ def main(argv=None) -> int:
         # An engine refusal that no report absorbed: not a failed check.
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    unverified = [row for row in rows if row.get("verdict") == "UNVERIFIED"]
+    if unverified:
+        print(
+            f"error: {len(unverified)} report(s) UNVERIFIED, first: "
+            f"{unverified[0]['statement']} p={unverified[0]['p']}: {unverified[0]['detail']}",
+            file=sys.stderr,
+        )
     if cfg.output_path:
         with open(cfg.output_path, "w", encoding="utf-8") as fh:
             fh.write(document)

@@ -8,12 +8,12 @@ from __future__ import annotations
 
 import math
 import os
+import statistics
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy import stats
 
 from .bounds import BoundReport
 from .charfn import IntegralResult
@@ -144,7 +144,7 @@ def mc_moment(
     s2 = math.fsum(b for _, b in partials)
     mean = s1 / samples
     var = max(s2 / samples - mean * mean, 0.0)
-    z = float(stats.norm.ppf(0.5 + confidence / 2.0))
+    z = statistics.NormalDist().inv_cdf(0.5 + confidence / 2.0)
     half = z * math.sqrt(var / samples)
     lo = max(mean - half, 0.0) ** (1.0 / p)
     hi = (mean + half) ** (1.0 / p)

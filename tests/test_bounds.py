@@ -333,6 +333,14 @@ class TestLatalaBounds:
         exact = 330.0 ** 0.25
         assert sandwich.lower <= exact <= sandwich.upper
 
+    def test_sandwich_head_dynamic_range_not_certifying(self):
+        seq = SequenceSpec((gaussian(1.0),) * 2 + (gaussian(1e-5),) * 5)
+        radius, sandwich = latala_logconcave_bounds(seq, 4.0)
+        assert radius.certifying
+        assert not sandwich.certifying
+        assert [a.name for a in sandwich.failed_assumptions()] == ["dynamic_range"]
+        assert sandwich.constants == {"head_count": 3, "tail_start": 2}
+
     def test_sandwich_quadrature_head_for_fractional_p(self):
         seq = seq_of(symmetric_exponential(1.0), 8)
         _, sandwich = latala_logconcave_bounds(seq, 3.5)

@@ -12,7 +12,7 @@ from momentcert.cli import (
     main,
     run,
 )
-from momentcert.distmodel import gaussian, spec_from_atoms, symmetric_three_point
+from momentcert.distmodel import gaussian, spec_from_atoms, symmetric_three_point, uniform
 
 
 def write_config(tmp_path, doc, name="cfg.json"):
@@ -326,6 +326,59 @@ class TestBadInputs:
                 if r["statement"] == "truncated_general_p_upper"]
         assert [r["failed"] for r in rows] == [["dynamic_range"]]
 
+    def test_refused_ground_truth_is_unverified(self, tmp_path, capsys):
+        out = tmp_path / "report.json"
+        path = write_config(
+            tmp_path,
+            {"command": "verify", "variables": self.SPREAD, "p_values": [4.0],
+             "r_values": [2], "output_path": str(out)},
+        )
+        assert main(["--config", path]) == EXIT_CONFIG
+        assert "UNVERIFIED" in capsys.readouterr().err
+        rows = json.loads(out.read_text())["rows"]
+        statements = {r["statement"] for r in rows}
+        assert {"even_symmetric_band", "truncated_general_p_upper"} <= statements
+        unverified = [r for r in rows if r["verdict"] == "UNVERIFIED"]
+        assert unverified
+        assert all("dynamic range" in r["detail"] for r in unverified)
+        assert all("ground" not in r for r in unverified)
+        skipped = [r for r in rows if r["statement"] == "truncated_general_p_upper"]
+        assert [r["verdict"] for r in skipped] == ["SKIPPED"]
+
+    def test_fail_outranks_unverified(self, tmp_path, monkeypatch):
+        import dataclasses
+
+        import momentcert.cli as cli_mod
+
+        real_ground, real_bound = cli_mod._ground_for_report, cli_mod.bound_even_symmetric
+
+        def refusing(ordered, report, cfg):
+            if report.statement_id == "logconcave_radius":
+                raise ValueError("refused")
+            return real_ground(ordered, report, cfg)
+
+        def sabotaged(seq, r):
+            rep = real_bound(seq, r)
+            return dataclasses.replace(rep, upper=rep.lower + 1e-9, radius=None)
+
+        path = write_config(
+            tmp_path,
+            {"command": "verify", "variables": LAPLACE_TEN, "p_values": [4.0],
+             "r_values": [2]},
+        )
+        monkeypatch.setattr(cli_mod, "_ground_for_report", refusing)
+        status, document = run(load_config(path))
+        verdicts = {r["statement"]: r["verdict"] for r in json.loads(document)["rows"]}
+        assert verdicts["logconcave_radius"] == "UNVERIFIED"
+        assert "FAIL" not in verdicts.values()
+        assert status == EXIT_CONFIG
+        monkeypatch.setattr(cli_mod, "bound_even_symmetric", sabotaged)
+        status, document = run(load_config(path))
+        verdicts = {r["statement"]: r["verdict"] for r in json.loads(document)["rows"]}
+        assert verdicts["logconcave_radius"] == "UNVERIFIED"
+        assert verdicts["even_symmetric_band"] == "FAIL"
+        assert status == EXIT_FAIL
+
     def test_engine_refusal_exits_two(self, tmp_path, capsys):
         path = write_config(
             tmp_path,
@@ -338,24 +391,34 @@ class TestBadInputs:
         assert len(err.strip().splitlines()) == 1
 
 
+SKEW = ([-1.0, 0.5, 2.0], [0.3, 0.5, 0.2], 12)
+
+
 class TestRunsGroupedByEquality:
-    @pytest.mark.parametrize("command", ["moments", "bound", "verify"])
-    def test_shared_and_copied_specs_give_identical_documents(self, command):
-        skew = ([-1.0, 0.5, 2.0], [0.3, 0.5, 0.2], 12)
-        shared = (
-            [gaussian(1.0)] * 7
-            + [symmetric_three_point(1.5, 0.2)] * 4
-            + [spec_from_atoms(*skew)] * 5
-        )
-        copies = (
-            [gaussian(1.0) for _ in range(7)]
-            + [symmetric_three_point(1.5, 0.2) for _ in range(4)]
-            + [spec_from_atoms(*skew) for _ in range(5)]
-        )
+    @pytest.mark.parametrize(
+        "command, p_values, third",
+        [
+            ("moments", [4.0, 6.0], lambda: spec_from_atoms(*SKEW)),
+            ("bound", [4.0, 6.0], lambda: spec_from_atoms(*SKEW)),
+            ("verify", [4.0, 6.0], lambda: spec_from_atoms(*SKEW)),
+            ("verify", [3.0], lambda: uniform(0.8)),
+        ],
+        ids=["moments", "bound", "verify", "verify-quadrature"],
+    )
+    def test_shared_and_copied_specs_give_identical_documents(
+        self, command, p_values, third
+    ):
+        makers = (lambda: gaussian(1.0), lambda: symmetric_three_point(1.5, 0.2), third)
+        counts = (7, 4, 5)
+        shared = [s for make, k in zip(makers, counts) for s in [make()] * k]
+        copies = [make() for make, k in zip(makers, counts) for _ in range(k)]
         assert len({id(s) for s in copies}) == len(copies)
         docs = [
-            run(RunConfig(command=command, variables=variables, p_values=[4.0, 6.0],
+            run(RunConfig(command=command, variables=variables, p_values=p_values,
                           r_values=[2, 3]))
             for variables in (shared, copies)
         ]
         assert docs[0] == docs[1]
+        if p_values == [3.0]:
+            rows = json.loads(docs[0][1])["rows"]
+            assert any(r.get("ground", {}).get("provenance") == "quadrature" for r in rows)

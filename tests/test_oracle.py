@@ -1,5 +1,9 @@
 import dataclasses
 import math
+import os
+import statistics
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -114,6 +118,31 @@ class TestMCMoment:
     def test_bad_confidence_rejected(self):
         with pytest.raises(ValueError):
             mc_moment([gaussian(1.0)], 2.0, samples=20_000, confidence=1.5)
+
+
+class TestNormalQuantile:
+    @pytest.mark.parametrize("confidence", [0.5, 0.9, 0.95, 0.99, 0.999, 0.999999])
+    def test_half_width_uses_the_normal_quantile(self, confidence):
+        z = float(stats.norm.ppf(0.5 + confidence / 2.0))
+        assert statistics.NormalDist().inv_cdf(0.5 + confidence / 2.0) == pytest.approx(
+            z, rel=1e-15
+        )
+        samples = 20_000
+        est = mc_moment([rademacher(1.0)] * 2, 2.0, samples=samples, seed=3,
+                        confidence=confidence)
+        # |S|^2 takes the values 0 and 4, so E|S|^4 = 4 E|S|^2 exactly.
+        mean = est.raw_mean
+        var = 4.0 * mean - mean * mean
+        assert est.raw_half_width == pytest.approx(z * math.sqrt(var / samples), rel=1e-15)
+
+    def test_import_leaves_scipy_stats_out(self):
+        import momentcert
+
+        code = "import sys, momentcert; print('scipy.stats' in sys.modules)"
+        src = os.path.dirname(os.path.dirname(momentcert.__file__))
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                             text=True, check=True, env={**os.environ, "PYTHONPATH": src})
+        assert out.stdout.strip() == "False"
 
 
 class TestVerifyReport:
