@@ -50,6 +50,7 @@ from .distmodel import (
     uniform,
 )
 from .exactmoments import (
+    DynamicRangeExceeded,
     WeightVector,
     gaussian_lp_norm,
     rademacher_abs_moment,

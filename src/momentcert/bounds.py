@@ -16,6 +16,7 @@ from . import charfn as _charfn
 from .combinatorics import elementary_symmetric
 from .distmodel import VariableSpec
 from .exactmoments import (
+    DynamicRangeExceeded,
     WeightVector,
     gaussian_abs_moment,
     gaussian_lp_norm,
@@ -555,7 +556,7 @@ def latala_logconcave_bounds(
     elif float(p).is_integer() and int(p) % 2 == 0:
         try:
             raw = sum_even_moment(sorted_seq.profiles(int(p))[:head_count], int(p) // 2)
-        except ValueError as exc:
+        except DynamicRangeExceeded as exc:
             failed = Assumption("dynamic_range", False, str(exc))
             return two_sided, _non_certifying(
                 "logconcave_sandwich", p, assumptions + (failed,), perm, constants

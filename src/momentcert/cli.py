@@ -2,8 +2,8 @@
 computation, emit machine-readable reports (JSON or CSV).
 
 Exit codes: 0 all checks pass; 1 a violation or a FAIL; 2 a configuration
-error, or no FAIL but some `verify` row UNVERIFIED because no engine could
-compute its ground truth (the document is still written).
+error, or no FAIL but some `verify` row UNVERIFIED because an exact engine
+refused its ground truth (the document is still written).
 """
 from __future__ import annotations
 
@@ -40,8 +40,13 @@ from .combinatorics import (
     enumerate_indices,
 )
 from .distmodel import MomentProfile, VariableSpec
-from .exactmoments import WeightVector, gaussian_lp_norm, sum_even_moment
-from .oracle import exact_discrete_moment, mc_moment, verify_report
+from .exactmoments import (
+    DynamicRangeExceeded,
+    WeightVector,
+    gaussian_lp_norm,
+    sum_even_moment,
+)
+from .oracle import SupportExplosion, exact_discrete_moment, mc_moment, verify_report
 
 SCHEMA_VERSION = 1
 EXIT_OK, EXIT_FAIL, EXIT_CONFIG = 0, 1, 2
@@ -287,7 +292,7 @@ def _run_verify(cfg: RunConfig) -> tuple[int, list[dict]]:
             continue
         try:
             ground, provenance = _ground_for_report(ordered, report, cfg)
-        except ValueError as exc:  # an engine refused this row's ground truth
+        except (DynamicRangeExceeded, SupportExplosion) as exc:  # a refused ground truth
             row["verdict"] = "UNVERIFIED"
             row["detail"] = str(exc)
             continue

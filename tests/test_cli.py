@@ -13,6 +13,7 @@ from momentcert.cli import (
     run,
 )
 from momentcert.distmodel import gaussian, spec_from_atoms, symmetric_three_point, uniform
+from momentcert.oracle import SupportExplosion
 
 
 def write_config(tmp_path, doc, name="cfg.json"):
@@ -354,7 +355,7 @@ class TestBadInputs:
 
         def refusing(ordered, report, cfg):
             if report.statement_id == "logconcave_radius":
-                raise ValueError("refused")
+                raise SupportExplosion("refused")
             return real_ground(ordered, report, cfg)
 
         def sabotaged(seq, r):
@@ -378,6 +379,37 @@ class TestBadInputs:
         assert verdicts["logconcave_radius"] == "UNVERIFIED"
         assert verdicts["even_symmetric_band"] == "FAIL"
         assert status == EXIT_FAIL
+
+    RAW_SYMMETRIC = [
+        {"family": "raw_moments", "moments": [1.0, 0.0, 1.0, 0.0, 3.0, 0.0, 15.0],
+         "symmetric": True, "centered": True, "count": 30},
+    ]
+
+    def test_no_oracle_stays_config_error(self, tmp_path, capsys):
+        out = tmp_path / "report.json"
+        path = write_config(
+            tmp_path,
+            {"command": "verify", "variables": self.RAW_SYMMETRIC, "p_values": [3.0],
+             "output_path": str(out)},
+        )
+        assert main(["--config", path]) == EXIT_CONFIG
+        assert "configuration error: no oracle available" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_other_ground_errors_are_not_unverified(self, tmp_path, monkeypatch):
+        import momentcert.cli as cli_mod
+
+        def broken(ordered, report, cfg):
+            raise ValueError("not a refusal")
+
+        path = write_config(
+            tmp_path,
+            {"command": "verify", "variables": LAPLACE_TEN, "p_values": [4.0],
+             "r_values": [2]},
+        )
+        monkeypatch.setattr(cli_mod, "_ground_for_report", broken)
+        with pytest.raises(ValueError, match="not a refusal"):
+            run(load_config(path))
 
     def test_engine_refusal_exits_two(self, tmp_path, capsys):
         path = write_config(
