@@ -39,11 +39,8 @@ from .combinatorics import (
 from .distmodel import (
     MomentProfile,
     VariableSpec,
-    charfn_of,
     gaussian,
-    moments_of,
     rademacher,
-    sample,
     spec_from_atoms,
     symmetric_exponential,
     symmetric_three_point,
@@ -59,9 +56,12 @@ from .exactmoments import (
     tail_sum_even_moment,
 )
 from .oracle import (
+    Estimate,
     MCEstimate,
+    NoEngine,
     SupportExplosion,
     Verdict,
+    estimate_moment,
     exact_discrete_moment,
     mc_moment,
     verify_report,

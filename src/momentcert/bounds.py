@@ -12,7 +12,6 @@ import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
-from . import charfn as _charfn
 from .combinatorics import elementary_symmetric
 from .distmodel import VariableSpec
 from .exactmoments import (
@@ -22,9 +21,9 @@ from .exactmoments import (
     gaussian_lp_norm,
     rademacher_abs_moment,
     rademacher_even_moment,
-    sum_even_moment,
     tail_sum_even_moment,
 )
+from .oracle import estimate_moment
 
 __all__ = [
     "Assumption",
@@ -316,6 +315,56 @@ def bound_p_2_4(seq: SequenceSpec, p: float) -> BoundReport:
     )
 
 
+def _even_cutoff(sorted_seq: SequenceSpec, r: int, symmetric: bool) -> tuple[float, int]:
+    """Growth constant C and cutoff D = ceil(C^2 (r-1)) for symmetric
+    summands, D = ceil(C^2 r(r-1)/2) for centered ones."""
+    if symmetric:
+        c = minimal_C_symmetric(sorted_seq, r)
+        return c, _ceil(c * c * (r - 1))
+    c = minimal_C_centered(sorted_seq, r)
+    return c, _ceil(c * c * r * (r - 1) / 2.0)
+
+
+def _bound_even(seq: SequenceSpec, r: int, symmetric: bool) -> BoundReport:
+    """The even-p band for symmetric summands, or the upper bound alone
+    for centered ones; both have upper = center + 2 D sqrt(v_1)."""
+    statement = "even_symmetric_band" if symmetric else "even_centered_upper"
+    kind = "symmetric" if symmetric else "centered"
+    sorted_seq, perm = seq.sorted()
+    v = sorted_seq.variances
+    n = len(v)
+    holds = sorted_seq.all_symmetric if symmetric else sorted_seq.all_centered
+    assumptions = [
+        Assumption("r_range", r >= 2, f"r={r} >= 2"),
+        Assumption(kind, holds, f"all summands {kind}"),
+    ]
+    if not all(a.satisfied for a in assumptions):
+        return _non_certifying(statement, 2 * r, assumptions, perm)
+    c, cutoff = _even_cutoff(sorted_seq, r, symmetric)
+    constants = {"C": c, "cutoff_index": cutoff}
+    formula = "ceil(C^2 (r-1))" if symmetric else "ceil(C^2 r(r-1)/2)"
+    assumptions.append(
+        Assumption("cutoff_below_n", cutoff < n, f"{formula}={cutoff} < n={n}")
+    )
+    if cutoff >= n:
+        return _non_certifying(statement, 2 * r, assumptions, perm, constants)
+    gp = gaussian_lp_norm(2 * r)
+    center = gp * math.sqrt(sum(v))
+    radius = 2.0 * cutoff * math.sqrt(v[0])
+    return BoundReport(
+        statement_id=statement,
+        p=float(2 * r),
+        center=center,
+        lower=gp * math.sqrt(sum(v[r - 1 :])) if symmetric else None,
+        upper=center + radius,
+        radius=radius if symmetric else None,
+        constants=constants,
+        assumptions=tuple(assumptions),
+        certifying=True,
+        permutation=perm,
+    )
+
+
 def bound_even_symmetric(seq: SequenceSpec, r: int) -> BoundReport:
     """Two-sided bound on ||sum X_k||_{2r} for symmetric summands, r >= 2.
 
@@ -323,38 +372,7 @@ def bound_even_symmetric(seq: SequenceSpec, r: int) -> BoundReport:
     lower = gamma_{2r} (sum_{k>=r} v_k)^{1/2};
     upper = gamma_{2r} (sum v_k)^{1/2} + 2 D sqrt(v_1); radius = 2 D sqrt(v_1).
     """
-    sorted_seq, perm = seq.sorted()
-    v = sorted_seq.variances
-    n = len(v)
-    assumptions = [
-        Assumption("r_range", r >= 2, f"r={r} >= 2"),
-        Assumption("symmetric", sorted_seq.all_symmetric, "all summands symmetric"),
-    ]
-    if not all(a.satisfied for a in assumptions):
-        return _non_certifying("even_symmetric_band", 2 * r, assumptions, perm)
-    c = minimal_C_symmetric(sorted_seq, r)
-    cutoff = _ceil(c * c * (r - 1))
-    constants = {"C": c, "cutoff_index": cutoff}
-    assumptions.append(
-        Assumption("cutoff_below_n", cutoff < n, f"ceil(C^2 (r-1))={cutoff} < n={n}")
-    )
-    if cutoff >= n:
-        return _non_certifying("even_symmetric_band", 2 * r, assumptions, perm, constants)
-    gp = gaussian_lp_norm(2 * r)
-    center = gp * math.sqrt(sum(v))
-    radius = 2.0 * cutoff * math.sqrt(v[0])
-    return BoundReport(
-        statement_id="even_symmetric_band",
-        p=float(2 * r),
-        center=center,
-        lower=gp * math.sqrt(sum(v[r - 1 :])),
-        upper=center + radius,
-        radius=radius,
-        constants=constants,
-        assumptions=tuple(assumptions),
-        certifying=True,
-        permutation=perm,
-    )
+    return _bound_even(seq, r, symmetric=True)
 
 
 def bound_even_centered(seq: SequenceSpec, r: int) -> BoundReport:
@@ -362,39 +380,7 @@ def bound_even_centered(seq: SequenceSpec, r: int) -> BoundReport:
     summands: gamma_{2r} (sum v_k)^{1/2} + 2 ceil(C^2 r(r-1)/2) sqrt(v_1).
     No lower bound is available in this regime.
     """
-    sorted_seq, perm = seq.sorted()
-    v = sorted_seq.variances
-    n = len(v)
-    assumptions = [
-        Assumption("r_range", r >= 2, f"r={r} >= 2"),
-        Assumption("centered", sorted_seq.all_centered, "all summands centered"),
-    ]
-    if not all(a.satisfied for a in assumptions):
-        return _non_certifying("even_centered_upper", 2 * r, assumptions, perm)
-    c = minimal_C_centered(sorted_seq, r)
-    cutoff = _ceil(c * c * r * (r - 1) / 2.0)
-    constants = {"C": c, "cutoff_index": cutoff}
-    assumptions.append(
-        Assumption(
-            "cutoff_below_n", cutoff < n, f"ceil(C^2 r(r-1)/2)={cutoff} < n={n}"
-        )
-    )
-    if cutoff >= n:
-        return _non_certifying("even_centered_upper", 2 * r, assumptions, perm, constants)
-    gp = gaussian_lp_norm(2 * r)
-    center = gp * math.sqrt(sum(v))
-    return BoundReport(
-        statement_id="even_centered_upper",
-        p=float(2 * r),
-        center=center,
-        lower=None,
-        upper=center + 2.0 * cutoff * math.sqrt(v[0]),
-        radius=None,
-        constants=constants,
-        assumptions=tuple(assumptions),
-        certifying=True,
-        permutation=perm,
-    )
+    return _bound_even(seq, r, symmetric=False)
 
 
 def bound_general_p(seq: SequenceSpec, p: float, r: int) -> BoundReport:
@@ -547,48 +533,32 @@ def latala_logconcave_bounds(
     head_count = min(n, int(math.ceil(p)) - 1 if not float(p).is_integer() else int(p) - 1)
     tail_start = _ceil(p / 2.0)
     tail_var = sum(v[tail_start - 1 :]) if tail_start <= n else 0.0
-    head_specs = sorted_seq.variables[:head_count]
     constants = {"head_count": head_count, "tail_start": tail_start}
-    head_err = 0.0
-    head_provenance = "exact"
-    if head_count == 0:
-        head = 0.0
-    elif float(p).is_integer() and int(p) % 2 == 0:
-        try:
-            raw = sum_even_moment(sorted_seq.profiles(int(p))[:head_count], int(p) // 2)
-        except DynamicRangeExceeded as exc:
-            failed = Assumption("dynamic_range", False, str(exc))
-            return two_sided, _non_certifying(
-                "logconcave_sandwich", p, assumptions + (failed,), perm, constants
-            )
-        head = raw ** (1.0 / p)
-    elif 2.0 < p < 4.0:
-        res = _charfn.sum_abs_moment_via_haagerup(head_specs, p, tol)
-        head = res.value ** (1.0 / p)
-        # Monotone 1/p-power transform of the raw-moment error budget.
-        head_err = (res.value + res.total_error) ** (1.0 / p) - head
-        head_provenance = "quadrature"
-    else:
-        from .oracle import mc_moment
-
-        est = mc_moment(head_specs, p, samples=mc_samples, seed=mc_seed)
-        head = est.point
-        head_err = est.half_width
-        head_provenance = "mc"
+    try:
+        # The head's Monte Carlo interval is at mc_moment's default confidence.
+        head = estimate_moment(
+            sorted_seq, p, slice(0, head_count), exact_atoms=False,
+            tol=tol, samples=mc_samples, seed=mc_seed, confidence=0.999,
+        )
+    except DynamicRangeExceeded as exc:
+        failed = Assumption("dynamic_range", False, str(exc))
+        return two_sided, _non_certifying(
+            "logconcave_sandwich", p, assumptions + (failed,), perm, constants
+        )
     g_tail = gp * math.sqrt(tail_var)
     sandwich = BoundReport(
         statement_id="logconcave_sandwich",
         p=p,
         center=center,
-        lower=max(g_tail, head - head_err),
-        upper=g_tail + head + head_err,
+        lower=max(g_tail, head.norm - head.norm_error),
+        upper=g_tail + head.norm + head.norm_error,
         radius=None,
         constants=constants,
         assumptions=assumptions,
         certifying=True,
         permutation=perm,
-        error_budget=head_err,
-        aux={"head_norm": head, "head_provenance": head_provenance},
+        error_budget=head.norm_error,
+        aux={"head_norm": head.norm, "head_provenance": head.provenance},
     )
     return two_sided, sandwich
 
@@ -607,43 +577,30 @@ class TailCheckReport:
     applicable: bool = True
 
 
+def _check_tail_bounds(seq: SequenceSpec, r: int, symmetric: bool) -> TailCheckReport:
+    sorted_seq, _ = seq.sorted()
+    v = sorted_seq.variances
+    c, cutoff = _even_cutoff(sorted_seq, r, symmetric)
+    if r < 2 or cutoff >= len(v):
+        return TailCheckReport(math.nan, math.nan, math.nan, cutoff, c, False, False)
+    tail = tail_sum_even_moment(sorted_seq.profiles(2 * r), cutoff + 1, r)
+    esym = math.factorial(2 * r) / 2 ** r * elementary_symmetric(list(v), r)
+    rad = rademacher_even_moment(WeightVector(tuple(math.sqrt(x) for x in v)), r)
+    slack = 1.0 - 1e-12
+    return TailCheckReport(
+        tail, esym, rad, cutoff, c, tail <= esym / slack and esym <= rad / slack
+    )
+
+
 def check_symmetric_tail_bounds(seq: SequenceSpec, r: int) -> TailCheckReport:
     """Check, for sorted symmetric summands with growth constant C and
     D = ceil(C^2 (r-1)) < n, that
 
     E (sum_{k>D} X_k)^{2r} <= (2r)!/2^r e_r(v) <= E (sum sqrt(v_k) eps_k)^{2r}.
     """
-    sorted_seq, _ = seq.sorted()
-    v = sorted_seq.variances
-    n = len(v)
-    c = minimal_C_symmetric(sorted_seq, r)
-    cutoff = _ceil(c * c * (r - 1))
-    if r < 2 or cutoff >= n:
-        return TailCheckReport(math.nan, math.nan, math.nan, cutoff, c, False, False)
-    profiles = sorted_seq.profiles(2 * r)
-    tail = tail_sum_even_moment(profiles, cutoff + 1, r)
-    esym = math.factorial(2 * r) / 2 ** r * elementary_symmetric(list(v), r)
-    rad = rademacher_even_moment(WeightVector(tuple(math.sqrt(x) for x in v)), r)
-    slack = 1.0 - 1e-12
-    return TailCheckReport(
-        tail, esym, rad, cutoff, c, tail <= esym / slack and esym <= rad / slack
-    )
+    return _check_tail_bounds(seq, r, symmetric=True)
 
 
 def check_centered_tail_bounds(seq: SequenceSpec, r: int) -> TailCheckReport:
     """Centered analogue with cutoff D = ceil(C^2 r(r-1)/2)."""
-    sorted_seq, _ = seq.sorted()
-    v = sorted_seq.variances
-    n = len(v)
-    c = minimal_C_centered(sorted_seq, r)
-    cutoff = _ceil(c * c * r * (r - 1) / 2.0)
-    if r < 2 or cutoff >= n:
-        return TailCheckReport(math.nan, math.nan, math.nan, cutoff, c, False, False)
-    profiles = sorted_seq.profiles(2 * r)
-    tail = tail_sum_even_moment(profiles, cutoff + 1, r)
-    esym = math.factorial(2 * r) / 2 ** r * elementary_symmetric(list(v), r)
-    rad = rademacher_even_moment(WeightVector(tuple(math.sqrt(x) for x in v)), r)
-    slack = 1.0 - 1e-12
-    return TailCheckReport(
-        tail, esym, rad, cutoff, c, tail <= esym / slack and esym <= rad / slack
-    )
+    return _check_tail_bounds(seq, r, symmetric=False)

@@ -78,7 +78,7 @@ class CharFunction:
         """
         if not specs:
             raise ValueError("need at least one spec")
-        runs = [(s.moments(6), s.charfn, k) for s, k in run_lengths(specs)]
+        runs = [(s.moments(6), s.phi, k) for s, k in run_lengths(specs)]
         profiles = [prof for prof, _, k in runs for _ in range(k)]
         variance = sum(prof.variance for prof in profiles)
         m4 = sum_even_moment(profiles, 2)

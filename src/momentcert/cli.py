@@ -29,24 +29,16 @@ from .bounds import (
     compute_m,
     latala_logconcave_bounds,
 )
-from .charfn import (
-    check_cosine_bounds,
-    check_main_charfn_inequality,
-    sum_abs_moment_via_haagerup,
-)
+from .charfn import check_cosine_bounds, check_main_charfn_inequality
 from .combinatorics import (
     count_no_singleton_compositions,
     count_support_compositions,
     enumerate_indices,
 )
 from .distmodel import MomentProfile, VariableSpec
-from .exactmoments import (
-    DynamicRangeExceeded,
-    WeightVector,
-    gaussian_lp_norm,
-    sum_even_moment,
-)
-from .oracle import SupportExplosion, exact_discrete_moment, mc_moment, verify_report
+from .exactmoments import DynamicRangeExceeded, WeightVector, gaussian_lp_norm
+from .oracle import Estimate, NoEngine, SupportExplosion, estimate_moment, verify_report
+from .oracle import mc_moment  # noqa: F401  (perfbench/test_perfbench.py reads cli.mc_moment)
 
 SCHEMA_VERSION = 1
 EXIT_OK, EXIT_FAIL, EXIT_CONFIG = 0, 1, 2
@@ -81,16 +73,9 @@ def _parse_variable(doc: dict) -> list[VariableSpec]:
     if count < 1:
         raise ConfigError("variable count must be at least 1")
     try:
-        if family == "gaussian":
-            spec = distmodel.gaussian(doc["sigma"])
-        elif family == "rademacher":
-            spec = distmodel.rademacher(doc["sigma"])
-        elif family == "symmetric_exponential":
-            spec = distmodel.symmetric_exponential(doc["sigma"])
-        elif family == "uniform":
-            spec = distmodel.uniform(doc["a"])
-        elif family == "symmetric_three_point":
-            spec = distmodel.symmetric_three_point(doc["b"], doc["q"])
+        if family in distmodel.FAMILIES:
+            keys = distmodel.FAMILIES[family].keys
+            spec = VariableSpec(family, tuple(float(doc[key]) for key in keys))
         elif family == "raw_moments":
             profile = MomentProfile(
                 tuple(doc["moments"]),
@@ -111,6 +96,23 @@ def _parse_variable(doc: dict) -> list[VariableSpec]:
     return [spec] * count
 
 
+def _numbers(doc: dict, key: str, whole: bool) -> list:
+    """doc[key] (empty if absent): finite numbers > 0, or integers >= 1
+    if `whole`."""
+    values = doc.get(key, [])
+    if not isinstance(values, list):
+        raise ConfigError(f"{key} must be a list, got {values!r}")
+    try:
+        numbers = [float(x) for x in values]
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{key}: {exc}") from exc
+    for x in numbers:
+        if not (math.isfinite(x) and x > 0 and (x.is_integer() or not whole)):
+            rule = "integers >= 1" if whole else "finite numbers > 0"
+            raise ConfigError(f"{key} must hold {rule}, got {x!r}")
+    return [int(x) for x in numbers] if whole else numbers
+
+
 def load_config(path: str, *, seed=None, output_format=None, output_path=None) -> RunConfig:
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -127,9 +129,9 @@ def load_config(path: str, *, seed=None, output_format=None, output_path=None) -
     cfg = RunConfig(
         command=command,
         variables=variables,
-        p_values=[float(p) for p in doc.get("p_values", [])],
-        r_values=[int(r) for r in doc.get("r_values", [])],
-        n_values=[int(n) for n in doc.get("n_values", [])],
+        p_values=_numbers(doc, "p_values", whole=False),
+        r_values=_numbers(doc, "r_values", whole=True),
+        n_values=_numbers(doc, "n_values", whole=True),
         seed=int(doc.get("seed", 0)),
         samples=int(doc.get("samples", 1_000_000)),
         tol=float(doc.get("tol", 1e-8)),
@@ -145,8 +147,8 @@ def load_config(path: str, *, seed=None, output_format=None, output_path=None) -
         cfg.output_path = output_path
     if cfg.output_format not in ("json", "csv"):
         raise ConfigError(f"output_format must be json or csv, got {cfg.output_format!r}")
-    if cfg.tol <= 0:
-        raise ConfigError("tol must be positive")
+    if not (math.isfinite(cfg.tol) and cfg.tol > 0):
+        raise ConfigError(f"tol must be finite and > 0, got {cfg.tol!r}")
     if command in ("moments", "bound", "verify", "scan") and not (
         cfg.p_values or cfg.r_values
     ):
@@ -165,22 +167,17 @@ def _tag(value: float, provenance: str, error: float | None = None) -> dict:
 
 def _norm_estimate(seq: SequenceSpec, p: float, cfg: RunConfig) -> dict:
     """||sum X_k||_p via the best available engine, tagged with provenance."""
-    if float(p).is_integer() and int(p) % 2 == 0 and int(p) >= 2:
-        raw = sum_even_moment(seq.profiles(int(p)), int(p) // 2)
-        return _tag(raw ** (1.0 / p), "exact")
-    specs = seq.variables
-    samplable = all(s.family != "raw_moments" for s in specs)
-    if 2.0 < p < 4.0 and all(s.symmetric for s in specs) and samplable:
-        res = sum_abs_moment_via_haagerup(specs, p, cfg.tol)
-        v = res.value ** (1.0 / p)
-        err = (res.value + res.total_error) ** (1.0 / p) - v
-        return _tag(v, "quadrature", err)
-    if not samplable:
-        raise ConfigError(
-            f"no engine can evaluate p={p} for raw-moment inputs"
-        )
-    est = mc_moment(specs, p, samples=cfg.samples, seed=cfg.seed, confidence=cfg.confidence)
-    return _tag(est.point, "mc", est.half_width)
+    est = estimate_moment(
+        seq, p, slice(None), exact_atoms=False,
+        tol=cfg.tol, samples=cfg.samples, seed=cfg.seed, confidence=cfg.confidence,
+    )
+    return _estimate_tag(est, raw=False)
+
+
+def _estimate_tag(est: Estimate, raw: bool) -> dict:
+    """The raw moment or the norm, with its error budget unless exact."""
+    value, error = (est.raw, est.raw_error) if raw else (est.norm, est.norm_error)
+    return _tag(value, est.provenance, None if est.provenance == "exact" else error)
 
 
 def _report_row(report: BoundReport) -> dict:
@@ -231,33 +228,17 @@ def _all_reports(seq: SequenceSpec, cfg: RunConfig) -> list[BoundReport]:
     return reports
 
 
-def _ground_for_report(ordered: SequenceSpec, report: BoundReport, cfg: RunConfig):
-    """Ground truth on the report's target scale, with provenance.
+def _ground_for_report(ordered: SequenceSpec, report: BoundReport, cfg: RunConfig) -> Estimate:
+    """Ground truth for the report's target; exact atom convolution comes
+    before quadrature and Monte Carlo here.
 
     `ordered` is the sorted copy of the sequence.  Every bound sorts the
     same way, so the report's summands are those of `ordered` from
     start_index on.
     """
-    start = report.start_index - 1
-    target = ordered.variables[start:]
-    p = report.p
-    even = float(p).is_integer() and int(p) % 2 == 0
-    if even:
-        raw = sum_even_moment(ordered.profiles(int(p))[start:], int(p) // 2)
-        value = raw if report.target_kind == "abs_moment" else raw ** (1.0 / p)
-        return value, "exact"
-    if all(s.atoms() is not None for s in target):
-        raw = exact_discrete_moment(target, p)
-        value = raw if report.target_kind == "abs_moment" else raw ** (1.0 / p)
-        return value, "exact"
-    samplable = all(s.family != "raw_moments" for s in target)
-    if 2.0 < p < 4.0 and all(s.symmetric for s in target) and samplable:
-        return sum_abs_moment_via_haagerup(target, p, cfg.tol), "quadrature"
-    if not samplable:
-        raise ConfigError(f"no oracle available for p={p} on raw-moment inputs")
-    return (
-        mc_moment(target, p, samples=cfg.samples, seed=cfg.seed, confidence=cfg.confidence),
-        "mc",
+    return estimate_moment(
+        ordered, report.p, slice(report.start_index - 1, None), exact_atoms=True,
+        tol=cfg.tol, samples=cfg.samples, seed=cfg.seed, confidence=cfg.confidence,
     )
 
 
@@ -291,14 +272,18 @@ def _run_verify(cfg: RunConfig) -> tuple[int, list[dict]]:
             row["verdict"] = "SKIPPED"
             continue
         try:
-            ground, provenance = _ground_for_report(ordered, report, cfg)
+            ground = _ground_for_report(ordered, report, cfg)
         except (DynamicRangeExceeded, SupportExplosion) as exc:  # a refused ground truth
             row["verdict"] = "UNVERIFIED"
             row["detail"] = str(exc)
             continue
         verdict = verify_report(report, ground)
-        gval = getattr(ground, "point", getattr(ground, "value", ground))
-        row["ground"] = _tag(float(gval), provenance)
+        # Quadrature grounds show the raw moment and Monte Carlo ones the
+        # norm, whatever the target; exact ones use the target's scale.
+        raw = ground.provenance == "quadrature" or (
+            ground.provenance == "exact" and report.target_kind == "abs_moment"
+        )
+        row["ground"] = _estimate_tag(ground, raw)
         row["verdict"] = "PASS" if verdict.passed else "FAIL"
         row["margin"] = verdict.margin
     verdicts = {row["verdict"] for row in rows}
@@ -356,12 +341,12 @@ def _run_check_lemmas(cfg: RunConfig) -> tuple[int, list[dict]]:
                 r=r,
                 i=i,
             )
-        tail = check_symmetric_tail_bounds(seq, r) if sorted_seq.all_symmetric else None
-        if tail is not None and tail.applicable:
-            record("symmetric_tail_bounds", tail.passed, r=r, cutoff=tail.cutoff_index)
-        ctail = check_centered_tail_bounds(seq, r) if sorted_seq.all_centered else None
-        if ctail is not None and ctail.applicable:
-            record("centered_tail_bounds", ctail.passed, r=r, cutoff=ctail.cutoff_index)
+        for name, holds, check in (
+            ("symmetric_tail_bounds", sorted_seq.all_symmetric, check_symmetric_tail_bounds),
+            ("centered_tail_bounds", sorted_seq.all_centered, check_centered_tail_bounds),
+        ):
+            if holds and (tail := check(seq, r)).applicable:
+                record(name, tail.passed, r=r, cutoff=tail.cutoff_index)
         ratio = check_rademacher_moment_ratio(weights, r)
         record("rademacher_moment_ratio", ratio.passed, r=r, ratio=ratio.ratio)
     return status, rows
@@ -473,7 +458,7 @@ def main(argv=None) -> int:
         )
         status, rows = _execute(cfg)
         document = _render(cfg, rows)
-    except ConfigError as exc:
+    except (ConfigError, NoEngine) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except ValueError as exc:

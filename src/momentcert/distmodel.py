@@ -8,8 +8,9 @@ characteristic function, no sampler).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Sequence
+from dataclasses import dataclass
+from functools import partial
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -25,16 +26,10 @@ __all__ = [
     "symmetric_three_point",
     "from_profile",
     "spec_from_atoms",
-    "moments_of",
-    "charfn_of",
-    "sample",
+    "FAMILIES",
 ]
 
 _REL_TOL = 1e-9
-
-LOG_CONCAVE_FAMILIES = frozenset(
-    {"gaussian", "rademacher", "symmetric_exponential", "uniform"}
-)
 
 
 class NoCharacteristicFunction(ValueError):
@@ -116,9 +111,89 @@ class MomentProfile:
 
 
 @dataclass(frozen=True)
+class Family:
+    """One parametric family, as functions of its parameters q.
+
+    `keys` names the parameters as a CLI configuration spells them; q[0] is
+    the scale, so c*X has q[0] multiplied by c.  Each check is a test of q
+    and the message raised when it fails.  `even_moment(q, l)` is E X^{2l};
+    `atoms` is None unless the support is finite.
+    """
+
+    keys: tuple[str, ...]
+    checks: tuple[tuple[Callable[[tuple], bool], str], ...]
+    log_concave: bool
+    variance: Callable[[tuple], float]
+    even_moment: Callable[[tuple, int], float]
+    charfn: Callable[[tuple, np.ndarray], np.ndarray]
+    sample: Callable[[tuple, np.random.Generator, int], np.ndarray]
+    atoms: Callable[[tuple], tuple[np.ndarray, np.ndarray]] | None
+
+
+_POSITIVE_SCALE = ((lambda q: q[0] > 0.0, "scale must be positive"),)
+
+FAMILIES: dict[str, Family] = {
+    "gaussian": Family(
+        ("sigma",), _POSITIVE_SCALE, log_concave=True, atoms=None,
+        variance=lambda q: q[0] ** 2,
+        even_moment=lambda q, l: (
+            q[0] ** (2 * l) * math.factorial(2 * l) / (2 ** l * math.factorial(l))
+        ),
+        charfn=lambda q, t: np.exp(-0.5 * (q[0] * t) ** 2),
+        sample=lambda q, rng, n: rng.normal(0.0, q[0], n),
+    ),
+    "rademacher": Family(
+        ("sigma",), _POSITIVE_SCALE, log_concave=True,
+        variance=lambda q: q[0] ** 2,
+        even_moment=lambda q, l: q[0] ** (2 * l),
+        charfn=lambda q, t: np.cos(q[0] * t),
+        sample=lambda q, rng, n: q[0] * (2.0 * rng.integers(0, 2, n) - 1.0),
+        atoms=lambda q: (np.array([-q[0], q[0]]), np.array([0.5, 0.5])),
+    ),
+    # Two-sided (Laplace) exponential with variance sigma^2.
+    "symmetric_exponential": Family(
+        ("sigma",), _POSITIVE_SCALE, log_concave=True, atoms=None,
+        variance=lambda q: q[0] ** 2,
+        even_moment=lambda q, l: math.factorial(2 * l) * q[0] ** (2 * l) / 2 ** l,
+        charfn=lambda q, t: 1.0 / (1.0 + 0.5 * (q[0] * t) ** 2),
+        # Laplace scale b gives variance 2 b^2; b = sigma / sqrt(2).
+        sample=lambda q, rng, n: rng.laplace(0.0, q[0] / math.sqrt(2.0), n),
+    ),
+    # Uniform on [-a, a].
+    "uniform": Family(
+        ("a",), _POSITIVE_SCALE, log_concave=True, atoms=None,
+        variance=lambda q: q[0] ** 2 / 3.0,
+        even_moment=lambda q, l: q[0] ** (2 * l) / (2 * l + 1),
+        charfn=lambda q, t: np.sinc(q[0] * t / np.pi),
+        sample=lambda q, rng, n: rng.uniform(-q[0], q[0], n),
+    ),
+    # P(X = +-b) = q, P(X = 0) = 1 - 2q.
+    "symmetric_three_point": Family(
+        ("b", "q"),
+        (
+            (lambda q: q[0] > 0.0, "atom b must be positive"),
+            (lambda q: 0.0 < q[1] <= 0.5, "weight q must lie in (0, 1/2]"),
+        ),
+        log_concave=False,
+        variance=lambda q: 2.0 * q[1] * q[0] * q[0],
+        even_moment=lambda q, l: 1.0 if l == 0 else 2.0 * q[1] * q[0] ** (2 * l),
+        charfn=lambda q, t: 1.0 - 2.0 * q[1] + 2.0 * q[1] * np.cos(q[0] * t),
+        sample=lambda q, rng, n: rng.choice(
+            np.array([-q[0], 0.0, q[0]]), size=n, p=[q[1], 1.0 - 2.0 * q[1], q[1]]
+        ),
+        atoms=lambda q: (
+            np.array([-q[0], 0.0, q[0]]), np.array([q[1], 1.0 - 2.0 * q[1], q[1]])
+        ),
+    ),
+}
+
+
+@dataclass(frozen=True)
 class VariableSpec:
     """One random variable: a distribution family plus its parameters.
 
+    A parametric family is a row of :data:`FAMILIES`; "raw_moments" is a
+    bare moment profile, with atoms when it came from a finite mixture.
     Use the factory helpers (:func:`gaussian`, :func:`rademacher`, ...) rather
     than constructing directly.
     """
@@ -144,131 +219,74 @@ class VariableSpec:
             return
         if self.support is not None:
             raise ValueError("explicit support is only for raw_moments specs")
+        row = FAMILIES.get(self.family)
+        if row is None:
+            raise ValueError(f"unknown family {self.family!r}")
+        if len(self.params) != len(row.keys):
+            raise ValueError(f"{self.family} takes parameters {row.keys}")
         if not all(math.isfinite(x) for x in self.params):
             raise ValueError(f"{self.family} parameters must be finite")
-        if self.family in ("gaussian", "rademacher", "symmetric_exponential", "uniform"):
-            (scale,) = self.params
-            if scale <= 0.0:
-                raise ValueError(f"{self.family} scale must be positive")
-        elif self.family == "symmetric_three_point":
-            b, q = self.params
-            if b <= 0.0:
-                raise ValueError("three-point atom b must be positive")
-            if not 0.0 < q <= 0.5:
-                raise ValueError("three-point weight q must lie in (0, 1/2]")
-        else:
-            raise ValueError(f"unknown family {self.family!r}")
+        for ok, message in row.checks:
+            if not ok(self.params):
+                raise ValueError(f"{self.family} {message}")
 
     # -- structural flags -------------------------------------------------
 
     @property
     def symmetric(self) -> bool:
-        if self.family == "raw_moments":
-            return self.profile.symmetric
-        return True
+        return self.family != "raw_moments" or self.profile.symmetric
 
     @property
     def centered(self) -> bool:
-        if self.family == "raw_moments":
-            return self.profile.centered
-        return True
+        return self.family != "raw_moments" or self.profile.centered
 
     @property
     def log_concave_tail(self) -> bool:
-        return self.family in LOG_CONCAVE_FAMILIES
+        return self.family != "raw_moments" and FAMILIES[self.family].log_concave
 
     @property
     def variance(self) -> float:
-        if self.family == "gaussian":
-            return self.params[0] ** 2
-        if self.family == "rademacher":
-            return self.params[0] ** 2
-        if self.family == "symmetric_exponential":
-            return self.params[0] ** 2
-        if self.family == "uniform":
-            return self.params[0] ** 2 / 3.0
-        if self.family == "symmetric_three_point":
-            b, q = self.params
-            return 2.0 * q * b * b
-        return self.profile.variance
+        if self.family == "raw_moments":
+            return self.profile.variance
+        return FAMILIES[self.family].variance(self.params)
 
     # -- moments ----------------------------------------------------------
-
-    def _even_moment(self, l: int) -> float:
-        """E X^{2l} in closed form for the parametric families."""
-        if self.family == "gaussian":
-            s = self.params[0]
-            return s ** (2 * l) * math.factorial(2 * l) / (2 ** l * math.factorial(l))
-        if self.family == "rademacher":
-            return self.params[0] ** (2 * l)
-        if self.family == "symmetric_exponential":
-            s = self.params[0]
-            return math.factorial(2 * l) * s ** (2 * l) / 2 ** l
-        if self.family == "uniform":
-            a = self.params[0]
-            return a ** (2 * l) / (2 * l + 1)
-        if self.family == "symmetric_three_point":
-            if l == 0:
-                return 1.0
-            b, q = self.params
-            return 2.0 * q * b ** (2 * l)
-        raise AssertionError(self.family)
 
     def moments(self, max_order: int) -> MomentProfile:
         if max_order < 2:
             raise ValueError("max_order must be at least 2")
         if self.family == "raw_moments":
             return self.profile.truncated(max_order)
+        even_moment, q = FAMILIES[self.family].even_moment, self.params
         mu = [0.0] * (max_order + 1)
         for l in range(0, max_order // 2 + 1):
-            mu[2 * l] = self._even_moment(l)
+            mu[2 * l] = even_moment(q, l)
         return MomentProfile(tuple(mu), symmetric=True, centered=True)
 
     # -- characteristic function ------------------------------------------
 
     def charfn(self, t):
         """phi_X(t) = E cos(tX); real-valued since all families are symmetric."""
+        out = self.phi(np.asarray(t, dtype=float))
+        return float(out) if np.isscalar(t) else out
+
+    @property
+    def phi(self) -> Callable[[np.ndarray], np.ndarray]:
+        """charfn for arrays only: the family's function with this spec's
+        parameters bound, as CharFunction.product calls it per point."""
         if self.family == "raw_moments":
             raise NoCharacteristicFunction(
                 "no characteristic function available for a raw moment profile"
             )
-        arr = np.asarray(t, dtype=float)
-        if self.family == "gaussian":
-            s = self.params[0]
-            out = np.exp(-0.5 * (s * arr) ** 2)
-        elif self.family == "rademacher":
-            out = np.cos(self.params[0] * arr)
-        elif self.family == "symmetric_exponential":
-            s = self.params[0]
-            out = 1.0 / (1.0 + 0.5 * (s * arr) ** 2)
-        elif self.family == "uniform":
-            a = self.params[0]
-            out = np.sinc(a * arr / np.pi)
-        else:  # symmetric_three_point
-            b, q = self.params
-            out = 1.0 - 2.0 * q + 2.0 * q * np.cos(b * arr)
-        return float(out) if np.isscalar(t) else out
+        return partial(FAMILIES[self.family].charfn, self.params)
 
     # -- sampling ----------------------------------------------------------
 
     def sample_with(self, rng: np.random.Generator, count: int) -> np.ndarray:
         if count < 1:
             raise ValueError("count must be at least 1")
-        if self.family == "gaussian":
-            return rng.normal(0.0, self.params[0], count)
-        if self.family == "rademacher":
-            return self.params[0] * (2.0 * rng.integers(0, 2, count) - 1.0)
-        if self.family == "symmetric_exponential":
-            # Laplace scale b gives variance 2 b^2; b = sigma / sqrt(2).
-            return rng.laplace(0.0, self.params[0] / math.sqrt(2.0), count)
-        if self.family == "uniform":
-            a = self.params[0]
-            return rng.uniform(-a, a, count)
-        if self.family == "symmetric_three_point":
-            b, q = self.params
-            return rng.choice(
-                np.array([-b, 0.0, b]), size=count, p=[q, 1.0 - 2.0 * q, q]
-            )
+        if self.family != "raw_moments":
+            return FAMILIES[self.family].sample(self.params, rng, count)
         if self.support is not None:
             values, probs = self.support
             return rng.choice(np.asarray(values), size=count, p=np.asarray(probs))
@@ -278,15 +296,10 @@ class VariableSpec:
 
     def atoms(self) -> tuple[np.ndarray, np.ndarray] | None:
         """(values, probabilities) for finite-support families, else None."""
-        if self.family == "rademacher":
-            s = self.params[0]
-            return np.array([-s, s]), np.array([0.5, 0.5])
-        if self.family == "symmetric_three_point":
-            b, q = self.params
-            return np.array([-b, 0.0, b]), np.array([q, 1.0 - 2.0 * q, q])
-        if self.support is not None:
-            return np.asarray(self.support[0]), np.asarray(self.support[1])
-        return None
+        if self.family == "raw_moments":
+            return None if self.support is None else tuple(map(np.asarray, self.support))
+        atoms = FAMILIES[self.family].atoms
+        return None if atoms is None else atoms(self.params)
 
     def scaled(self, c: float) -> "VariableSpec":
         """The spec of c*X for c > 0."""
@@ -303,10 +316,7 @@ class VariableSpec:
                 MomentProfile(mu, self.profile.symmetric, self.profile.centered),
                 support,
             )
-        if self.family == "symmetric_three_point":
-            b, q = self.params
-            return symmetric_three_point(b * c, q)
-        return VariableSpec(self.family, (self.params[0] * c,))
+        return VariableSpec(self.family, (self.params[0] * c,) + self.params[1:])
 
 
 # -- factories -------------------------------------------------------------
@@ -373,22 +383,3 @@ def spec_from_atoms(
         MomentProfile(mu, symmetric=symmetric, centered=centered),
         (tuple(float(x) for x in v), tuple(float(x) for x in p)),
     )
-
-
-# -- spec-level operations -------------------------------------------------
-
-
-def moments_of(spec: VariableSpec, max_order: int) -> MomentProfile:
-    """Exact moment sequence of the variable up to max_order."""
-    return spec.moments(max_order)
-
-
-def charfn_of(spec: VariableSpec, t):
-    """phi_X(t), vectorized over t."""
-    return spec.charfn(t)
-
-
-def sample(spec: VariableSpec, seed: int, count: int) -> np.ndarray:
-    """i.i.d. samples, deterministic for a fixed seed."""
-    rng = np.random.default_rng(seed)
-    return spec.sample_with(rng, count)

@@ -1,8 +1,9 @@
 """Independent ground-truth engines.
 
 Exhaustive atom convolution for finite-support inputs, seeded Monte Carlo
-with confidence intervals for everything else, and the verdict function
-that checks a bound report against a ground-truth value.
+with confidence intervals for everything else, the one dispatcher that
+picks an engine for E|S|^p, and the verdict function that checks a bound
+report against a ground-truth value.
 """
 from __future__ import annotations
 
@@ -11,18 +12,24 @@ import os
 import statistics
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from .bounds import BoundReport
-from .charfn import IntegralResult
+from .charfn import sum_abs_moment_via_haagerup
 from .distmodel import VariableSpec
+from .exactmoments import sum_even_moment
+
+if TYPE_CHECKING:
+    from .bounds import BoundReport, SequenceSpec
 
 __all__ = [
+    "Estimate",
     "MCEstimate",
+    "NoEngine",
     "Verdict",
     "SupportExplosion",
+    "estimate_moment",
     "exact_discrete_moment",
     "mc_moment",
     "verify_report",
@@ -34,6 +41,10 @@ _CHUNK = 1 << 17
 
 class SupportExplosion(ValueError):
     """The product of atom-support sizes exceeds the enumeration budget."""
+
+
+class NoEngine(ValueError):
+    """No engine can evaluate the requested moment of these summands."""
 
 
 @dataclass(frozen=True)
@@ -48,6 +59,18 @@ class MCEstimate:
     confidence: float
     raw_mean: float
     raw_half_width: float
+
+
+@dataclass(frozen=True)
+class Estimate:
+    """E|S|^p and ||S||_p of one sum, each with its error budget, and the
+    engine that made them: "exact", "quadrature" or "mc"."""
+
+    raw: float
+    raw_error: float
+    norm: float
+    norm_error: float
+    provenance: str
 
 
 @dataclass(frozen=True)
@@ -160,27 +183,51 @@ def mc_moment(
     )
 
 
-def _ground_value_and_budget(report: BoundReport, ground) -> tuple[float, float]:
-    if isinstance(ground, MCEstimate):
-        if report.target_kind == "abs_moment":
-            return ground.raw_mean, ground.raw_half_width
-        return ground.point, ground.half_width
-    if isinstance(ground, IntegralResult):
-        if report.target_kind == "abs_moment":
-            return ground.value, ground.total_error
-        v = ground.value ** (1.0 / report.p)
-        return v, (ground.value + ground.total_error) ** (1.0 / report.p) - v
-    return float(ground), 0.0
+def estimate_moment(
+    seq: SequenceSpec, p: float, part: slice, *,
+    exact_atoms: bool, tol: float, samples: int, seed: int, confidence: float,
+) -> Estimate:
+    """E|S|^p for S the sum of ``seq.variables[part]``, by the first engine
+    that applies: exact convolution of the cached moment profiles for even
+    p; if ``exact_atoms``, exact atom convolution on finite-support
+    summands; quadrature (to absolute ``tol``) for 2 < p < 4 on symmetric
+    parametric summands; else Monte Carlo, unless a summand is a raw
+    moment profile (NoEngine).  A quadrature norm's budget is the raw one
+    mapped through the monotone 1/p-power; Monte Carlo maps the interval's
+    endpoints.
+    """
+    specs = seq.variables[part]
+    if float(p).is_integer() and int(p) % 2 == 0:
+        raw = sum_even_moment(seq.profiles(int(p))[part], int(p) // 2)
+        return Estimate(raw, 0.0, raw ** (1.0 / p), 0.0, "exact")
+    if exact_atoms and all(s.atoms() is not None for s in specs):
+        raw = exact_discrete_moment(specs, p)
+        return Estimate(raw, 0.0, raw ** (1.0 / p), 0.0, "exact")
+    samplable = all(s.family != "raw_moments" for s in specs)
+    if 2.0 < p < 4.0 and samplable and all(s.symmetric for s in specs):
+        res = sum_abs_moment_via_haagerup(specs, p, tol)
+        norm = res.value ** (1.0 / p)
+        norm_error = (res.value + res.total_error) ** (1.0 / p) - norm
+        return Estimate(res.value, res.total_error, norm, norm_error, "quadrature")
+    if not samplable:
+        raise NoEngine(f"no oracle available for p={p} on raw-moment inputs")
+    est = mc_moment(specs, p, samples=samples, seed=seed, confidence=confidence)
+    return Estimate(est.raw_mean, est.raw_half_width, est.point, est.half_width, "mc")
 
 
-def verify_report(report: BoundReport, ground) -> Verdict:
+def verify_report(report: BoundReport, ground: Estimate | float) -> Verdict:
     """PASS iff the ground value (with its own error budget) respects the
-    report's interval.  ``ground`` may be a plain float on the report's
-    target scale, an MCEstimate, or a raw-moment IntegralResult.
+    report's interval.  ``ground`` is an Estimate, or a plain float taken
+    as exact on the report's target scale.
     """
     if not report.certifying:
         raise ValueError("cannot verify a non-certifying report")
-    value, budget = _ground_value_and_budget(report, ground)
+    if not isinstance(ground, Estimate):
+        value, budget = float(ground), 0.0
+    elif report.target_kind == "abs_moment":
+        value, budget = ground.raw, ground.raw_error
+    else:
+        value, budget = ground.norm, ground.norm_error
     budget += report.error_budget
     margins = []
     if report.lower is not None:

@@ -12,7 +12,14 @@ from momentcert.cli import (
     main,
     run,
 )
-from momentcert.distmodel import gaussian, spec_from_atoms, symmetric_three_point, uniform
+from momentcert.distmodel import (
+    gaussian,
+    rademacher,
+    spec_from_atoms,
+    symmetric_exponential,
+    symmetric_three_point,
+    uniform,
+)
 from momentcert.oracle import SupportExplosion
 
 
@@ -61,6 +68,27 @@ class TestLoadConfig:
         )
         with pytest.raises(ConfigError, match="missing parameter"):
             load_config(path)
+
+    @pytest.mark.parametrize(
+        "variable, want",
+        [
+            ({"family": "gaussian", "sigma": 1.3}, gaussian(1.3)),
+            ({"family": "rademacher", "sigma": 1.3}, rademacher(1.3)),
+            ({"family": "symmetric_exponential", "sigma": 1.3}, symmetric_exponential(1.3)),
+            ({"family": "uniform", "a": 1.3}, uniform(1.3)),
+            ({"family": "symmetric_three_point", "b": 1.3, "q": 0.2},
+             symmetric_three_point(1.3, 0.2)),
+            ({"family": "uniform", "a": 2}, uniform(2.0)),
+        ],
+        ids=["gaussian", "rademacher", "symmetric_exponential", "uniform",
+             "symmetric_three_point", "integer-scale"],
+    )
+    def test_family_built_from_its_keys(self, tmp_path, variable, want):
+        path = write_config(
+            tmp_path, {"command": "bound", "variables": [variable], "r_values": [2]}
+        )
+        (spec,) = load_config(path).variables
+        assert spec == want and all(type(x) is float for x in spec.params)
 
     def test_needs_orders(self, tmp_path):
         path = write_config(tmp_path, {"command": "bound", "variables": LAPLACE_TEN})
@@ -421,6 +449,74 @@ class TestBadInputs:
         err = capsys.readouterr().err
         assert "dynamic range" in err
         assert len(err.strip().splitlines()) == 1
+
+
+GAUSS = [{"family": "gaussian", "sigma": 1.0}]
+
+
+class TestConfigNumbers:
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            {"command": "bound", "p_values": 3},
+            {"command": "bound", "p_values": [0.0]},
+            {"command": "bound", "p_values": [-3.0]},
+            {"command": "moments", "r_values": [0]},
+            {"command": "scan", "p_values": [3.0], "n_values": [0]},
+            {"command": "bound", "p_values": [float("nan")]},
+            {"command": "bound", "p_values": [float("inf")]},
+            {"command": "bound", "p_values": [3.0], "tol": float("nan")},
+        ],
+        ids=["p-not-a-list", "p-zero", "p-negative", "r-zero", "n-zero", "p-nan",
+             "p-infinity", "tol-nan"],
+    )
+    def test_bad_number_is_config_error(self, tmp_path, capsys, doc):
+        path = write_config(tmp_path, {"variables": GAUSS, **doc})
+        with pytest.raises(ConfigError):
+            load_config(path)
+        assert main(["--config", path]) == EXIT_CONFIG
+        assert "configuration error" in capsys.readouterr().err
+
+    def test_whole_float_orders_accepted(self, tmp_path):
+        path = write_config(
+            tmp_path,
+            {"command": "scan", "variables": GAUSS, "p_values": [3.0],
+             "r_values": [2.0], "n_values": [4.0]},
+        )
+        cfg = load_config(path)
+        assert cfg.r_values == [2] and cfg.n_values == [4]
+
+
+class TestGroundTags:
+    def test_non_exact_grounds_carry_their_error(self, tmp_path):
+        path = write_config(
+            tmp_path,
+            {"command": "verify", "variables": LAPLACE_TEN, "p_values": [3.0, 4.0, 5.0],
+             "samples": 20000},
+        )
+        status, document = run(load_config(path))
+        assert status == EXIT_OK
+        grounds = [r["ground"] for r in json.loads(document)["rows"] if "ground" in r]
+        kinds = {g["provenance"] for g in grounds}
+        assert kinds == {"exact", "quadrature", "mc"}
+        for g in grounds:
+            assert ("error" in g) == (g["provenance"] != "exact")
+            assert g.get("error", 0.0) >= 0.0
+
+    def test_rademacher_ground_is_exact_but_norm_is_quadrature(self, tmp_path):
+        variables = [{"family": "rademacher", "sigma": 1.0, "count": 6}]
+        path = write_config(
+            tmp_path, {"command": "verify", "variables": variables, "p_values": [3.0]}
+        )
+        rows = json.loads(run(load_config(path))[1])["rows"]
+        sandwich = next(r for r in rows if r["statement"] == "logconcave_sandwich")
+        assert sandwich["upper"]["provenance"] == "quadrature"
+        assert {r["ground"]["provenance"] for r in rows if "ground" in r} == {"exact"}
+        path = write_config(
+            tmp_path, {"command": "moments", "variables": variables, "p_values": [3.0]}
+        )
+        rows = json.loads(run(load_config(path))[1])["rows"]
+        assert rows[0]["lp_norm"]["provenance"] == "quadrature"
 
 
 SKEW = ([-1.0, 0.5, 2.0], [0.3, 0.5, 0.2], 12)

@@ -8,12 +8,9 @@ from momentcert.distmodel import (
     MomentProfile,
     NoCharacteristicFunction,
     NoSampler,
-    charfn_of,
     from_profile,
     gaussian,
-    moments_of,
     rademacher,
-    sample,
     spec_from_atoms,
     symmetric_exponential,
     symmetric_three_point,
@@ -59,10 +56,10 @@ class TestMomentProfile:
 
 class TestMomentsOf:
     def test_rademacher_l4(self):
-        assert moments_of(rademacher(1.0), 4).moments == (1.0, 0.0, 1.0, 0.0, 1.0)
+        assert rademacher(1.0).moments(4).moments == (1.0, 0.0, 1.0, 0.0, 1.0)
 
     def test_symmetric_exponential_matches_factorial_form(self):
-        prof = moments_of(symmetric_exponential(1.0), 8)
+        prof = symmetric_exponential(1.0).moments(8)
         for l in range(1, 5):
             assert prof.moment(2 * l) == pytest.approx(
                 math.factorial(2 * l) / 2 ** l
@@ -70,23 +67,23 @@ class TestMomentsOf:
         assert prof.moment(4) == pytest.approx(6.0)
 
     def test_three_point_moments(self):
-        prof = moments_of(symmetric_three_point(1.0, 0.01), 4)
+        prof = symmetric_three_point(1.0, 0.01).moments(4)
         assert prof.moment(2) == pytest.approx(0.02)
         assert prof.moment(4) == pytest.approx(0.02)
 
     def test_uniform_moments(self):
-        prof = moments_of(uniform(1.0), 6)
+        prof = uniform(1.0).moments(6)
         assert prof.moment(2) == pytest.approx(1.0 / 3.0)
         assert prof.moment(4) == pytest.approx(1.0 / 5.0)
 
     def test_raw_profile_order_cap(self):
         spec = from_profile(MomentProfile((1.0, 0.0, 1.0, 0.0, 3.0), centered=True))
         with pytest.raises(ValueError):
-            moments_of(spec, 6)
+            spec.moments(6)
 
     @pytest.mark.parametrize("spec", ALL_FAMILIES, ids=str)
     def test_profile_invariants_all_families(self, spec):
-        prof = moments_of(spec, 12)
+        prof = spec.moments(12)
         assert prof.symmetric and prof.centered
         # Lyapunov chain revalidated explicitly
         roots = [prof.moment(2 * l) ** (1.0 / (2 * l)) for l in range(1, 7)]
@@ -95,55 +92,66 @@ class TestMomentsOf:
 
 class TestCharfnOf:
     def test_gaussian(self):
-        assert charfn_of(gaussian(2.0), 0.0) == pytest.approx(1.0)
-        assert charfn_of(gaussian(1.0), 1.5) == pytest.approx(math.exp(-1.125))
+        assert gaussian(2.0).charfn(0.0) == pytest.approx(1.0)
+        assert gaussian(1.0).charfn(1.5) == pytest.approx(math.exp(-1.125))
 
     def test_rademacher_at_pi(self):
-        assert charfn_of(rademacher(1.0), math.pi) == pytest.approx(-1.0)
+        assert rademacher(1.0).charfn(math.pi) == pytest.approx(-1.0)
 
     def test_laplace_closed_form(self):
-        assert charfn_of(symmetric_exponential(1.0), math.sqrt(2.0)) == pytest.approx(0.5)
+        assert symmetric_exponential(1.0).charfn(math.sqrt(2.0)) == pytest.approx(0.5)
 
     def test_raw_refused(self):
         spec = from_profile(MomentProfile((1.0, 0.0, 1.0), centered=True))
         with pytest.raises(NoCharacteristicFunction):
-            charfn_of(spec, 1.0)
+            spec.charfn(1.0)
 
     @pytest.mark.parametrize("spec", ALL_FAMILIES, ids=str)
     def test_bounded_even_and_unit_at_zero(self, spec):
         t = np.linspace(-10, 10, 401)
-        phi = charfn_of(spec, t)
+        phi = spec.charfn(t)
         assert np.all(np.abs(phi) <= 1 + 1e-12)
         assert np.allclose(phi, phi[::-1])
-        assert charfn_of(spec, 0.0) == pytest.approx(1.0)
+        assert spec.charfn(0.0) == pytest.approx(1.0)
+
+
+    @pytest.mark.parametrize("spec", ALL_FAMILIES, ids=str)
+    def test_phi_is_charfn_on_arrays(self, spec):
+        t = np.linspace(-10, 10, 401)
+        assert np.array_equal(spec.phi(t), spec.charfn(t))
+
+    def test_raw_has_no_phi(self):
+        spec = from_profile(MomentProfile((1.0, 0.0, 1.0), centered=True))
+        with pytest.raises(NoCharacteristicFunction):
+            spec.phi
 
 
 class TestSample:
     def test_deterministic(self):
-        a = sample(gaussian(2.0), 123, 1000)
-        b = sample(gaussian(2.0), 123, 1000)
+        a = gaussian(2.0).sample_with(np.random.default_rng(123), 1000)
+        b = gaussian(2.0).sample_with(np.random.default_rng(123), 1000)
         assert np.array_equal(a, b)
 
     def test_rademacher_mean(self):
-        x = sample(rademacher(1.0), 7, 10 ** 6)
+        x = rademacher(1.0).sample_with(np.random.default_rng(7), 10 ** 6)
         assert abs(x.mean()) < 5e-3
 
     def test_uniform_second_moment(self):
-        x = sample(uniform(1.0), 11, 10 ** 6)
+        x = uniform(1.0).sample_with(np.random.default_rng(11), 10 ** 6)
         assert abs((x ** 2).mean() - 1.0 / 3.0) < 2e-3
 
     def test_raw_refused(self):
         spec = from_profile(MomentProfile((1.0, 0.0, 1.0), centered=True))
         with pytest.raises(NoSampler):
-            sample(spec, 0, 10)
+            spec.sample_with(np.random.default_rng(0), 10)
 
     @pytest.mark.parametrize("spec", ALL_FAMILIES, ids=str)
     def test_empirical_moments_match(self, spec):
         """Monte Carlo moments agree with the closed forms within 6 SE."""
         n = 10 ** 6
-        x = sample(spec, 2024, n)
-        prof = moments_of(spec, 12)
-        big = moments_of(spec, 24) if spec.family != "raw_moments" else None
+        x = spec.sample_with(np.random.default_rng(2024), n)
+        prof = spec.moments(12)
+        big = spec.moments(24) if spec.family != "raw_moments" else None
         for order in (2, 4, 6, 8, 10, 12):
             emp = float(np.mean(x ** order))
             se = math.sqrt(
@@ -154,11 +162,11 @@ class TestSample:
     @pytest.mark.parametrize("spec", ALL_FAMILIES, ids=str)
     def test_empirical_charfn_matches(self, spec):
         n = 10 ** 6
-        x = sample(spec, 99, n)
+        x = spec.sample_with(np.random.default_rng(99), n)
         for t in np.linspace(0.0, 10.0, 11):
             emp = float(np.mean(np.cos(t * x)))
             # Var cos(tX) <= 1
-            assert abs(emp - charfn_of(spec, t)) <= 6.0 / math.sqrt(n) + 1e-12
+            assert abs(emp - spec.charfn(t)) <= 6.0 / math.sqrt(n) + 1e-12
 
 
 class TestSpecFromAtoms:
@@ -181,6 +189,22 @@ class TestSpecFromAtoms:
         spec = spec_from_atoms([0.0, 1.0, 3.0], [0.5, 0.3, 0.2], 6).scaled(2.0)
         base = spec_from_atoms([0.0, 2.0, 6.0], [0.5, 0.3, 0.2], 6)
         assert spec.profile.moments == pytest.approx(base.profile.moments)
+
+
+@pytest.mark.parametrize("spec", ALL_FAMILIES, ids=str)
+def test_scaled_multiplies_the_scale(spec):
+    scaled = spec.scaled(1.7)
+    assert scaled.params == (spec.params[0] * 1.7,) + spec.params[1:]
+    assert scaled.variance == pytest.approx(1.7 ** 2 * spec.variance)
+    t = np.linspace(0.0, 5.0, 11)
+    assert np.allclose(scaled.charfn(t), spec.charfn(1.7 * t))
+
+
+def test_wrong_parameter_count_rejected():
+    with pytest.raises(ValueError, match="takes parameters"):
+        distmodel.VariableSpec("symmetric_three_point", (1.0,))
+    with pytest.raises(ValueError, match="unknown family"):
+        distmodel.VariableSpec("cauchy", (1.0,))
 
 
 def test_log_concave_flags():

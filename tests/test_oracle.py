@@ -10,10 +10,13 @@ import pytest
 from scipy import stats
 
 from momentcert import (
+    Estimate,
+    NoEngine,
     SequenceSpec,
     SupportExplosion,
     WeightVector,
     bound_even_symmetric,
+    estimate_moment,
     exact_discrete_moment,
     gaussian,
     mc_moment,
@@ -26,6 +29,7 @@ from momentcert import (
     uniform,
     verify_report,
 )
+from momentcert.distmodel import from_profile
 
 
 class TestExactDiscreteMoment:
@@ -145,6 +149,65 @@ class TestNormalQuantile:
         assert out.stdout.strip() == "False"
 
 
+ENGINES = dict(exact_atoms=False, tol=1e-8, samples=20_000, seed=1, confidence=0.999)
+
+
+class TestEstimateMoment:
+    LAPLACE = SequenceSpec((symmetric_exponential(1.0),) * 6 + (gaussian(0.5),) * 2)
+
+    def test_even_p_is_exact(self):
+        est = estimate_moment(self.LAPLACE, 4.0, slice(None), **ENGINES)
+        raw = sum_even_moment(self.LAPLACE.profiles(4), 2)
+        assert est == Estimate(raw, 0.0, raw ** 0.25, 0.0, "exact")
+
+    def test_atoms_only_when_asked(self):
+        seq = SequenceSpec((rademacher(1.0),) * 5)
+        est = estimate_moment(seq, 3.0, slice(None), **{**ENGINES, "exact_atoms": True})
+        raw = exact_discrete_moment(list(seq.variables), 3.0)
+        assert est == Estimate(raw, 0.0, raw ** (1.0 / 3.0), 0.0, "exact")
+        assert estimate_moment(seq, 3.0, slice(None), **ENGINES).provenance == "quadrature"
+
+    def test_quadrature_budgets(self):
+        p = 3.5
+        est = estimate_moment(self.LAPLACE, p, slice(None), **ENGINES)
+        res = sum_abs_moment_via_haagerup(list(self.LAPLACE.variables), p, 1e-8)
+        norm = res.value ** (1.0 / p)
+        assert est == Estimate(
+            res.value, res.total_error, norm,
+            (res.value + res.total_error) ** (1.0 / p) - norm, "quadrature",
+        )
+
+    def test_monte_carlo_outside_two_four(self):
+        est = estimate_moment(self.LAPLACE, 5.0, slice(None), **ENGINES)
+        mc = mc_moment(list(self.LAPLACE.variables), 5.0, samples=20_000, seed=1)
+        assert est == Estimate(mc.raw_mean, mc.raw_half_width, mc.point, mc.half_width, "mc")
+
+    def test_part_selects_summands(self):
+        part = estimate_moment(self.LAPLACE, 3.0, slice(5, 8), **ENGINES)
+        alone = SequenceSpec(self.LAPLACE.variables[5:8])
+        assert part == estimate_moment(alone, 3.0, slice(None), **ENGINES)
+
+    def test_raw_profiles_have_no_engine(self):
+        raw = spec_from_atoms([-1.0, 1.0], [0.5, 0.5], 6)
+        seq = SequenceSpec((from_profile(raw.profile),) * 3)
+        with pytest.raises(NoEngine, match="no oracle available"):
+            estimate_moment(seq, 3.0, slice(None), **ENGINES)
+
+    @pytest.mark.parametrize("p", [3.0, 4.0, 5.0])
+    def test_sandwich_head_reads_the_dispatcher(self, p):
+        from momentcert import latala_logconcave_bounds
+
+        seq = SequenceSpec((rademacher(1.0),) * 3 + (uniform(0.7),) * 4)
+        sandwich = latala_logconcave_bounds(
+            seq, p, tol=1e-8, mc_samples=20_000, mc_seed=1
+        )[1]
+        head = sandwich.constants["head_count"]
+        est = estimate_moment(seq.sorted()[0], p, slice(0, head), **ENGINES)
+        assert sandwich.aux == {"head_norm": est.norm, "head_provenance": est.provenance}
+        assert sandwich.error_budget == est.norm_error
+        assert est.provenance == {3.0: "quadrature", 4.0: "exact", 5.0: "mc"}[p]
+
+
 class TestVerifyReport:
     def _report(self):
         return bound_even_symmetric(SequenceSpec((symmetric_exponential(1.0),) * 10), 2)
@@ -156,14 +219,17 @@ class TestVerifyReport:
     def test_pass_on_mc_ground(self):
         rep = self._report()
         est = mc_moment([symmetric_exponential(1.0)] * 10, 4.0, samples=200_000, seed=2)
-        assert verify_report(rep, est).passed
+        ground = Estimate(est.raw_mean, est.raw_half_width, est.point, est.half_width, "mc")
+        assert verify_report(rep, ground).passed
 
     def test_pass_on_quadrature_ground(self):
         from momentcert.bounds import bound_p_2_4
 
-        rep = bound_p_2_4(SequenceSpec((symmetric_exponential(1.0),) * 10), 3.0)
-        res = sum_abs_moment_via_haagerup([symmetric_exponential(1.0)] * 10, 3.0)
-        assert verify_report(rep, res).passed
+        seq = SequenceSpec((symmetric_exponential(1.0),) * 10)
+        rep = bound_p_2_4(seq, 3.0)
+        ground = estimate_moment(seq, 3.0, slice(None), **ENGINES)
+        assert ground.provenance == "quadrature"
+        assert verify_report(rep, ground).passed
 
     def test_corrupted_report_fails(self):
         """Self-test: a deliberately shrunk interval must produce a FAIL."""
@@ -178,6 +244,18 @@ class TestVerifyReport:
         rep = bound_even_symmetric(SequenceSpec((gaussian(1.0),) * 5), 1)
         with pytest.raises(ValueError):
             verify_report(rep, 1.0)
+
+    def test_estimate_scale_follows_the_target(self):
+        from momentcert.bounds import bound_general_p
+
+        seq = SequenceSpec((rademacher(1.0),) * 6)
+        rep = bound_general_p(seq, 3.0, 2)
+        raw = exact_discrete_moment([rademacher(1.0)] * 5, 3.0)
+        assert verify_report(rep, Estimate(raw, 0.0, 1e6, 0.0, "exact")).passed
+        assert not verify_report(rep, Estimate(1e6, 0.0, raw, 0.0, "exact")).passed
+        norm_rep = self._report()
+        norm = 330.0 ** 0.25
+        assert verify_report(norm_rep, Estimate(1e6, 0.0, norm, 0.0, "exact")).passed
 
     def test_abs_moment_scale(self):
         from momentcert.bounds import bound_general_p
