@@ -16,6 +16,7 @@ from .combinatorics import elementary_symmetric
 from .distmodel import VariableSpec
 from .exactmoments import (
     DynamicRangeExceeded,
+    SupportExplosion,
     WeightVector,
     gaussian_abs_moment,
     gaussian_lp_norm,
@@ -423,7 +424,7 @@ def bound_general_p(seq: SequenceSpec, p: float, r: int) -> BoundReport:
     even = float(p).is_integer() and int(p) % 2 == 0
     try:
         rad = rademacher_even_moment(w, int(p) // 2) if even else rademacher_abs_moment(w, p)
-    except ValueError as exc:
+    except (DynamicRangeExceeded, SupportExplosion) as exc:
         failed = "dynamic_range" if even else "enumeration_cap"
         assumptions.append(Assumption(failed, False, str(exc)))
         return _non_certifying(

@@ -69,9 +69,7 @@ def _parse_variable(doc: dict) -> list[VariableSpec]:
     if not isinstance(doc, dict) or "family" not in doc:
         raise ConfigError(f"variable descriptor must be an object with a family: {doc!r}")
     family = doc["family"]
-    count = int(doc.get("count", 1))
-    if count < 1:
-        raise ConfigError("variable count must be at least 1")
+    count = _integer(doc.get("count", 1), "count", 1)
     try:
         if family in distmodel.FAMILIES:
             keys = distmodel.FAMILIES[family].keys
@@ -96,21 +94,32 @@ def _parse_variable(doc: dict) -> list[VariableSpec]:
     return [spec] * count
 
 
+def _number(value, key: str, rule: str, ok) -> float:
+    """value as a float, if it is a finite number for which ok holds, else
+    a ConfigError that names key and the rule."""
+    try:
+        x = float(value)
+    except (TypeError, ValueError, OverflowError):
+        x = math.nan
+    if not (math.isfinite(x) and ok(x)):
+        raise ConfigError(f"{key} must be {rule}, got {value!r}")
+    return x
+
+
+def _integer(value, key: str, least: int) -> int:
+    x = _number(value, key, f"an integer >= {least}", lambda x: x.is_integer() and x >= least)
+    return int(value if isinstance(value, int) else x)  # exact beyond 2^53
+
+
 def _numbers(doc: dict, key: str, whole: bool) -> list:
     """doc[key] (empty if absent): finite numbers > 0, or integers >= 1
     if `whole`."""
     values = doc.get(key, [])
     if not isinstance(values, list):
         raise ConfigError(f"{key} must be a list, got {values!r}")
-    try:
-        numbers = [float(x) for x in values]
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{key}: {exc}") from exc
-    for x in numbers:
-        if not (math.isfinite(x) and x > 0 and (x.is_integer() or not whole)):
-            rule = "integers >= 1" if whole else "finite numbers > 0"
-            raise ConfigError(f"{key} must hold {rule}, got {x!r}")
-    return [int(x) for x in numbers] if whole else numbers
+    if whole:
+        return [_integer(x, key, 1) for x in values]
+    return [_number(x, key, "a finite number > 0", lambda x: x > 0) for x in values]
 
 
 def load_config(path: str, *, seed=None, output_format=None, output_path=None) -> RunConfig:
@@ -132,23 +141,17 @@ def load_config(path: str, *, seed=None, output_format=None, output_path=None) -
         p_values=_numbers(doc, "p_values", whole=False),
         r_values=_numbers(doc, "r_values", whole=True),
         n_values=_numbers(doc, "n_values", whole=True),
-        seed=int(doc.get("seed", 0)),
-        samples=int(doc.get("samples", 1_000_000)),
-        tol=float(doc.get("tol", 1e-8)),
-        confidence=float(doc.get("confidence", 0.999)),
-        output_format=doc.get("output_format", "json"),
-        output_path=doc.get("output_path"),
+        seed=_integer(doc.get("seed", 0) if seed is None else seed, "seed", 0),
+        samples=_integer(doc.get("samples", 1_000_000), "samples", 10_000),
+        tol=_number(doc.get("tol", 1e-8), "tol", "a finite number > 0", lambda x: x > 0),
+        confidence=_number(
+            doc.get("confidence", 0.999), "confidence", "in (0, 1)", lambda x: 0 < x < 1
+        ),
+        output_format=doc.get("output_format", "json") if output_format is None else output_format,
+        output_path=doc.get("output_path") if output_path is None else output_path,
     )
-    if seed is not None:
-        cfg.seed = seed
-    if output_format is not None:
-        cfg.output_format = output_format
-    if output_path is not None:
-        cfg.output_path = output_path
     if cfg.output_format not in ("json", "csv"):
         raise ConfigError(f"output_format must be json or csv, got {cfg.output_format!r}")
-    if not (math.isfinite(cfg.tol) and cfg.tol > 0):
-        raise ConfigError(f"tol must be finite and > 0, got {cfg.tol!r}")
     if command in ("moments", "bound", "verify", "scan") and not (
         cfg.p_values or cfg.r_values
     ):

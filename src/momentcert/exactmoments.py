@@ -1,20 +1,23 @@
-"""Exact moment engines: Gaussian L^p norms, Rademacher sums, and even
-moments of sums of independent variables from per-variable moment profiles.
+"""Exact moment engines: Gaussian L^p norms, even moments of sums of
+independent variables from per-variable moment profiles, and E|S|^p of
+sums of independent finite-support summands on one grid budget.
 """
 from __future__ import annotations
 
 import math
 from collections import Counter
 from dataclasses import dataclass
-from itertools import groupby
+from functools import partial, reduce
+from itertools import accumulate, groupby
 from typing import Sequence
 
 import numpy as np
 
-from .distmodel import MomentProfile
+from .distmodel import MomentProfile, rademacher
 
 __all__ = [
     "DynamicRangeExceeded",
+    "SupportExplosion",
     "WeightVector",
     "gaussian_abs_moment",
     "gaussian_lp_norm",
@@ -24,8 +27,8 @@ __all__ = [
     "tail_sum_even_moment",
 ]
 
-# 2^(CAP-1) sign vectors is the largest exhaustive enumeration we allow.
-ENUMERATION_CAP = 24
+# Most points that one product of two finite-support laws may form.
+_MAX_GRID = 20_000_000
 
 # Variance dynamic range above which double precision cannot honour the
 # 1e-10 oracle-agreement tolerance without compensated summation.
@@ -34,6 +37,10 @@ _MAX_DYNAMIC_RANGE = 1e8
 
 class DynamicRangeExceeded(ValueError):
     """The variances spread too widely for a certified exact convolution."""
+
+
+class SupportExplosion(ValueError):
+    """A finite-support grid would exceed the point budget."""
 
 
 @dataclass(frozen=True)
@@ -97,7 +104,7 @@ def run_lengths(items: Sequence) -> list[tuple[object, int]]:
     return [(x, len(list(run))) for x, run in groupby(items)]
 
 
-def _convolve(a: Sequence[float], b: Sequence[float], order: int) -> list[float]:
+def _convolve(order: int, a: Sequence[float], b: Sequence[float]) -> list[float]:
     """Moments of X + Y up to `order` from those of independent X (a) and
     Y (b): c_t = sum_i C(t, i) a_{t-i} b_i."""
     out = [0.0] * (order + 1)
@@ -110,17 +117,17 @@ def _convolve(a: Sequence[float], b: Sequence[float], order: int) -> list[float]
     return out
 
 
-def _power(mu: Sequence[float], k: int, order: int) -> Sequence[float]:
-    """Moments of the sum of k independent copies of one variable, by
-    repeated squaring of the binomial convolution: O(order^2 log k)."""
+def _power(x, k: int, times):
+    """x to the k-th power under the associative product `times`, by
+    repeated squaring: O(log k) products."""
     out = None
     while True:
         if k & 1:
-            out = mu if out is None else _convolve(out, mu, order)
+            out = x if out is None else times(out, x)
         k >>= 1
         if not k:
             return out
-        mu = _convolve(mu, mu, order)
+        x = times(x, x)
 
 
 def sum_even_moment(profiles: Sequence[MomentProfile], r: int) -> float:
@@ -147,7 +154,7 @@ def sum_even_moment(profiles: Sequence[MomentProfile], r: int) -> float:
     _check_dynamic_range([prof.variance for prof, _ in runs])
     m = [1.0] + [0.0] * order
     for prof, k in runs:
-        m = _convolve(m, _power(prof.moments, k, order), order)
+        m = _convolve(order, m, _power(prof.moments, k, partial(_convolve, order)))
     return m[order]
 
 
@@ -160,60 +167,75 @@ def tail_sum_even_moment(
     return sum_even_moment(profiles[start_index - 1 :], r)
 
 
-def _rademacher_profile(sigma: float, order: int) -> MomentProfile:
-    mu = [0.0] * (order + 1)
-    for l in range(0, order + 1, 2):
-        mu[l] = sigma ** l
-    return MomentProfile(tuple(mu), symmetric=True, centered=True)
-
-
 def rademacher_even_moment(w: WeightVector, r: int) -> float:
     """E (sum_k sigma_k eps_k)^{2r}, exact, via the moment-convolution DP."""
     if r == 0:
         return 1.0
     weights = [a for a in map(abs, w.sigmas) if a != 0.0]
     # One profile per distinct |sigma|, shared by its equal weights.
-    shared = {a: _rademacher_profile(a, 2 * r) for a in set(weights)}
+    shared = {a: rademacher(a).moments(2 * r) for a in set(weights)}
     profiles = [shared[a] for a in weights]
     if not profiles:
         return 0.0
     return sum_even_moment(profiles, r)
 
 
-def rademacher_abs_moment(w: WeightVector, p: float, *, cap: int = ENUMERATION_CAP) -> float:
-    """E |sum_k sigma_k eps_k|^p by exhaustive sign enumeration.
+def rademacher_abs_moment(w: WeightVector, p: float) -> float:
+    """E |sum_k sigma_k eps_k|^p by the finite-support engine, one run per
+    distinct |sigma| wherever it sits in w; SupportExplosion past its budget."""
+    runs = Counter(map(abs, w.sigmas))
+    return _atom_abs_moment([((-a, a), (0.5, 0.5), k) for a, k in runs.items()], p)
 
-    Symmetry halves the work: the first sign is fixed.  Among the other
-    weights, each distinct |sigma| that occurs k >= 2 times is one binomial
-    run, taking the values |sigma| (k - 2j) with probability C(k, j) / 2^k,
-    so it adds k + 1 grid points instead of doubling the enumeration k
-    times.  Weights that occur once are enumerated sign by sign.  Refuses
-    n above the enumeration cap, runs or not; use the Monte Carlo oracle
-    for larger n.
+
+def _merged(law: np.ndarray) -> np.ndarray:
+    """A law, held as values + 1j * probabilities, sorted in place by value
+    with equal values merged.  Complex numbers sort by real part first, and
+    timsort merges the sorted rows of an outer sum in O(N log rows)."""
+    law.sort(kind="stable")
+    new = np.concatenate(([True], law.real[1:] != law.real[:-1]))
+    if new.all():
+        return law
+    starts = np.flatnonzero(new)
+    out = law[starts]
+    out.imag = np.add.reduceat(law.imag, starts)
+    return out
+
+
+def _sum_law(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """The law of X + Y for independent X and Y: every grid is built here."""
+    if len(x) * len(y) > _MAX_GRID:
+        raise SupportExplosion(f"a grid of {len(x) * len(y)} points exceeds {_MAX_GRID}")
+    out = np.empty((len(y), len(x)), dtype=complex)
+    np.add.outer(y.real, x.real, out=out.real)
+    np.multiply.outer(y.imag, x.imag, out=out.imag)
+    return _merged(out.ravel())
+
+
+def _atom_abs_moment(runs: Sequence[tuple[Sequence, Sequence, int]], p: float) -> float:
+    """E |S|^p, exact up to rounding, for S a sum of independent summands
+    of finite support, given as runs (values, probs, k) of k copies of one law.
+
+    Two atoms -a, +a of equal probability take their k-fold law in closed
+    form: a (2j - k) with probability C(k, j) / 2^k, rounded once.  Other
+    laws are powered by repeated squaring.  When every run after the first
+    is exactly symmetric, E |x + R|^p is even in x for the rest R of the
+    sum, so the first law folds onto |X|, which halves the grid.
     """
     if p <= 0:
         raise ValueError("p must be positive")
-    n = len(w)
-    if n > cap:
-        raise ValueError(
-            f"n={n} exceeds the enumeration cap {cap}; "
-            "use the Monte Carlo oracle for larger inputs"
-        )
-    rest = w.sigmas[1:]
-    counts = Counter(map(abs, rest))
-    sums = np.array([w.sigmas[0]])
-    for s in rest:
-        if counts[abs(s)] == 1:
-            sums = np.concatenate([sums + s, sums - s])
-    runs = [(a, k) for a, k in counts.items() if k > 1]
-    # Same bits as the weighted form below, which is 1.25x slower on 20
-    # distinct weights (its one-column matvec costs as much as the mean).
     if not runs:
-        return float(np.mean(np.abs(sums) ** p))
-    # The probabilities are exact: dyadic, with numerators below 2^n.
-    values, probs = np.array([0.0]), np.array([1.0])
-    for a, k in runs:
-        weights = np.array([math.comb(k, j) for j in range(k + 1)]) / 2.0 ** k
-        values = (values[:, None] + a * (k - 2 * np.arange(k + 1))).ravel()
-        probs = (probs[:, None] * weights).ravel()
-    return float(np.mean(np.abs(sums[:, None] + values) ** p @ probs))
+        raise ValueError("need at least one summand")
+    laws, mirrored = [], []
+    for values, probs, k in runs:
+        law = _merged(np.asarray(values, dtype=float) + 1j * np.asarray(probs, dtype=float))
+        mirrored.append(np.array_equal(law, -law[::-1].conj()))
+        if len(law) == 2 and mirrored[-1]:
+            combs = accumulate(range(k), lambda c, j: c * (k - j) // (j + 1), initial=1)
+            probs = np.array([c / (1 << k) for c in combs])
+            laws.append(law[1].real * (2.0 * np.arange(k + 1) - k) + 1j * probs)
+        else:
+            laws.append(_power(law, k, _sum_law))
+    if all(mirrored[1:]):
+        laws[0] = _merged(np.abs(laws[0].real) + 1j * laws[0].imag)
+    law = reduce(_sum_law, laws)
+    return float((np.abs(law.real) ** p * law.imag).sum())

@@ -1,15 +1,17 @@
 """Independent ground-truth engines.
 
-Exhaustive atom convolution for finite-support inputs, seeded Monte Carlo
-with confidence intervals for everything else, the one dispatcher that
-picks an engine for E|S|^p, and the verdict function that checks a bound
-report against a ground-truth value.
+Exact E|S|^p for finite-support inputs (the grid engine of
+:mod:`exactmoments`, on its one point budget), seeded Monte Carlo with
+confidence intervals for everything else, the one dispatcher that picks
+an engine for E|S|^p, and the verdict function that checks a bound report
+against a ground-truth value.
 """
 from __future__ import annotations
 
 import math
 import os
 import statistics
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Sequence
@@ -18,7 +20,7 @@ import numpy as np
 
 from .charfn import sum_abs_moment_via_haagerup
 from .distmodel import VariableSpec
-from .exactmoments import sum_even_moment
+from .exactmoments import SupportExplosion, _atom_abs_moment, sum_even_moment
 
 if TYPE_CHECKING:
     from .bounds import BoundReport, SequenceSpec
@@ -35,12 +37,7 @@ __all__ = [
     "verify_report",
 ]
 
-_MAX_SUPPORT_PRODUCT = 20_000_000
 _CHUNK = 1 << 17
-
-
-class SupportExplosion(ValueError):
-    """The product of atom-support sizes exceeds the enumeration budget."""
 
 
 class NoEngine(ValueError):
@@ -81,36 +78,15 @@ class Verdict:
 
 
 def exact_discrete_moment(specs: Sequence[VariableSpec], p: float) -> float:
-    """E |sum_k X_k|^p by full convolution of atoms; exact up to rounding.
-
-    Only finite-support specs are accepted, and the product of support
-    sizes must stay within the enumeration budget.
-    """
-    supports = []
-    for spec in specs:
+    """E |sum_k X_k|^p for finite-support specs by the finite-support
+    engine, equal specs forming one run; SupportExplosion past its budget."""
+    runs = []
+    for spec, k in Counter(specs).items():
         atoms = spec.atoms()
         if atoms is None:
             raise ValueError(f"family {spec.family!r} has no finite support")
-        supports.append(atoms)
-    values = np.array([0.0])
-    probs = np.array([1.0])
-    for av, ap in supports:
-        # The budget applies to each intermediate grid, after merging, so
-        # lattice-valued inputs (e.g. many equal Rademacher weights) stay
-        # cheap no matter how long the sequence is.
-        if len(values) * len(av) > _MAX_SUPPORT_PRODUCT:
-            raise SupportExplosion(
-                f"support grid would reach {len(values) * len(av)} points "
-                f"(> {_MAX_SUPPORT_PRODUCT})"
-            )
-        values = (values[:, None] + av[None, :]).ravel()
-        probs = (probs[:, None] * ap[None, :]).ravel()
-        # Merge coinciding atoms to keep the grid small.
-        keys = np.round(values, 10)
-        uniq, inv = np.unique(keys, return_inverse=True)
-        merged = np.bincount(inv, weights=probs)
-        values, probs = uniq, merged
-    return float(np.dot(np.abs(values) ** p, probs))
+        runs.append((*atoms, k))
+    return _atom_abs_moment(runs, p)
 
 
 def _worker_count() -> int:
@@ -133,15 +109,14 @@ def mc_moment(
     (seed, chunk_index), so the result is deterministic and independent of
     the worker-thread count.  The CI is computed on E|S|^p with a normal
     approximation and both endpoints are mapped through the monotone
-    1/p-power transform.
+    1/p-power transform.  Raw moment profiles without atoms raise NoEngine.
     """
     if samples < 10_000:
         raise ValueError("samples must be at least 10^4")
     if not 0.0 < confidence < 1.0:
         raise ValueError("confidence must lie in (0, 1)")
-    for spec in specs:
-        if spec.family == "raw_moments" and spec.support is None:
-            raise ValueError("raw-moment specs without atoms cannot be sampled")
+    if any(s.family == "raw_moments" and s.support is None for s in specs):
+        raise NoEngine(f"no oracle available for p={p} on raw-moment inputs")
 
     chunks = [
         (i, min(_CHUNK, samples - i * _CHUNK))
@@ -189,12 +164,12 @@ def estimate_moment(
 ) -> Estimate:
     """E|S|^p for S the sum of ``seq.variables[part]``, by the first engine
     that applies: exact convolution of the cached moment profiles for even
-    p; if ``exact_atoms``, exact atom convolution on finite-support
+    p; if ``exact_atoms``, the exact finite-support engine on atom
     summands; quadrature (to absolute ``tol``) for 2 < p < 4 on symmetric
     parametric summands; else Monte Carlo, unless a summand is a raw
-    moment profile (NoEngine).  A quadrature norm's budget is the raw one
-    mapped through the monotone 1/p-power; Monte Carlo maps the interval's
-    endpoints.
+    moment profile without atoms (NoEngine).  A quadrature norm's budget
+    is the raw one mapped through the monotone 1/p-power; Monte Carlo maps
+    the interval's endpoints.
     """
     specs = seq.variables[part]
     if float(p).is_integer() and int(p) % 2 == 0:
@@ -203,14 +178,12 @@ def estimate_moment(
     if exact_atoms and all(s.atoms() is not None for s in specs):
         raw = exact_discrete_moment(specs, p)
         return Estimate(raw, 0.0, raw ** (1.0 / p), 0.0, "exact")
-    samplable = all(s.family != "raw_moments" for s in specs)
-    if 2.0 < p < 4.0 and samplable and all(s.symmetric for s in specs):
+    parametric = all(s.family != "raw_moments" for s in specs)
+    if 2.0 < p < 4.0 and parametric and all(s.symmetric for s in specs):
         res = sum_abs_moment_via_haagerup(specs, p, tol)
         norm = res.value ** (1.0 / p)
         norm_error = (res.value + res.total_error) ** (1.0 / p) - norm
         return Estimate(res.value, res.total_error, norm, norm_error, "quadrature")
-    if not samplable:
-        raise NoEngine(f"no oracle available for p={p} on raw-moment inputs")
     est = mc_moment(specs, p, samples=samples, seed=seed, confidence=confidence)
     return Estimate(est.raw_mean, est.raw_half_width, est.point, est.half_width, "mc")
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import random_centered_atom_spec, random_logconcave_spec, random_symmetric_seq
+from momentcert import exactmoments
 from momentcert import (
     MomentProfile,
     SequenceSpec,
@@ -245,10 +246,20 @@ class TestBoundGeneralP:
         assert rep.certifying
         assert rep.aux["rademacher_abs_moment"] > 0
 
-    def test_fractional_p_above_cap_not_certifying(self):
-        rep = bound_general_p(seq_of(rademacher(1.0), 30), 3.0, 2)
+    def test_fractional_p_beyond_grid_budget_not_certifying(self, monkeypatch):
+        # Equal weights stay on a small grid at any n.
+        for n in (30, 1000):
+            seq = seq_of(rademacher(1.0), n)
+            rep = bound_general_p(seq, 3.0, 2)
+            assert rep.certifying
+            truth = exact_discrete_moment(list(seq.variables[rep.start_index - 1 :]), 3.0)
+            assert truth <= rep.upper
+        # 26 distinct weights overflow the grid budget, here lowered to 2^12.
+        monkeypatch.setattr(exactmoments, "_MAX_GRID", 1 << 12)
+        sig = np.random.default_rng(26).uniform(0.5, 1.0, 26)
+        rep = bound_general_p(SequenceSpec(tuple(rademacher(float(s)) for s in sig)), 3.0, 2)
         assert not rep.certifying
-        assert any(a.name == "enumeration_cap" for a in rep.failed_assumptions())
+        assert [a.name for a in rep.failed_assumptions()] == ["enumeration_cap"]
 
     def test_truncated_soundness_randomized(self):
         rng = np.random.default_rng(34)

@@ -424,6 +424,21 @@ class TestBadInputs:
         assert "configuration error: no oracle available" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_atoms_without_quadrature_are_sampled(self, tmp_path):
+        variables = [{"family": "atoms", "values": [-1.0, 1.0], "probs": [0.5, 0.5],
+                      "count": 4}]
+        path = write_config(
+            tmp_path,
+            {"command": "moments", "variables": variables, "p_values": [3.0],
+             "samples": 20000},
+        )
+        status, document = run(load_config(path))
+        (row,) = json.loads(document)["rows"]
+        assert status == EXIT_OK
+        assert row["lp_norm"]["provenance"] == "mc"
+        # E|S|^3 = 12 for a sum of four signs.
+        assert abs(row["lp_norm"]["value"] - 12 ** (1 / 3)) <= row["lp_norm"]["error"]
+
     def test_other_ground_errors_are_not_unverified(self, tmp_path, monkeypatch):
         import momentcert.cli as cli_mod
 
@@ -476,6 +491,43 @@ class TestConfigNumbers:
             load_config(path)
         assert main(["--config", path]) == EXIT_CONFIG
         assert "configuration error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("count", "x"),
+            ("count", 0),
+            ("count", 2.5),
+            ("seed", "abc"),
+            ("seed", -1),
+            ("samples", 100),
+            ("samples", 2e4 + 0.5),
+            ("confidence", 0.0),
+            ("confidence", 1.0),
+            ("confidence", "high"),
+        ],
+        ids=["count-text", "count-zero", "count-fraction", "seed-text", "seed-negative",
+             "samples-few", "samples-fraction", "confidence-zero", "confidence-one",
+             "confidence-text"],
+    )
+    def test_bad_scalar_names_its_key(self, tmp_path, capsys, key, value):
+        variable = dict(GAUSS[0], count=value) if key == "count" else GAUSS[0]
+        doc = {"command": "moments", "variables": [variable], "p_values": [4.0]}
+        if key != "count":
+            doc[key] = value
+        path = write_config(tmp_path, doc)
+        with pytest.raises(ConfigError, match=f"^{key} must be"):
+            load_config(path)
+        assert main(["--config", path]) == EXIT_CONFIG
+        assert f"configuration error: {key} must be" in capsys.readouterr().err
+
+    def test_large_seed_kept_exactly(self, tmp_path):
+        path = write_config(
+            tmp_path, {"command": "moments", "variables": GAUSS, "p_values": [4.0],
+                       "seed": 2 ** 60 + 1, "samples": 1e4}
+        )
+        cfg = load_config(path)
+        assert cfg.seed == 2 ** 60 + 1 and cfg.samples == 10_000
 
     def test_whole_float_orders_accepted(self, tmp_path):
         path = write_config(

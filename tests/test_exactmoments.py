@@ -1,7 +1,10 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from conftest import (
     enum_sum_even_moment_centered,
@@ -22,7 +25,8 @@ from momentcert import (
     symmetric_exponential,
     tail_sum_even_moment,
 )
-from momentcert.exactmoments import gaussian_abs_moment
+from momentcert import exactmoments
+from momentcert.exactmoments import SupportExplosion, gaussian_abs_moment
 
 
 class TestGaussianLpNorm:
@@ -88,9 +92,53 @@ class TestRademacherAbsMoment:
             rademacher_even_moment(w, 2)
         )
 
-    def test_cap_refused(self):
-        with pytest.raises(ValueError, match="cap"):
-            rademacher_abs_moment(WeightVector((1.0,) * 30), 3)
+    def test_grid_budget_refused(self, monkeypatch):
+        # 30 equal weights: 31 grid points, and an exact rational moment.
+        want = sum(math.comb(30, j) * abs(30 - 2 * j) ** 3 for j in range(31)) / 2 ** 30
+        assert rademacher_abs_moment(WeightVector((1.0,) * 30), 3) == pytest.approx(
+            want, rel=1e-14
+        )
+        monkeypatch.setattr(exactmoments, "_MAX_GRID", 1 << 12)
+        w = WeightVector(tuple(np.random.default_rng(30).uniform(0.2, 2.0, 26)))
+        with pytest.raises(SupportExplosion):
+            rademacher_abs_moment(w, 3)
+
+
+@st.composite
+def small_laws(draw):
+    """1-4 atoms with positive probabilities: on a 1/2 lattice or not,
+    mirror-symmetric or skewed."""
+    if draw(st.booleans()):
+        value = st.integers(-4, 4).map(lambda i: i / 2)
+    else:
+        value = st.one_of(st.just(0.0), st.floats(0.01, 2.0), st.floats(-2.0, -0.01))
+    values = draw(st.lists(value, min_size=1, max_size=2))
+    weights = draw(st.lists(st.floats(0.05, 1.0), min_size=len(values), max_size=len(values)))
+    if draw(st.booleans()):
+        values, weights = values + [-v for v in values], weights + weights
+    total = math.fsum(weights)
+    return values, [w / total for w in weights]
+
+
+class TestFiniteSupportEngine:
+    @given(
+        st.lists(st.tuples(small_laws(), st.integers(1, 5)), min_size=1, max_size=3),
+        st.floats(0.5, 6.0),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_matches_brute_force(self, runs, p):
+        """Against an fsum over every combination of atoms, one summand at
+        a time.  Sums may cancel, so the rounding is bounded relative to
+        E (sum_k |X_k|)^p."""
+        summands = [list(zip(*law)) for law, k in runs for _ in range(k)]
+        assume(math.prod(map(len, summands)) <= 4096)
+        terms, scale = [], []
+        for combo in itertools.product(*summands):
+            prob = math.prod(q for _, q in combo)
+            terms.append(prob * abs(math.fsum(v for v, _ in combo)) ** p)
+            scale.append(prob * math.fsum(abs(v) for v, _ in combo) ** p)
+        got = exactmoments._atom_abs_moment([(v, q, k) for (v, q), k in runs], p)
+        assert abs(got - math.fsum(terms)) <= 1e-12 * math.fsum(scale)
 
 
 class TestSumEvenMoment:

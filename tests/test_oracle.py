@@ -46,9 +46,8 @@ class TestExactDiscreteMoment:
             p = float(rng.uniform(0.5, 6.0))
             sig = rng.uniform(0.3, 1.5, n)
             specs = [rademacher(float(s)) for s in sig]
-            # merging snaps atoms to 10 decimals, so exactness is only to ~1e-9
             assert exact_discrete_moment(specs, p) == pytest.approx(
-                rademacher_abs_moment(WeightVector(tuple(sig)), p), rel=1e-8
+                rademacher_abs_moment(WeightVector(tuple(sig)), p), rel=1e-13
             )
 
     def test_mixed_atom_specs_even_p(self):
@@ -65,6 +64,11 @@ class TestExactDiscreteMoment:
         specs = [rademacher(1.0)] * 60
         val = exact_discrete_moment(specs, 2.0)
         assert val == pytest.approx(60.0, rel=1e-9)
+
+    def test_irrational_weights_merge_exactly(self):
+        # Bit-equal sums merge, with no rounding of atoms: E S^2 = 60 * 0.3.
+        val = exact_discrete_moment([rademacher(math.sqrt(0.3))] * 60, 2.0)
+        assert val == pytest.approx(18.0, rel=1e-14)
 
     def test_continuous_refused(self):
         with pytest.raises(ValueError, match="finite support"):

@@ -1,7 +1,10 @@
-"""Runs of equal summands in the char-fn product and the sign enumeration."""
+"""Runs of equal summands in the char-fn product and the finite-support engine."""
+import math
+
 import numpy as np
 import pytest
 
+from momentcert import exactmoments
 from momentcert import (
     CharFunction,
     WeightVector,
@@ -102,7 +105,16 @@ class TestRademacherRuns:
             got = rademacher_abs_moment(WeightVector(sig), p)
             assert got == pytest.approx(brute_abs_moment(sig, p), rel=1e-13)
 
-    def test_cap_counts_every_weight(self):
-        assert rademacher_abs_moment(WeightVector((1.0,) * 24), 3) > 0
-        with pytest.raises(ValueError, match="cap"):
-            rademacher_abs_moment(WeightVector((1.0,) * 25), 3)
+    def test_budget_counts_grid_points(self, monkeypatch):
+        # Equal weights form one binomial run of n + 1 points, whatever n.
+        for n in (25, 30):
+            got = rademacher_abs_moment(WeightVector((1.3,) * n), 3.0)
+            want = sum(math.comb(n, j) * abs(n - 2 * j) ** 3 for j in range(n + 1)) / 2 ** n
+            assert got == pytest.approx(1.3 ** 3 * want, rel=1e-13)
+        # 26 distinct weights need a grid of 2^25 points (one sign fixed).
+        # A budget of 2^12 refuses them at the 2^13-point product, cheaply.
+        monkeypatch.setattr(exactmoments, "_MAX_GRID", 1 << 12)
+        sig = tuple(np.random.default_rng(26).uniform(0.2, 2.0, 26))
+        with pytest.raises(exactmoments.SupportExplosion, match="8192 points"):
+            rademacher_abs_moment(WeightVector(sig), 3.0)
+        assert rademacher_abs_moment(WeightVector(sig[:13]), 3.0) > 0
