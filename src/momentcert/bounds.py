@@ -63,8 +63,8 @@ class _Summary:
 
     Equal specs share a code, an index into `distinct`: their variance and
     moments are computed once, and they share one MomentProfile object per
-    order.  The sorted copy of a sequence shares `distinct` and the
-    distinct-profile cache with it.
+    order.  The sorted copy shares `distinct` and the distinct-profile
+    cache, but not the `estimates` memo: a slice picks other summands there.
     """
 
     def __init__(self, distinct, codes, variances, distinct_profiles):
@@ -73,6 +73,7 @@ class _Summary:
         self.variances = variances
         self.distinct_profiles = distinct_profiles  # {order: profile per distinct spec}
         self.profiles: dict = {}  # {order: profile per position}
+        self.estimates: dict = {}  # oracle.estimate_moment's {key: Estimate or refusal}
         self.sorted = None
 
     @classmethod
@@ -101,8 +102,8 @@ class _Summary:
 class SequenceSpec:
     """An ordered family of independent variables.
 
-    Variances, the sorted copy and moment profiles are computed on first
-    use and cached on the instance.
+    Variances, the sorted copy, moment profiles and `estimate_moment`
+    results are computed on first use and cached on the instance.
     """
 
     variables: tuple[VariableSpec, ...]

@@ -20,7 +20,8 @@ import numpy as np
 
 from .charfn import sum_abs_moment_via_haagerup
 from .distmodel import VariableSpec
-from .exactmoments import SupportExplosion, _atom_abs_moment, sum_even_moment
+from .exactmoments import (
+    DynamicRangeExceeded, SupportExplosion, _atom_abs_moment, sum_even_moment)
 
 if TYPE_CHECKING:
     from .bounds import BoundReport, SequenceSpec
@@ -170,7 +171,25 @@ def estimate_moment(
     moment profile without atoms (NoEngine).  A quadrature norm's budget
     is the raw one mapped through the monotone 1/p-power; Monte Carlo maps
     the interval's endpoints.
+
+    Memoized on the ``seq`` instance for its lifetime, by p, the slice's
+    fields and every keyword.  A refusal (DynamicRangeExceeded or
+    SupportExplosion) is memoized too and raised again with the same class
+    and message.  An equal but separate SequenceSpec shares nothing.
     """
+    memo = seq._summary.estimates
+    key = (p, part.start, part.stop, part.step, exact_atoms, tol, samples, seed, confidence)
+    if key not in memo:
+        try:
+            memo[key] = _estimate(seq, p, part, exact_atoms, tol, samples, seed, confidence)
+        except (DynamicRangeExceeded, SupportExplosion) as exc:
+            memo[key] = exc.with_traceback(None)  # a traceback would pin the refused grid
+    if isinstance(hit := memo[key], Exception):
+        raise type(hit)(*hit.args)
+    return hit
+
+
+def _estimate(seq, p, part, exact_atoms, tol, samples, seed, confidence) -> Estimate:
     specs = seq.variables[part]
     if float(p).is_integer() and int(p) % 2 == 0:
         raw = sum_even_moment(seq.profiles(int(p))[part], int(p) // 2)

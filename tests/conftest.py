@@ -1,4 +1,5 @@
-"""Shared randomized-input generators and brute-force oracles.
+"""Shared randomized-input generators, brute-force oracles and a call
+counter.
 
 The enumeration oracles here recompute sums of moments by explicit
 multi-index expansion; they are deliberately independent of the
@@ -98,3 +99,15 @@ def rademacher_abs_moment_brute(sigmas, p: float) -> float:
     for s in sigmas:
         sums = np.concatenate([sums + s, sums - s])
     return float(np.mean(np.abs(sums) ** p))
+
+
+def count_calls(monkeypatch, module, name: str) -> list:
+    """Replace module.name by a wrapper that records each call's arguments."""
+    real, calls = getattr(module, name), []
+
+    def wrapper(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, wrapper)
+    return calls

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from conftest import count_calls
 from momentcert.cli import (
     EXIT_CONFIG,
     EXIT_FAIL,
@@ -214,6 +215,54 @@ class TestVerifyCommand:
         assert status == EXIT_FAIL
         rows = json.loads(document)["rows"]
         assert any(r["verdict"] == "FAIL" for r in rows)
+
+
+class TestGroundsComputedOncePerJob:
+    """verify reads each ground truth from the sorted copy's memo."""
+
+    def test_one_quadrature_per_distinct_ground(self, tmp_path, monkeypatch):
+        from momentcert import charfn
+
+        calls = count_calls(monkeypatch, charfn, "haagerup_moment")
+        path = write_config(
+            tmp_path,
+            {"command": "verify", "variables": LAPLACE_TEN, "p_values": [3.0],
+             "r_values": [2], "samples": 20000},
+        )
+        status, document = run(load_config(path))
+        assert status == EXIT_OK
+        rows = json.loads(document)["rows"]
+        grounds = {(r["start_index"], r["p"]) for r in rows
+                   if r["ground"]["provenance"] == "quadrature"}
+        (sandwich,) = [r for r in rows if r["statement"] == "logconcave_sandwich"]
+        assert sandwich["upper"]["provenance"] == "quadrature"
+        assert grounds == {(1, 3.0), (2, 3.0)}
+        assert len(calls) == len(grounds) + 1  # and the sandwich head
+
+        # The memo lives no longer than the job: a rerun computes again.
+        assert run(load_config(path)) == (status, document)
+        assert len(calls) == 2 * (len(grounds) + 1)
+
+    def test_refused_ground_runs_its_engine_once(self, tmp_path, monkeypatch):
+        from momentcert import exactmoments, oracle
+
+        monkeypatch.setattr(exactmoments, "_MAX_GRID", 1 << 12)
+        calls = count_calls(monkeypatch, oracle, "_atom_abs_moment")
+        primes = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41,
+                  43, 47, 53, 59, 61, 67, 71, 73, 79, 83, 89, 97, 101]
+        path = write_config(
+            tmp_path,
+            {"command": "verify", "p_values": [3.0], "r_values": [2],
+             "variables": [{"family": "rademacher", "sigma": q ** 0.5} for q in primes]},
+        )
+        status, document = run(load_config(path))
+        assert status == EXIT_CONFIG
+        unverified = [r for r in json.loads(document)["rows"] if r["verdict"] == "UNVERIFIED"]
+        assert {r["statement"] for r in unverified} == {
+            "symmetric_p24_band", "logconcave_radius", "logconcave_sandwich"}
+        assert len({r["detail"] for r in unverified}) == 1
+        assert "exceeds 4096" in unverified[0]["detail"]
+        assert len(calls) == 1
 
 
 class TestCheckLemmasCommand:
