@@ -166,8 +166,10 @@ def estimate_moment(
     """E|S|^p for S the sum of ``seq.variables[part]``, by the first engine
     that applies: exact convolution of the cached moment profiles for even
     p; if ``exact_atoms``, the exact finite-support engine on atom
-    summands; quadrature (to absolute ``tol``) for 2 < p < 4 on symmetric
-    parametric summands; else Monte Carlo, unless a summand is a raw
+    summands; quadrature for 2 < p < 4 on symmetric parametric summands,
+    converged when its budget is at most ``tol * max(1, variance^(p/2))``
+    (absolute for variance <= 1, else relative to the sum's scale); else
+    Monte Carlo, unless a summand is a raw
     moment profile without atoms (NoEngine).  A quadrature norm's budget
     is the raw one mapped through the monotone 1/p-power; Monte Carlo maps
     the interval's endpoints.

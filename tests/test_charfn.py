@@ -1,5 +1,8 @@
+import dataclasses
 import math
+from fractions import Fraction
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -9,6 +12,7 @@ from momentcert import (
     WeightVector,
     check_cosine_bounds,
     check_main_charfn_inequality,
+    exact_discrete_moment,
     gaussian,
     haagerup_constant,
     haagerup_moment,
@@ -214,3 +218,179 @@ class TestHaagerupMoment:
     def test_bad_tol(self):
         with pytest.raises(ValueError):
             haagerup_moment(CharFunction.from_spec(gaussian(1.0)), 3.0, tol=0.0)
+
+
+def laplace_sum_third_moment(n: int, sigma: float) -> float:
+    """E|S|^3 for S the sum of n unit-variance Laplace variables times
+    sigma, in exact rational arithmetic.  S = (sigma/sqrt 2)(G1 - G2) with
+    G1, G2 independent Gamma(n, 1), and E|G1 - G2|^3 is the finite sum
+    2/(n-1)!^2 sum_j C(n-1, j) (n-1+j)! (n+2-j)! / 2^(n+j)."""
+    f = math.factorial
+    total = sum(
+        Fraction(math.comb(n - 1, j) * f(n - 1 + j) * f(n + 2 - j), 2 ** (n + j))
+        for j in range(n)
+    )
+    return float(2 * total / f(n - 1) ** 2) * (sigma / math.sqrt(2.0)) ** 3
+
+
+def mpmath_abs_moment(summands, p, dps=30):
+    """E|S|^p from the compensated identity, by mpmath's tanh-sinh rule at
+    dps digits.  `summands` holds (phi, variance, fourth moment) per
+    summand, the moments as exact Fractions.  phi - 1 + variance t^2/2 is
+    formed with 40 spare digits, and below t = 1e-8 it is m4 t^4/24."""
+    extra = dps + 40
+    with mp.workdps(extra):
+        v = [mp.mpf(var.numerator) / var.denominator for _, var, _ in summands]
+        variance = mp.fsum(v)
+        m4 = mp.fsum(mp.mpf(mu4.numerator) / mu4.denominator for _, _, mu4 in summands)
+        m4 += 6 * mp.fsum(v[i] * v[j] for i in range(len(v)) for j in range(i))
+    with mp.workdps(dps):
+        p = mp.mpf(p)
+        cp = -2 / mp.pi * mp.sin(p * mp.pi / 2) * mp.gamma(p + 1)
+
+        def integrand(t):
+            if t < mp.mpf("1e-8"):
+                return m4 * t ** (3 - p) / 24
+            with mp.workdps(extra):
+                phi = mp.fprod(f(t) for f, _, _ in summands)
+                return (phi - 1 + variance * t * t / 2) * t ** (-p - 1)
+
+        points = [0] + [mp.mpf(2) ** j for j in range(-6, 12)] + [mp.inf]
+        return float(cp * mp.quad(integrand, points))
+
+
+def mp_laplace(sigma: str):
+    s = Fraction(sigma)
+    return (lambda t: 1 / (1 + (mp.mpf(sigma) * t) ** 2 / 2), s * s, 6 * s ** 4)
+
+
+def mp_uniform(a: str):
+    q = Fraction(a)
+    return (lambda t: mp.sin(mp.mpf(a) * t) / (mp.mpf(a) * t), q * q / 3, q ** 4 / 5)
+
+
+def mp_gaussian(sigma: str):
+    s = Fraction(sigma)
+    return (lambda t: mp.exp(-(mp.mpf(sigma) * t) ** 2 / 2), s * s, 3 * s ** 4)
+
+
+class TestQuadratureCrossChecks:
+    """The quadrature against engines that do not share its rule: each
+    value must lie within its own error budget."""
+
+    @pytest.mark.parametrize(
+        "specs, p",
+        [
+            ([rademacher(1.0)] * 3 + [symmetric_three_point(0.7, 0.2)] * 2, 2.5),
+            ([symmetric_three_point(1.2, 0.05)] * 4 + [rademacher(0.5)]
+             + [rademacher(0.3)] * 6, 3.0),
+            ([rademacher(0.8)] * 10 + [symmetric_three_point(2.0, 0.1)] * 3, 3.7),
+            ([rademacher(1.0)] * 2 + [symmetric_three_point(0.5, 0.3)]
+             + [rademacher(1.0)] + [symmetric_three_point(0.5, 0.3)] * 2, 2.2),
+        ],
+    )
+    def test_atom_sums_against_exact_engine(self, specs, p):
+        res = sum_abs_moment_via_haagerup(specs, p, tol=1e-8)
+        assert res.converged
+        assert abs(res.value - exact_discrete_moment(specs, p)) <= res.total_error
+
+    @pytest.mark.parametrize(
+        "specs",
+        [
+            [rademacher(1.0)],
+            [rademacher(0.5)],
+            [rademacher(1.0), rademacher(0.5)],
+            [rademacher(1.0)] * 2 + [symmetric_three_point(0.7, 0.2)],
+        ],
+    )
+    def test_periodic_phi_within_budget(self, specs):
+        """phi of an atom sum never decays, so a panel wider than its period
+        can alias it into a small |Kronrod - Gauss|; the budget must hold."""
+        for p in (2.2, 2.4, 2.6, 2.8, 3.0, 3.3, 3.6):
+            res = sum_abs_moment_via_haagerup(specs, p, tol=1e-8)
+            assert abs(res.value - exact_discrete_moment(specs, p)) <= res.total_error
+
+    @pytest.mark.parametrize(
+        "specs, summands, p",
+        [
+            ([symmetric_exponential(1.0)] * 3 + [uniform(1.5)] * 2,
+             [mp_laplace("1")] * 3 + [mp_uniform("1.5")] * 2, 2.5),
+            ([symmetric_exponential(1.0)] * 3 + [uniform(1.5)] * 2,
+             [mp_laplace("1")] * 3 + [mp_uniform("1.5")] * 2, 3.7),
+            ([gaussian(0.8)] + [symmetric_exponential(0.5)] * 2 + [uniform(2.0)],
+             [mp_gaussian("0.8")] + [mp_laplace("0.5")] * 2 + [mp_uniform("2")], 3.2),
+        ],
+    )
+    def test_continuous_sums_against_mpmath(self, specs, summands, p):
+        res = sum_abs_moment_via_haagerup(specs, p, tol=1e-8)
+        assert res.converged
+        assert abs(res.value - mpmath_abs_moment(summands, p)) <= res.total_error
+
+    @pytest.mark.parametrize("sigma", [1.0, 0.01])
+    def test_hundred_laplace_converges(self, sigma):
+        """100 Laplace summands at p = 3, against the exact rational value,
+        at unit scale and at sigma = 0.01, where the budget is absolute."""
+        res = sum_abs_moment_via_haagerup([symmetric_exponential(sigma)] * 100, 3.0, tol=1e-8)
+        assert res.converged
+        assert abs(res.value - laplace_sum_third_moment(100, sigma)) <= res.total_error
+
+    def test_exact_laplace_formula(self):
+        assert laplace_sum_third_moment(1, 1.0) == pytest.approx(3.0 / math.sqrt(2.0), rel=1e-15)
+
+
+class TestVectorizedRule:
+    def test_converged_is_the_budget_test(self):
+        rng = np.random.default_rng(24)
+        for _ in range(20):
+            specs = list(random_symmetric_seq(rng, int(rng.integers(1, 12))).variables)
+            p, tol = float(rng.uniform(2.05, 3.95)), float(10 ** rng.uniform(-10, -4))
+            res = sum_abs_moment_via_haagerup(specs, p, tol)
+            variance = sum(s.variance for s in specs)
+            assert res.total_error == res.quad_error + res.head_error + res.tail_error
+            assert res.converged == (res.total_error <= tol * max(1.0, variance ** (p / 2)))
+
+    def test_one_call_per_round(self):
+        """phi is evaluated on whole rounds of 15-node panels, not point by point."""
+        sizes = []
+        base = CharFunction.product([rademacher(1.0), uniform(1.0), symmetric_exponential(0.5)])
+
+        def fn(t):
+            sizes.append(t.size)
+            return base.fn(t)
+
+        res = haagerup_moment(dataclasses.replace(base, fn=fn), 3.3)
+        assert res.converged
+        assert sum(sizes) == res.evaluations
+        assert all(size % 15 == 0 for size in sizes)
+        assert len(sizes) < 40
+
+    def test_relative_tolerance(self):
+        """The budget scales with variance^(p/2): a scaled sum converges
+        in as many evaluations, with a budget scaled alike."""
+        unit = sum_abs_moment_via_haagerup([symmetric_exponential(1.0)] * 10, 2.7)
+        big = sum_abs_moment_via_haagerup([symmetric_exponential(100.0)] * 10, 2.7)
+        assert unit.converged and big.converged
+        assert big.value == pytest.approx(unit.value * 100.0 ** 2.7, rel=1e-9)
+        assert big.total_error <= 1e-8 * (10 * 100.0 ** 2) ** 1.35
+
+    def test_product_carries_eighth_moment(self):
+        specs = [symmetric_exponential(1.0)] * 4 + [uniform(1.2)]
+        phi = CharFunction.product(specs)
+        assert phi.eighth_moment == pytest.approx(sum_even_moment([s.moments(8) for s in specs], 4))
+        assert CharFunction.from_spec(gaussian(1.0)).eighth_moment == pytest.approx(105.0)
+        assert phi.factors == 5 + 2
+
+    @pytest.mark.parametrize("k", [2, 100, 10_000])
+    def test_run_power_matches_multiplication(self, k):
+        """A run of k equal factors is f**k; it stays within one unit
+        roundoff per factor of k explicit multiplications."""
+        u = 2.0 ** -53
+        for spec in (symmetric_exponential(1.0), gaussian(0.7), uniform(1.3),
+                     rademacher(0.9), symmetric_three_point(1.1, 0.2)):
+            t = np.linspace(0.0, 40.0 / math.sqrt(k), 2001)
+            power = CharFunction.product([spec] * k).fn(t)
+            f, product = spec.phi(t), np.ones_like(t)
+            for _ in range(k):
+                product = product * f
+            kept = np.abs(product) > 1e-290
+            assert np.all(np.abs(power[kept] - product[kept]) <= k * u * np.abs(product[kept]))

@@ -155,6 +155,16 @@ class TestNormalQuantile:
                              text=True, check=True, env={**os.environ, "PYTHONPATH": src})
         assert out.stdout.strip() == "False"
 
+    def test_cli_import_loads_no_scipy(self):
+        import momentcert
+
+        code = ("import sys, momentcert.cli; "
+                "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+        src = os.path.dirname(os.path.dirname(momentcert.__file__))
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                             text=True, check=True, env={**os.environ, "PYTHONPATH": src})
+        assert out.stdout.strip() == "[]"
+
 
 ENGINES = dict(exact_atoms=False, tol=1e-8, samples=20_000, seed=1, confidence=0.999)
 

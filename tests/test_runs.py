@@ -53,12 +53,16 @@ class TestCharFunctionProduct:
         ids=["one-object", "equal-copies", "interleaved", "mixed", "single"],
     )
     def test_equals_one_factor_per_summand(self, specs):
+        # A run of k equal factors is one power f**k: it agrees with k
+        # multiplications to within one unit roundoff per factor.
         phi = CharFunction.product(specs)
-        assert np.array_equal(phi.fn(T_GRID), explicit_product(specs, T_GRID))
-        profiles = [s.moments(6) for s in specs]
+        explicit = explicit_product(specs, T_GRID)
+        assert np.all(np.abs(phi.fn(T_GRID) - explicit) <= len(specs) * 2.0 ** -53 * np.abs(explicit))
+        profiles = [s.moments(8) for s in specs]
         assert phi.variance == sum(p.variance for p in profiles)
         assert phi.fourth_moment == sum_even_moment(profiles, 2)
         assert phi.sixth_moment == sum_even_moment(profiles, 3)
+        assert phi.eighth_moment == sum_even_moment(profiles, 4)
 
     def test_reads_moments_once_per_run(self, monkeypatch):
         from momentcert.distmodel import VariableSpec
