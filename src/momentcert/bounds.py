@@ -71,6 +71,9 @@ class _Summary:
         self.distinct = distinct
         self.codes = codes
         self.variances = variances
+        # Correctly rounded: a lower endpoint center - radius may cancel to
+        # a small fraction of the center, where a plain sum's rounding shows.
+        self.total_variance = math.fsum(variances)
         self.distinct_profiles = distinct_profiles  # {order: profile per distinct spec}
         self.profiles: dict = {}  # {order: profile per position}
         self.estimates: dict = {}  # oracle.estimate_moment's {key: Estimate or refusal}
@@ -146,7 +149,8 @@ class SequenceSpec:
 
     @property
     def total_variance(self) -> float:
-        return sum(self.variances)
+        """The sum of the variances, correctly rounded."""
+        return self._summary.total_variance
 
     def sorted(self) -> tuple["SequenceSpec", tuple[int, ...]]:
         """Variance-nonincreasing copy plus the applied permutation
@@ -300,7 +304,7 @@ def bound_p_2_4(seq: SequenceSpec, p: float) -> BoundReport:
     if not all(a.satisfied for a in assumptions):
         return _non_certifying("symmetric_p24_band", p, assumptions, perm, constants)
     gp = gaussian_lp_norm(p)
-    center = gp * math.sqrt(sum(v))
+    center = gp * math.sqrt(sorted_seq.total_variance)
     radius = math.sqrt(3.0 * m) * math.sqrt(v[0])
     return BoundReport(
         statement_id="symmetric_p24_band",
@@ -351,7 +355,7 @@ def _bound_even(seq: SequenceSpec, r: int, symmetric: bool) -> BoundReport:
     if cutoff >= n:
         return _non_certifying(statement, 2 * r, assumptions, perm, constants)
     gp = gaussian_lp_norm(2 * r)
-    center = gp * math.sqrt(sum(v))
+    center = gp * math.sqrt(sorted_seq.total_variance)
     radius = 2.0 * cutoff * math.sqrt(v[0])
     return BoundReport(
         statement_id=statement,
@@ -512,7 +516,7 @@ def latala_logconcave_bounds(
         ),
     )
     gp = gaussian_lp_norm(p)
-    center = gp * math.sqrt(sum(v))
+    center = gp * math.sqrt(sorted_seq.total_variance)
     if not all(a.satisfied for a in assumptions):
         return (
             _non_certifying("logconcave_radius", p, assumptions, perm),

@@ -25,7 +25,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .distmodel import VariableSpec
-from .exactmoments import run_lengths, sum_even_moment
+from .exactmoments import moments_of_sum, run_lengths
 
 __all__ = [
     "CharFunction",
@@ -106,19 +106,18 @@ class CharFunction:
     def product(cls, specs: Sequence[VariableSpec]) -> "CharFunction":
         """phi of a sum of independent variables: the product of the factors.
 
-        The variance is the sum of component variances; the fourth, sixth
-        and eighth moments of the sum come from the exact convolution
-        engine.  Consecutive equal specs form one run: its moments are read
-        once, and phi evaluates its factor once and raises it to the k-th
-        power, so a run costs the same at any k.  The power differs from k
-        multiplications by less than one unit roundoff per factor.
+        Consecutive equal specs form one run, and every step works per run:
+        its moments are read once, its variance counts k times, the fourth,
+        sixth and eighth moments of the sum come from one exact convolution
+        of the runs, and phi evaluates its factor once and raises it to the
+        k-th power, so a run costs the same at any k.  The power differs
+        from k multiplications by less than one unit roundoff per factor.
         """
         if not specs:
             raise ValueError("need at least one spec")
         runs = [(s.moments(8), s.phi, k) for s, k in run_lengths(specs)]
-        profiles = [prof for prof, _, k in runs for _ in range(k)]
-        variance = sum(prof.variance for prof in profiles)
-        m4, m6, m8 = (sum_even_moment(profiles, r) for r in (2, 3, 4))
+        variance = sum(prof.variance * k for prof, _, k in runs)
+        m = moments_of_sum([(prof, k) for prof, _, k in runs], 8)
         factors = [(f, k) for _, f, k in runs]
 
         def prod(t: np.ndarray) -> np.ndarray:
@@ -127,7 +126,7 @@ class CharFunction:
                 out = out * f(t) ** k
             return out
 
-        return cls(prod, variance, m4, m6, m8, len(profiles) + len(runs))
+        return cls(prod, variance, m[4], m[6], m[8], len(specs) + len(runs))
 
     def compensated(self, t):
         """phi(t) - 1 + t^2 variance / 2, safe near t = 0.
@@ -376,7 +375,6 @@ def sum_abs_moment_via_haagerup(
     specs: Sequence[VariableSpec], p: float, tol: float = 1e-8
 ) -> IntegralResult:
     """E |sum_k X_k|^p for independent symmetric summands, 2 < p < 4."""
-    for s in specs:
-        if not s.symmetric:
-            raise ValueError("all summands must be symmetric")
+    if not all(s.symmetric for s, _ in run_lengths(specs)):
+        raise ValueError("all summands must be symmetric")
     return haagerup_moment(CharFunction.product(specs), p, tol)

@@ -117,7 +117,11 @@ class Family:
     `keys` names the parameters as a CLI configuration spells them; q[0] is
     the scale, so c*X has q[0] multiplied by c.  Each check is a test of q
     and the message raised when it fails.  `even_moment(q, l)` is E X^{2l};
-    `atoms` is None unless the support is finite.
+    `atoms` is None unless the support is finite.  `sample(q, rng, n)` draws
+    n copies of X; `sample_sum(q, rng, n, k)` draws n copies of the sum of
+    k independent copies of X from that sum's exact law, one draw per copy,
+    and is None where the law has no closed form (the sum then takes k
+    draws).
     """
 
     keys: tuple[str, ...]
@@ -127,7 +131,13 @@ class Family:
     even_moment: Callable[[tuple, int], float]
     charfn: Callable[[tuple, np.ndarray], np.ndarray]
     sample: Callable[[tuple, np.random.Generator, int], np.ndarray]
+    sample_sum: Callable[[tuple, np.random.Generator, int, int], np.ndarray] | None
     atoms: Callable[[tuple], tuple[np.ndarray, np.ndarray]] | None
+
+
+def _signs(b: float, rng: np.random.Generator, counts: np.ndarray) -> np.ndarray:
+    """b (2 Bin(N, 1/2) - N) per entry N of counts: N fair signs of size b."""
+    return b * (2.0 * rng.binomial(counts, 0.5) - counts)
 
 
 _POSITIVE_SCALE = ((lambda q: q[0] > 0.0, "scale must be positive"),)
@@ -141,6 +151,7 @@ FAMILIES: dict[str, Family] = {
         ),
         charfn=lambda q, t: np.exp(-0.5 * (q[0] * t) ** 2),
         sample=lambda q, rng, n: rng.normal(0.0, q[0], n),
+        sample_sum=lambda q, rng, n, k: rng.normal(0.0, q[0] * math.sqrt(k), n),
     ),
     "rademacher": Family(
         ("sigma",), _POSITIVE_SCALE, log_concave=True,
@@ -148,6 +159,7 @@ FAMILIES: dict[str, Family] = {
         even_moment=lambda q, l: q[0] ** (2 * l),
         charfn=lambda q, t: np.cos(q[0] * t),
         sample=lambda q, rng, n: q[0] * (2.0 * rng.integers(0, 2, n) - 1.0),
+        sample_sum=lambda q, rng, n, k: q[0] * (2.0 * rng.binomial(k, 0.5, n) - k),
         atoms=lambda q: (np.array([-q[0], q[0]]), np.array([0.5, 0.5])),
     ),
     # Two-sided (Laplace) exponential with variance sigma^2.
@@ -158,6 +170,10 @@ FAMILIES: dict[str, Family] = {
         charfn=lambda q, t: 1.0 / (1.0 + 0.5 * (q[0] * t) ** 2),
         # Laplace scale b gives variance 2 b^2; b = sigma / sqrt(2).
         sample=lambda q, rng, n: rng.laplace(0.0, q[0] / math.sqrt(2.0), n),
+        # Laplace(b) is b (E - E') for independent exponentials E, E'.
+        sample_sum=lambda q, rng, n, k: (q[0] / math.sqrt(2.0)) * (
+            rng.standard_gamma(k, n) - rng.standard_gamma(k, n)
+        ),
     ),
     # Uniform on [-a, a].
     "uniform": Family(
@@ -166,6 +182,7 @@ FAMILIES: dict[str, Family] = {
         even_moment=lambda q, l: q[0] ** (2 * l) / (2 * l + 1),
         charfn=lambda q, t: np.sinc(q[0] * t / np.pi),
         sample=lambda q, rng, n: rng.uniform(-q[0], q[0], n),
+        sample_sum=None,
     ),
     # P(X = +-b) = q, P(X = 0) = 1 - 2q.
     "symmetric_three_point": Family(
@@ -181,6 +198,8 @@ FAMILIES: dict[str, Family] = {
         sample=lambda q, rng, n: rng.choice(
             np.array([-q[0], 0.0, q[0]]), size=n, p=[q[1], 1.0 - 2.0 * q[1], q[1]]
         ),
+        # N ~ Bin(k, 2q) summands are nonzero, and their signs are fair.
+        sample_sum=lambda q, rng, n, k: _signs(q[0], rng, rng.binomial(k, 2.0 * q[1], n)),
         atoms=lambda q: (
             np.array([-q[0], 0.0, q[0]]), np.array([q[1], 1.0 - 2.0 * q[1], q[1]])
         ),
@@ -282,15 +301,30 @@ class VariableSpec:
 
     # -- sampling ----------------------------------------------------------
 
-    def sample_with(self, rng: np.random.Generator, count: int) -> np.ndarray:
+    def sample_with(self, rng: np.random.Generator, count: int, k: int = 1) -> np.ndarray:
+        """`count` draws of the sum of k independent copies of this variable.
+
+        A family with a `sample_sum` law takes one draw per copy at k > 1;
+        uniform and atom specs add k draws.  k = 1 is one plain draw.
+        """
         if count < 1:
             raise ValueError("count must be at least 1")
+        if k < 1:
+            raise ValueError("k must be at least 1")
         if self.family != "raw_moments":
-            return FAMILIES[self.family].sample(self.params, rng, count)
-        if self.support is not None:
-            values, probs = self.support
-            return rng.choice(np.asarray(values), size=count, p=np.asarray(probs))
-        raise NoSampler("cannot sample from a raw moment profile")
+            row = FAMILIES[self.family]
+            if k > 1 and row.sample_sum is not None:
+                return row.sample_sum(self.params, rng, count, k)
+            draw = partial(row.sample, self.params, rng, count)
+        elif self.support is not None:
+            values, probs = map(np.asarray, self.support)
+            draw = partial(rng.choice, values, count, p=probs)
+        else:
+            raise NoSampler("cannot sample from a raw moment profile")
+        out = draw()
+        for _ in range(k - 1):
+            out += draw()
+        return out
 
     # -- finite support ----------------------------------------------------
 

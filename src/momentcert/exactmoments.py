@@ -21,6 +21,7 @@ __all__ = [
     "WeightVector",
     "gaussian_abs_moment",
     "gaussian_lp_norm",
+    "moments_of_sum",
     "rademacher_even_moment",
     "rademacher_abs_moment",
     "sum_even_moment",
@@ -131,19 +132,25 @@ def _power(x, k: int, times):
 
 
 def sum_even_moment(profiles: Sequence[MomentProfile], r: int) -> float:
-    """E (sum_k X_k)^{2r} for independent centered X_k, exact up to rounding.
-
-    Binomial-convolution recurrence over the partial sums,
-    m_{j+1, t} = sum_i C(t, i) m_{j, t-i} mu^{(j+1)}_i.  Consecutive equal
-    profiles form one run, whose k-fold convolution power is taken by
-    repeated squaring, so the cost is O(r^2 log k) per run of length k.
-    """
+    """E (sum_k X_k)^{2r} for independent centered X_k, exact up to rounding:
+    :func:`moments_of_sum` on the runs of consecutive equal profiles."""
     if r < 0:
         raise ValueError("r must be non-negative")
     if not profiles:
         raise ValueError("need at least one profile")
-    order = 2 * r
-    runs = run_lengths(profiles)
+    return moments_of_sum(run_lengths(profiles), 2 * r)[2 * r]
+
+
+def moments_of_sum(runs: Sequence[tuple[MomentProfile, int]], order: int) -> list[float]:
+    """E S^t for t = 0..order, S the sum of independent centered variables
+    given as runs (profile, k) of k copies of one profile.
+
+    Binomial-convolution recurrence over the partial sums,
+    m_{j+1, t} = sum_i C(t, i) m_{j, t-i} mu^{(j+1)}_i; entry t reads only
+    entries up to t, so it does not depend on `order`.  A run's k-fold
+    convolution power is taken by repeated squaring, so the cost is
+    O(order^2 log k) per run of length k.
+    """
     for prof, _ in runs:
         if not prof.centered:
             raise ValueError("sum_even_moment requires centered profiles")
@@ -155,7 +162,7 @@ def sum_even_moment(profiles: Sequence[MomentProfile], r: int) -> float:
     m = [1.0] + [0.0] * order
     for prof, k in runs:
         m = _convolve(order, m, _power(prof.moments, k, partial(_convolve, order)))
-    return m[order]
+    return m
 
 
 def tail_sum_even_moment(

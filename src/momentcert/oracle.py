@@ -21,7 +21,7 @@ import numpy as np
 from .charfn import sum_abs_moment_via_haagerup
 from .distmodel import VariableSpec
 from .exactmoments import (
-    DynamicRangeExceeded, SupportExplosion, _atom_abs_moment, sum_even_moment)
+    DynamicRangeExceeded, SupportExplosion, _atom_abs_moment, run_lengths, sum_even_moment)
 
 if TYPE_CHECKING:
     from .bounds import BoundReport, SequenceSpec
@@ -91,9 +91,16 @@ def exact_discrete_moment(specs: Sequence[VariableSpec], p: float) -> float:
 
 
 def _worker_count() -> int:
+    """MOMENT_CERT_THREADS if set, else the CPUs this process may run on."""
     env = os.environ.get("MOMENT_CERT_THREADS")
     if env:
-        return max(1, int(env))
+        try:
+            return max(1, int(env))
+        except ValueError:
+            raise ValueError(
+                f"MOMENT_CERT_THREADS must be an integer, got {env!r}") from None
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
 
 
@@ -106,17 +113,22 @@ def mc_moment(
 ) -> MCEstimate:
     """Monte Carlo estimate of ||sum_k X_k||_p with a CI at ``confidence``.
 
-    Sampling is split into fixed-size chunks, each seeded from
-    (seed, chunk_index), so the result is deterministic and independent of
-    the worker-thread count.  The CI is computed on E|S|^p with a normal
-    approximation and both endpoints are mapped through the monotone
-    1/p-power transform.  Raw moment profiles without atoms raise NoEngine.
+    Consecutive equal specs form one run, and a run of k summands is
+    sampled from the exact law of its sum (VariableSpec.sample_with), so a
+    sample costs one draw per run; uniform and atom runs take k draws.  A
+    sequence of distinct specs draws each summand in turn.  Sampling is
+    split into fixed-size chunks, each seeded from (seed, chunk_index), so
+    the result is deterministic and independent of the worker-thread
+    count.  The CI is computed on E|S|^p with a normal approximation and
+    both endpoints are mapped through the monotone 1/p-power transform.
+    Raw moment profiles without atoms raise NoEngine.
     """
     if samples < 10_000:
         raise ValueError("samples must be at least 10^4")
     if not 0.0 < confidence < 1.0:
         raise ValueError("confidence must lie in (0, 1)")
-    if any(s.family == "raw_moments" and s.support is None for s in specs):
+    runs = run_lengths(specs)
+    if any(s.family == "raw_moments" and s.support is None for s, _ in runs):
         raise NoEngine(f"no oracle available for p={p} on raw-moment inputs")
 
     chunks = [
@@ -128,9 +140,10 @@ def mc_moment(
         idx, count = arg
         rng = np.random.default_rng(np.random.SeedSequence([seed, idx]))
         total = np.zeros(count)
-        for spec in specs:
-            total += spec.sample_with(rng, count)
-        x = np.abs(total) ** p
+        for spec, k in runs:
+            total += spec.sample_with(rng, count, k)
+        x = np.abs(total, out=total)
+        x **= p
         return float(np.sum(x)), float(np.sum(x * x))
 
     workers = _worker_count()
@@ -196,11 +209,12 @@ def _estimate(seq, p, part, exact_atoms, tol, samples, seed, confidence) -> Esti
     if float(p).is_integer() and int(p) % 2 == 0:
         raw = sum_even_moment(seq.profiles(int(p))[part], int(p) // 2)
         return Estimate(raw, 0.0, raw ** (1.0 / p), 0.0, "exact")
-    if exact_atoms and all(s.atoms() is not None for s in specs):
+    heads = [s for s, _ in run_lengths(specs)]  # one spec per run of equal specs
+    if exact_atoms and all(s.atoms() is not None for s in heads):
         raw = exact_discrete_moment(specs, p)
         return Estimate(raw, 0.0, raw ** (1.0 / p), 0.0, "exact")
-    parametric = all(s.family != "raw_moments" for s in specs)
-    if 2.0 < p < 4.0 and parametric and all(s.symmetric for s in specs):
+    parametric = all(s.family != "raw_moments" for s in heads)
+    if 2.0 < p < 4.0 and parametric and all(s.symmetric for s in heads):
         res = sum_abs_moment_via_haagerup(specs, p, tol)
         norm = res.value ** (1.0 / p)
         norm_error = (res.value + res.total_error) ** (1.0 / p) - norm

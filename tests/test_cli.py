@@ -300,6 +300,34 @@ class TestScanCommand:
         deviations = [row["deviation"]["value"] for row in rows]
         assert deviations[0] > deviations[1] > deviations[2]
 
+    def test_monte_carlo_to_a_million_summands(self, tmp_path):
+        # One draw per sample for the whole run of equal summands.
+        path = write_config(
+            tmp_path,
+            {
+                "command": "scan",
+                "variables": [{"family": "symmetric_exponential", "sigma": 1.0}],
+                "p_values": [5.0],
+                "n_values": [1000, 1000000],
+                "samples": 20000,
+            },
+        )
+        status, document = run(load_config(path))
+        assert status == EXIT_OK
+        for row in json.loads(document)["rows"]:
+            assert row["deviation"]["provenance"] == "mc"
+            assert row["within_radius"]
+
+    def test_bad_thread_count_exits_two(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("MOMENT_CERT_THREADS", "2.5")
+        path = write_config(
+            tmp_path,
+            {"command": "scan", "variables": [{"family": "gaussian", "sigma": 1.0}],
+             "p_values": [5.0], "n_values": [10], "samples": 10000},
+        )
+        assert main(["--config", path]) == EXIT_CONFIG
+        assert "MOMENT_CERT_THREADS" in capsys.readouterr().err
+
 
 class TestOutputAndMain:
     def _cfg_path(self, tmp_path):
@@ -631,8 +659,9 @@ class TestRunsGroupedByEquality:
             ("bound", [4.0, 6.0], lambda: spec_from_atoms(*SKEW)),
             ("verify", [4.0, 6.0], lambda: spec_from_atoms(*SKEW)),
             ("verify", [3.0], lambda: uniform(0.8)),
+            ("moments", [5.0], lambda: uniform(0.8)),
         ],
-        ids=["moments", "bound", "verify", "verify-quadrature"],
+        ids=["moments", "bound", "verify", "verify-quadrature", "moments-mc"],
     )
     def test_shared_and_copied_specs_give_identical_documents(
         self, command, p_values, third

@@ -2,8 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from scipy import stats
 
 from momentcert import distmodel
+from momentcert.exactmoments import sum_even_moment
 from momentcert.distmodel import (
     MomentProfile,
     NoCharacteristicFunction,
@@ -167,6 +169,71 @@ class TestSample:
             emp = float(np.mean(np.cos(t * x)))
             # Var cos(tX) <= 1
             assert abs(emp - spec.charfn(t)) <= 6.0 / math.sqrt(n) + 1e-12
+
+
+# Every family with a run law, uniform (k draws) and an atom spec (k draws).
+RUN_SPECS = [
+    gaussian(0.7),
+    rademacher(1.3),
+    symmetric_exponential(0.5),
+    uniform(2.0),
+    symmetric_three_point(0.8, 0.05),
+    symmetric_three_point(1.0, 0.5),
+    spec_from_atoms([-1.0, 0.5, 2.0], [0.3, 0.5, 0.2], 8),
+]
+
+
+class TestRunLaw:
+    """sample_with(rng, count, k) draws the sum of k independent copies."""
+
+    @pytest.mark.parametrize("k", [2, 7, 1000])
+    @pytest.mark.parametrize("spec", RUN_SPECS, ids=str)
+    def test_second_and_fourth_moments(self, spec, k):
+        """Sample E S^2 and E S^4 lie within 6 standard errors of the exact
+        moments of the k-fold sum; the standard errors come from E S^8."""
+        n = 100_000
+        x = spec.sample_with(np.random.default_rng(k), n, k)
+        assert x.shape == (n,)
+        profiles = [spec.moments(8)] * k
+        exact = {r: sum_even_moment(profiles, r) for r in (1, 2, 4)}  # E S^(2r)
+        for r in (1, 2):
+            se = math.sqrt((exact[2 * r] - exact[r] ** 2) / n)
+            assert abs(float(np.mean(x ** (2 * r))) - exact[r]) <= 6.0 * se
+
+    @pytest.mark.parametrize("k", [2, 7, 1000])
+    @pytest.mark.parametrize("spec", RUN_SPECS, ids=str)
+    def test_matches_k_explicit_draws(self, spec, k):
+        """Two-sample Kolmogorov-Smirnov against k added single draws.  Both
+        samples are rounded to 9 decimals: a lattice sum and its explicit
+        additions differ in the last bits, which would split its atoms."""
+        n = 20_000
+        run = spec.sample_with(np.random.default_rng(1), n, k)
+        rng = np.random.default_rng(2)
+        explicit = np.zeros(n)
+        for _ in range(k):
+            explicit += spec.sample_with(rng, n)
+        assert stats.ks_2samp(np.round(run, 9), np.round(explicit, 9)).pvalue > 1e-4
+
+    @pytest.mark.parametrize("spec", RUN_SPECS, ids=str)
+    def test_k_one_is_one_plain_draw(self, spec):
+        a = spec.sample_with(np.random.default_rng(5), 1000)
+        b = spec.sample_with(np.random.default_rng(5), 1000, 1)
+        assert np.array_equal(a, b)
+
+    def test_uniform_run_adds_k_draws(self):
+        rng = np.random.default_rng(8)
+        explicit = rng.uniform(-2.0, 2.0, 50) + rng.uniform(-2.0, 2.0, 50)
+        explicit += rng.uniform(-2.0, 2.0, 50)
+        assert np.array_equal(uniform(2.0).sample_with(np.random.default_rng(8), 50, 3), explicit)
+
+    def test_bad_run_length_rejected(self):
+        with pytest.raises(ValueError, match="k must be"):
+            gaussian(1.0).sample_with(np.random.default_rng(0), 10, 0)
+
+    def test_raw_refused_at_any_k(self):
+        spec = from_profile(MomentProfile((1.0, 0.0, 1.0), centered=True))
+        with pytest.raises(NoSampler):
+            spec.sample_with(np.random.default_rng(0), 10, 5)
 
 
 class TestSpecFromAtoms:

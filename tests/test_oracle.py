@@ -29,6 +29,7 @@ from momentcert import (
     sum_abs_moment_via_haagerup,
     sum_even_moment,
     symmetric_exponential,
+    symmetric_three_point,
     uniform,
     verify_report,
 )
@@ -83,6 +84,10 @@ class TestExactDiscreteMoment:
             exact_discrete_moment(specs, 2.0)
 
 
+THREE_POINT = symmetric_three_point(1.0, 0.2)
+ATOMS = spec_from_atoms([-1.0, 0.5, 2.0], [0.3, 0.5, 0.2], 6)
+
+
 class TestMCMoment:
     def test_deterministic_given_seed(self):
         specs = [gaussian(1.0), uniform(1.0)]
@@ -96,8 +101,14 @@ class TestMCMoment:
         b = mc_moment(specs, 3.0, samples=50_000, seed=2)
         assert a.point != b.point
 
-    def test_thread_count_invariance(self, monkeypatch):
-        specs = [symmetric_exponential(1.0)] * 3
+    @pytest.mark.parametrize(
+        "specs",
+        [[symmetric_exponential(1.0)] * 3,
+         [gaussian(1.0)] * 5 + [uniform(0.5)] * 3 + [THREE_POINT] * 4 + [ATOMS] * 2
+         + [symmetric_exponential(0.3)] * 6 + [rademacher(2.0)] * 7 + [uniform(0.7)]],
+        ids=["laplace", "mixed-runs"],
+    )
+    def test_thread_count_invariance(self, monkeypatch, specs):
         monkeypatch.setenv("MOMENT_CERT_THREADS", "1")
         a = mc_moment(specs, 2.5, samples=300_000, seed=9)
         monkeypatch.setenv("MOMENT_CERT_THREADS", "4")
@@ -109,10 +120,15 @@ class TestMCMoment:
         exact = 3.0 ** 0.25 * 2.0
         assert abs(est.point - exact) <= 2.0 * est.half_width
 
-    def test_ci_coverage(self):
-        """The 90% CI for E|S|^p should cover the exact value in roughly
-        90% of independent repetitions; a binomial bound at 200 trials."""
-        specs = [rademacher(1.0)] * 6
+    @pytest.mark.parametrize(
+        "spec", [rademacher(1.0), THREE_POINT],
+        ids=["rademacher", "three-point"],
+    )
+    def test_ci_coverage(self, spec):
+        """The 90% CI for E|S|^p on a run of six summands should cover the
+        exact value in roughly 90% of independent repetitions; a binomial
+        bound at 200 trials."""
+        specs = [spec] * 6
         exact = exact_discrete_moment(specs, 3.0)
         trials, hits = 200, 0
         for seed in range(trials):
@@ -129,6 +145,67 @@ class TestMCMoment:
     def test_bad_confidence_rejected(self):
         with pytest.raises(ValueError):
             mc_moment([gaussian(1.0)], 2.0, samples=20_000, confidence=1.5)
+
+
+def per_summand_mc(specs, p, samples, seed, confidence=0.999):
+    """mc_moment written out with one draw per summand, in input order."""
+    sums = []
+    for idx in range((samples + oracle._CHUNK - 1) // oracle._CHUNK):
+        count = min(oracle._CHUNK, samples - idx * oracle._CHUNK)
+        rng = np.random.default_rng(np.random.SeedSequence([seed, idx]))
+        total = np.zeros(count)
+        for spec in specs:
+            total += spec.sample_with(rng, count)
+        x = np.abs(total) ** p
+        sums.append((float(np.sum(x)), float(np.sum(x * x))))
+    mean = math.fsum(a for a, _ in sums) / samples
+    var = max(math.fsum(b for _, b in sums) / samples - mean * mean, 0.0)
+    half = statistics.NormalDist().inv_cdf(0.5 + confidence / 2.0) * math.sqrt(var / samples)
+    lo, hi = max(mean - half, 0.0) ** (1.0 / p), (mean + half) ** (1.0 / p)
+    return oracle.MCEstimate(p, mean ** (1.0 / p), (hi - lo) / 2.0, samples, seed,
+                             confidence, mean, half)
+
+
+class TestMCRuns:
+    """mc_moment draws a run of k equal summands once, from its sum's law."""
+
+    def test_distinct_summands_keep_the_per_summand_stream(self):
+        specs = [gaussian(1.0), uniform(0.8), symmetric_exponential(0.6), rademacher(0.5),
+                 THREE_POINT, ATOMS, gaussian(1.0), uniform(0.8)]
+        assert mc_moment(specs, 3.3, samples=300_000, seed=4) == per_summand_mc(
+            specs, 3.3, 300_000, 4)
+
+    @pytest.mark.parametrize(
+        "make", [lambda: gaussian(0.9), lambda: rademacher(1.1),
+                 lambda: symmetric_exponential(0.4), lambda: uniform(1.5),
+                 lambda: symmetric_three_point(0.7, 0.3),
+                 lambda: spec_from_atoms([-1.0, 0.5, 2.0], [0.3, 0.5, 0.2], 6)],
+        ids=["gaussian", "rademacher", "laplace", "uniform", "three-point", "atoms"],
+    )
+    def test_one_object_equals_equal_copies(self, make):
+        one = mc_moment([make()] * 9, 5.0, samples=150_000, seed=3)
+        copies = mc_moment([make() for _ in range(9)], 5.0, samples=150_000, seed=3)
+        assert one == copies
+
+    @pytest.mark.parametrize(
+        "spec", [gaussian(0.9), rademacher(1.1), symmetric_exponential(0.4),
+                 symmetric_three_point(0.7, 0.3)],
+        ids=["gaussian", "rademacher", "laplace", "three-point"],
+    )
+    def test_long_run_matches_exact_fourth_moment(self, spec):
+        est = mc_moment([spec] * 1000, 4.0, samples=200_000, seed=8)
+        exact = sum_even_moment([spec.moments(4)] * 1000, 2)
+        assert abs(est.raw_mean - exact) <= est.raw_half_width
+
+    def test_bad_thread_count_names_the_variable(self, monkeypatch):
+        monkeypatch.setenv("MOMENT_CERT_THREADS", "two")
+        with pytest.raises(ValueError, match="MOMENT_CERT_THREADS"):
+            mc_moment([gaussian(1.0)], 3.0, samples=10_000)
+
+    @pytest.mark.skipif(not hasattr(os, "sched_getaffinity"), reason="no affinity mask")
+    def test_default_thread_count_is_the_affinity_mask(self, monkeypatch):
+        monkeypatch.delenv("MOMENT_CERT_THREADS", raising=False)
+        assert oracle._worker_count() == len(os.sched_getaffinity(0))
 
 
 class TestNormalQuantile:

@@ -54,12 +54,15 @@ class TestCharFunctionProduct:
     )
     def test_equals_one_factor_per_summand(self, specs):
         # A run of k equal factors is one power f**k: it agrees with k
-        # multiplications to within one unit roundoff per factor.
+        # multiplications to within one unit roundoff per factor.  Its
+        # variance is one product k v, which the per-summand sum may miss
+        # by up to one unit roundoff per summand.
         phi = CharFunction.product(specs)
         explicit = explicit_product(specs, T_GRID)
         assert np.all(np.abs(phi.fn(T_GRID) - explicit) <= len(specs) * 2.0 ** -53 * np.abs(explicit))
         profiles = [s.moments(8) for s in specs]
-        assert phi.variance == sum(p.variance for p in profiles)
+        exact_variance = math.fsum(p.variance for p in profiles)
+        assert abs(phi.variance - exact_variance) <= len(specs) * 2.0 ** -53 * exact_variance
         assert phi.fourth_moment == sum_even_moment(profiles, 2)
         assert phi.sixth_moment == sum_even_moment(profiles, 3)
         assert phi.eighth_moment == sum_even_moment(profiles, 4)
