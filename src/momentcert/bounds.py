@@ -1,16 +1,16 @@
 """The bound engine: head-length and growth constants, and certified
 bound reports for every supported statement.
 
-Every operation sorts the sequence by variance (nonincreasing) internally
-and records the permutation, so callers never have to pre-sort.  When a
-hypothesis fails the engine returns a structured non-certifying report
-instead of raising, so sweeps can tabulate applicability regions.
+Every operation sorts the sequence by variance (nonincreasing) internally,
+so callers never have to pre-sort; reports do not carry the permutation,
+which `SequenceSpec.sorted()` returns.  When a hypothesis fails the engine
+returns a structured non-certifying report instead of raising, so sweeps
+can tabulate applicability regions.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Sequence
 
 from .combinatorics import elementary_symmetric
 from .distmodel import VariableSpec
@@ -202,7 +202,6 @@ class BoundReport:
     certifying: bool
     target_kind: str = "norm"
     start_index: int = 1
-    permutation: tuple[int, ...] = ()
     error_budget: float = 0.0
     aux: dict = field(default_factory=dict)
 
@@ -215,7 +214,7 @@ class BoundReport:
         return tuple(a for a in self.assumptions if not a.satisfied)
 
 
-def _non_certifying(statement_id, p, assumptions, permutation, constants=None):
+def _non_certifying(statement_id, p, assumptions, constants=None):
     return BoundReport(
         statement_id=statement_id,
         p=p,
@@ -226,7 +225,6 @@ def _non_certifying(statement_id, p, assumptions, permutation, constants=None):
         constants=constants or {},
         assumptions=tuple(assumptions),
         certifying=False,
-        permutation=permutation,
     )
 
 
@@ -239,36 +237,15 @@ def compute_m(seq: SequenceSpec) -> int:
     return _ceil(worst / 6.0)
 
 
-def minimal_C_symmetric(seq: SequenceSpec, r: int) -> float:
-    """Least C >= 1 with E X_k^{2l} <= C^{2l-2} (2l)!/2^l (E X_k^2)^l
-    for all 2 <= l <= r and all k."""
-    if r < 2:
-        return 1.0
-    c = 1.0
-    for prof in seq.distinct_profiles(2 * r):
-        if not prof.symmetric:
-            raise ValueError("minimal_C_symmetric requires symmetric profiles")
-        for l in range(2, r + 1):
-            ratio = (
-                prof.moment(2 * l)
-                * 2 ** l
-                / (math.factorial(2 * l) * prof.variance ** l)
-            )
-            if ratio > 1.0:
-                c = max(c, ratio ** (1.0 / (2 * l - 2)))
-    return c
-
-
-def minimal_C_centered(seq: SequenceSpec, r: int) -> float:
+def _minimal_C(seq: SequenceSpec, r: int, orders: range, flag: str) -> float:
     """Least C >= 1 with |E X_k^l| <= C^{l-2} l!/2^{l/2} (E X_k^2)^{l/2}
-    for all 2 <= l <= 2r and all k (l = 2 holds automatically)."""
-    if r < 1:
-        return 1.0
+    for every l in orders and all k, each profile `flag` (symmetric or
+    centered); l = 2 holds automatically."""
     c = 1.0
     for prof in seq.distinct_profiles(2 * r):
-        if not prof.centered:
-            raise ValueError("minimal_C_centered requires centered profiles")
-        for l in range(3, 2 * r + 1):
+        if not getattr(prof, flag):
+            raise ValueError(f"minimal_C_{flag} requires {flag} profiles")
+        for l in orders:
             ratio = (
                 abs(prof.moment(l))
                 * 2 ** (l / 2.0)
@@ -277,6 +254,18 @@ def minimal_C_centered(seq: SequenceSpec, r: int) -> float:
             if ratio > 1.0:
                 c = max(c, ratio ** (1.0 / (l - 2)))
     return c
+
+
+def minimal_C_symmetric(seq: SequenceSpec, r: int) -> float:
+    """The growth constant of symmetric summands: the condition at the
+    even orders 4 <= l <= 2r only (1 for r < 2)."""
+    return 1.0 if r < 2 else _minimal_C(seq, r, range(4, 2 * r + 1, 2), "symmetric")
+
+
+def minimal_C_centered(seq: SequenceSpec, r: int) -> float:
+    """The growth constant of centered summands: the condition at every
+    order 3 <= l <= 2r (1 for r < 1)."""
+    return 1.0 if r < 1 else _minimal_C(seq, r, range(3, 2 * r + 1), "centered")
 
 
 # -- bound reports ----------------------------------------------------------
@@ -291,7 +280,7 @@ def bound_p_2_4(seq: SequenceSpec, p: float) -> BoundReport:
     reported, together with the tighter one-sided lower radius 3^{1/4}
     sqrt(v_1) as auxiliary data.
     """
-    sorted_seq, perm = seq.sorted()
+    sorted_seq, _ = seq.sorted()
     v = sorted_seq.variances
     n = len(v)
     m = compute_m(sorted_seq)
@@ -302,7 +291,7 @@ def bound_p_2_4(seq: SequenceSpec, p: float) -> BoundReport:
     )
     constants = {"m": m}
     if not all(a.satisfied for a in assumptions):
-        return _non_certifying("symmetric_p24_band", p, assumptions, perm, constants)
+        return _non_certifying("symmetric_p24_band", p, assumptions, constants)
     gp = gaussian_lp_norm(p)
     center = gp * math.sqrt(sorted_seq.total_variance)
     radius = math.sqrt(3.0 * m) * math.sqrt(v[0])
@@ -316,19 +305,18 @@ def bound_p_2_4(seq: SequenceSpec, p: float) -> BoundReport:
         constants=constants,
         assumptions=assumptions,
         certifying=True,
-        permutation=perm,
         aux={"one_sided_lower_radius": 3.0 ** 0.25 * math.sqrt(v[0])},
     )
 
 
-def _even_cutoff(sorted_seq: SequenceSpec, r: int, symmetric: bool) -> tuple[float, int]:
-    """Growth constant C and cutoff D = ceil(C^2 (r-1)) for symmetric
-    summands, D = ceil(C^2 r(r-1)/2) for centered ones."""
+def _cutoff(sorted_seq: SequenceSpec, r: int, j: int, symmetric: bool) -> tuple[float, int]:
+    """Growth constant C up to order 2r and cutoff D_j = ceil(C^2 j) for
+    symmetric summands, ceil(C^2 (j+1) j/2) for centered ones."""
     if symmetric:
         c = minimal_C_symmetric(sorted_seq, r)
-        return c, _ceil(c * c * (r - 1))
+        return c, _ceil(c * c * j)
     c = minimal_C_centered(sorted_seq, r)
-    return c, _ceil(c * c * r * (r - 1) / 2.0)
+    return c, _ceil(c * c * (j + 1) * j / 2.0)
 
 
 def _bound_even(seq: SequenceSpec, r: int, symmetric: bool) -> BoundReport:
@@ -336,7 +324,7 @@ def _bound_even(seq: SequenceSpec, r: int, symmetric: bool) -> BoundReport:
     for centered ones; both have upper = center + 2 D sqrt(v_1)."""
     statement = "even_symmetric_band" if symmetric else "even_centered_upper"
     kind = "symmetric" if symmetric else "centered"
-    sorted_seq, perm = seq.sorted()
+    sorted_seq, _ = seq.sorted()
     v = sorted_seq.variances
     n = len(v)
     holds = sorted_seq.all_symmetric if symmetric else sorted_seq.all_centered
@@ -345,15 +333,15 @@ def _bound_even(seq: SequenceSpec, r: int, symmetric: bool) -> BoundReport:
         Assumption(kind, holds, f"all summands {kind}"),
     ]
     if not all(a.satisfied for a in assumptions):
-        return _non_certifying(statement, 2 * r, assumptions, perm)
-    c, cutoff = _even_cutoff(sorted_seq, r, symmetric)
+        return _non_certifying(statement, 2 * r, assumptions)
+    c, cutoff = _cutoff(sorted_seq, r, r - 1, symmetric)
     constants = {"C": c, "cutoff_index": cutoff}
     formula = "ceil(C^2 (r-1))" if symmetric else "ceil(C^2 r(r-1)/2)"
     assumptions.append(
         Assumption("cutoff_below_n", cutoff < n, f"{formula}={cutoff} < n={n}")
     )
     if cutoff >= n:
-        return _non_certifying(statement, 2 * r, assumptions, perm, constants)
+        return _non_certifying(statement, 2 * r, assumptions, constants)
     gp = gaussian_lp_norm(2 * r)
     center = gp * math.sqrt(sorted_seq.total_variance)
     radius = 2.0 * cutoff * math.sqrt(v[0])
@@ -367,7 +355,6 @@ def _bound_even(seq: SequenceSpec, r: int, symmetric: bool) -> BoundReport:
         constants=constants,
         assumptions=tuple(assumptions),
         certifying=True,
-        permutation=perm,
     )
 
 
@@ -399,7 +386,7 @@ def bound_general_p(seq: SequenceSpec, p: float, r: int) -> BoundReport:
     (ceil(C^2 floor(p/2)(floor(p/2)+1)/2)+1 otherwise).  The report never
     re-labels this as a bound on the full sum.
     """
-    sorted_seq, perm = seq.sorted()
+    sorted_seq, _ = seq.sorted()
     v = sorted_seq.variances
     n = len(v)
     half = math.floor(p / 2.0)
@@ -408,23 +395,16 @@ def bound_general_p(seq: SequenceSpec, p: float, r: int) -> BoundReport:
         Assumption("centered", sorted_seq.all_centered, "all summands centered"),
     ]
     if not all(a.satisfied for a in assumptions):
-        return _non_certifying("truncated_general_p_upper", p, assumptions, perm)
-    symmetric = sorted_seq.all_symmetric
-    if symmetric:
-        c = minimal_C_symmetric(sorted_seq, r)
-        cutoff = _ceil(c * c * half) + 1
-    else:
-        c = minimal_C_centered(sorted_seq, r)
-        cutoff = _ceil(c * c * half * (half + 1) / 2.0) + 1
+        return _non_certifying("truncated_general_p_upper", p, assumptions)
+    c, cutoff = _cutoff(sorted_seq, r, half, sorted_seq.all_symmetric)
+    cutoff += 1
     multiplier = (2.0 * half + 1.0) / (2.0 * half - 1.0)
     constants = {"C": c, "cutoff_index": cutoff, "multiplier": multiplier}
     assumptions.append(
         Assumption("cutoff_within_n", cutoff <= n, f"cutoff={cutoff} <= n={n}")
     )
     if cutoff > n:
-        return _non_certifying(
-            "truncated_general_p_upper", p, assumptions, perm, constants
-        )
+        return _non_certifying("truncated_general_p_upper", p, assumptions, constants)
     w = WeightVector(tuple(map(math.sqrt, v)))
     even = float(p).is_integer() and int(p) % 2 == 0
     try:
@@ -432,9 +412,7 @@ def bound_general_p(seq: SequenceSpec, p: float, r: int) -> BoundReport:
     except (DynamicRangeExceeded, SupportExplosion) as exc:
         failed = "dynamic_range" if even else "enumeration_cap"
         assumptions.append(Assumption(failed, False, str(exc)))
-        return _non_certifying(
-            "truncated_general_p_upper", p, assumptions, perm, constants
-        )
+        return _non_certifying("truncated_general_p_upper", p, assumptions, constants)
     tail_var = sum(v[cutoff - 1 :])
     return BoundReport(
         statement_id="truncated_general_p_upper",
@@ -448,7 +426,6 @@ def bound_general_p(seq: SequenceSpec, p: float, r: int) -> BoundReport:
         certifying=True,
         target_kind="abs_moment",
         start_index=cutoff,
-        permutation=perm,
         aux={"rademacher_abs_moment": rad},
     )
 
@@ -503,7 +480,7 @@ def latala_logconcave_bounds(
         by quadrature for 2 < p < 4, and by Monte Carlo otherwise (the head's
         numeric error is carried in the report's error budget).
     """
-    sorted_seq, perm = seq.sorted()
+    sorted_seq, _ = seq.sorted()
     v = sorted_seq.variances
     n = len(v)
     assumptions = (
@@ -519,8 +496,8 @@ def latala_logconcave_bounds(
     center = gp * math.sqrt(sorted_seq.total_variance)
     if not all(a.satisfied for a in assumptions):
         return (
-            _non_certifying("logconcave_radius", p, assumptions, perm),
-            _non_certifying("logconcave_sandwich", p, assumptions, perm),
+            _non_certifying("logconcave_radius", p, assumptions),
+            _non_certifying("logconcave_sandwich", p, assumptions),
         )
     radius = p * math.sqrt(max(v))
     two_sided = BoundReport(
@@ -533,10 +510,9 @@ def latala_logconcave_bounds(
         constants={},
         assumptions=assumptions,
         certifying=True,
-        permutation=perm,
     )
     # Sandwich: head indices k < p, tail variance from index ceil(p/2) on.
-    head_count = min(n, int(math.ceil(p)) - 1 if not float(p).is_integer() else int(p) - 1)
+    head_count = min(n, math.ceil(p) - 1)
     tail_start = _ceil(p / 2.0)
     tail_var = sum(v[tail_start - 1 :]) if tail_start <= n else 0.0
     constants = {"head_count": head_count, "tail_start": tail_start}
@@ -549,7 +525,7 @@ def latala_logconcave_bounds(
     except DynamicRangeExceeded as exc:
         failed = Assumption("dynamic_range", False, str(exc))
         return two_sided, _non_certifying(
-            "logconcave_sandwich", p, assumptions + (failed,), perm, constants
+            "logconcave_sandwich", p, assumptions + (failed,), constants
         )
     g_tail = gp * math.sqrt(tail_var)
     sandwich = BoundReport(
@@ -562,7 +538,6 @@ def latala_logconcave_bounds(
         constants=constants,
         assumptions=assumptions,
         certifying=True,
-        permutation=perm,
         error_budget=head.norm_error,
         aux={"head_norm": head.norm, "head_provenance": head.provenance},
     )
@@ -586,7 +561,7 @@ class TailCheckReport:
 def _check_tail_bounds(seq: SequenceSpec, r: int, symmetric: bool) -> TailCheckReport:
     sorted_seq, _ = seq.sorted()
     v = sorted_seq.variances
-    c, cutoff = _even_cutoff(sorted_seq, r, symmetric)
+    c, cutoff = _cutoff(sorted_seq, r, r - 1, symmetric)
     if r < 2 or cutoff >= len(v):
         return TailCheckReport(math.nan, math.nan, math.nan, cutoff, c, False, False)
     tail = tail_sum_even_moment(sorted_seq.profiles(2 * r), cutoff + 1, r)

@@ -19,7 +19,7 @@ relative to the scale of the sum: tol * max(1, variance^(p/2)).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -38,10 +38,6 @@ __all__ = [
     "haagerup_moment",
     "sum_abs_moment_via_haagerup",
 ]
-
-# Below t^2 * variance of this size the compensated integrand switches to
-# its Taylor form (orders 4 and 6) to dodge catastrophic cancellation.
-_TAYLOR_THRESHOLD = 1e-4
 
 # Numerical slack for "theorem holds on the grid" assertions.
 _GRID_SLACK = 1e-12
@@ -128,19 +124,6 @@ class CharFunction:
 
         return cls(prod, variance, m[4], m[6], m[8], len(specs) + len(runs))
 
-    def compensated(self, t):
-        """phi(t) - 1 + t^2 variance / 2, safe near t = 0.
-
-        Switches to the Taylor form mu_4 t^4/24 - mu_6 t^6/720 where the
-        direct difference would cancel catastrophically.
-        """
-        arr = np.atleast_1d(np.asarray(t, dtype=float))
-        direct = self.fn(arr) - 1.0 + 0.5 * self.variance * arr ** 2
-        taylor = self.fourth_moment * arr ** 4 / 24.0 - self.sixth_moment * arr ** 6 / 720.0
-        small = self.variance * arr ** 2 < _TAYLOR_THRESHOLD
-        out = np.where(small, taylor, direct)
-        return float(out[0]) if np.isscalar(t) else out
-
 
 @dataclass(frozen=True)
 class IntegralResult:
@@ -172,6 +155,18 @@ class GridCheckReport:
     applicable: bool = True
 
 
+def _grid_report(t, slack, margins, preconditions=()) -> GridCheckReport:
+    """Passed iff no slack falls below -_GRID_SLACK; the first ten
+    violations are reported as (t, slack)."""
+    bad = slack < -_GRID_SLACK
+    return GridCheckReport(
+        passed=not bad.any(),
+        margins=margins,
+        violations=tuple(zip(t[bad][:10].tolist(), slack[bad][:10].tolist())),
+        preconditions=preconditions,
+    )
+
+
 def default_t_grid() -> np.ndarray:
     """The default checker grid: dense on [0, 50] plus log-spaced points
     near the origin, where the inequalities are tightest."""
@@ -193,19 +188,11 @@ def check_cosine_bounds(spec: VariableSpec, t_grid=None) -> GridCheckReport:
     upper = lower + prof.moment(4) * t ** 4 / 24.0
     lo_slack = phi - lower
     up_slack = upper - phi
-    bad = (lo_slack < -_GRID_SLACK) | (up_slack < -_GRID_SLACK)
-    violations = tuple(
-        (float(ti), float(min(l, u)))
-        for ti, l, u in zip(t[bad][:10], lo_slack[bad][:10], up_slack[bad][:10])
-    )
-    return GridCheckReport(
-        passed=not bad.any(),
-        margins={
-            "lower_min_slack": float(lo_slack.min()),
-            "upper_min_slack": float(up_slack.min()),
-        },
-        violations=violations,
-    )
+    margins = {
+        "lower_min_slack": float(lo_slack.min()),
+        "upper_min_slack": float(up_slack.min()),
+    }
+    return _grid_report(t, np.minimum(lo_slack, up_slack), margins)
 
 
 def check_main_charfn_inequality(
@@ -260,23 +247,10 @@ def check_main_charfn_inequality(
             passed=False, margins={}, preconditions=preconditions, applicable=False
         )
     t = default_t_grid() if t_grid is None else np.asarray(t_grid, dtype=float)
-    phi_s = np.ones_like(t)
-    for s in x_specs:
-        phi_s = phi_s * s.charfn(t)
-    phi_r = np.ones_like(t)
-    for s in y_specs[m:]:
-        phi_r = phi_r * s.charfn(t)
+    phi_s = math.prod(s.charfn(t) for s in x_specs)
+    phi_r = math.prod(s.charfn(t) for s in y_specs[m:])
     slack = phi_s + 0.5 * sum(vx[:m]) * t ** 2 - phi_r
-    bad = slack < -_GRID_SLACK
-    violations = tuple(
-        (float(ti), float(si)) for ti, si in zip(t[bad][:10], slack[bad][:10])
-    )
-    return GridCheckReport(
-        passed=not bad.any(),
-        margins={"min_slack": float(slack.min())},
-        violations=violations,
-        preconditions=preconditions,
-    )
+    return _grid_report(t, slack, {"min_slack": float(slack.min())}, preconditions)
 
 
 def haagerup_constant(p: float) -> float:

@@ -464,8 +464,9 @@ def main(argv=None) -> int:
     except (ConfigError, NoEngine) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except ValueError as exc:
-        # An engine refusal that no report absorbed: not a failed check.
+    except (ValueError, ArithmeticError) as exc:
+        # An engine refusal that no report absorbed, or a number too large
+        # for a float or an index: not a failed check.
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     unverified = [row for row in rows if row.get("verdict") == "UNVERIFIED"]

@@ -146,12 +146,8 @@ def mc_moment(
         x **= p
         return float(np.sum(x)), float(np.sum(x * x))
 
-    workers = _worker_count()
-    if workers > 1 and len(chunks) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            partials = list(pool.map(run_chunk, chunks))
-    else:
-        partials = [run_chunk(c) for c in chunks]
+    with ThreadPoolExecutor(max_workers=min(_worker_count(), len(chunks))) as pool:
+        partials = list(pool.map(run_chunk, chunks))
     s1 = math.fsum(a for a, _ in partials)
     s2 = math.fsum(b for _, b in partials)
     mean = s1 / samples

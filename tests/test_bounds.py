@@ -427,6 +427,67 @@ class TestTailChecks:
         assert not rep.applicable and not rep.passed
 
 
+def ceil_cutoff(x):
+    return math.ceil(x - 1e-12)
+
+
+class TestOneCutoffRule:
+    """Every cutoff against its formula written out, on sequences with C > 1."""
+
+    SYMMETRIC = (
+        (symmetric_three_point(1.0, 0.05),) * 30,
+        (gaussian(2.0),) * 10 + (symmetric_three_point(0.5, 0.02),) * 20,
+    )
+    ASYMMETRIC = (
+        (spec_from_atoms([0.0, 1.0, 4.0], [0.7, 0.2, 0.1], 8),) * 40,
+        (spec_from_atoms([-0.5, 0.0, 4.0], [0.6, 0.3, 0.1], 8),) * 10 + (gaussian(1.0),) * 10,
+    )
+
+    def test_constants_are_one_below_their_orders_whatever_the_flags(self):
+        skew = SequenceSpec((spec_from_atoms([-1.0, 0.0, 2.0], [0.3, 0.4, 0.3], 8),))
+        off = SequenceSpec((spec_from_atoms([0.0, 1.0], [0.5, 0.5], 4, center=False),))
+        assert minimal_C_symmetric(skew, 1) == 1.0
+        assert minimal_C_centered(off, 0) == 1.0
+        with pytest.raises(ValueError, match="minimal_C_symmetric requires symmetric profiles"):
+            minimal_C_symmetric(skew, 2)
+        with pytest.raises(ValueError, match="minimal_C_centered requires centered profiles"):
+            minimal_C_centered(off, 1)
+
+    @pytest.mark.parametrize(
+        "r, p", [(r, p) for r in (2, 3) for p in (2.5, 3.0, 5.0, 6.0) if p <= 2 * r]
+    )
+    def test_general_p(self, r, p):
+        half = math.floor(p / 2.0)
+        for variables in self.SYMMETRIC:
+            seq = SequenceSpec(variables)
+            c = minimal_C_symmetric(seq, r)
+            assert c > 1.0
+            rep = bound_general_p(seq, p, r)
+            assert rep.constants["cutoff_index"] == ceil_cutoff(c * c * half) + 1
+        for variables in self.ASYMMETRIC:
+            seq = SequenceSpec(variables)
+            c = minimal_C_centered(seq, r)
+            assert c > 1.0
+            rep = bound_general_p(seq, p, r)
+            want = ceil_cutoff(c * c * half * (half + 1) / 2.0) + 1
+            assert rep.constants["cutoff_index"] == want
+
+    @pytest.mark.parametrize("r", [2, 3])
+    def test_even_statements_and_tail_checks(self, r):
+        for variables in self.SYMMETRIC + self.ASYMMETRIC:
+            seq = SequenceSpec(variables)
+            c = minimal_C_centered(seq, r)
+            want = ceil_cutoff(c * c * r * (r - 1) / 2.0)
+            assert bound_even_centered(seq, r).constants["cutoff_index"] == want
+            assert check_centered_tail_bounds(seq, r).cutoff_index == want
+        for variables in self.SYMMETRIC:
+            seq = SequenceSpec(variables)
+            c = minimal_C_symmetric(seq, r)
+            want = ceil_cutoff(c * c * (r - 1))
+            assert bound_even_symmetric(seq, r).constants["cutoff_index"] == want
+            assert check_symmetric_tail_bounds(seq, r).cutoff_index == want
+
+
 class TestReportInvariant:
     def test_lower_above_upper_rejected(self):
         from momentcert.bounds import BoundReport

@@ -1,6 +1,7 @@
 import dataclasses
 import math
 from fractions import Fraction
+from types import SimpleNamespace
 
 import mpmath as mp
 import numpy as np
@@ -52,18 +53,6 @@ class TestCharFunction:
             direct = direct * s.charfn(t)
         assert np.allclose(phi(t), direct, atol=1e-14)
 
-    def test_compensated_small_t_no_cancellation(self):
-        phi = CharFunction.from_spec(gaussian(1.0))
-        t = 1e-6
-        # exact: exp(-t^2/2) - 1 + t^2/2 = t^4/8 + O(t^6)
-        assert phi.compensated(np.array([t]))[0] == pytest.approx(t ** 4 / 8.0, rel=1e-6)
-
-    def test_compensated_matches_direct_at_moderate_t(self):
-        phi = CharFunction.from_spec(symmetric_exponential(1.0))
-        t = np.array([0.5, 1.0, 3.0])
-        direct = phi(t) - 1.0 + 0.5 * t ** 2
-        assert np.allclose(phi.compensated(t), direct, rtol=1e-12)
-
 
 class TestCosineBounds:
     @pytest.mark.parametrize(
@@ -93,6 +82,18 @@ class TestCosineBounds:
         spec = spec_from_atoms([0.0, 1.0, 3.0], [0.5, 0.3, 0.2], 4)
         with pytest.raises(ValueError):
             check_cosine_bounds(spec)
+
+    def test_violations_are_the_first_ten_worse_slacks(self):
+        # No characteristic function: 1 - t^2 falls below 1 - t^2/2 by t^2/2.
+        fake = SimpleNamespace(
+            symmetric=True, moments=rademacher(1.0).moments, charfn=lambda t: 1.0 - t ** 2
+        )
+        report = check_cosine_bounds(fake, t_grid=[0.0, 1e-7, 0.5, 1.0, 2.0])
+        assert not report.passed
+        assert report.violations == ((0.5, -0.125), (1.0, -0.5), (2.0, -2.0))
+        assert report.margins["lower_min_slack"] == -2.0
+        assert report.margins["upper_min_slack"] >= 0.0
+        assert len(check_cosine_bounds(fake).violations) == 10
 
 
 class TestMainInequality:

@@ -542,8 +542,32 @@ class TestBadInputs:
         assert "dynamic range" in err
         assert len(err.strip().splitlines()) == 1
 
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            {"command": "moments", "variables": [{"family": "gaussian", "sigma": 1.0}],
+             "p_values": [1000]},
+            {"command": "bound", "variables": [{"family": "gaussian", "sigma": 1.0, "count": 5}],
+             "p_values": [400]},
+            {"command": "bound", "variables": [{"family": "gaussian", "sigma": 1.0, "count": 5}],
+             "r_values": [200]},
+            {"command": "moments",
+             "variables": [{"family": "gaussian", "sigma": 1e200, "count": 3}],
+             "p_values": [3]},
+            {"command": "scan", "variables": [{"family": "gaussian", "sigma": 1.0}],
+             "p_values": [3], "n_values": [1e30]},
+        ],
+        ids=["moments-p1000", "bound-p400", "bound-r200", "moments-sigma1e200", "scan-n1e30"],
+    )
+    def test_numeric_overflow_exits_two(self, tmp_path, capsys, doc):
+        path = write_config(tmp_path, doc)
+        assert main(["--config", path]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert len(err.strip().splitlines()) == 1
 
-GAUSS = [{"family": "gaussian", "sigma": 1.0}]
+
+GAUSS =[{"family": "gaussian", "sigma": 1.0}]
 
 
 class TestConfigNumbers:
