@@ -47,7 +47,6 @@ from .distmodel import (
     uniform,
 )
 from .exactmoments import (
-    DynamicRangeExceeded,
     WeightVector,
     gaussian_lp_norm,
     rademacher_abs_moment,

@@ -14,7 +14,10 @@ closed-form Taylor head on [0, a] from the fourth and sixth moments, whose
 remainder the eighth moment bounds; vectorized adaptive Gauss-Kronrod 7/15
 panels on [a, T], with a bound on the rounding of phi; and a closed-form
 tail on [T, inf), where |phi| <= 1 bounds the rest.  The tolerance is
-relative to the scale of the sum: tol * max(1, variance^(p/2)).
+relative to the scale of the sum, tol * variance^(p/2), at every scale:
+the head split, the tail point and the rounding bound all scale with the
+standard deviation, so a sum converges exactly when its unit-variance
+rescaling does.
 """
 from __future__ import annotations
 
@@ -276,15 +279,15 @@ def haagerup_moment(phi: CharFunction, p: float, tol: float = 1e-8) -> IntegralR
       |phi| <= 1 bounds the rest by T^{-p}/p.
     a balances the head's remainder against the rounding of g near the
     origin, and T puts a quarter of the budget in the tail.  The result
-    is `converged` iff its total error is at most
-    tol * max(1, variance^(p/2)), which for unit variance is absolute.
+    is `converged` iff its total error is at most tol * variance^(p/2),
+    relative to the sum's scale at every variance.
     """
     cp = haagerup_constant(p)
     if tol <= 0:
         raise ValueError("tol must be positive")
     var, m4, m6, m8 = phi.variance, phi.fourth_moment, phi.sixth_moment, phi.eighth_moment
     sigma = math.sqrt(var)
-    scale = tol * max(1.0, var ** (0.5 * p))
+    scale = tol * var ** (0.5 * p)
     budget = scale / cp  # on the scale of I
     u = _UNIT_ROUNDOFF
     fuzz = _FACTOR_ULPS * phi.factors * u

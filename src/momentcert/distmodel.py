@@ -17,8 +17,7 @@ import numpy as np
 __all__ = [
     "MomentProfile",
     "VariableSpec",
-    "NoCharacteristicFunction",
-    "NoSampler",
+    "NoEngine",
     "gaussian",
     "rademacher",
     "symmetric_exponential",
@@ -32,12 +31,8 @@ __all__ = [
 _REL_TOL = 1e-9
 
 
-class NoCharacteristicFunction(ValueError):
-    """The spec has no evaluable characteristic function (raw moments only)."""
-
-
-class NoSampler(ValueError):
-    """The spec cannot produce samples (raw moments only)."""
+class NoEngine(ValueError):
+    """No engine can evaluate the requested moment of these summands."""
 
 
 @dataclass(frozen=True)
@@ -294,9 +289,7 @@ class VariableSpec:
         """charfn for arrays only: the family's function with this spec's
         parameters bound, as CharFunction.product calls it per point."""
         if self.family == "raw_moments":
-            raise NoCharacteristicFunction(
-                "no characteristic function available for a raw moment profile"
-            )
+            raise NoEngine("no characteristic function available for a raw moment profile")
         return partial(FAMILIES[self.family].charfn, self.params)
 
     # -- sampling ----------------------------------------------------------
@@ -320,7 +313,7 @@ class VariableSpec:
             values, probs = map(np.asarray, self.support)
             draw = partial(rng.choice, values, count, p=probs)
         else:
-            raise NoSampler("cannot sample from a raw moment profile")
+            raise NoEngine("cannot sample from a raw moment profile")
         out = draw()
         for _ in range(k - 1):
             out += draw()

@@ -19,9 +19,8 @@ from typing import TYPE_CHECKING, Sequence
 import numpy as np
 
 from .charfn import sum_abs_moment_via_haagerup
-from .distmodel import VariableSpec
-from .exactmoments import (
-    DynamicRangeExceeded, SupportExplosion, _atom_abs_moment, run_lengths, sum_even_moment)
+from .distmodel import NoEngine, VariableSpec
+from .exactmoments import SupportExplosion, _atom_abs_moment, run_lengths, sum_even_moment
 
 if TYPE_CHECKING:
     from .bounds import BoundReport, SequenceSpec
@@ -39,10 +38,6 @@ __all__ = [
 ]
 
 _CHUNK = 1 << 17
-
-
-class NoEngine(ValueError):
-    """No engine can evaluate the requested moment of these summands."""
 
 
 @dataclass(frozen=True)
@@ -176,24 +171,23 @@ def estimate_moment(
     that applies: exact convolution of the cached moment profiles for even
     p; if ``exact_atoms``, the exact finite-support engine on atom
     summands; quadrature for 2 < p < 4 on symmetric parametric summands,
-    converged when its budget is at most ``tol * max(1, variance^(p/2))``
-    (absolute for variance <= 1, else relative to the sum's scale); else
-    Monte Carlo, unless a summand is a raw
-    moment profile without atoms (NoEngine).  A quadrature norm's budget
-    is the raw one mapped through the monotone 1/p-power; Monte Carlo maps
-    the interval's endpoints.
+    converged when its budget is at most ``tol * variance^(p/2)``, relative
+    to the sum's scale at every variance; else Monte Carlo, unless a
+    summand is a raw moment profile without atoms (NoEngine).  A
+    quadrature norm's budget is the raw one mapped through the monotone
+    1/p-power; Monte Carlo maps the interval's endpoints.
 
     Memoized on the ``seq`` instance for its lifetime, by p, the slice's
-    fields and every keyword.  A refusal (DynamicRangeExceeded or
-    SupportExplosion) is memoized too and raised again with the same class
-    and message.  An equal but separate SequenceSpec shares nothing.
+    fields and every keyword.  A refusal of the grid budget
+    (SupportExplosion) is memoized too and raised again with the same
+    message.  An equal but separate SequenceSpec shares nothing.
     """
     memo = seq._summary.estimates
     key = (p, part.start, part.stop, part.step, exact_atoms, tol, samples, seed, confidence)
     if key not in memo:
         try:
             memo[key] = _estimate(seq, p, part, exact_atoms, tol, samples, seed, confidence)
-        except (DynamicRangeExceeded, SupportExplosion) as exc:
+        except SupportExplosion as exc:
             memo[key] = exc.with_traceback(None)  # a traceback would pin the refused grid
     if isinstance(hit := memo[key], Exception):
         raise type(hit)(*hit.args)

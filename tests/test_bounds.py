@@ -279,11 +279,14 @@ class TestBoundGeneralP:
         rep = bound_general_p(seq_of(gaussian(1.0), 5), 5.0, 2)
         assert not rep.certifying
 
-    def test_extreme_dynamic_range_not_certifying(self):
+    def test_wide_spread_certifies(self):
+        """Variances spread by 1e10: the truncated sum is Gaussian, so its
+        fourth moment is 3 (tail variance)^2, and the bound holds it."""
         seq = SequenceSpec((gaussian(1.0),) * 5 + (gaussian(1e-5),) * 5)
         rep = bound_general_p(seq, 4.0, 2)
-        assert not rep.certifying
-        assert [a.name for a in rep.failed_assumptions()] == ["dynamic_range"]
+        assert rep.certifying
+        tail_var = sum(seq.sorted()[0].variances[rep.start_index - 1 :])
+        assert 3.0 * tail_var ** 2 <= rep.upper
 
 
 class TestRatioCheck:
@@ -344,13 +347,16 @@ class TestLatalaBounds:
         exact = 330.0 ** 0.25
         assert sandwich.lower <= exact <= sandwich.upper
 
-    def test_sandwich_head_dynamic_range_not_certifying(self):
+    def test_sandwich_head_wide_spread_certifies(self):
+        """A head whose variances spread by 1e10 is exact, and the sandwich
+        holds the Gaussian sum's norm (3 (sum v)^2)^(1/4)."""
         seq = SequenceSpec((gaussian(1.0),) * 2 + (gaussian(1e-5),) * 5)
         radius, sandwich = latala_logconcave_bounds(seq, 4.0)
-        assert radius.certifying
-        assert not sandwich.certifying
-        assert [a.name for a in sandwich.failed_assumptions()] == ["dynamic_range"]
+        assert radius.certifying and sandwich.certifying
+        assert sandwich.aux["head_provenance"] == "exact"
         assert sandwich.constants == {"head_count": 3, "tail_start": 2}
+        exact = (3.0 * (2.0 + 5e-10) ** 2) ** 0.25
+        assert sandwich.lower <= exact <= sandwich.upper
 
     def test_sandwich_quadrature_head_for_fractional_p(self):
         seq = seq_of(symmetric_exponential(1.0), 8)

@@ -327,12 +327,13 @@ class TestQuadratureCrossChecks:
         assert res.converged
         assert abs(res.value - mpmath_abs_moment(summands, p)) <= res.total_error
 
-    @pytest.mark.parametrize("sigma", [1.0, 0.01])
+    @pytest.mark.parametrize("sigma", [1.0, 0.01, 1e-3, 1e-6])
     def test_hundred_laplace_converges(self, sigma):
         """100 Laplace summands at p = 3, against the exact rational value,
-        at unit scale and at sigma = 0.01, where the budget is absolute."""
+        within a budget of tol times the sum's scale at every sigma."""
         res = sum_abs_moment_via_haagerup([symmetric_exponential(sigma)] * 100, 3.0, tol=1e-8)
         assert res.converged
+        assert res.total_error <= 1e-8 * (100 * sigma ** 2) ** 1.5
         assert abs(res.value - laplace_sum_third_moment(100, sigma)) <= res.total_error
 
     def test_exact_laplace_formula(self):
@@ -341,14 +342,22 @@ class TestQuadratureCrossChecks:
 
 class TestVectorizedRule:
     def test_converged_is_the_budget_test(self):
+        """One rule at every scale, sums of variance far below 1 included:
+        converged iff the budget is at most tol * variance^(p/2), and a sum
+        scaled by c converges as the unscaled one does, in as many
+        evaluations."""
         rng = np.random.default_rng(24)
         for _ in range(20):
-            specs = list(random_symmetric_seq(rng, int(rng.integers(1, 12))).variables)
+            scale = float(10 ** rng.uniform(-4, 2))
+            unscaled = list(random_symmetric_seq(rng, int(rng.integers(1, 12))).variables)
+            specs = [s.scaled(scale) for s in unscaled]
             p, tol = float(rng.uniform(2.05, 3.95)), float(10 ** rng.uniform(-10, -4))
             res = sum_abs_moment_via_haagerup(specs, p, tol)
             variance = sum(s.variance for s in specs)
             assert res.total_error == res.quad_error + res.head_error + res.tail_error
-            assert res.converged == (res.total_error <= tol * max(1.0, variance ** (p / 2)))
+            assert res.converged == (res.total_error <= tol * variance ** (p / 2))
+            ref = sum_abs_moment_via_haagerup(unscaled, p, tol)
+            assert (res.converged, res.evaluations) == (ref.converged, ref.evaluations)
 
     def test_one_call_per_round(self):
         """phi is evaluated on whole rounds of 15-node panels, not point by point."""

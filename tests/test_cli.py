@@ -1,6 +1,10 @@
 import json
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import count_calls
 from momentcert.cli import (
@@ -13,6 +17,7 @@ from momentcert.cli import (
     main,
     run,
 )
+from momentcert import distmodel
 from momentcert.distmodel import (
     gaussian,
     rademacher,
@@ -176,6 +181,24 @@ class TestMomentsCommand:
         assert row["lp_norm"]["provenance"] == "quadrature"
         assert row["lp_norm"]["error"] < 1e-6
 
+    def test_small_scale_gaussian_sum(self, tmp_path):
+        """A sum of variance 3e-6: the quadrature budget is relative, so each
+        norm holds the exact gamma_p sqrt(3e-6) within a budget of its size."""
+        path = write_config(
+            tmp_path,
+            {"command": "moments", "variables": [
+                {"family": "gaussian", "sigma": 1e-3, "count": 3}],
+             "p_values": [2.5, 3.0, 3.5]},
+        )
+        out = tmp_path / "report.json"
+        assert main(["--config", path, "--out", str(out)]) == EXIT_OK
+        rows = json.loads(out.read_text())["rows"]
+        assert [row["p"] for row in rows] == [2.5, 3.0, 3.5]
+        for row in rows:
+            norm, exact = row["lp_norm"], row["gaussian_center"]["value"]
+            assert norm["provenance"] == "quadrature"
+            assert abs(norm["value"] - exact) <= norm["error"] <= 1e-8 * exact
+
 
 class TestVerifyCommand:
     def test_all_pass(self, tmp_path):
@@ -189,6 +212,20 @@ class TestVerifyCommand:
         rows = json.loads(document)["rows"]
         verdicts = {row["verdict"] for row in rows}
         assert "PASS" in verdicts and "FAIL" not in verdicts
+
+    def test_tiny_uniform_sum_passes(self, tmp_path):
+        """Four uniforms on [-a, a] with a = 2.1886e-6: the quadrature
+        grounds stay positive and every row PASSes."""
+        path = write_config(
+            tmp_path,
+            {"command": "verify", "variables": [
+                {"family": "uniform", "a": 2.1886e-6, "count": 4}],
+             "p_values": [2.5], "r_values": [3]},
+        )
+        out = tmp_path / "report.json"
+        assert main(["--config", path, "--out", str(out)]) == EXIT_OK
+        rows = json.loads(out.read_text())["rows"]
+        assert rows and all(row["verdict"] == "PASS" for row in rows)
 
     def test_corrupted_engine_yields_fail(self, tmp_path, monkeypatch):
         """End-to-end self-test: sabotage a bound and expect exit code 1."""
@@ -415,41 +452,49 @@ class TestBadInputs:
         with pytest.raises(ConfigError):
             load_config(path)
 
-    SPREAD = [
-        {"family": "gaussian", "sigma": 1.0, "count": 5},
-        {"family": "gaussian", "sigma": 1e-5, "count": 5},
-    ]
-
-    def test_dynamic_range_bound_is_non_certifying(self, tmp_path):
-        path = write_config(
-            tmp_path,
-            {"command": "bound", "variables": self.SPREAD, "p_values": [4.0],
-             "r_values": [2]},
-        )
-        status, document = run(load_config(path))
-        assert status == EXIT_OK
-        rows = [r for r in json.loads(document)["rows"]
-                if r["statement"] == "truncated_general_p_upper"]
-        assert [r["failed"] for r in rows] == [["dynamic_range"]]
-
-    def test_refused_ground_truth_is_unverified(self, tmp_path, capsys):
+    def test_wide_spread_certifies_and_passes(self, tmp_path, capsys):
+        """Variances spread by 1e10: every bound certifies, and every row
+        PASSes against its exact or quadrature ground truth."""
         out = tmp_path / "report.json"
         path = write_config(
             tmp_path,
-            {"command": "verify", "variables": self.SPREAD, "p_values": [4.0],
-             "r_values": [2], "output_path": str(out)},
+            {"command": "verify", "p_values": [3.0, 4.0], "r_values": [2],
+             "variables": [{"family": "gaussian", "sigma": 1.0, "count": 5},
+                           {"family": "gaussian", "sigma": 1e-5, "count": 5}],
+             "output_path": str(out)},
         )
+        assert main(["--config", path]) == EXIT_OK
+        assert capsys.readouterr().err == ""
+        rows = json.loads(out.read_text())["rows"]
+        assert len(rows) == 10
+        assert all(r["certifying"] and r["verdict"] == "PASS" for r in rows)
+        assert "truncated_general_p_upper" in {r["statement"] for r in rows}
+
+    # 26 distinct Rademacher weights overflow the grid budget, lowered to 2^12.
+    GRID_REFUSED = {
+        "command": "verify", "p_values": [3.0], "r_values": [2],
+        "variables": [{"family": "rademacher", "sigma": q ** 0.5} for q in (
+            2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41,
+            43, 47, 53, 59, 61, 67, 71, 73, 79, 83, 89, 97, 101)],
+    }
+
+    def test_refused_ground_truth_is_unverified(self, tmp_path, capsys, monkeypatch):
+        from momentcert import exactmoments
+
+        monkeypatch.setattr(exactmoments, "_MAX_GRID", 1 << 12)
+        out = tmp_path / "report.json"
+        path = write_config(tmp_path, {**self.GRID_REFUSED, "output_path": str(out)})
         assert main(["--config", path]) == EXIT_CONFIG
         assert "UNVERIFIED" in capsys.readouterr().err
         rows = json.loads(out.read_text())["rows"]
-        statements = {r["statement"] for r in rows}
-        assert {"even_symmetric_band", "truncated_general_p_upper"} <= statements
+        assert "even_symmetric_band" in {r["statement"] for r in rows if r["verdict"] == "PASS"}
         unverified = [r for r in rows if r["verdict"] == "UNVERIFIED"]
         assert unverified
-        assert all("dynamic range" in r["detail"] for r in unverified)
+        assert all("exceeds 4096" in r["detail"] for r in unverified)
         assert all("ground" not in r for r in unverified)
         skipped = [r for r in rows if r["statement"] == "truncated_general_p_upper"]
         assert [r["verdict"] for r in skipped] == ["SKIPPED"]
+        assert [r["failed"] for r in skipped] == [["enumeration_cap"]]
 
     def test_fail_outranks_unverified(self, tmp_path, monkeypatch):
         import dataclasses
@@ -531,15 +576,14 @@ class TestBadInputs:
         with pytest.raises(ValueError, match="not a refusal"):
             run(load_config(path))
 
-    def test_engine_refusal_exits_two(self, tmp_path, capsys):
-        path = write_config(
-            tmp_path,
-            {"command": "verify", "variables": self.SPREAD, "p_values": [4.0],
-             "r_values": [2]},
-        )
+    def test_engine_refusal_exits_two(self, tmp_path, capsys, monkeypatch):
+        from momentcert import exactmoments
+
+        monkeypatch.setattr(exactmoments, "_MAX_GRID", 1 << 12)
+        path = write_config(tmp_path, self.GRID_REFUSED)
         assert main(["--config", path]) == EXIT_CONFIG
         err = capsys.readouterr().err
-        assert "dynamic range" in err
+        assert "exceeds 4096" in err
         assert len(err.strip().splitlines()) == 1
 
     @pytest.mark.parametrize(
@@ -704,3 +748,49 @@ class TestRunsGroupedByEquality:
         if p_values == [3.0]:
             rows = json.loads(docs[0][1])["rows"]
             assert any(r.get("ground", {}).get("provenance") == "quadrature" for r in rows)
+
+
+@st.composite
+def variable_docs(draw):
+    """One variable descriptor: a family or an atom law, at a scale
+    10^u for u uniform on [-6, 6], repeated 1-4 times."""
+    scale = 10.0 ** draw(st.floats(-6.0, 6.0))
+    count = draw(st.integers(1, 4))
+    family = draw(st.sampled_from(
+        ["gaussian", "rademacher", "symmetric_exponential", "uniform",
+         "symmetric_three_point", "atoms"]))
+    if family == "atoms":
+        values = draw(st.lists(st.integers(-15, 15), min_size=2, max_size=4, unique=True))
+        weights = draw(st.lists(st.integers(1, 9), min_size=len(values),
+                                max_size=len(values)))
+        return {"family": "atoms", "values": [0.1 * v * scale for v in values],
+                "probs": [w / sum(weights) for w in weights], "count": count}
+    if family == "symmetric_three_point":
+        return {"family": family, "b": scale, "q": draw(st.floats(0.05, 0.5)),
+                "count": count}
+    return {"family": family, distmodel.FAMILIES[family].keys[0]: scale, "count": count}
+
+
+class TestScaleFree:
+    @given(
+        command=st.sampled_from(["verify", "moments", "check-lemmas"]),
+        variables=st.lists(variable_docs(), min_size=1, max_size=4),
+        p_values=st.lists(st.sampled_from([2.5, 3.0, 3.5, 4.0, 6.0]),
+                          min_size=2, max_size=2, unique=True),
+        r=st.sampled_from([2, 3]),
+    )
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    def test_any_scale_and_spread_exits_zero(self, command, variables, p_values, r):
+        """Sums of families and atom laws at scales 1e-6 to 1e6, spread
+        as widely: every job runs, exits 0, and every certifying verify
+        row PASSes."""
+        doc = {"command": command, "variables": variables, "p_values": p_values,
+               "r_values": [r], "samples": 20_000}
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "cfg.json"
+            path.write_text(json.dumps(doc))
+            status, document = run(load_config(str(path)))
+        assert status == EXIT_OK
+        for row in json.loads(document)["rows"]:
+            if command == "verify" and row["certifying"]:
+                assert row["verdict"] == "PASS", row

@@ -8,8 +8,7 @@ from momentcert import distmodel
 from momentcert.exactmoments import sum_even_moment
 from momentcert.distmodel import (
     MomentProfile,
-    NoCharacteristicFunction,
-    NoSampler,
+    NoEngine,
     from_profile,
     gaussian,
     rademacher,
@@ -105,7 +104,7 @@ class TestCharfnOf:
 
     def test_raw_refused(self):
         spec = from_profile(MomentProfile((1.0, 0.0, 1.0), centered=True))
-        with pytest.raises(NoCharacteristicFunction):
+        with pytest.raises(NoEngine):
             spec.charfn(1.0)
 
     @pytest.mark.parametrize("spec", ALL_FAMILIES, ids=str)
@@ -124,7 +123,7 @@ class TestCharfnOf:
 
     def test_raw_has_no_phi(self):
         spec = from_profile(MomentProfile((1.0, 0.0, 1.0), centered=True))
-        with pytest.raises(NoCharacteristicFunction):
+        with pytest.raises(NoEngine):
             spec.phi
 
 
@@ -144,7 +143,7 @@ class TestSample:
 
     def test_raw_refused(self):
         spec = from_profile(MomentProfile((1.0, 0.0, 1.0), centered=True))
-        with pytest.raises(NoSampler):
+        with pytest.raises(NoEngine):
             spec.sample_with(np.random.default_rng(0), 10)
 
     @pytest.mark.parametrize("spec", ALL_FAMILIES, ids=str)
@@ -232,8 +231,13 @@ class TestRunLaw:
 
     def test_raw_refused_at_any_k(self):
         spec = from_profile(MomentProfile((1.0, 0.0, 1.0), centered=True))
-        with pytest.raises(NoSampler):
+        with pytest.raises(NoEngine):
             spec.sample_with(np.random.default_rng(0), 10, 5)
+
+    def test_one_no_engine_class(self):
+        from momentcert import oracle
+
+        assert oracle.NoEngine is NoEngine
 
 
 class TestSpecFromAtoms:

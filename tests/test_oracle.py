@@ -12,7 +12,6 @@ from scipy import stats
 from conftest import count_calls
 from momentcert import charfn, exactmoments, oracle
 from momentcert import (
-    DynamicRangeExceeded,
     Estimate,
     NoEngine,
     SequenceSpec,
@@ -376,17 +375,6 @@ class TestEstimateMemo:
             messages.append(str(refused.value))
         assert len(calls) == 1
         assert messages == [messages[0]] * 3 and "exceeds 4096" in messages[0]
-
-    def test_dynamic_range_refusal_is_memoized(self, monkeypatch):
-        calls = count_calls(monkeypatch, oracle, "sum_even_moment")
-        seq = SequenceSpec((gaussian(1.0),) * 5 + (gaussian(1e-5),) * 5)
-        messages = []
-        for _ in range(2):
-            with pytest.raises(DynamicRangeExceeded) as refused:
-                estimate_moment(seq, 4.0, slice(None), **ENGINES)
-            messages.append(str(refused.value))
-        assert len(calls) == 1
-        assert messages[0] == messages[1] and "dynamic range" in messages[0]
 
     def test_other_errors_are_not_memoized(self, monkeypatch):
         calls = count_calls(monkeypatch, oracle, "mc_moment")
