@@ -468,6 +468,7 @@ def latala_logconcave_bounds(
     tol: float = 1e-8,
     mc_samples: int = 1_000_000,
     mc_seed: int = 0,
+    mc_confidence: float = 0.999,
 ) -> tuple[BoundReport, BoundReport]:
     """The two log-concave-tail estimates, valid for p >= 2.
 
@@ -475,10 +476,10 @@ def latala_logconcave_bounds(
     (b) sandwich: max(gamma_p tail, head) <= ||S||_p <= gamma_p tail + head,
         with tail = (sum_{k >= ceil(p/2)} v_k)^{1/2} over the sorted sequence
         and head = ||sum_{k < p} X_k||_p computed exactly for even integer p,
-        by quadrature for 2 < p < 4, and by Monte Carlo otherwise (the head's
-        numeric error is carried in the report's error budget).  No engine
-        refuses the head at any scale or spread of variances; its
-        quadrature budget is ``tol`` times the head's E|.|^p scale.
+        by quadrature for 2 < p < 4, and by Monte Carlo at ``mc_confidence``
+        otherwise (the head's numeric error is carried in the report's error
+        budget).  No engine refuses the head at any scale or spread of
+        variances; its quadrature budget is ``tol`` times its E|.|^p scale.
     """
     sorted_seq, _ = seq.sorted()
     v = sorted_seq.variances
@@ -516,10 +517,9 @@ def latala_logconcave_bounds(
     tail_start = _ceil(p / 2.0)
     tail_var = sum(v[tail_start - 1 :]) if tail_start <= n else 0.0
     constants = {"head_count": head_count, "tail_start": tail_start}
-    # The head's Monte Carlo interval is at mc_moment's default confidence.
     head = estimate_moment(
         sorted_seq, p, slice(0, head_count), exact_atoms=False,
-        tol=tol, samples=mc_samples, seed=mc_seed, confidence=0.999,
+        tol=tol, samples=mc_samples, seed=mc_seed, confidence=mc_confidence,
     )
     g_tail = gp * math.sqrt(tail_var)
     sandwich = BoundReport(

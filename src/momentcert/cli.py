@@ -217,9 +217,8 @@ def _all_reports(seq: SequenceSpec, cfg: RunConfig) -> list[BoundReport]:
         if 2.0 <= p <= 4.0:
             reports.append(bound_p_2_4(seq, p))
         reports.extend(
-            latala_logconcave_bounds(
-                seq, p, tol=cfg.tol, mc_samples=cfg.samples, mc_seed=cfg.seed
-            )
+            latala_logconcave_bounds(seq, p, tol=cfg.tol, mc_samples=cfg.samples,
+                                     mc_seed=cfg.seed, mc_confidence=cfg.confidence)
         )
         for r in sorted(set(cfg.r_values)):
             if 2.0 <= p <= 2 * r:
@@ -370,8 +369,8 @@ def _run_scan(cfg: RunConfig) -> tuple[int, list[dict]]:
                 report = bound_p_2_4(seq, p)
             else:
                 report = latala_logconcave_bounds(
-                    seq, p, tol=cfg.tol, mc_samples=cfg.samples, mc_seed=cfg.seed
-                )[0]
+                    seq, p, tol=cfg.tol, mc_samples=cfg.samples, mc_seed=cfg.seed,
+                    mc_confidence=cfg.confidence)[0]
             row = {"n": n, "p": p, "statement": report.statement_id}
             if report.certifying and report.radius is not None:
                 est = _norm_estimate(seq, p, cfg)

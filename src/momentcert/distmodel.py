@@ -25,6 +25,7 @@ __all__ = [
     "symmetric_three_point",
     "from_profile",
     "spec_from_atoms",
+    "sample_runs",
     "FAMILIES",
 ]
 
@@ -112,11 +113,11 @@ class Family:
     `keys` names the parameters as a CLI configuration spells them; q[0] is
     the scale, so c*X has q[0] multiplied by c.  Each check is a test of q
     and the message raised when it fails.  `even_moment(q, l)` is E X^{2l};
-    `atoms` is None unless the support is finite.  `sample(q, rng, n)` draws
-    n copies of X; `sample_sum(q, rng, n, k)` draws n copies of the sum of
-    k independent copies of X from that sum's exact law, one draw per copy,
-    and is None where the law has no closed form (the sum then takes k
-    draws).
+    `atoms` is None unless the support is finite.  The sum of k copies of X
+    is drawn n at a time by `mix_variance(q, rng, n, k)` for a Gaussian
+    scale mixture: n draws of V (or one fixed V), the sum being sqrt(V) Z
+    for an independent standard normal Z; else by `sample_sum(q, rng, n,
+    k)`, its exact law, at k > 1 where known; else by k `sample(q, rng, n)`.
     """
 
     keys: tuple[str, ...]
@@ -125,9 +126,10 @@ class Family:
     variance: Callable[[tuple], float]
     even_moment: Callable[[tuple, int], float]
     charfn: Callable[[tuple, np.ndarray], np.ndarray]
-    sample: Callable[[tuple, np.random.Generator, int], np.ndarray]
-    sample_sum: Callable[[tuple, np.random.Generator, int, int], np.ndarray] | None
-    atoms: Callable[[tuple], tuple[np.ndarray, np.ndarray]] | None
+    sample: Callable[[tuple, np.random.Generator, int], np.ndarray] | None = None
+    sample_sum: Callable[[tuple, np.random.Generator, int, int], np.ndarray] | None = None
+    mix_variance: Callable[..., np.ndarray | float] | None = None
+    atoms: Callable[[tuple], tuple[np.ndarray, np.ndarray]] | None = None
 
 
 def _signs(b: float, rng: np.random.Generator, counts: np.ndarray) -> np.ndarray:
@@ -139,14 +141,13 @@ _POSITIVE_SCALE = ((lambda q: q[0] > 0.0, "scale must be positive"),)
 
 FAMILIES: dict[str, Family] = {
     "gaussian": Family(
-        ("sigma",), _POSITIVE_SCALE, log_concave=True, atoms=None,
+        ("sigma",), _POSITIVE_SCALE, log_concave=True,
         variance=lambda q: q[0] ** 2,
         even_moment=lambda q, l: (
             q[0] ** (2 * l) * math.factorial(2 * l) / (2 ** l * math.factorial(l))
         ),
         charfn=lambda q, t: np.exp(-0.5 * (q[0] * t) ** 2),
-        sample=lambda q, rng, n: rng.normal(0.0, q[0], n),
-        sample_sum=lambda q, rng, n, k: rng.normal(0.0, q[0] * math.sqrt(k), n),
+        mix_variance=lambda q, rng, n, k: q[0] ** 2 * k,
     ),
     "rademacher": Family(
         ("sigma",), _POSITIVE_SCALE, log_concave=True,
@@ -159,25 +160,20 @@ FAMILIES: dict[str, Family] = {
     ),
     # Two-sided (Laplace) exponential with variance sigma^2.
     "symmetric_exponential": Family(
-        ("sigma",), _POSITIVE_SCALE, log_concave=True, atoms=None,
+        ("sigma",), _POSITIVE_SCALE, log_concave=True,
         variance=lambda q: q[0] ** 2,
         even_moment=lambda q, l: math.factorial(2 * l) * q[0] ** (2 * l) / 2 ** l,
         charfn=lambda q, t: 1.0 / (1.0 + 0.5 * (q[0] * t) ** 2),
-        # Laplace scale b gives variance 2 b^2; b = sigma / sqrt(2).
-        sample=lambda q, rng, n: rng.laplace(0.0, q[0] / math.sqrt(2.0), n),
-        # Laplace(b) is b (E - E') for independent exponentials E, E'.
-        sample_sum=lambda q, rng, n, k: (q[0] / math.sqrt(2.0)) * (
-            rng.standard_gamma(k, n) - rng.standard_gamma(k, n)
-        ),
+        # X = sigma sqrt(E) Z with E ~ Exp(1) (Andrews & Mallows 1974); k copies add k E's.
+        mix_variance=lambda q, rng, n, k: q[0] ** 2 * rng.standard_gamma(k, n),
     ),
     # Uniform on [-a, a].
     "uniform": Family(
-        ("a",), _POSITIVE_SCALE, log_concave=True, atoms=None,
+        ("a",), _POSITIVE_SCALE, log_concave=True,
         variance=lambda q: q[0] ** 2 / 3.0,
         even_moment=lambda q, l: q[0] ** (2 * l) / (2 * l + 1),
         charfn=lambda q, t: np.sinc(q[0] * t / np.pi),
         sample=lambda q, rng, n: rng.uniform(-q[0], q[0], n),
-        sample_sum=None,
     ),
     # P(X = +-b) = q, P(X = 0) = 1 - 2q.
     "symmetric_three_point": Family(
@@ -295,29 +291,13 @@ class VariableSpec:
     # -- sampling ----------------------------------------------------------
 
     def sample_with(self, rng: np.random.Generator, count: int, k: int = 1) -> np.ndarray:
-        """`count` draws of the sum of k independent copies of this variable.
-
-        A family with a `sample_sum` law takes one draw per copy at k > 1;
-        uniform and atom specs add k draws.  k = 1 is one plain draw.
-        """
+        """`count` draws of the sum of k independent copies of this variable,
+        drawn as :func:`sample_runs` draws the one run (self, k)."""
         if count < 1:
             raise ValueError("count must be at least 1")
         if k < 1:
             raise ValueError("k must be at least 1")
-        if self.family != "raw_moments":
-            row = FAMILIES[self.family]
-            if k > 1 and row.sample_sum is not None:
-                return row.sample_sum(self.params, rng, count, k)
-            draw = partial(row.sample, self.params, rng, count)
-        elif self.support is not None:
-            values, probs = map(np.asarray, self.support)
-            draw = partial(rng.choice, values, count, p=probs)
-        else:
-            raise NoEngine("cannot sample from a raw moment profile")
-        out = draw()
-        for _ in range(k - 1):
-            out += draw()
-        return out
+        return sample_runs([(self, k)], rng, count)
 
     # -- finite support ----------------------------------------------------
 
@@ -344,6 +324,32 @@ class VariableSpec:
                 support,
             )
         return VariableSpec(self.family, (self.params[0] * c,) + self.params[1:])
+
+
+def sample_runs(runs, rng: np.random.Generator, count: int) -> np.ndarray:
+    """`count` draws of the sum of independent runs (spec, k) of k copies
+    each, drawn in input order by their `Family` columns; the conditional
+    variances of all `mix_variance` runs share one standard normal draw."""
+    total, var = np.zeros(count), None
+    for spec, k in runs:
+        row = FAMILIES.get(spec.family)
+        if row is None and spec.support is None:
+            raise NoEngine("cannot sample from a raw moment profile")
+        if row is None:
+            values, probs = map(np.asarray, spec.support)
+            for _ in range(k):
+                total += rng.choice(values, count, p=probs)
+        elif row.mix_variance is not None:
+            v = row.mix_variance(spec.params, rng, count, k)
+            var = v if var is None else var + v
+        elif k > 1 and row.sample_sum is not None:
+            total += row.sample_sum(spec.params, rng, count, k)
+        else:
+            for _ in range(k):
+                total += row.sample(spec.params, rng, count)
+    if var is not None:
+        total += np.sqrt(var) * rng.standard_normal(count)
+    return total
 
 
 # -- factories -------------------------------------------------------------

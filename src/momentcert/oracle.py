@@ -19,7 +19,7 @@ from typing import TYPE_CHECKING, Sequence
 import numpy as np
 
 from .charfn import sum_abs_moment_via_haagerup
-from .distmodel import NoEngine, VariableSpec
+from .distmodel import NoEngine, VariableSpec, sample_runs
 from .exactmoments import SupportExplosion, _atom_abs_moment, run_lengths, sum_even_moment
 
 if TYPE_CHECKING:
@@ -37,7 +37,7 @@ __all__ = [
     "verify_report",
 ]
 
-_CHUNK = 1 << 17
+_CHUNK = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -108,15 +108,14 @@ def mc_moment(
 ) -> MCEstimate:
     """Monte Carlo estimate of ||sum_k X_k||_p with a CI at ``confidence``.
 
-    Consecutive equal specs form one run, and a run of k summands is
-    sampled from the exact law of its sum (VariableSpec.sample_with), so a
-    sample costs one draw per run; uniform and atom runs take k draws.  A
-    sequence of distinct specs draws each summand in turn.  Sampling is
-    split into fixed-size chunks, each seeded from (seed, chunk_index), so
-    the result is deterministic and independent of the worker-thread
-    count.  The CI is computed on E|S|^p with a normal approximation and
-    both endpoints are mapped through the monotone 1/p-power transform.
-    Raw moment profiles without atoms raise NoEngine.
+    Consecutive equal specs form one run, drawn from the exact law of its
+    sum by distmodel.sample_runs; all gaussian and symmetric_exponential
+    runs share one normal draw.  Sampling is split into chunks of 2^14,
+    each seeded from (seed, chunk_index), so the result is deterministic
+    and independent of the worker-thread count, and a few hundred
+    thousand samples spread evenly over the workers.  The CI is computed
+    on E|S|^p with a normal approximation, its endpoints mapped through
+    the monotone 1/p-power.  Raw moment profiles without atoms raise NoEngine.
     """
     if samples < 10_000:
         raise ValueError("samples must be at least 10^4")
@@ -134,11 +133,7 @@ def mc_moment(
     def run_chunk(arg):
         idx, count = arg
         rng = np.random.default_rng(np.random.SeedSequence([seed, idx]))
-        total = np.zeros(count)
-        for spec, k in runs:
-            total += spec.sample_with(rng, count, k)
-        x = np.abs(total, out=total)
-        x **= p
+        x = np.abs(sample_runs(runs, rng, count)) ** p
         return float(np.sum(x)), float(np.sum(x * x))
 
     with ThreadPoolExecutor(max_workers=min(_worker_count(), len(chunks))) as pool:

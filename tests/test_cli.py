@@ -17,7 +17,7 @@ from momentcert.cli import (
     main,
     run,
 )
-from momentcert import distmodel
+from momentcert import SequenceSpec, distmodel, estimate_moment
 from momentcert.distmodel import (
     gaussian,
     rademacher,
@@ -714,6 +714,20 @@ class TestGroundTags:
         )
         rows = json.loads(run(load_config(path))[1])["rows"]
         assert rows[0]["lp_norm"]["provenance"] == "quadrature"
+
+    def test_sandwich_head_is_at_the_config_confidence(self, tmp_path):
+        """The sandwich's Monte Carlo head, like every other ground, is at
+        the config's confidence, not at 0.999."""
+        variables = [{"family": "symmetric_exponential", "sigma": 1.0, "count": 8}]
+        doc = {"command": "bound", "variables": variables, "p_values": [5],
+               "samples": 20000, "seed": 3, "confidence": 0.9}
+        rows = json.loads(run(load_config(write_config(tmp_path, doc)))[1])["rows"]
+        sandwich = next(r for r in rows if r["statement"] == "logconcave_sandwich")
+        seq = SequenceSpec((symmetric_exponential(1.0),) * 8)
+        head = {c: estimate_moment(seq, 5.0, slice(0, 4), exact_atoms=False, tol=1e-8,
+                                   samples=20_000, seed=3, confidence=c).norm_error
+                for c in (0.9, 0.999)}
+        assert sandwich["upper"]["error"] == head[0.9] < head[0.999]
 
 
 SKEW = ([-1.0, 0.5, 2.0], [0.3, 0.5, 0.2], 12)

@@ -12,6 +12,7 @@ from momentcert.distmodel import (
     from_profile,
     gaussian,
     rademacher,
+    sample_runs,
     spec_from_atoms,
     symmetric_exponential,
     symmetric_three_point,
@@ -182,36 +183,69 @@ RUN_SPECS = [
 ]
 
 
-class TestRunLaw:
-    """sample_with(rng, count, k) draws the sum of k independent copies."""
+# Gaussian scale mixture runs of unequal scales and lengths, which
+# sample_runs draws with one shared normal draw.
+MIXED_RUNS = [(gaussian(0.9), 5), (symmetric_exponential(0.4), 6), (gaussian(2.0), 1),
+              (symmetric_exponential(1.5), 1000)]
+# Every run spec at k in {2, 7, 1000}, a single draw of each mixture
+# family, and the mixed runs.
+RUN_CASES = ([[(spec, k)] for spec in RUN_SPECS for k in (2, 7, 1000)]
+             + [[(gaussian(0.7), 1)], [(symmetric_exponential(0.5), 1)], MIXED_RUNS])
 
-    @pytest.mark.parametrize("k", [2, 7, 1000])
-    @pytest.mark.parametrize("spec", RUN_SPECS, ids=str)
-    def test_second_and_fourth_moments(self, spec, k):
+
+def _runs_id(runs):
+    return "mixed" if runs is MIXED_RUNS else f"{runs[0][0]}-{runs[0][1]}"
+
+
+def _draw(runs, rng, n):
+    """sample_with for one run, sample_runs for several."""
+    if len(runs) == 1:
+        return runs[0][0].sample_with(rng, n, runs[0][1])
+    return sample_runs(runs, rng, n)
+
+
+class TestRunLaw:
+    """sample_with(rng, count, k) draws the sum of k independent copies, and
+    sample_runs the sum of several runs."""
+
+    @pytest.mark.parametrize("runs", RUN_CASES, ids=_runs_id)
+    def test_second_and_fourth_moments(self, runs):
         """Sample E S^2 and E S^4 lie within 6 standard errors of the exact
-        moments of the k-fold sum; the standard errors come from E S^8."""
+        moments of the sum; the standard errors come from E S^8."""
         n = 100_000
-        x = spec.sample_with(np.random.default_rng(k), n, k)
+        x = _draw(runs, np.random.default_rng(sum(k for _, k in runs)), n)
         assert x.shape == (n,)
-        profiles = [spec.moments(8)] * k
+        profiles = [spec.moments(8) for spec, k in runs for _ in range(k)]
         exact = {r: sum_even_moment(profiles, r) for r in (1, 2, 4)}  # E S^(2r)
         for r in (1, 2):
             se = math.sqrt((exact[2 * r] - exact[r] ** 2) / n)
             assert abs(float(np.mean(x ** (2 * r))) - exact[r]) <= 6.0 * se
 
-    @pytest.mark.parametrize("k", [2, 7, 1000])
-    @pytest.mark.parametrize("spec", RUN_SPECS, ids=str)
-    def test_matches_k_explicit_draws(self, spec, k):
-        """Two-sample Kolmogorov-Smirnov against k added single draws.  Both
-        samples are rounded to 9 decimals: a lattice sum and its explicit
-        additions differ in the last bits, which would split its atoms."""
+    @pytest.mark.parametrize("runs", RUN_CASES, ids=_runs_id)
+    def test_matches_k_explicit_draws(self, runs):
+        """Two-sample Kolmogorov-Smirnov against single draws of every
+        summand, added.  Both samples are rounded to 9 decimals: a lattice
+        sum and its explicit additions differ in the last bits, which would
+        split its atoms."""
         n = 20_000
-        run = spec.sample_with(np.random.default_rng(1), n, k)
+        merged = _draw(runs, np.random.default_rng(1), n)
         rng = np.random.default_rng(2)
         explicit = np.zeros(n)
-        for _ in range(k):
-            explicit += spec.sample_with(rng, n)
-        assert stats.ks_2samp(np.round(run, 9), np.round(explicit, 9)).pvalue > 1e-4
+        for spec, k in runs:
+            for _ in range(k):
+                explicit += spec.sample_with(rng, n)
+        assert stats.ks_2samp(np.round(merged, 9), np.round(explicit, 9)).pvalue > 1e-4
+
+    @pytest.mark.parametrize(
+        "spec, law", [(gaussian(0.7), stats.norm(0.0, 0.7)),
+                      (symmetric_exponential(0.5), stats.laplace(0.0, 0.5 / math.sqrt(2.0)))],
+        ids=["gaussian", "laplace"],
+    )
+    def test_mixture_draw_has_the_closed_form_law(self, spec, law):
+        """One-sample Kolmogorov-Smirnov of single draws, which the
+        explicit sums above are made of, against the family's CDF."""
+        x = spec.sample_with(np.random.default_rng(12), 100_000)
+        assert stats.kstest(x, law.cdf).pvalue > 1e-4
 
     @pytest.mark.parametrize("spec", RUN_SPECS, ids=str)
     def test_k_one_is_one_plain_draw(self, spec):

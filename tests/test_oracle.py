@@ -120,18 +120,22 @@ class TestMCMoment:
         assert abs(est.point - exact) <= 2.0 * est.half_width
 
     @pytest.mark.parametrize(
-        "spec", [rademacher(1.0), THREE_POINT],
-        ids=["rademacher", "three-point"],
+        "specs, p",
+        [([rademacher(1.0)] * 6, 3.0), ([THREE_POINT] * 6, 3.0),
+         ([gaussian(0.8)] * 3 + [symmetric_exponential(1.2)] * 3, 4.0)],
+        ids=["rademacher", "three-point", "gaussian-laplace"],
     )
-    def test_ci_coverage(self, spec):
-        """The 90% CI for E|S|^p on a run of six summands should cover the
-        exact value in roughly 90% of independent repetitions; a binomial
-        bound at 200 trials."""
-        specs = [spec] * 6
-        exact = exact_discrete_moment(specs, 3.0)
+    def test_ci_coverage(self, specs, p):
+        """The 90% CI for E|S|^p on six summands should cover the exact
+        value in roughly 90% of independent repetitions; a binomial bound
+        at 200 trials."""
+        if p == 4.0:
+            exact = sum_even_moment([s.moments(4) for s in specs], 2)
+        else:
+            exact = exact_discrete_moment(specs, p)
         trials, hits = 200, 0
         for seed in range(trials):
-            est = mc_moment(specs, 3.0, samples=20_000, seed=seed, confidence=0.9)
+            est = mc_moment(specs, p, samples=20_000, seed=seed, confidence=0.9)
             if abs(est.raw_mean - exact) <= est.raw_half_width:
                 hits += 1
         # P(hits < 160) under p = 0.9 is ~1e-4
@@ -146,15 +150,29 @@ class TestMCMoment:
             mc_moment([gaussian(1.0)], 2.0, samples=20_000, confidence=1.5)
 
 
+# Variance V of one summand given its mixing draw, the summand being sqrt(V) Z.
+MIXING = {
+    "gaussian": lambda sigma, rng, n: sigma ** 2,
+    "symmetric_exponential": lambda sigma, rng, n: sigma ** 2 * rng.standard_gamma(1, n),
+}
+
+
 def per_summand_mc(specs, p, samples, seed, confidence=0.999):
-    """mc_moment written out with one draw per summand, in input order."""
+    """mc_moment written out per chunk for specs with no two equal
+    neighbours: in input order, each summand adds its draw or, if gaussian
+    or Laplace, its variance given its mixing draw; one standard normal
+    draw, scaled by the root of the summed variances, comes last."""
     sums = []
     for idx in range((samples + oracle._CHUNK - 1) // oracle._CHUNK):
         count = min(oracle._CHUNK, samples - idx * oracle._CHUNK)
         rng = np.random.default_rng(np.random.SeedSequence([seed, idx]))
-        total = np.zeros(count)
+        total, var = np.zeros(count), 0.0
         for spec in specs:
-            total += spec.sample_with(rng, count)
+            if spec.family in MIXING:
+                var = var + MIXING[spec.family](spec.params[0], rng, count)
+            else:
+                total += spec.sample_with(rng, count)
+        total += np.sqrt(var) * rng.standard_normal(count)
         x = np.abs(total) ** p
         sums.append((float(np.sum(x)), float(np.sum(x * x))))
     mean = math.fsum(a for a, _ in sums) / samples
@@ -168,7 +186,7 @@ def per_summand_mc(specs, p, samples, seed, confidence=0.999):
 class TestMCRuns:
     """mc_moment draws a run of k equal summands once, from its sum's law."""
 
-    def test_distinct_summands_keep_the_per_summand_stream(self):
+    def test_distinct_summands_share_one_normal_draw(self):
         specs = [gaussian(1.0), uniform(0.8), symmetric_exponential(0.6), rademacher(0.5),
                  THREE_POINT, ATOMS, gaussian(1.0), uniform(0.8)]
         assert mc_moment(specs, 3.3, samples=300_000, seed=4) == per_summand_mc(
