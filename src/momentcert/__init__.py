@@ -14,6 +14,7 @@ from .bounds import (
     check_symmetric_tail_bounds,
     compute_m,
     latala_logconcave_bounds,
+    logconcave_radius,
     minimal_C_centered,
     minimal_C_symmetric,
 )

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .combinatorics import elementary_symmetric
 from .distmodel import VariableSpec
@@ -38,6 +39,7 @@ __all__ = [
     "bound_general_p",
     "check_rademacher_moment_ratio",
     "latala_logconcave_bounds",
+    "logconcave_radius",
     "check_symmetric_tail_bounds",
     "check_centered_tail_bounds",
 ]
@@ -57,59 +59,19 @@ class Assumption:
     detail: str = ""
 
 
-class _Summary:
-    """What the bounds read from one sequence, computed once per instance.
-
-    Equal specs share a code, an index into `distinct`: their variance and
-    moments are computed once, and they share one MomentProfile object per
-    order.  The sorted copy shares `distinct` and the distinct-profile
-    cache, but not the `estimates` memo: a slice picks other summands there.
-    """
-
-    def __init__(self, distinct, codes, variances, distinct_profiles):
-        self.distinct = distinct
-        self.codes = codes
-        self.variances = variances
-        # Correctly rounded: a lower endpoint center - radius may cancel to
-        # a small fraction of the center, where a plain sum's rounding shows.
-        self.total_variance = math.fsum(variances)
-        self.distinct_profiles = distinct_profiles  # {order: profile per distinct spec}
-        self.profiles: dict = {}  # {order: profile per position}
-        self.estimates: dict = {}  # oracle.estimate_moment's {key: Estimate or refusal}
-        self.sorted = None
-
-    @classmethod
-    def of(cls, variables) -> "_Summary":
-        index: dict = {}
-        codes = []
-        prev = code = None
-        for v in variables:
-            if v is not prev:  # the CLI repeats one object `count` times
-                prev, code = v, index.setdefault(v, len(index))
-            codes.append(code)
-        distinct = tuple(index)
-        dvar = [s.variance for s in distinct]
-        return cls(distinct, codes, tuple(map(dvar.__getitem__, codes)), {})
-
-    def permuted(self, order) -> "_Summary":
-        return _Summary(
-            self.distinct,
-            list(map(self.codes.__getitem__, order)),
-            tuple(map(self.variances.__getitem__, order)),
-            self.distinct_profiles,
-        )
-
-
 @dataclass(frozen=True)
 class SequenceSpec:
     """An ordered family of independent variables.
 
-    Variances, the sorted copy, moment profiles and `estimate_moment`
-    results are computed on first use and cached on the instance.
+    The distinct specs, variances, moment profiles and the sorted copy are
+    computed on first use and kept in the instance's ``__dict__`` by
+    ``functools.cached_property``; fields, equality, hash and repr see
+    ``variables`` only.  Equal specs share a code, an index into the
+    distinct specs: their variance and moments are computed once, and they
+    share one MomentProfile object per order.
     """
 
     variables: tuple[VariableSpec, ...]
-    _cached: _Summary | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "variables", tuple(self.variables))
@@ -119,15 +81,23 @@ class SequenceSpec:
     def __len__(self) -> int:
         return len(self.variables)
 
-    @property
-    def _summary(self) -> _Summary:
-        if self._cached is None:
-            object.__setattr__(self, "_cached", _Summary.of(self.variables))
-        return self._cached
+    @cached_property
+    def _coded(self) -> tuple[tuple[VariableSpec, ...], list[int]]:
+        """The distinct specs, and each summand's code."""
+        index: dict = {}
+        codes = []
+        prev = code = None
+        for v in self.variables:
+            if v is not prev:  # the CLI repeats one object `count` times
+                prev, code = v, index.setdefault(v, len(index))
+            codes.append(code)
+        return tuple(index), codes
 
-    @property
+    @cached_property
     def variances(self) -> tuple[float, ...]:
-        return self._summary.variances
+        distinct, codes = self._coded
+        dvar = [s.variance for s in distinct]
+        return tuple(map(dvar.__getitem__, codes))
 
     @property
     def sorted_nonincreasing(self) -> bool:
@@ -136,48 +106,57 @@ class SequenceSpec:
 
     @property
     def all_symmetric(self) -> bool:
-        return all(v.symmetric for v in self._summary.distinct)
+        return all(v.symmetric for v in self._coded[0])
 
     @property
     def all_centered(self) -> bool:
-        return all(v.centered for v in self._summary.distinct)
+        return all(v.centered for v in self._coded[0])
 
     @property
     def all_log_concave(self) -> bool:
-        return all(v.log_concave_tail for v in self._summary.distinct)
+        return all(v.log_concave_tail for v in self._coded[0])
 
-    @property
+    @cached_property
     def total_variance(self) -> float:
-        """The sum of the variances, correctly rounded."""
-        return self._summary.total_variance
+        """The sum of the variances, correctly rounded: a lower endpoint
+        center - radius may cancel to a small fraction of the center,
+        where a plain sum's rounding shows."""
+        return math.fsum(self.variances)
+
+    _distinct_profiles = cached_property(lambda self: {})  # {order: profile per distinct spec}
+    _profiles = cached_property(lambda self: {})  # {order: profile per position}
+
+    @cached_property
+    def _sorted(self) -> tuple["SequenceSpec", tuple[int, ...]]:
+        # A reverse sort keeps equal keys in their original order.
+        order = tuple(sorted(range(len(self)), key=self.variances.__getitem__, reverse=True))
+        copy = SequenceSpec(tuple(map(self.variables.__getitem__, order)))
+        distinct, codes = self._coded
+        copy.__dict__.update(
+            _coded=(distinct, list(map(codes.__getitem__, order))),
+            variances=tuple(map(self.variances.__getitem__, order)),
+            _distinct_profiles=self._distinct_profiles,
+        )
+        return copy, order
 
     def sorted(self) -> tuple["SequenceSpec", tuple[int, ...]]:
         """Variance-nonincreasing copy plus the applied permutation
         (original 0-based positions in sorted order; stable)."""
-        summary = self._summary
-        if summary.sorted is None:
-            # A reverse sort keeps equal keys in their original order.
-            order = tuple(
-                sorted(range(len(self)), key=summary.variances.__getitem__, reverse=True)
-            )
-            copy = SequenceSpec(tuple(map(self.variables.__getitem__, order)))
-            object.__setattr__(copy, "_cached", summary.permuted(order))
-            summary.sorted = (copy, order)
-        return summary.sorted
+        return self._sorted
 
     def distinct_profiles(self, max_order: int) -> tuple:
         """One moment profile per distinct spec, in no particular order."""
-        cache = self._summary.distinct_profiles
+        cache = self._distinct_profiles
         if max_order not in cache:
-            cache[max_order] = tuple(v.moments(max_order) for v in self._summary.distinct)
+            cache[max_order] = tuple(v.moments(max_order) for v in self._coded[0])
         return cache[max_order]
 
     def profiles(self, max_order: int) -> tuple:
         """Moment profile of every summand; equal summands share one object."""
-        cache = self._summary.profiles
+        cache = self._profiles
         if max_order not in cache:
             shared = self.distinct_profiles(max_order)
-            cache[max_order] = tuple(map(shared.__getitem__, self._summary.codes))
+            cache[max_order] = tuple(map(shared.__getitem__, self._coded[1]))
         return cache[max_order]
 
 
@@ -461,6 +440,36 @@ def check_rademacher_moment_ratio(w: WeightVector, r: int) -> RatioCheckReport:
     return RatioCheckReport(lhs, rhs, ratio, lhs >= rhs * (1.0 - 1e-12))
 
 
+def logconcave_radius(seq: SequenceSpec, p: float) -> BoundReport:
+    """The two-sided log-concave-tail estimate, valid for p >= 2:
+    | ||S||_p - gamma_p (sum v_k)^{1/2} | <= p max_k sqrt(v_k).
+    Neither side depends on the order of the summands."""
+    assumptions = (
+        Assumption("p_range", p >= 2.0, f"p={p} >= 2"),
+        Assumption("symmetric", seq.all_symmetric, "all summands symmetric"),
+        Assumption(
+            "log_concave_tails",
+            seq.all_log_concave,
+            "every family has a logarithmically concave tail",
+        ),
+    )
+    if not all(a.satisfied for a in assumptions):
+        return _non_certifying("logconcave_radius", p, assumptions)
+    center = gaussian_lp_norm(p) * math.sqrt(seq.total_variance)
+    radius = p * math.sqrt(max(seq.variances))
+    return BoundReport(
+        statement_id="logconcave_radius",
+        p=p,
+        center=center,
+        lower=center - radius,
+        upper=center + radius,
+        radius=radius,
+        constants={},
+        assumptions=assumptions,
+        certifying=True,
+    )
+
+
 def latala_logconcave_bounds(
     seq: SequenceSpec,
     p: float,
@@ -472,7 +481,7 @@ def latala_logconcave_bounds(
 ) -> tuple[BoundReport, BoundReport]:
     """The two log-concave-tail estimates, valid for p >= 2.
 
-    (a) two-sided: | ||S||_p - gamma_p (sum v_k)^{1/2} | <= p max_k sqrt(v_k);
+    (a) two-sided: logconcave_radius;
     (b) sandwich: max(gamma_p tail, head) <= ||S||_p <= gamma_p tail + head,
         with tail = (sum_{k >= ceil(p/2)} v_k)^{1/2} over the sorted sequence
         and head = ||sum_{k < p} X_k||_p computed exactly for even integer p,
@@ -481,37 +490,13 @@ def latala_logconcave_bounds(
         budget).  No engine refuses the head at any scale or spread of
         variances; its quadrature budget is ``tol`` times its E|.|^p scale.
     """
+    two_sided = logconcave_radius(seq, p)
+    assumptions = two_sided.assumptions
+    if not two_sided.certifying:
+        return two_sided, _non_certifying("logconcave_sandwich", p, assumptions)
     sorted_seq, _ = seq.sorted()
     v = sorted_seq.variances
     n = len(v)
-    assumptions = (
-        Assumption("p_range", p >= 2.0, f"p={p} >= 2"),
-        Assumption("symmetric", sorted_seq.all_symmetric, "all summands symmetric"),
-        Assumption(
-            "log_concave_tails",
-            sorted_seq.all_log_concave,
-            "every family has a logarithmically concave tail",
-        ),
-    )
-    gp = gaussian_lp_norm(p)
-    center = gp * math.sqrt(sorted_seq.total_variance)
-    if not all(a.satisfied for a in assumptions):
-        return (
-            _non_certifying("logconcave_radius", p, assumptions),
-            _non_certifying("logconcave_sandwich", p, assumptions),
-        )
-    radius = p * math.sqrt(max(v))
-    two_sided = BoundReport(
-        statement_id="logconcave_radius",
-        p=p,
-        center=center,
-        lower=center - radius,
-        upper=center + radius,
-        radius=radius,
-        constants={},
-        assumptions=assumptions,
-        certifying=True,
-    )
     # Sandwich: head indices k < p, tail variance from index ceil(p/2) on.
     head_count = min(n, math.ceil(p) - 1)
     tail_start = _ceil(p / 2.0)
@@ -521,11 +506,11 @@ def latala_logconcave_bounds(
         sorted_seq, p, slice(0, head_count), exact_atoms=False,
         tol=tol, samples=mc_samples, seed=mc_seed, confidence=mc_confidence,
     )
-    g_tail = gp * math.sqrt(tail_var)
+    g_tail = gaussian_lp_norm(p) * math.sqrt(tail_var)
     sandwich = BoundReport(
         statement_id="logconcave_sandwich",
         p=p,
-        center=center,
+        center=two_sided.center,
         lower=max(g_tail, head.norm - head.norm_error),
         upper=g_tail + head.norm + head.norm_error,
         radius=None,

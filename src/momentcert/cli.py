@@ -28,6 +28,7 @@ from .bounds import (
     check_symmetric_tail_bounds,
     compute_m,
     latala_logconcave_bounds,
+    logconcave_radius,
 )
 from .charfn import check_cosine_bounds, check_main_charfn_inequality
 from .combinatorics import (
@@ -42,8 +43,6 @@ from .oracle import mc_moment  # noqa: F401  (perfbench/test_perfbench.py reads 
 
 SCHEMA_VERSION = 1
 EXIT_OK, EXIT_FAIL, EXIT_CONFIG = 0, 1, 2
-
-_COMMANDS = ("moments", "bound", "verify", "check-lemmas", "scan")
 
 
 class ConfigError(ValueError):
@@ -129,8 +128,8 @@ def load_config(path: str, *, seed=None, output_format=None, output_path=None) -
     except (OSError, json.JSONDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     command = doc.get("command")
-    if command not in _COMMANDS:
-        raise ConfigError(f"command must be one of {_COMMANDS}, got {command!r}")
+    if command not in (commands := tuple(_COMMANDS)):
+        raise ConfigError(f"command must be one of {commands}, got {command!r}")
     raw_vars = doc.get("variables") or []
     if not raw_vars:
         raise ConfigError("at least one variable is required")
@@ -267,17 +266,23 @@ def _run_verify(cfg: RunConfig) -> tuple[int, list[dict]]:
     seq = SequenceSpec(tuple(cfg.variables))
     ordered, _ = seq.sorted()
     rows = []
+    grounds: dict = {}  # {(p, start_index): Estimate or the refusal's message}
     for report in _all_reports(seq, cfg):
         row = _report_row(report)
         rows.append(row)
         if not report.certifying:
             row["verdict"] = "SKIPPED"
             continue
-        try:
-            ground = _ground_for_report(ordered, report, cfg)
-        except SupportExplosion as exc:  # a refused ground truth
+        key = (report.p, report.start_index)
+        if key not in grounds:
+            try:
+                grounds[key] = _ground_for_report(ordered, report, cfg)
+            except SupportExplosion as exc:  # a refused ground truth
+                grounds[key] = str(exc)
+        ground = grounds[key]
+        if isinstance(ground, str):
             row["verdict"] = "UNVERIFIED"
-            row["detail"] = str(exc)
+            row["detail"] = ground
             continue
         verdict = verify_report(report, ground)
         # Quadrature grounds show the raw moment and Monte Carlo ones the
@@ -368,9 +373,7 @@ def _run_scan(cfg: RunConfig) -> tuple[int, list[dict]]:
             elif 2.0 <= p <= 4.0:
                 report = bound_p_2_4(seq, p)
             else:
-                report = latala_logconcave_bounds(
-                    seq, p, tol=cfg.tol, mc_samples=cfg.samples, mc_seed=cfg.seed,
-                    mc_confidence=cfg.confidence)[0]
+                report = logconcave_radius(seq, p)
             row = {"n": n, "p": p, "statement": report.statement_id}
             if report.certifying and report.radius is not None:
                 est = _norm_estimate(seq, p, cfg)
@@ -387,15 +390,13 @@ def _run_scan(cfg: RunConfig) -> tuple[int, list[dict]]:
     return status, rows
 
 
-def _execute(cfg: RunConfig) -> tuple[int, list[dict]]:
-    dispatch = {
-        "moments": _run_moments,
-        "bound": _run_bound,
-        "verify": _run_verify,
-        "check-lemmas": _run_check_lemmas,
-        "scan": _run_scan,
-    }
-    return dispatch[cfg.command](cfg)
+_COMMANDS = {
+    "moments": _run_moments,
+    "bound": _run_bound,
+    "verify": _run_verify,
+    "check-lemmas": _run_check_lemmas,
+    "scan": _run_scan,
+}
 
 
 def _render(cfg: RunConfig, rows: list[dict]) -> str:
@@ -412,7 +413,7 @@ def _render(cfg: RunConfig, rows: list[dict]) -> str:
 
 def run(cfg: RunConfig) -> tuple[int, str]:
     """Execute the configured command; returns (exit_status, document)."""
-    status, rows = _execute(cfg)
+    status, rows = _COMMANDS[cfg.command](cfg)
     return status, _render(cfg, rows)
 
 
@@ -458,7 +459,7 @@ def main(argv=None) -> int:
         cfg = load_config(
             args.config, seed=args.seed, output_format=args.format, output_path=args.out
         )
-        status, rows = _execute(cfg)
+        status, rows = _COMMANDS[cfg.command](cfg)
         document = _render(cfg, rows)
     except (ConfigError, NoEngine) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)

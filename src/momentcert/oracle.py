@@ -4,7 +4,9 @@ Exact E|S|^p for finite-support inputs (the grid engine of
 :mod:`exactmoments`, on its one point budget), seeded Monte Carlo with
 confidence intervals for everything else, the one dispatcher that picks
 an engine for E|S|^p, and the verdict function that checks a bound report
-against a ground-truth value.
+against a ground-truth value.  Each is a function of its arguments and
+keeps nothing between calls; Monte Carlo uses one thread per CPU the
+process may run on, and its result does not depend on that count.
 """
 from __future__ import annotations
 
@@ -86,14 +88,7 @@ def exact_discrete_moment(specs: Sequence[VariableSpec], p: float) -> float:
 
 
 def _worker_count() -> int:
-    """MOMENT_CERT_THREADS if set, else the CPUs this process may run on."""
-    env = os.environ.get("MOMENT_CERT_THREADS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            raise ValueError(
-                f"MOMENT_CERT_THREADS must be an integer, got {env!r}") from None
+    """The number of CPUs this process may run on."""
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
@@ -172,24 +167,8 @@ def estimate_moment(
     quadrature norm's budget is the raw one mapped through the monotone
     1/p-power; Monte Carlo maps the interval's endpoints.
 
-    Memoized on the ``seq`` instance for its lifetime, by p, the slice's
-    fields and every keyword.  A refusal of the grid budget
-    (SupportExplosion) is memoized too and raised again with the same
-    message.  An equal but separate SequenceSpec shares nothing.
+    Nothing is kept between calls: two equal calls run the engine twice.
     """
-    memo = seq._summary.estimates
-    key = (p, part.start, part.stop, part.step, exact_atoms, tol, samples, seed, confidence)
-    if key not in memo:
-        try:
-            memo[key] = _estimate(seq, p, part, exact_atoms, tol, samples, seed, confidence)
-        except SupportExplosion as exc:
-            memo[key] = exc.with_traceback(None)  # a traceback would pin the refused grid
-    if isinstance(hit := memo[key], Exception):
-        raise type(hit)(*hit.args)
-    return hit
-
-
-def _estimate(seq, p, part, exact_atoms, tol, samples, seed, confidence) -> Estimate:
     specs = seq.variables[part]
     if float(p).is_integer() and int(p) % 2 == 0:
         raw = sum_even_moment(seq.profiles(int(p))[part], int(p) // 2)

@@ -21,6 +21,7 @@ from momentcert import (
     gaussian,
     gaussian_lp_norm,
     latala_logconcave_bounds,
+    logconcave_radius,
     minimal_C_centered,
     minimal_C_symmetric,
     rademacher,
@@ -393,6 +394,19 @@ class TestLatalaBounds:
                 assert rep.certifying
                 assert rep.lower <= exact * (1 + 1e-9)
                 assert exact <= rep.upper * (1 + 1e-9)
+
+    @pytest.mark.parametrize("p", [1.5, 3.0, 4.0, 5.5])
+    def test_radius_report_is_the_first_of_the_pair(self, p):
+        """logconcave_radius reads no order: the unsorted sequence gives
+        the pair's first report, field for field (repr, as a
+        non-certifying center is nan)."""
+        rng = np.random.default_rng(int(p * 10))
+        seq = SequenceSpec(tuple(random_logconcave_spec(rng) for _ in range(7)))
+        assert not seq.sorted_nonincreasing
+        three_point = seq_of(symmetric_three_point(1.0, 0.1), 5)
+        for s in (seq, three_point):
+            pair = latala_logconcave_bounds(s, p, mc_samples=20_000)
+            assert repr(logconcave_radius(s, p)) == repr(pair[0])
 
     def test_radius_scales_like_inverse_sqrt_n(self):
         radii = []

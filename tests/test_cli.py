@@ -17,7 +17,7 @@ from momentcert.cli import (
     main,
     run,
 )
-from momentcert import SequenceSpec, distmodel, estimate_moment
+from momentcert import SequenceSpec, charfn, distmodel, estimate_moment, oracle
 from momentcert.distmodel import (
     gaussian,
     rademacher,
@@ -255,33 +255,59 @@ class TestVerifyCommand:
 
 
 class TestGroundsComputedOncePerJob:
-    """verify reads each ground truth from the sorted copy's memo."""
+    """verify computes each (p, start_index) ground truth once per job."""
 
-    def test_one_quadrature_per_distinct_ground(self, tmp_path, monkeypatch):
-        from momentcert import charfn
-
-        calls = count_calls(monkeypatch, charfn, "haagerup_moment")
+    @pytest.mark.parametrize("p, engine, provenance", [
+        (3.0, (charfn, "haagerup_moment"), "quadrature"),
+        (4.0, (oracle, "sum_even_moment"), "exact"),
+    ], ids=["quadrature", "exact"])
+    def test_one_engine_run_per_distinct_ground(self, tmp_path, monkeypatch, p, engine,
+                                                provenance):
+        calls = count_calls(monkeypatch, *engine)
         path = write_config(
             tmp_path,
-            {"command": "verify", "variables": LAPLACE_TEN, "p_values": [3.0],
+            {"command": "verify", "variables": LAPLACE_TEN, "p_values": [p],
              "r_values": [2], "samples": 20000},
         )
         status, document = run(load_config(path))
         assert status == EXIT_OK
         rows = json.loads(document)["rows"]
         grounds = {(r["start_index"], r["p"]) for r in rows
-                   if r["ground"]["provenance"] == "quadrature"}
+                   if r["ground"]["provenance"] == provenance}
         (sandwich,) = [r for r in rows if r["statement"] == "logconcave_sandwich"]
-        assert sandwich["upper"]["provenance"] == "quadrature"
-        assert grounds == {(1, 3.0), (2, 3.0)}
+        assert sandwich["upper"]["provenance"] == provenance
+        assert grounds == {(1, p), (p - 1, p)}
+        assert len(rows) > len(grounds)
         assert len(calls) == len(grounds) + 1  # and the sandwich head
 
-        # The memo lives no longer than the job: a rerun computes again.
+        # The table lives no longer than the job: a rerun computes again.
         assert run(load_config(path)) == (status, document)
         assert len(calls) == 2 * (len(grounds) + 1)
 
+    @pytest.mark.parametrize("p", [2.5, 3.0, 4.0, 5.0])
+    def test_shared_ground_is_each_reports_own(self, tmp_path, p):
+        from momentcert.cli import _estimate_tag
+
+        variables = [{"family": "symmetric_exponential", "sigma": 1.0, "count": 4},
+                     {"family": "rademacher", "sigma": 0.5, "count": 3}]
+        cfg = load_config(write_config(
+            tmp_path,
+            {"command": "verify", "variables": variables, "p_values": [p],
+             "r_values": [2, 3], "samples": 20000},
+        ))
+        _, document = run(cfg)
+        ordered, _ = SequenceSpec(tuple(cfg.variables)).sorted()
+        grounds = [r for r in json.loads(document)["rows"] if "ground" in r]
+        assert len(grounds) > len({(r["p"], r["start_index"]) for r in grounds})
+        for row in grounds:
+            alone = estimate_moment(
+                ordered, row["p"], slice(row["start_index"] - 1, None), exact_atoms=True,
+                tol=cfg.tol, samples=cfg.samples, seed=cfg.seed, confidence=cfg.confidence,
+            )
+            assert row["ground"] in (_estimate_tag(alone, True), _estimate_tag(alone, False))
+
     def test_refused_ground_runs_its_engine_once(self, tmp_path, monkeypatch):
-        from momentcert import exactmoments, oracle
+        from momentcert import exactmoments
 
         monkeypatch.setattr(exactmoments, "_MAX_GRID", 1 << 12)
         calls = count_calls(monkeypatch, oracle, "_atom_abs_moment")
@@ -337,6 +363,20 @@ class TestScanCommand:
         deviations = [row["deviation"]["value"] for row in rows]
         assert deviations[0] > deviations[1] > deviations[2]
 
+    def test_one_monte_carlo_run_per_row(self, tmp_path, monkeypatch):
+        # The radius needs no sandwich head: only the deviation draws.
+        calls = count_calls(monkeypatch, oracle, "mc_moment")
+        path = write_config(
+            tmp_path,
+            {"command": "scan", "variables": [{"family": "symmetric_exponential", "sigma": 1.0}],
+             "p_values": [4.5, 5.0], "n_values": [10, 100], "samples": 20000},
+        )
+        status, document = run(load_config(path))
+        assert status == EXIT_OK
+        rows = json.loads(document)["rows"]
+        assert [r["deviation"]["provenance"] for r in rows] == ["mc"] * 4
+        assert len(calls) == len(rows)
+
     def test_monte_carlo_to_a_million_summands(self, tmp_path):
         # One draw per sample for the whole run of equal summands.
         path = write_config(
@@ -354,16 +394,6 @@ class TestScanCommand:
         for row in json.loads(document)["rows"]:
             assert row["deviation"]["provenance"] == "mc"
             assert row["within_radius"]
-
-    def test_bad_thread_count_exits_two(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setenv("MOMENT_CERT_THREADS", "2.5")
-        path = write_config(
-            tmp_path,
-            {"command": "scan", "variables": [{"family": "gaussian", "sigma": 1.0}],
-             "p_values": [5.0], "n_values": [10], "samples": 10000},
-        )
-        assert main(["--config", path]) == EXIT_CONFIG
-        assert "MOMENT_CERT_THREADS" in capsys.readouterr().err
 
 
 class TestOutputAndMain:
@@ -504,7 +534,7 @@ class TestBadInputs:
         real_ground, real_bound = cli_mod._ground_for_report, cli_mod.bound_even_symmetric
 
         def refusing(ordered, report, cfg):
-            if report.statement_id == "logconcave_radius":
+            if report.p == 3.0:
                 raise SupportExplosion("refused")
             return real_ground(ordered, report, cfg)
 
@@ -512,22 +542,23 @@ class TestBadInputs:
             rep = real_bound(seq, r)
             return dataclasses.replace(rep, upper=rep.lower + 1e-9, radius=None)
 
+        def verdicts(document):
+            return {(r["statement"], r["p"]): r["verdict"] for r in json.loads(document)["rows"]}
+
         path = write_config(
             tmp_path,
-            {"command": "verify", "variables": LAPLACE_TEN, "p_values": [4.0],
+            {"command": "verify", "variables": LAPLACE_TEN, "p_values": [3.0, 4.0],
              "r_values": [2]},
         )
         monkeypatch.setattr(cli_mod, "_ground_for_report", refusing)
         status, document = run(load_config(path))
-        verdicts = {r["statement"]: r["verdict"] for r in json.loads(document)["rows"]}
-        assert verdicts["logconcave_radius"] == "UNVERIFIED"
-        assert "FAIL" not in verdicts.values()
+        assert verdicts(document)[("logconcave_radius", 3.0)] == "UNVERIFIED"
+        assert "FAIL" not in verdicts(document).values()
         assert status == EXIT_CONFIG
         monkeypatch.setattr(cli_mod, "bound_even_symmetric", sabotaged)
         status, document = run(load_config(path))
-        verdicts = {r["statement"]: r["verdict"] for r in json.loads(document)["rows"]}
-        assert verdicts["logconcave_radius"] == "UNVERIFIED"
-        assert verdicts["even_symmetric_band"] == "FAIL"
+        assert verdicts(document)[("logconcave_radius", 3.0)] == "UNVERIFIED"
+        assert verdicts(document)[("even_symmetric_band", 4.0)] == "FAIL"
         assert status == EXIT_FAIL
 
     RAW_SYMMETRIC = [

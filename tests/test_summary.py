@@ -1,4 +1,5 @@
 """The cached sequence summary and the run-length even-moment engine."""
+import dataclasses
 import math
 
 import numpy as np
@@ -73,6 +74,18 @@ class TestSortedSummary:
         assert not seq.all_symmetric
         assert seq.all_centered
         assert not seq.all_log_concave
+
+
+    def test_a_spec_is_its_variables(self):
+        """Every cache is warm, yet fields, equality, hash and repr see
+        the variables only."""
+        seq = SequenceSpec((gaussian(0.5), symmetric_exponential(2.0), gaussian(0.5)))
+        srt, _ = seq.sorted()
+        for s in (seq, srt):
+            s.profiles(8), s.total_variance
+            fresh = SequenceSpec(s.variables)
+            assert [f.name for f in dataclasses.fields(SequenceSpec)] == ["variables"]
+            assert s == fresh and hash(s) == hash(fresh) and repr(s) == repr(fresh)
 
 
 class TestRunLengthEvenMoment:

@@ -9,12 +9,14 @@ runs through the public `momentcert.cli.load_config` / `run` API, with
 the program imported from this checkout's `src/`.  Configurations go to
 a temporary directory, which is removed on exit.
 
-Two checkouts, or two MOMENT_CERT_THREADS values, that print the same
-lines wrote byte-identical documents with the same exit codes:
+Two checkouts, or two runs on different CPU sets, that print the same
+lines wrote byte-identical documents with the same exit codes.  Monte
+Carlo uses one thread per CPU the process may run on, so pinning a run
+to one CPU checks that no report depends on the thread count:
 
-    MOMENT_CERT_THREADS=1 python3 tools/report_digest.py > t1.txt
-    MOMENT_CERT_THREADS=2 python3 tools/report_digest.py > t2.txt
-    diff t1.txt t2.txt
+    taskset -c 0 python3 tools/report_digest.py > one.txt
+    python3 tools/report_digest.py > all.txt
+    diff one.txt all.txt
 """
 from __future__ import annotations
 
