@@ -27,7 +27,6 @@ from .charfn import (
     default_t_grid,
     haagerup_constant,
     haagerup_moment,
-    sum_abs_moment_via_haagerup,
 )
 from .combinatorics import (
     MultiIndex,
@@ -48,12 +47,10 @@ from .distmodel import (
     uniform,
 )
 from .exactmoments import (
-    WeightVector,
     gaussian_lp_norm,
     rademacher_abs_moment,
     rademacher_even_moment,
     sum_even_moment,
-    tail_sum_even_moment,
 )
 from .oracle import (
     Estimate,

@@ -12,17 +12,17 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
+from typing import Sequence
 
 from .combinatorics import elementary_symmetric
 from .distmodel import VariableSpec
 from .exactmoments import (
     SupportExplosion,
-    WeightVector,
     gaussian_abs_moment,
     gaussian_lp_norm,
     rademacher_abs_moment,
     rademacher_even_moment,
-    tail_sum_even_moment,
+    sum_even_moment,
 )
 from .oracle import estimate_moment
 
@@ -98,11 +98,6 @@ class SequenceSpec:
         distinct, codes = self._coded
         dvar = [s.variance for s in distinct]
         return tuple(map(dvar.__getitem__, codes))
-
-    @property
-    def sorted_nonincreasing(self) -> bool:
-        v = self.variances
-        return all(v[i] >= v[i + 1] for i in range(len(v) - 1))
 
     @property
     def all_symmetric(self) -> bool:
@@ -383,7 +378,7 @@ def bound_general_p(seq: SequenceSpec, p: float, r: int) -> BoundReport:
     )
     if cutoff > n:
         return _non_certifying("truncated_general_p_upper", p, assumptions, constants)
-    w = WeightVector(tuple(map(math.sqrt, v)))
+    w = tuple(map(math.sqrt, v))
     even = float(p).is_integer() and int(p) % 2 == 0
     try:
         rad = rademacher_even_moment(w, int(p) // 2) if even else rademacher_abs_moment(w, p)
@@ -415,7 +410,7 @@ class RatioCheckReport:
     passed: bool
 
 
-def check_rademacher_moment_ratio(w: WeightVector, r: int) -> RatioCheckReport:
+def check_rademacher_moment_ratio(w: Sequence[float], r: int) -> RatioCheckReport:
     """Check the even-moment product inequality for a weighted Rademacher sum:
 
     ((2r+1)/(2r-1)) M_{2r}^2 >= ((2r+2)!/2^{r+1}) e_{r+1}(sigma^2) M_{2r-2},
@@ -425,12 +420,12 @@ def check_rademacher_moment_ratio(w: WeightVector, r: int) -> RatioCheckReport:
     """
     if r < 1:
         raise ValueError("r must be at least 1")
-    if not w.sorted_nonincreasing:
+    if any(abs(a) < abs(b) for a, b in zip(w, w[1:])):
         raise ValueError("weights must be sorted by |sigma| nonincreasing")
     m2r = rademacher_even_moment(w, r)
     m_prev = rademacher_even_moment(w, r - 1)
     lhs = (2.0 * r + 1.0) / (2.0 * r - 1.0) * m2r * m2r
-    sq = [s * s for s in w.sigmas]
+    sq = [s * s for s in w]
     if r + 1 > len(sq):
         er1 = 0.0
     else:
@@ -489,6 +484,8 @@ def latala_logconcave_bounds(
         otherwise (the head's numeric error is carried in the report's error
         budget).  No engine refuses the head at any scale or spread of
         variances; its quadrature budget is ``tol`` times its E|.|^p scale.
+        A head whose norm or budget overflowed a float makes the sandwich
+        non-certifying, with a failed ``finite_head`` assumption.
     """
     two_sided = logconcave_radius(seq, p)
     assumptions = two_sided.assumptions
@@ -506,6 +503,11 @@ def latala_logconcave_bounds(
         sorted_seq, p, slice(0, head_count), exact_atoms=False,
         tol=tol, samples=mc_samples, seed=mc_seed, confidence=mc_confidence,
     )
+    if not (math.isfinite(head.norm) and math.isfinite(head.norm_error)):
+        failed = Assumption("finite_head", False, f"the {head.provenance} head norm "
+                            f"{head.norm} +- {head.norm_error} overflowed a float")
+        return two_sided, _non_certifying(
+            "logconcave_sandwich", p, assumptions + (failed,), constants)
     g_tail = gaussian_lp_norm(p) * math.sqrt(tail_var)
     sandwich = BoundReport(
         statement_id="logconcave_sandwich",
@@ -543,9 +545,9 @@ def _check_tail_bounds(seq: SequenceSpec, r: int, symmetric: bool) -> TailCheckR
     c, cutoff = _cutoff(sorted_seq, r, r - 1, symmetric)
     if r < 2 or cutoff >= len(v):
         return TailCheckReport(math.nan, math.nan, math.nan, cutoff, c, False, False)
-    tail = tail_sum_even_moment(sorted_seq.profiles(2 * r), cutoff + 1, r)
+    tail = sum_even_moment(sorted_seq.profiles(2 * r)[cutoff:], r)
     esym = math.factorial(2 * r) / 2 ** r * elementary_symmetric(list(v), r)
-    rad = rademacher_even_moment(WeightVector(tuple(math.sqrt(x) for x in v)), r)
+    rad = rademacher_even_moment(tuple(map(math.sqrt, v)), r)
     slack = 1.0 - 1e-12
     return TailCheckReport(
         tail, esym, rad, cutoff, c, tail <= esym / slack and esym <= rad / slack

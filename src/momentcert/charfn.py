@@ -39,7 +39,6 @@ __all__ = [
     "check_main_charfn_inequality",
     "haagerup_constant",
     "haagerup_moment",
-    "sum_abs_moment_via_haagerup",
 ]
 
 # Numerical slack for "theorem holds on the grid" assertions.
@@ -347,11 +346,3 @@ def haagerup_moment(phi: CharFunction, p: float, tol: float = 1e-8) -> IntegralR
         cp * (head + float(kronrod.sum()) + tail), *errors, evaluations, sum(errors) <= scale,
     )
 
-
-def sum_abs_moment_via_haagerup(
-    specs: Sequence[VariableSpec], p: float, tol: float = 1e-8
-) -> IntegralResult:
-    """E |sum_k X_k|^p for independent symmetric summands, 2 < p < 4."""
-    if not all(s.symmetric for s, _ in run_lengths(specs)):
-        raise ValueError("all summands must be symmetric")
-    return haagerup_moment(CharFunction.product(specs), p, tol)

@@ -3,7 +3,8 @@ computation, emit machine-readable reports (JSON or CSV).
 
 Exit codes: 0 all checks pass; 1 a violation or a FAIL; 2 a configuration
 error, or no FAIL but some `verify` row UNVERIFIED because the atom grid
-budget refused its ground truth (the document is still written).
+budget refused its ground truth or that ground truth overflowed a float
+(the document is still written).
 """
 from __future__ import annotations
 
@@ -37,12 +38,15 @@ from .combinatorics import (
     enumerate_indices,
 )
 from .distmodel import MomentProfile, VariableSpec
-from .exactmoments import WeightVector, gaussian_lp_norm
+from .exactmoments import gaussian_lp_norm
 from .oracle import Estimate, NoEngine, SupportExplosion, estimate_moment, verify_report
 from .oracle import mc_moment  # noqa: F401  (perfbench/test_perfbench.py reads cli.mc_moment)
 
 SCHEMA_VERSION = 1
 EXIT_OK, EXIT_FAIL, EXIT_CONFIG = 0, 1, 2
+# The highest moment order a profile can hold: math.factorial(l) converts
+# to a float only for l <= 170.  An even p and 2r are such orders.
+_MAX_ORDER = 170
 
 
 class ConfigError(ValueError):
@@ -68,7 +72,7 @@ def _parse_variable(doc: dict) -> list[VariableSpec]:
     if not isinstance(doc, dict) or "family" not in doc:
         raise ConfigError(f"variable descriptor must be an object with a family: {doc!r}")
     family = doc["family"]
-    count = _integer(doc.get("count", 1), "count", 1)
+    count = _integer(doc.get("count", 1), "count", 1, sys.maxsize)  # [spec] * count
     try:
         if family in distmodel.FAMILIES:
             keys = distmodel.FAMILIES[family].keys
@@ -105,20 +109,25 @@ def _number(value, key: str, rule: str, ok) -> float:
     return x
 
 
-def _integer(value, key: str, least: int) -> int:
-    x = _number(value, key, f"an integer >= {least}", lambda x: x.is_integer() and x >= least)
-    return int(value if isinstance(value, int) else x)  # exact beyond 2^53
+def _integer(value, key: str, least: int, most: int | None = None) -> int:
+    rule = f"an integer >= {least}" if most is None else f"an integer in [{least}, {most}]"
+    x = _number(value, key, rule, float.is_integer)
+    n = int(value if isinstance(value, int) else x)  # exact beyond 2^53
+    if n < least or (most is not None and n > most):
+        raise ConfigError(f"{key} must be {rule}, got {value!r}")
+    return n
 
 
-def _numbers(doc: dict, key: str, whole: bool) -> list:
-    """doc[key] (empty if absent): finite numbers > 0, or integers >= 1
-    if `whole`."""
+def _numbers(doc: dict, key: str, whole: bool, most: int) -> list:
+    """doc[key] (empty if absent): integers in [1, most] if `whole`, else
+    finite numbers > 0 that are at most `most` if even."""
     values = doc.get(key, [])
     if not isinstance(values, list):
         raise ConfigError(f"{key} must be a list, got {values!r}")
     if whole:
-        return [_integer(x, key, 1) for x in values]
-    return [_number(x, key, "a finite number > 0", lambda x: x > 0) for x in values]
+        return [_integer(x, key, 1, most) for x in values]
+    rule = f"a finite number > 0, at most {most} if even"
+    return [_number(x, key, rule, lambda x: x > 0 and (x <= most or x % 2 != 0)) for x in values]
 
 
 def load_config(path: str, *, seed=None, output_format=None, output_path=None) -> RunConfig:
@@ -137,9 +146,9 @@ def load_config(path: str, *, seed=None, output_format=None, output_path=None) -
     cfg = RunConfig(
         command=command,
         variables=variables,
-        p_values=_numbers(doc, "p_values", whole=False),
-        r_values=_numbers(doc, "r_values", whole=True),
-        n_values=_numbers(doc, "n_values", whole=True),
+        p_values=_numbers(doc, "p_values", whole=False, most=_MAX_ORDER),
+        r_values=_numbers(doc, "r_values", whole=True, most=_MAX_ORDER // 2),
+        n_values=_numbers(doc, "n_values", whole=True, most=sys.maxsize),
         seed=_integer(doc.get("seed", 0) if seed is None else seed, "seed", 0),
         samples=_integer(doc.get("samples", 1_000_000), "samples", 10_000),
         tol=_number(doc.get("tol", 1e-8), "tol", "a finite number > 0", lambda x: x > 0),
@@ -235,12 +244,19 @@ def _ground_for_report(ordered: SequenceSpec, report: BoundReport, cfg: RunConfi
 
     `ordered` is the sorted copy of the sequence.  Every bound sorts the
     same way, so the report's summands are those of `ordered` from
-    start_index on.
+    start_index on.  A value or budget that overflowed a float raises
+    OverflowError: it can neither pass nor fail a report.
     """
-    return estimate_moment(
+    est = estimate_moment(
         ordered, report.p, slice(report.start_index - 1, None), exact_atoms=True,
         tol=cfg.tol, samples=cfg.samples, seed=cfg.seed, confidence=cfg.confidence,
     )
+    if not all(map(math.isfinite, (est.raw, est.raw_error, est.norm, est.norm_error))):
+        raise OverflowError(
+            f"the {est.provenance} ground truth overflowed a float: "
+            f"E|S|^p = {est.raw} +- {est.raw_error}"
+        )
+    return est
 
 
 # -- commands ---------------------------------------------------------------
@@ -277,7 +293,7 @@ def _run_verify(cfg: RunConfig) -> tuple[int, list[dict]]:
         if key not in grounds:
             try:
                 grounds[key] = _ground_for_report(ordered, report, cfg)
-            except SupportExplosion as exc:  # a refused ground truth
+            except (SupportExplosion, OverflowError) as exc:  # no ground truth
                 grounds[key] = str(exc)
         ground = grounds[key]
         if isinstance(ground, str):
@@ -329,7 +345,7 @@ def _run_check_lemmas(cfg: RunConfig) -> tuple[int, list[dict]]:
                 m=m,
                 margins=rep.margins,
             )
-    weights = WeightVector(tuple(map(math.sqrt, sorted_seq.variances)))
+    weights = tuple(map(math.sqrt, sorted_seq.variances))
     rs = sorted(set(cfg.r_values)) or [2]
     for r in rs:
         for i in range(1, r + 1):

@@ -70,18 +70,19 @@ class MultiIndex:
         return MultiIndex(tuple(2 * e for e in self.entries))
 
 
-def _compositions(n: int, total: int, min_nonzero: int) -> Iterator[tuple[int, ...]]:
-    # First entry descending, recursively; every nonzero part >= min_nonzero.
+def _compositions(n: int, total: int, least: int, zeros: bool) -> Iterator[tuple[int, ...]]:
+    # First entry descending, recursively; every part >= least, or 0 if
+    # zeros.  Without zeros the first entry leaves at least `least` for
+    # each later part, so no branch ends empty.
     if n == 0:
         if total == 0:
             yield ()
         return
-    choices = [total] if n == 1 else range(total, -1, -1)
-    for c in choices:
-        if c != 0 and c < min_nonzero:
-            continue
-        for rest in _compositions(n - 1, total - c, min_nonzero):
-            yield (c,) + rest
+    top = total if zeros else total - least * (n - 1)
+    for c in range(top, -1, -1) if n > 1 else (total,):
+        if c >= least or (zeros and c == 0):
+            for rest in _compositions(n - 1, total - c, least, zeros):
+                yield (c,) + rest
 
 
 def enumerate_indices(
@@ -110,15 +111,13 @@ def enumerate_indices(
             raise ValueError("support positions must lie in 1..n")
         if support_size is not None and support_size != len(positions):
             return
-        for parts in _compositions(len(positions), total, min_nz):
-            if any(p == 0 for p in parts):
-                continue
+        for parts in _compositions(len(positions), total, min_nz, zeros=False):
             entries = [0] * n
             for k, p in zip(positions, parts):
                 entries[k - 1] = p
             yield MultiIndex(tuple(entries))
         return
-    for parts in _compositions(n, total, min_nz):
+    for parts in _compositions(n, total, min_nz, zeros=True):
         if support_size is not None and sum(1 for p in parts if p) != support_size:
             continue
         yield MultiIndex(parts)

@@ -6,7 +6,6 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
 from functools import partial, reduce
 from itertools import accumulate, groupby
 from typing import Sequence
@@ -17,14 +16,12 @@ from .distmodel import MomentProfile, rademacher
 
 __all__ = [
     "SupportExplosion",
-    "WeightVector",
     "gaussian_abs_moment",
     "gaussian_lp_norm",
     "moments_of_sum",
     "rademacher_even_moment",
     "rademacher_abs_moment",
     "sum_even_moment",
-    "tail_sum_even_moment",
 ]
 
 # Most points that one product of two finite-support laws may form.
@@ -33,30 +30,6 @@ _MAX_GRID = 20_000_000
 
 class SupportExplosion(ValueError):
     """A finite-support grid would exceed the point budget."""
-
-
-@dataclass(frozen=True)
-class WeightVector:
-    """Coefficients sigma_k of a weighted Rademacher sum sum_k sigma_k eps_k."""
-
-    sigmas: tuple[float, ...]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "sigmas", tuple(map(float, self.sigmas)))
-        if not self.sigmas:
-            raise ValueError("weight vector must be non-empty")
-
-    def __len__(self) -> int:
-        return len(self.sigmas)
-
-    @property
-    def sorted_nonincreasing(self) -> bool:
-        a = [abs(s) for s in self.sigmas]
-        return all(a[i] >= a[i + 1] for i in range(len(a) - 1))
-
-    @property
-    def total_variance(self) -> float:
-        return sum(s * s for s in self.sigmas)
 
 
 def gaussian_abs_moment(p: float) -> float:
@@ -148,32 +121,20 @@ def moments_of_sum(runs: Sequence[tuple[MomentProfile, int]], order: int) -> lis
     return m
 
 
-def tail_sum_even_moment(
-    profiles: Sequence[MomentProfile], start_index: int, r: int
-) -> float:
-    """sum_even_moment over the suffix X_{start_index}, ..., X_n (1-based)."""
-    if not 1 <= start_index <= len(profiles):
-        raise ValueError(f"start_index {start_index} out of range 1..{len(profiles)}")
-    return sum_even_moment(profiles[start_index - 1 :], r)
-
-
-def rademacher_even_moment(w: WeightVector, r: int) -> float:
-    """E (sum_k sigma_k eps_k)^{2r}, exact, via the moment-convolution DP."""
+def rademacher_even_moment(sigmas: Sequence[float], r: int) -> float:
+    """E (sum_k sigma_k eps_k)^{2r}, exact up to rounding:
+    :func:`moments_of_sum` on one run per distinct nonzero |sigma|."""
     if r == 0:
         return 1.0
-    weights = [a for a in map(abs, w.sigmas) if a != 0.0]
-    # One profile per distinct |sigma|, shared by its equal weights.
-    shared = {a: rademacher(a).moments(2 * r) for a in set(weights)}
-    profiles = [shared[a] for a in weights]
-    if not profiles:
-        return 0.0
-    return sum_even_moment(profiles, r)
+    runs = Counter(a for a in map(abs, sigmas) if a != 0.0)
+    profiles = [(rademacher(a).moments(2 * r), k) for a, k in runs.items()]
+    return moments_of_sum(profiles, 2 * r)[2 * r]
 
 
-def rademacher_abs_moment(w: WeightVector, p: float) -> float:
+def rademacher_abs_moment(sigmas: Sequence[float], p: float) -> float:
     """E |sum_k sigma_k eps_k|^p by the finite-support engine, one run per
-    distinct |sigma| wherever it sits in w; SupportExplosion past its budget."""
-    runs = Counter(map(abs, w.sigmas))
+    distinct |sigma| wherever it sits; SupportExplosion past its budget."""
+    runs = Counter(map(abs, sigmas))
     return _atom_abs_moment([((-a, a), (0.5, 0.5), k) for a, k in runs.items()], p)
 
 

@@ -20,7 +20,7 @@ from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from .charfn import sum_abs_moment_via_haagerup
+from .charfn import CharFunction, haagerup_moment
 from .distmodel import NoEngine, VariableSpec, sample_runs
 from .exactmoments import SupportExplosion, _atom_abs_moment, run_lengths, sum_even_moment
 
@@ -179,7 +179,7 @@ def estimate_moment(
         return Estimate(raw, 0.0, raw ** (1.0 / p), 0.0, "exact")
     parametric = all(s.family != "raw_moments" for s in heads)
     if 2.0 < p < 4.0 and parametric and all(s.symmetric for s in heads):
-        res = sum_abs_moment_via_haagerup(specs, p, tol)
+        res = haagerup_moment(CharFunction.product(specs), p, tol)
         norm = res.value ** (1.0 / p)
         norm_error = (res.value + res.total_error) ** (1.0 / p) - norm
         return Estimate(res.value, res.total_error, norm, norm_error, "quadrature")

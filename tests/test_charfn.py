@@ -10,7 +10,6 @@ import pytest
 from conftest import random_symmetric_seq, random_symmetric_spec
 from momentcert import (
     CharFunction,
-    WeightVector,
     check_cosine_bounds,
     check_main_charfn_inequality,
     exact_discrete_moment,
@@ -20,7 +19,6 @@ from momentcert import (
     rademacher,
     rademacher_abs_moment,
     spec_from_atoms,
-    sum_abs_moment_via_haagerup,
     sum_even_moment,
     symmetric_exponential,
     symmetric_three_point,
@@ -181,20 +179,20 @@ class TestHaagerupMoment:
             assert res.value == pytest.approx(gaussian_abs_moment(p), abs=1e-6)
 
     def test_rademacher_pair_p3(self):
-        res = sum_abs_moment_via_haagerup([rademacher(1.0)] * 2, 3.0)
+        res = haagerup_moment(CharFunction.product([rademacher(1.0)] * 2), 3.0)
         assert res.value == pytest.approx(4.0, abs=1e-6)
 
     def test_continuity_toward_p4(self):
         """Near p = 4 the quadrature must approach the exact fourth moment."""
         specs = [symmetric_exponential(1.0)] * 3
         exact4 = sum_even_moment([s.moments(4) for s in specs], 2)
-        res = sum_abs_moment_via_haagerup(specs, 3.999, tol=1e-7)
+        res = haagerup_moment(CharFunction.product(specs), 3.999, tol=1e-7)
         assert res.converged
         assert abs(res.value - exact4) / exact4 < 1e-2
 
     def test_near_p2_sanity(self):
         specs = [gaussian(1.0)] * 2
-        res = sum_abs_moment_via_haagerup(specs, 2.001, tol=1e-7)
+        res = haagerup_moment(CharFunction.product(specs), 2.001, tol=1e-7)
         assert res.converged
         assert res.value == pytest.approx(gaussian_abs_moment(2.001) * 2.0 ** 1.0005, rel=1e-5)
 
@@ -207,14 +205,14 @@ class TestHaagerupMoment:
             p = float(rng.uniform(2.1, 3.9))
             sig = rng.uniform(0.4, 1.5, n)
             specs = [rademacher(float(s)) for s in sig]
-            res = sum_abs_moment_via_haagerup(specs, p, tol=1e-8)
-            exact = rademacher_abs_moment(WeightVector(tuple(sig)), p)
+            res = haagerup_moment(CharFunction.product(specs), p, tol=1e-8)
+            exact = rademacher_abs_moment(tuple(sig), p)
             assert abs(res.value - exact) <= res.total_error + 1e-9 * exact
 
     def test_asymmetric_refused(self):
         bad = spec_from_atoms([0.0, 1.0, 3.0], [0.5, 0.3, 0.2], 4)
         with pytest.raises(ValueError):
-            sum_abs_moment_via_haagerup([bad], 3.0)
+            haagerup_moment(CharFunction.product([bad]), 3.0)
 
     def test_bad_tol(self):
         with pytest.raises(ValueError):
@@ -291,7 +289,7 @@ class TestQuadratureCrossChecks:
         ],
     )
     def test_atom_sums_against_exact_engine(self, specs, p):
-        res = sum_abs_moment_via_haagerup(specs, p, tol=1e-8)
+        res = haagerup_moment(CharFunction.product(specs), p, tol=1e-8)
         assert res.converged
         assert abs(res.value - exact_discrete_moment(specs, p)) <= res.total_error
 
@@ -308,7 +306,7 @@ class TestQuadratureCrossChecks:
         """phi of an atom sum never decays, so a panel wider than its period
         can alias it into a small |Kronrod - Gauss|; the budget must hold."""
         for p in (2.2, 2.4, 2.6, 2.8, 3.0, 3.3, 3.6):
-            res = sum_abs_moment_via_haagerup(specs, p, tol=1e-8)
+            res = haagerup_moment(CharFunction.product(specs), p, tol=1e-8)
             assert abs(res.value - exact_discrete_moment(specs, p)) <= res.total_error
 
     @pytest.mark.parametrize(
@@ -323,7 +321,7 @@ class TestQuadratureCrossChecks:
         ],
     )
     def test_continuous_sums_against_mpmath(self, specs, summands, p):
-        res = sum_abs_moment_via_haagerup(specs, p, tol=1e-8)
+        res = haagerup_moment(CharFunction.product(specs), p, tol=1e-8)
         assert res.converged
         assert abs(res.value - mpmath_abs_moment(summands, p)) <= res.total_error
 
@@ -331,7 +329,8 @@ class TestQuadratureCrossChecks:
     def test_hundred_laplace_converges(self, sigma):
         """100 Laplace summands at p = 3, against the exact rational value,
         within a budget of tol times the sum's scale at every sigma."""
-        res = sum_abs_moment_via_haagerup([symmetric_exponential(sigma)] * 100, 3.0, tol=1e-8)
+        phi = CharFunction.product([symmetric_exponential(sigma)] * 100)
+        res = haagerup_moment(phi, 3.0, tol=1e-8)
         assert res.converged
         assert res.total_error <= 1e-8 * (100 * sigma ** 2) ** 1.5
         assert abs(res.value - laplace_sum_third_moment(100, sigma)) <= res.total_error
@@ -352,11 +351,11 @@ class TestVectorizedRule:
             unscaled = list(random_symmetric_seq(rng, int(rng.integers(1, 12))).variables)
             specs = [s.scaled(scale) for s in unscaled]
             p, tol = float(rng.uniform(2.05, 3.95)), float(10 ** rng.uniform(-10, -4))
-            res = sum_abs_moment_via_haagerup(specs, p, tol)
+            res = haagerup_moment(CharFunction.product(specs), p, tol)
             variance = sum(s.variance for s in specs)
             assert res.total_error == res.quad_error + res.head_error + res.tail_error
             assert res.converged == (res.total_error <= tol * variance ** (p / 2))
-            ref = sum_abs_moment_via_haagerup(unscaled, p, tol)
+            ref = haagerup_moment(CharFunction.product(unscaled), p, tol)
             assert (res.converged, res.evaluations) == (ref.converged, ref.evaluations)
 
     def test_one_call_per_round(self):
@@ -377,8 +376,8 @@ class TestVectorizedRule:
     def test_relative_tolerance(self):
         """The budget scales with variance^(p/2): a scaled sum converges
         in as many evaluations, with a budget scaled alike."""
-        unit = sum_abs_moment_via_haagerup([symmetric_exponential(1.0)] * 10, 2.7)
-        big = sum_abs_moment_via_haagerup([symmetric_exponential(100.0)] * 10, 2.7)
+        unit = haagerup_moment(CharFunction.product([symmetric_exponential(1.0)] * 10), 2.7)
+        big = haagerup_moment(CharFunction.product([symmetric_exponential(100.0)] * 10), 2.7)
         assert unit.converged and big.converged
         assert big.value == pytest.approx(unit.value * 100.0 ** 2.7, rel=1e-9)
         assert big.total_error <= 1e-8 * (10 * 100.0 ** 2) ** 1.35

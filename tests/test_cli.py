@@ -1,4 +1,6 @@
 import json
+import re
+import sys
 import tempfile
 from pathlib import Path
 
@@ -17,7 +19,7 @@ from momentcert.cli import (
     main,
     run,
 )
-from momentcert import SequenceSpec, charfn, distmodel, estimate_moment, oracle
+from momentcert import SequenceSpec, distmodel, estimate_moment, oracle
 from momentcert.distmodel import (
     gaussian,
     rademacher,
@@ -258,7 +260,7 @@ class TestGroundsComputedOncePerJob:
     """verify computes each (p, start_index) ground truth once per job."""
 
     @pytest.mark.parametrize("p, engine, provenance", [
-        (3.0, (charfn, "haagerup_moment"), "quadrature"),
+        (3.0, (oracle, "haagerup_moment"), "quadrature"),
         (4.0, (oracle, "sum_even_moment"), "exact"),
     ], ids=["quadrature", "exact"])
     def test_one_engine_run_per_distinct_ground(self, tmp_path, monkeypatch, p, engine,
@@ -526,6 +528,27 @@ class TestBadInputs:
         assert [r["verdict"] for r in skipped] == ["SKIPPED"]
         assert [r["failed"] for r in skipped] == [["enumeration_cap"]]
 
+    def test_overflowed_ground_truth_is_unverified(self, tmp_path, capsys):
+        """5 x Laplace(1) at p = 171: Monte Carlo's sum of |S|^{2p}
+        overflows, so its budget is not finite.  The ground truth is
+        UNVERIFIED, the sandwich on that head is non-certifying, and no
+        NaN reaches the document."""
+        out = tmp_path / "report.json"
+        variables = [{"family": "symmetric_exponential", "sigma": 1.0, "count": 5}]
+        path = write_config(tmp_path, {"command": "verify", "variables": variables,
+                                       "p_values": [171], "output_path": str(out)})
+        assert main(["--config", path]) == EXIT_CONFIG
+        assert "UNVERIFIED" in capsys.readouterr().err
+        text = out.read_text()
+        assert "NaN" not in text and "Infinity" not in text
+        rows = {r["statement"]: r for r in json.loads(text)["rows"]}
+        radius, sandwich = rows["logconcave_radius"], rows["logconcave_sandwich"]
+        assert radius["verdict"] == "UNVERIFIED"
+        assert "mc ground truth overflowed a float" in radius["detail"]
+        assert "ground" not in radius and "margin" not in radius
+        assert sandwich["verdict"] == "SKIPPED"
+        assert sandwich["failed"] == ["finite_head"]
+
     def test_fail_outranks_unverified(self, tmp_path, monkeypatch):
         import dataclasses
 
@@ -621,18 +644,14 @@ class TestBadInputs:
         "doc",
         [
             {"command": "moments", "variables": [{"family": "gaussian", "sigma": 1.0}],
-             "p_values": [1000]},
+             "p_values": [1001]},
             {"command": "bound", "variables": [{"family": "gaussian", "sigma": 1.0, "count": 5}],
-             "p_values": [400]},
-            {"command": "bound", "variables": [{"family": "gaussian", "sigma": 1.0, "count": 5}],
-             "r_values": [200]},
+             "p_values": [401]},
             {"command": "moments",
              "variables": [{"family": "gaussian", "sigma": 1e200, "count": 3}],
              "p_values": [3]},
-            {"command": "scan", "variables": [{"family": "gaussian", "sigma": 1.0}],
-             "p_values": [3], "n_values": [1e30]},
         ],
-        ids=["moments-p1000", "bound-p400", "bound-r200", "moments-sigma1e200", "scan-n1e30"],
+        ids=["moments-p1001", "bound-p401", "moments-sigma1e200"],
     )
     def test_numeric_overflow_exits_two(self, tmp_path, capsys, doc):
         path = write_config(tmp_path, doc)
@@ -696,6 +715,67 @@ class TestConfigNumbers:
             load_config(path)
         assert main(["--config", path]) == EXIT_CONFIG
         assert f"configuration error: {key} must be" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "doc, key, limit",
+        [
+            ({"command": "moments", "p_values": [1000]}, "p_values", "at most 170 if even"),
+            ({"command": "bound", "p_values": [400]}, "p_values", "at most 170 if even"),
+            ({"command": "bound", "r_values": [200]}, "r_values", "in [1, 85]"),
+            ({"command": "scan", "p_values": [3], "n_values": [1e30]}, "n_values",
+             f"in [1, {sys.maxsize}]"),
+        ],
+        ids=["moments-p1000", "bound-p400", "bound-r200", "scan-n1e30"],
+    )
+    def test_overflowing_value_names_its_key(self, tmp_path, capsys, doc, key, limit):
+        """Values past what the arithmetic can hold are configuration
+        errors that name the key and its limit."""
+        path = write_config(tmp_path, {"variables": GAUSS, **doc})
+        with pytest.raises(ConfigError, match=f"^{key} must be .*{re.escape(limit)}"):
+            load_config(path)
+        assert main(["--config", path]) == EXIT_CONFIG
+        assert f"configuration error: {key} must be" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "key, accepted, refused",
+        [
+            ("p_values", [170, 171, 170.5, 1001], [172]),
+            ("r_values", [85], [86]),
+            ("n_values", [sys.maxsize], [sys.maxsize + 1]),
+            ("count", [], [sys.maxsize + 1]),
+        ],
+    )
+    def test_limits_at_the_boundary(self, tmp_path, key, accepted, refused):
+        """An even p and 2r are moment orders: math.factorial(l) converts
+        to a float only for l <= 170.  count and n are sequence lengths,
+        at most sys.maxsize ([spec] * count at sys.maxsize would be built
+        in full, so only its refusal is tested)."""
+        for value, ok in [(v, True) for v in accepted] + [(v, False) for v in refused]:
+            doc = {"command": "scan", "variables": GAUSS, "p_values": [3], "n_values": [4]}
+            if key == "count":
+                doc["variables"] = [dict(GAUSS[0], count=value)]
+            else:
+                doc[key] = [value]
+            path = write_config(tmp_path, doc)
+            if ok:
+                assert getattr(load_config(path), key) == [value]
+            else:
+                with pytest.raises(ConfigError, match=f"^{key} must be"):
+                    load_config(path)
+
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            {"command": "moments", "variables": GAUSS, "p_values": [170]},
+            {"command": "bound", "variables": [dict(GAUSS[0], count=5)],
+             "p_values": [170], "r_values": [85]},
+        ],
+        ids=["moments-p170", "bound-r85"],
+    )
+    def test_largest_orders_run(self, tmp_path, doc):
+        status, document = run(load_config(write_config(tmp_path, doc)))
+        assert status == EXIT_OK
+        assert "NaN" not in document and "Infinity" not in document
 
     def test_large_seed_kept_exactly(self, tmp_path):
         path = write_config(
@@ -814,6 +894,32 @@ def variable_docs(draw):
         return {"family": family, "b": scale, "q": draw(st.floats(0.05, 0.5)),
                 "count": count}
     return {"family": family, distmodel.FAMILIES[family].keys[0]: scale, "count": count}
+
+
+class TestSharedSpecsProperty:
+    @given(
+        command=st.sampled_from(["verify", "bound", "moments"]),
+        variables=st.lists(variable_docs(), min_size=1, max_size=3),
+        p_values=st.lists(st.sampled_from([2.5, 3.0, 4.0, 5.0, 6.0]),
+                          min_size=1, max_size=2, unique=True),
+        r=st.sampled_from([2, 3]),
+    )
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    def test_count_equals_copies(self, command, variables, p_values, r):
+        """A descriptor with count k ([spec] * k, one object) and k
+        descriptors with count 1 (k equal objects) give the same document."""
+        copies = [dict(d, count=1) for d in variables for _ in range(d["count"])]
+        docs = []
+        with tempfile.TemporaryDirectory() as tmp:
+            for variables_doc in (variables, copies):
+                path = Path(tmp) / "cfg.json"
+                path.write_text(json.dumps({
+                    "command": command, "variables": variables_doc, "p_values": p_values,
+                    "r_values": [r], "samples": 20_000}))
+                cfg = load_config(str(path))
+                docs.append(run(cfg))
+        assert len({id(s) for s in cfg.variables}) == len(cfg.variables)
+        assert docs[0] == docs[1]
 
 
 class TestScaleFree:

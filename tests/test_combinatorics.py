@@ -66,7 +66,20 @@ class TestEnumerate:
         assert a == b
         assert a[0] == (4, 0, 0)
 
-    @pytest.mark.parametrize("r", [1, 2, 3, 4, 5, 6])
+    def test_fixed_support_is_the_filtered_stream(self):
+        """A fixed support yields, in the same order, exactly the indices
+        of the unconstrained stream whose support it is."""
+        for n in range(1, 6):
+            for total in range(9):
+                for no_singletons in (False, True):
+                    full = list(enumerate_indices(n, total, no_singletons=no_singletons))
+                    for k in range(n + 1):
+                        for support in itertools.combinations(range(1, n + 1), k):
+                            got = list(enumerate_indices(
+                                n, total, support=support, no_singletons=no_singletons))
+                            assert got == [a for a in full if a.support == set(support)]
+
+    @pytest.mark.parametrize("r", [1, 2, 3, 4, 5, 6, 12])
     def test_counts_match_closed_forms(self, r):
         n = 12
         for i in range(1, r + 1):

@@ -15,7 +15,6 @@ from conftest import (
     random_symmetric_seq,
 )
 from momentcert import (
-    WeightVector,
     gaussian,
     gaussian_lp_norm,
     rademacher,
@@ -24,7 +23,6 @@ from momentcert import (
     spec_from_atoms,
     sum_even_moment,
     symmetric_exponential,
-    tail_sum_even_moment,
 )
 from momentcert import exactmoments
 from momentcert.exactmoments import SupportExplosion, gaussian_abs_moment
@@ -59,13 +57,27 @@ class TestGaussianLpNorm:
 
 class TestRademacherEvenMoment:
     def test_two_equal_weights(self):
-        assert rademacher_even_moment(WeightVector((1.0, 1.0)), 2) == pytest.approx(8.0)
+        assert rademacher_even_moment((1.0, 1.0), 2) == pytest.approx(8.0)
 
     def test_three_equal_weights(self):
-        assert rademacher_even_moment(WeightVector((1.0, 1.0, 1.0)), 2) == pytest.approx(21.0)
+        assert rademacher_even_moment((1.0, 1.0, 1.0), 2) == pytest.approx(21.0)
 
     def test_r_zero(self):
-        assert rademacher_even_moment(WeightVector((0.3, 2.0)), 0) == 1.0
+        assert rademacher_even_moment((0.3, 2.0), 0) == 1.0
+
+    def test_zero_weights_drop_out(self):
+        assert rademacher_even_moment((0.0, 1.0, -0.0), 2) == 1.0
+        assert rademacher_even_moment((0.0,), 2) == 0.0
+        assert rademacher_even_moment((), 0) == 1.0
+
+    def test_plain_sequences_any_order_and_sign(self):
+        """Equal |sigma| form one run wherever they sit: a list, an array
+        and a shuffled, sign-flipped copy all give the same moment."""
+        sig = [1.5, 0.5, 1.5, 0.25, 0.5, 1.5]
+        want = rademacher_abs_moment_brute(sig, 6)
+        for w in (sig, np.array(sig), (-0.5, 1.5, 0.25, -1.5, 0.5, 1.5)):
+            assert rademacher_even_moment(w, 3) == pytest.approx(want, rel=1e-13)
+            assert rademacher_abs_moment(w, 6) == pytest.approx(want, rel=1e-13)
 
     def test_matches_sign_enumeration(self):
         rng = np.random.default_rng(10)
@@ -74,7 +86,7 @@ class TestRademacherEvenMoment:
             sig = rng.uniform(0.2, 2.0, n)
             r = int(rng.integers(1, 5))
             brute = rademacher_abs_moment_brute(sig, 2 * r)
-            assert rademacher_even_moment(WeightVector(tuple(sig)), r) == pytest.approx(
+            assert rademacher_even_moment(tuple(sig), r) == pytest.approx(
                 brute, rel=1e-11
             )
 
@@ -82,13 +94,13 @@ class TestRademacherEvenMoment:
 class TestRademacherAbsMoment:
     def test_single_weight(self):
         for p in (0.5, 1.0, 2.7, 4.0):
-            assert rademacher_abs_moment(WeightVector((1.0,)), p) == pytest.approx(1.0)
+            assert rademacher_abs_moment((1.0,), p) == pytest.approx(1.0)
 
     def test_two_weights_p3(self):
-        assert rademacher_abs_moment(WeightVector((1.0, 1.0)), 3) == pytest.approx(4.0)
+        assert rademacher_abs_moment((1.0, 1.0), 3) == pytest.approx(4.0)
 
     def test_agrees_with_even_engine(self):
-        w = WeightVector((1.0, 1.0, 1.0))
+        w = (1.0, 1.0, 1.0)
         assert rademacher_abs_moment(w, 4) == pytest.approx(
             rademacher_even_moment(w, 2)
         )
@@ -96,11 +108,11 @@ class TestRademacherAbsMoment:
     def test_grid_budget_refused(self, monkeypatch):
         # 30 equal weights: 31 grid points, and an exact rational moment.
         want = sum(math.comb(30, j) * abs(30 - 2 * j) ** 3 for j in range(31)) / 2 ** 30
-        assert rademacher_abs_moment(WeightVector((1.0,) * 30), 3) == pytest.approx(
+        assert rademacher_abs_moment((1.0,) * 30, 3) == pytest.approx(
             want, rel=1e-14
         )
         monkeypatch.setattr(exactmoments, "_MAX_GRID", 1 << 12)
-        w = WeightVector(tuple(np.random.default_rng(30).uniform(0.2, 2.0, 26)))
+        w = tuple(np.random.default_rng(30).uniform(0.2, 2.0, 26))
         with pytest.raises(SupportExplosion):
             rademacher_abs_moment(w, 3)
 
@@ -227,32 +239,32 @@ class TestSumEvenMoment:
         sig = rng.uniform(0.3, 1.5, 6)
         c = 1.7
         for r in (1, 2, 3):
-            base = rademacher_even_moment(WeightVector(tuple(sig)), r)
-            scaled = rademacher_even_moment(WeightVector(tuple(c * sig)), r)
+            base = rademacher_even_moment(tuple(sig), r)
+            scaled = rademacher_even_moment(tuple(c * sig), r)
             assert scaled == pytest.approx(c ** (2 * r) * base, rel=1e-12)
 
 
 class TestTailSumEvenMoment:
+    """The tail of a sum is sum_even_moment on a slice of its profiles."""
+
     def test_last_variable_only(self):
         profiles = [gaussian(s).moments(4) for s in (1.0, 0.5, 0.3)]
-        assert tail_sum_even_moment(profiles, 3, 2) == pytest.approx(
-            profiles[2].moment(4)
-        )
+        assert sum_even_moment(profiles[2:], 2) == pytest.approx(profiles[2].moment(4))
 
     def test_full_range_equals_sum(self):
         profiles = [symmetric_exponential(1.0).moments(4)] * 5
-        assert tail_sum_even_moment(profiles, 1, 2) == pytest.approx(
+        assert sum_even_moment(profiles[0:], 2) == pytest.approx(
             sum_even_moment(profiles, 2)
         )
 
     def test_laplace_suffix(self):
         profiles = [symmetric_exponential(1.0).moments(4)] * 5
-        assert tail_sum_even_moment(profiles, 3, 2) == pytest.approx(36.0)
+        assert sum_even_moment(profiles[2:], 2) == pytest.approx(36.0)
 
     def test_out_of_range(self):
         profiles = [gaussian(1.0).moments(4)] * 3
         with pytest.raises(ValueError):
-            tail_sum_even_moment(profiles, 4, 2)
+            sum_even_moment(profiles[3:], 2)
 
 
 class TestGaussianDominatesRademacher:
@@ -263,8 +275,8 @@ class TestGaussianDominatesRademacher:
             n = int(rng.integers(1, 11))
             r = int(rng.integers(1, 6))
             sig = rng.uniform(0.2, 2.0, n)
-            w = WeightVector(tuple(sig))
-            lhs = gaussian_lp_norm(2 * r) * math.sqrt(w.total_variance)
+            w = tuple(sig)
+            lhs = gaussian_lp_norm(2 * r) * math.sqrt(sum(s * s for s in w))
             rhs = rademacher_even_moment(w, r) ** (1.0 / (2 * r))
             assert lhs >= rhs * (1 - 1e-12)
 
@@ -274,7 +286,7 @@ class TestGaussianDominatesRademacher:
             n = int(rng.integers(1, 11))
             p = float(rng.uniform(2.0, 6.0))
             sig = rng.uniform(0.2, 2.0, n)
-            w = WeightVector(tuple(sig))
-            lhs = gaussian_abs_moment(p) * w.total_variance ** (p / 2.0)
+            w = tuple(sig)
+            lhs = gaussian_abs_moment(p) * sum(s * s for s in w) ** (p / 2.0)
             rhs = rademacher_abs_moment(w, p)
             assert lhs >= rhs * (1 - 1e-12)

@@ -11,20 +11,20 @@ from scipy import stats
 
 from momentcert import oracle
 from momentcert import (
+    CharFunction,
     Estimate,
     NoEngine,
     SequenceSpec,
     SupportExplosion,
-    WeightVector,
     bound_even_symmetric,
     estimate_moment,
     exact_discrete_moment,
     gaussian,
+    haagerup_moment,
     mc_moment,
     rademacher,
     rademacher_abs_moment,
     spec_from_atoms,
-    sum_abs_moment_via_haagerup,
     sum_even_moment,
     symmetric_exponential,
     symmetric_three_point,
@@ -49,7 +49,7 @@ class TestExactDiscreteMoment:
             sig = rng.uniform(0.3, 1.5, n)
             specs = [rademacher(float(s)) for s in sig]
             assert exact_discrete_moment(specs, p) == pytest.approx(
-                rademacher_abs_moment(WeightVector(tuple(sig)), p), rel=1e-13
+                rademacher_abs_moment(tuple(sig), p), rel=1e-13
             )
 
     def test_mixed_atom_specs_even_p(self):
@@ -274,7 +274,7 @@ class TestEstimateMoment:
     def test_quadrature_budgets(self):
         p = 3.5
         est = estimate_moment(self.LAPLACE, p, slice(None), **ENGINES)
-        res = sum_abs_moment_via_haagerup(list(self.LAPLACE.variables), p, 1e-8)
+        res = haagerup_moment(CharFunction.product(list(self.LAPLACE.variables)), p, 1e-8)
         norm = res.value ** (1.0 / p)
         assert est == Estimate(
             res.value, res.total_error, norm,

@@ -7,7 +7,6 @@ import pytest
 from momentcert import exactmoments
 from momentcert import (
     CharFunction,
-    WeightVector,
     gaussian,
     rademacher_abs_moment,
     sum_even_moment,
@@ -87,14 +86,14 @@ class TestRademacherRuns:
     def test_all_distinct(self, n):
         sig = tuple(np.random.default_rng(n).uniform(0.2, 2.0, n))
         for p in (2.5, 3.0, 3.7):
-            got = rademacher_abs_moment(WeightVector(sig), p)
+            got = rademacher_abs_moment(sig, p)
             assert got == pytest.approx(brute_abs_moment(sig, p), rel=1e-13)
 
     @pytest.mark.parametrize("n", [2, 3, 9, 16, 20])
     def test_one_run(self, n):
         sig = (1.3,) * n
         for p in (2.5, 3.0, 3.7):
-            got = rademacher_abs_moment(WeightVector(sig), p)
+            got = rademacher_abs_moment(sig, p)
             assert got == pytest.approx(brute_abs_moment(sig, p), rel=1e-13)
 
     @pytest.mark.parametrize(
@@ -109,13 +108,13 @@ class TestRademacherRuns:
     )
     def test_mixed_runs(self, sig):
         for p in (2.5, 3.0, 3.7):
-            got = rademacher_abs_moment(WeightVector(sig), p)
+            got = rademacher_abs_moment(sig, p)
             assert got == pytest.approx(brute_abs_moment(sig, p), rel=1e-13)
 
     def test_budget_counts_grid_points(self, monkeypatch):
         # Equal weights form one binomial run of n + 1 points, whatever n.
         for n in (25, 30):
-            got = rademacher_abs_moment(WeightVector((1.3,) * n), 3.0)
+            got = rademacher_abs_moment((1.3,) * n, 3.0)
             want = sum(math.comb(n, j) * abs(n - 2 * j) ** 3 for j in range(n + 1)) / 2 ** n
             assert got == pytest.approx(1.3 ** 3 * want, rel=1e-13)
         # 26 distinct weights need a grid of 2^25 points (one sign fixed).
@@ -123,5 +122,5 @@ class TestRademacherRuns:
         monkeypatch.setattr(exactmoments, "_MAX_GRID", 1 << 12)
         sig = tuple(np.random.default_rng(26).uniform(0.2, 2.0, 26))
         with pytest.raises(exactmoments.SupportExplosion, match="8192 points"):
-            rademacher_abs_moment(WeightVector(sig), 3.0)
-        assert rademacher_abs_moment(WeightVector(sig[:13]), 3.0) > 0
+            rademacher_abs_moment(sig, 3.0)
+        assert rademacher_abs_moment(sig[:13], 3.0) > 0

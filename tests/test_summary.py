@@ -56,7 +56,7 @@ class TestSortedSummary:
         v = [s * s for s in scales]
         assert list(perm) == sorted(range(n), key=lambda i: -v[i])
         assert srt.variables == tuple(seq.variables[i] for i in perm)
-        assert srt.sorted_nonincreasing
+        assert list(srt.variances) == sorted(srt.variances, reverse=True)
 
     def test_equal_specs_share_one_profile(self):
         a, b = symmetric_exponential(1.0), symmetric_exponential(1.0)
