@@ -13,7 +13,8 @@ sums, with a certified error budget.  The integral is split in three: a
 closed-form Taylor head on [0, a] from the fourth and sixth moments, whose
 remainder the eighth moment bounds; vectorized adaptive Gauss-Kronrod 7/15
 panels on [a, T], with a bound on the rounding of phi; and a closed-form
-tail on [T, inf), where |phi| <= 1 bounds the rest.  The tolerance is
+tail on [T, inf), where the envelope |phi| <= E(T) of the summands'
+families bounds the rest (E = 1 when no factor decays).  The tolerance is
 relative to the scale of the sum, tol * variance^(p/2), at every scale:
 the head split, the tail point and the rounding bound all scale with the
 standard deviation, so a sum converges exactly when its unit-variance
@@ -81,24 +82,21 @@ class CharFunction:
     """An evaluable real characteristic function with the variance, fourth,
     sixth and eighth moments of the underlying variable (they give the
     quadrature its closed-form Taylor head and that head's remainder).
-    `factors` counts the factors whose rounding `fn` accumulates."""
+    `envelope` bounds |fn| on [t, inf) at every t > 0; `factors` counts
+    the factors whose rounding `fn` accumulates."""
 
     fn: Callable[[np.ndarray], np.ndarray]
     variance: float
     fourth_moment: float
     sixth_moment: float
     eighth_moment: float
+    envelope: Callable[[np.ndarray], np.ndarray]
     factors: int = 1
 
     def __call__(self, t):
         arr = np.asarray(t, dtype=float)
         out = self.fn(arr)
         return float(out) if np.isscalar(t) else out
-
-    @classmethod
-    def from_spec(cls, spec: VariableSpec) -> "CharFunction":
-        prof = spec.moments(8)
-        return cls(spec.charfn, prof.variance, prof.moment(4), prof.moment(6), prof.moment(8))
 
     @classmethod
     def product(cls, specs: Sequence[VariableSpec]) -> "CharFunction":
@@ -110,21 +108,27 @@ class CharFunction:
         of the runs, and phi evaluates its factor once and raises it to the
         k-th power, so a run costs the same at any k.  The power differs
         from k multiplications by less than one unit roundoff per factor.
+        The envelope is the product of the runs' envelopes E^k, identically
+        1 when no factor decays.
         """
         if not specs:
             raise ValueError("need at least one spec")
-        runs = [(s.moments(8), s.phi, k) for s, k in run_lengths(specs)]
-        variance = sum(prof.variance * k for prof, _, k in runs)
-        m = moments_of_sum([(prof, k) for prof, _, k in runs], 8)
-        factors = [(f, k) for _, f, k in runs]
+        runs = [(s.moments(8), s.phi, s.envelope, k) for s, k in run_lengths(specs)]
+        variance = sum(prof.variance * k for prof, _, _, k in runs)
+        m = moments_of_sum([(prof, k) for prof, _, _, k in runs], 8)
 
-        def prod(t: np.ndarray) -> np.ndarray:
-            out = 1.0
-            for f, k in factors:
-                out = out * f(t) ** k
-            return out
+        def power_product(factors):
+            def prod(t: np.ndarray) -> np.ndarray:
+                out = 1.0
+                for f, k in factors:
+                    out = out * f(t) ** k
+                return out
+            return prod
 
-        return cls(prod, variance, m[4], m[6], m[8], len(specs) + len(runs))
+        return cls(
+            power_product([(f, k) for _, f, _, k in runs]), variance, m[4], m[6], m[8],
+            power_product([(e, k) for _, _, e, k in runs]), len(specs) + len(runs),
+        )
 
 
 @dataclass(frozen=True)
@@ -273,13 +277,18 @@ def haagerup_moment(phi: CharFunction, p: float, tol: float = 1e-8) -> IntegralR
       evaluates phi once, on the nodes of every panel it bisects, and
       bisects the panels with the largest |Kronrod - Gauss| until their
       sum fits the budget; the rounding of phi (fuzz (1 + sigma t), with
-      fuzz = _FACTOR_ULPS u per factor) adds a bound of its own;
+      fuzz = _FACTOR_ULPS u per factor) adds a bound of its own; a panel
+      wide enough to alias phi is charged E(lo) times the integral of
+      t^{-p-1} over it;
     - on [T, inf), the -1 and t^2-variance pieces are in closed form and
-      |phi| <= 1 bounds the rest by T^{-p}/p.
+      |phi| <= E(T) bounds the rest by E(T) T^{-p}/p.
     a balances the head's remainder against the rounding of g near the
-    origin, and T puts a quarter of the budget in the tail.  The result
-    is `converged` iff its total error is at most tol * variance^(p/2),
-    relative to the sum's scale at every variance.
+    origin.  T is where T^{-p}/p is a quarter of the budget, moved down
+    by factors 2^(1/8), not below a, while E(T) T^{-p}/p still fits that
+    quarter: where phi decays, T and the panels end where it has decayed,
+    and where it does not (E = 1), T stays.  The result is `converged` iff
+    its total error is at most tol * variance^(p/2), relative to the sum's
+    scale at every variance.
     """
     cp = haagerup_constant(p)
     if tol <= 0:
@@ -292,6 +301,12 @@ def haagerup_moment(phi: CharFunction, p: float, tol: float = 1e-8) -> IntegralR
     fuzz = _FACTOR_ULPS * phi.factors * u
     T = (4.0 / (p * budget)) ** (1.0 / p)
     a = min((40320.0 * (fuzz + 2.0 * u) / m8) ** 0.125, 0.5 * T)
+    # The last of T 2^(-j/8), j = 1, 2, ..., before the first whose tail
+    # bound does not fit; T itself if none fits, as with E = 1.
+    ends = T * 2.0 ** (-np.arange(math.floor(8.0 * math.log2(T / a)) + 1) / 8.0)
+    fits = phi.envelope(ends) * ends ** (-p) / p <= 0.25 * budget
+    T = float(ends[int(np.cumprod(fits[1:]).sum())])
+    tail_error = float(phi.envelope(T)) * T ** (-p) / p
     head = m4 * a ** (4.0 - p) / (24.0 * (4.0 - p)) - m6 * a ** (6.0 - p) / (720.0 * (6.0 - p))
     head_error = m8 * a ** (8.0 - p) / (40320.0 * (8.0 - p))
     # Rounding of g on [a, T]: phi's fuzz (1 + sigma t), 2u for the -1, and
@@ -303,23 +318,22 @@ def haagerup_moment(phi: CharFunction, p: float, tol: float = 1e-8) -> IntegralR
     )
     # Closed-form tail pieces: -int_T^inf t^{-p-1} and (var/2) int_T^inf t^{1-p}.
     tail = -(T ** (-p)) / p + var * T ** (2.0 - p) / (2.0 * (p - 2.0))
-    tail_error = T ** (-p) / p
 
     def rules(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """The Kronrod estimate of the integral over each [lo, hi] and its
         error: |Kronrod - Gauss| on a panel narrower than one period
         2 pi / m8^(1/8) of phi's oscillation.  On a wider one, 15 nodes may
-        alias it, so |phi| <= 1 bounds the error by the integral of
-        t^{-p-1} plus its Kronrod sum, if that is larger."""
+        alias it, so |phi| <= E(lo) bounds the error by E(lo) times the
+        integral of t^{-p-1} plus its Kronrod sum, if that is larger."""
         half = 0.5 * (hi - lo)
         t = ((0.5 * (lo + hi))[:, None] + half[:, None] * _NODES).ravel()
         weight = (t ** (-p - 1.0)).reshape(-1, _NODES.size)
         f = (phi.fn(t) - 1.0 + 0.5 * var * t ** 2).reshape(weight.shape) * weight
         kronrod = half * (f @ _KRONROD)
         err = np.abs(kronrod - half * (f @ _GAUSS))
-        envelope = (lo ** (-p) - hi ** (-p)) / p + half * (weight @ _KRONROD)
+        alias = ((lo ** (-p) - hi ** (-p)) / p + half * (weight @ _KRONROD)) * phi.envelope(lo)
         coarse = (hi - lo) * m8 ** 0.125 > 2.0 * math.pi
-        return kronrod, np.where(coarse, np.maximum(err, envelope), err)
+        return kronrod, np.where(coarse, np.maximum(err, alias), err)
 
     edges = np.geomspace(a, T, max(2, math.ceil(math.log2(T / a))) + 1)
     lo, hi = edges[:-1], edges[1:]

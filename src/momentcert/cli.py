@@ -2,9 +2,10 @@
 computation, emit machine-readable reports (JSON or CSV).
 
 Exit codes: 0 all checks pass; 1 a violation or a FAIL; 2 a configuration
-error, or no FAIL but some `verify` row UNVERIFIED because the atom grid
-budget refused its ground truth or that ground truth overflowed a float
-(the document is still written).
+error, or no FAIL but some row UNVERIFIED: a `verify` row whose ground
+truth the atom grid budget refused, or a `verify`, `moments` or `scan` row
+whose value or error budget overflowed a float (the document is still
+written, without that number).
 """
 from __future__ import annotations
 
@@ -176,13 +177,31 @@ def _tag(value: float, provenance: str, error: float | None = None) -> dict:
     return out
 
 
+def _finite(est: Estimate) -> Estimate:
+    """est, unless a value or budget overflowed a float: that raises
+    OverflowError, since such a number can neither pass nor fail a check."""
+    if not all(map(math.isfinite, (est.raw, est.raw_error, est.norm, est.norm_error))):
+        raise OverflowError(
+            f"the {est.provenance} ground truth overflowed a float: "
+            f"E|S|^p = {est.raw} +- {est.raw_error}"
+        )
+    return est
+
+
 def _norm_estimate(seq: SequenceSpec, p: float, cfg: RunConfig) -> dict:
-    """||sum X_k||_p via the best available engine, tagged with provenance."""
+    """||sum X_k||_p via the best available engine, tagged with provenance;
+    OverflowError if it is not finite."""
     est = estimate_moment(
         seq, p, slice(None), exact_atoms=False,
         tol=cfg.tol, samples=cfg.samples, seed=cfg.seed, confidence=cfg.confidence,
     )
-    return _estimate_tag(est, raw=False)
+    return _estimate_tag(_finite(est), raw=False)
+
+
+def _unverified(row: dict, exc: Exception) -> dict:
+    row["verdict"] = "UNVERIFIED"
+    row["detail"] = str(exc)
+    return row
 
 
 def _estimate_tag(est: Estimate, raw: bool) -> dict:
@@ -247,16 +266,10 @@ def _ground_for_report(ordered: SequenceSpec, report: BoundReport, cfg: RunConfi
     start_index on.  A value or budget that overflowed a float raises
     OverflowError: it can neither pass nor fail a report.
     """
-    est = estimate_moment(
+    return _finite(estimate_moment(
         ordered, report.p, slice(report.start_index - 1, None), exact_atoms=True,
         tol=cfg.tol, samples=cfg.samples, seed=cfg.seed, confidence=cfg.confidence,
-    )
-    if not all(map(math.isfinite, (est.raw, est.raw_error, est.norm, est.norm_error))):
-        raise OverflowError(
-            f"the {est.provenance} ground truth overflowed a float: "
-            f"E|S|^p = {est.raw} +- {est.raw_error}"
-        )
-    return est
+    ))
 
 
 # -- commands ---------------------------------------------------------------
@@ -266,11 +279,13 @@ def _run_moments(cfg: RunConfig) -> tuple[int, list[dict]]:
     seq = SequenceSpec(tuple(cfg.variables))
     rows = []
     for p in sorted(set(cfg.p_values) | {2.0 * r for r in cfg.r_values}):
-        est = _norm_estimate(seq, p, cfg)
-        rows.append({"p": p, "lp_norm": est, "gaussian_center": _tag(
-            gaussian_lp_norm(p) * math.sqrt(seq.total_variance), "exact",
-        )})
-    return EXIT_OK, rows
+        try:
+            row = {"p": p, "lp_norm": _norm_estimate(seq, p, cfg)}
+        except OverflowError as exc:
+            row = _unverified({"p": p}, exc)
+        row["gaussian_center"] = _tag(gaussian_lp_norm(p) * math.sqrt(seq.total_variance), "exact")
+        rows.append(row)
+    return _status(rows), rows
 
 
 def _run_bound(cfg: RunConfig) -> tuple[int, list[dict]]:
@@ -282,7 +297,7 @@ def _run_verify(cfg: RunConfig) -> tuple[int, list[dict]]:
     seq = SequenceSpec(tuple(cfg.variables))
     ordered, _ = seq.sorted()
     rows = []
-    grounds: dict = {}  # {(p, start_index): Estimate or the refusal's message}
+    grounds: dict = {}  # {(p, start_index): Estimate or the refusal}
     for report in _all_reports(seq, cfg):
         row = _report_row(report)
         rows.append(row)
@@ -294,11 +309,10 @@ def _run_verify(cfg: RunConfig) -> tuple[int, list[dict]]:
             try:
                 grounds[key] = _ground_for_report(ordered, report, cfg)
             except (SupportExplosion, OverflowError) as exc:  # no ground truth
-                grounds[key] = str(exc)
+                grounds[key] = exc
         ground = grounds[key]
-        if isinstance(ground, str):
-            row["verdict"] = "UNVERIFIED"
-            row["detail"] = ground
+        if isinstance(ground, Exception):
+            _unverified(row, ground)
             continue
         verdict = verify_report(report, ground)
         # Quadrature grounds show the raw moment and Monte Carlo ones the
@@ -309,10 +323,15 @@ def _run_verify(cfg: RunConfig) -> tuple[int, list[dict]]:
         row["ground"] = _estimate_tag(ground, raw)
         row["verdict"] = "PASS" if verdict.passed else "FAIL"
         row["margin"] = verdict.margin
-    verdicts = {row["verdict"] for row in rows}
-    if "FAIL" in verdicts:
-        return EXIT_FAIL, rows
-    return (EXIT_CONFIG if "UNVERIFIED" in verdicts else EXIT_OK), rows
+    return _status(rows), rows
+
+
+def _status(rows: list[dict]) -> int:
+    """1 if a row FAILed or lies outside its radius, else 2 if a row is
+    UNVERIFIED, else 0."""
+    if any(row.get("verdict") == "FAIL" or row.get("within_radius") is False for row in rows):
+        return EXIT_FAIL
+    return EXIT_CONFIG if any(row.get("verdict") == "UNVERIFIED" for row in rows) else EXIT_OK
 
 
 def _run_check_lemmas(cfg: RunConfig) -> tuple[int, list[dict]]:
@@ -378,7 +397,6 @@ def _run_check_lemmas(cfg: RunConfig) -> tuple[int, list[dict]]:
 def _run_scan(cfg: RunConfig) -> tuple[int, list[dict]]:
     base = cfg.variables[0]
     rows = []
-    status = EXIT_OK
     for n in sorted(set(cfg.n_values)):
         scale = math.sqrt((1.0 / n) / base.variance)
         spec = base.scaled(scale)
@@ -391,19 +409,21 @@ def _run_scan(cfg: RunConfig) -> tuple[int, list[dict]]:
             else:
                 report = logconcave_radius(seq, p)
             row = {"n": n, "p": p, "statement": report.statement_id}
-            if report.certifying and report.radius is not None:
-                est = _norm_estimate(seq, p, cfg)
-                deviation = abs(est["value"] - gaussian_lp_norm(p))
-                row["radius"] = _tag(report.radius, "exact")
-                row["deviation"] = est | {"value": deviation}
-                row["within_radius"] = bool(deviation <= report.radius + est.get("error", 0.0))
-                if not row["within_radius"]:
-                    status = EXIT_FAIL
-            else:
+            rows.append(row)
+            if not (report.certifying and report.radius is not None):
                 row["certifying"] = False
                 row["failed"] = [a.name for a in report.failed_assumptions()]
-            rows.append(row)
-    return status, rows
+                continue
+            row["radius"] = _tag(report.radius, "exact")
+            try:
+                est = _norm_estimate(seq, p, cfg)
+            except OverflowError as exc:
+                _unverified(row, exc)
+                continue
+            deviation = abs(est["value"] - gaussian_lp_norm(p))
+            row["deviation"] = est | {"value": deviation}
+            row["within_radius"] = bool(deviation <= report.radius + est.get("error", 0.0))
+    return _status(rows), rows
 
 
 _COMMANDS = {
@@ -487,9 +507,10 @@ def main(argv=None) -> int:
         return EXIT_CONFIG
     unverified = [row for row in rows if row.get("verdict") == "UNVERIFIED"]
     if unverified:
+        first = unverified[0]
         print(
-            f"error: {len(unverified)} report(s) UNVERIFIED, first: "
-            f"{unverified[0]['statement']} p={unverified[0]['p']}: {unverified[0]['detail']}",
+            f"error: {len(unverified)} row(s) UNVERIFIED, first: "
+            f"{first.get('statement', cfg.command)} p={first['p']}: {first['detail']}",
             file=sys.stderr,
         )
     if cfg.output_path:

@@ -112,12 +112,15 @@ class Family:
 
     `keys` names the parameters as a CLI configuration spells them; q[0] is
     the scale, so c*X has q[0] multiplied by c.  Each check is a test of q
-    and the message raised when it fails.  `even_moment(q, l)` is E X^{2l};
-    `atoms` is None unless the support is finite.  The sum of k copies of X
-    is drawn n at a time by `mix_variance(q, rng, n, k)` for a Gaussian
-    scale mixture: n draws of V (or one fixed V), the sum being sqrt(V) Z
-    for an independent standard normal Z; else by `sample_sum(q, rng, n,
-    k)`, its exact law, at k > 1 where known; else by k `sample(q, rng, n)`.
+    and the message raised when it fails.  `even_moment(q, l)` is E X^{2l}.
+    `envelope(q, t)` bounds |charfn(q, t)| for t > 0 and does not increase
+    with t, so its value at t bounds |phi| on all of [t, inf); it is 1 for
+    a law whose phi does not decay.  `atoms` is None unless the support is
+    finite.  The sum of k copies of X is drawn n at a time by
+    `mix_variance(q, rng, n, k)` for a Gaussian scale mixture: n draws of
+    V (or one fixed V), the sum being sqrt(V) Z for an independent
+    standard normal Z; else by `sample_sum(q, rng, n, k)`, its exact law,
+    at k > 1 where known; else by k `sample(q, rng, n)`.
     """
 
     keys: tuple[str, ...]
@@ -126,6 +129,7 @@ class Family:
     variance: Callable[[tuple], float]
     even_moment: Callable[[tuple, int], float]
     charfn: Callable[[tuple, np.ndarray], np.ndarray]
+    envelope: Callable[[tuple, np.ndarray], np.ndarray]
     sample: Callable[[tuple, np.random.Generator, int], np.ndarray] | None = None
     sample_sum: Callable[[tuple, np.random.Generator, int, int], np.ndarray] | None = None
     mix_variance: Callable[..., np.ndarray | float] | None = None
@@ -139,6 +143,20 @@ def _signs(b: float, rng: np.random.Generator, counts: np.ndarray) -> np.ndarray
 
 _POSITIVE_SCALE = ((lambda q: q[0] > 0.0, "scale must be positive"),)
 
+
+def _no_decay(q: tuple, t: np.ndarray) -> np.ndarray:
+    return np.ones_like(t)
+
+
+# phi > 0 decreases on t > 0 for these two: each is its own envelope.
+def _gaussian_phi(q: tuple, t: np.ndarray) -> np.ndarray:
+    return np.exp(-0.5 * (q[0] * t) ** 2)
+
+
+def _laplace_phi(q: tuple, t: np.ndarray) -> np.ndarray:
+    return 1.0 / (1.0 + 0.5 * (q[0] * t) ** 2)
+
+
 FAMILIES: dict[str, Family] = {
     "gaussian": Family(
         ("sigma",), _POSITIVE_SCALE, log_concave=True,
@@ -146,7 +164,8 @@ FAMILIES: dict[str, Family] = {
         even_moment=lambda q, l: (
             q[0] ** (2 * l) * math.factorial(2 * l) / (2 ** l * math.factorial(l))
         ),
-        charfn=lambda q, t: np.exp(-0.5 * (q[0] * t) ** 2),
+        charfn=_gaussian_phi,
+        envelope=_gaussian_phi,
         mix_variance=lambda q, rng, n, k: q[0] ** 2 * k,
     ),
     "rademacher": Family(
@@ -154,6 +173,7 @@ FAMILIES: dict[str, Family] = {
         variance=lambda q: q[0] ** 2,
         even_moment=lambda q, l: q[0] ** (2 * l),
         charfn=lambda q, t: np.cos(q[0] * t),
+        envelope=_no_decay,
         sample=lambda q, rng, n: q[0] * (2.0 * rng.integers(0, 2, n) - 1.0),
         sample_sum=lambda q, rng, n, k: q[0] * (2.0 * rng.binomial(k, 0.5, n) - k),
         atoms=lambda q: (np.array([-q[0], q[0]]), np.array([0.5, 0.5])),
@@ -163,7 +183,8 @@ FAMILIES: dict[str, Family] = {
         ("sigma",), _POSITIVE_SCALE, log_concave=True,
         variance=lambda q: q[0] ** 2,
         even_moment=lambda q, l: math.factorial(2 * l) * q[0] ** (2 * l) / 2 ** l,
-        charfn=lambda q, t: 1.0 / (1.0 + 0.5 * (q[0] * t) ** 2),
+        charfn=_laplace_phi,
+        envelope=_laplace_phi,
         # X = sigma sqrt(E) Z with E ~ Exp(1) (Andrews & Mallows 1974); k copies add k E's.
         mix_variance=lambda q, rng, n, k: q[0] ** 2 * rng.standard_gamma(k, n),
     ),
@@ -173,6 +194,7 @@ FAMILIES: dict[str, Family] = {
         variance=lambda q: q[0] ** 2 / 3.0,
         even_moment=lambda q, l: q[0] ** (2 * l) / (2 * l + 1),
         charfn=lambda q, t: np.sinc(q[0] * t / np.pi),
+        envelope=lambda q, t: 1.0 / np.maximum(1.0, q[0] * t),
         sample=lambda q, rng, n: rng.uniform(-q[0], q[0], n),
     ),
     # P(X = +-b) = q, P(X = 0) = 1 - 2q.
@@ -186,6 +208,7 @@ FAMILIES: dict[str, Family] = {
         variance=lambda q: 2.0 * q[1] * q[0] * q[0],
         even_moment=lambda q, l: 1.0 if l == 0 else 2.0 * q[1] * q[0] ** (2 * l),
         charfn=lambda q, t: 1.0 - 2.0 * q[1] + 2.0 * q[1] * np.cos(q[0] * t),
+        envelope=_no_decay,
         sample=lambda q, rng, n: rng.choice(
             np.array([-q[0], 0.0, q[0]]), size=n, p=[q[1], 1.0 - 2.0 * q[1], q[1]]
         ),
@@ -287,6 +310,14 @@ class VariableSpec:
         if self.family == "raw_moments":
             raise NoEngine("no characteristic function available for a raw moment profile")
         return partial(FAMILIES[self.family].charfn, self.params)
+
+    @property
+    def envelope(self) -> Callable[[np.ndarray], np.ndarray]:
+        """The family's envelope, a bound on |phi| on [t, inf), for arrays
+        of t > 0, with this spec's parameters bound."""
+        if self.family == "raw_moments":
+            raise NoEngine("no characteristic function available for a raw moment profile")
+        return partial(FAMILIES[self.family].envelope, self.params)
 
     # -- sampling ----------------------------------------------------------
 

@@ -138,55 +138,88 @@ def rademacher_abs_moment(sigmas: Sequence[float], p: float) -> float:
     return _atom_abs_moment([((-a, a), (0.5, 0.5), k) for a, k in runs.items()], p)
 
 
-def _merged(law: np.ndarray) -> np.ndarray:
-    """A law, held as values + 1j * probabilities, sorted in place by value
-    with equal values merged.  Complex numbers sort by real part first, and
-    timsort merges the sorted rows of an outer sum in O(N log rows)."""
-    law.sort(kind="stable")
+def _two_sum(a, b):
+    """(s, e) with s = fl(a + b) and s + e = a + b exactly (Knuth)."""
+    s = a + b
+    bb = s - a
+    return s, (a - (s - bb)) + (b - bb)
+
+
+def _merged(law: np.ndarray, lo=None) -> tuple:
+    """A law, held as values + 1j * probabilities, sorted by value with equal
+    values merged, and its low parts.  Complex numbers sort by real part
+    first, and timsort merges the sorted rows of an outer sum in
+    O(N log rows).  Without low parts (None) the law sorts in place.  With
+    them, each atom sits at value + low part, normalized so that the value
+    is that sum rounded; atoms of one value lie within an ulp of it, and a
+    merged atom keeps the first atom's low part."""
+    if lo is None:
+        law.sort(kind="stable")
+    else:
+        order = np.argsort(law, kind="stable")
+        law, lo = law[order], lo[order]
     new = np.concatenate(([True], law.real[1:] != law.real[:-1]))
     if new.all():
-        return law
+        return law, lo
     starts = np.flatnonzero(new)
     out = law[starts]
     out.imag = np.add.reduceat(law.imag, starts)
-    return out
+    return out, None if lo is None else lo[starts]
 
 
-def _sum_law(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """The law of X + Y for independent X and Y: every grid is built here."""
+def _sum_law(x: tuple, y: tuple) -> tuple:
+    """The law of X + Y for independent X and Y, each a (law, low parts)
+    pair of :func:`_merged`: every grid is built here.  With low parts each
+    atom carries the rounding error of its sum, so a sum that cancels is
+    off by O(eps^2 sum |v|), not O(eps sum |v|), for atoms v of the parts."""
+    (x, xlo), (y, ylo) = x, y
     if len(x) * len(y) > _MAX_GRID:
         raise SupportExplosion(f"a grid of {len(x) * len(y)} points exceeds {_MAX_GRID}")
     out = np.empty((len(y), len(x)), dtype=complex)
-    np.add.outer(y.real, x.real, out=out.real)
     np.multiply.outer(y.imag, x.imag, out=out.imag)
-    return _merged(out.ravel())
+    if xlo is None:
+        np.add.outer(y.real, x.real, out=out.real)
+        return _merged(out.ravel())
+    hi, lo = _two_sum(y.real[:, None], x.real)
+    out.real, lo = _two_sum(hi, lo + np.add.outer(ylo, xlo))
+    return _merged(out.ravel(), lo.ravel())
 
 
 def _atom_abs_moment(runs: Sequence[tuple[Sequence, Sequence, int]], p: float) -> float:
     """E |S|^p, exact up to rounding, for S a sum of independent summands
     of finite support, given as runs (values, probs, k) of k copies of one law.
 
+    For p >= 1, |s|^p moves by O(eps) relative to (sum_k |v_k|)^p when an
+    atom s = sum_k v_k is rounded by O(eps sum_k |v_k|), so plain float sums
+    serve.  For p < 1 a sum that cancels to near 0 would be off by
+    (eps sum_k |v_k|)^p; there atoms carry low parts (see
+    :func:`_sum_law`), which cut that to (eps^2 sum_k |v_k|)^p.
+
     Two atoms -a, +a of equal probability take their k-fold law in closed
-    form: a (2j - k) with probability C(k, j) / 2^k, rounded once.  Other
-    laws are powered by repeated squaring.  When every run after the first
-    is exactly symmetric, E |x + R|^p is even in x for the rest R of the
-    sum, so the first law folds onto |X|, which halves the grid.
+    form for p >= 1: a (2j - k) with probability C(k, j) / 2^k, rounded
+    once.  Other laws are powered by repeated squaring.  When every run
+    after the first is exactly symmetric, E |x + R|^p is even in x for the
+    rest R of the sum, so the first law folds onto |X|, which halves the grid.
     """
     if p <= 0:
         raise ValueError("p must be positive")
     if not runs:
         raise ValueError("need at least one summand")
+    compensated = p < 1
     laws, mirrored = [], []
     for values, probs, k in runs:
-        law = _merged(np.asarray(values, dtype=float) + 1j * np.asarray(probs, dtype=float))
+        law = np.asarray(values, dtype=float) + 1j * np.asarray(probs, dtype=float)
+        law, lo = _merged(law, np.zeros(len(law)) if compensated else None)
         mirrored.append(np.array_equal(law, -law[::-1].conj()))
-        if len(law) == 2 and mirrored[-1]:
+        if len(law) == 2 and mirrored[-1] and not compensated:
             combs = accumulate(range(k), lambda c, j: c * (k - j) // (j + 1), initial=1)
             probs = np.array([c / (1 << k) for c in combs])
-            laws.append(law[1].real * (2.0 * np.arange(k + 1) - k) + 1j * probs)
+            laws.append((law[1].real * (2.0 * np.arange(k + 1) - k) + 1j * probs, None))
         else:
-            laws.append(_power(law, k, _sum_law))
+            laws.append(_power((law, lo), k, _sum_law))
     if all(mirrored[1:]):
-        laws[0] = _merged(np.abs(laws[0].real) + 1j * laws[0].imag)
-    law = reduce(_sum_law, laws)
+        law, lo = laws[0]
+        lo = None if lo is None else np.sign(law.real) * lo
+        laws[0] = _merged(np.abs(law.real) + 1j * law.imag, lo)
+    law, _ = reduce(_sum_law, laws)
     return float((np.abs(law.real) ** p * law.imag).sum())

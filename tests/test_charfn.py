@@ -6,6 +6,8 @@ from types import SimpleNamespace
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import random_symmetric_seq, random_symmetric_spec
 from momentcert import (
@@ -28,8 +30,8 @@ from momentcert.exactmoments import gaussian_abs_moment
 
 
 class TestCharFunction:
-    def test_from_spec_moments(self):
-        phi = CharFunction.from_spec(symmetric_exponential(1.0))
+    def test_single_spec_moments(self):
+        phi = CharFunction.product([symmetric_exponential(1.0)])
         assert phi.variance == pytest.approx(1.0)
         assert phi.fourth_moment == pytest.approx(6.0)
         assert phi.sixth_moment == pytest.approx(90.0)
@@ -158,7 +160,7 @@ class TestHaagerupConstant:
 class TestHaagerupMoment:
     def test_gaussian_third_moment_golden(self):
         """E|G|^3 = 2 sqrt(2/pi) for a standard Gaussian."""
-        res = haagerup_moment(CharFunction.from_spec(gaussian(1.0)), 3.0, tol=1e-8)
+        res = haagerup_moment(CharFunction.product([gaussian(1.0)]), 3.0, tol=1e-8)
         assert res.converged
         assert res.value == pytest.approx(2.0 * math.sqrt(2.0 / math.pi), abs=1e-6)
         assert res.total_error <= 1e-8
@@ -166,13 +168,13 @@ class TestHaagerupMoment:
     def test_laplace_third_moment_golden(self):
         """E|X|^3 = 3/sqrt(2) for the unit-variance two-sided exponential."""
         res = haagerup_moment(
-            CharFunction.from_spec(symmetric_exponential(1.0)), 3.0, tol=1e-8
+            CharFunction.product([symmetric_exponential(1.0)]), 3.0, tol=1e-8
         )
         assert res.converged
         assert res.value == pytest.approx(3.0 / math.sqrt(2.0), abs=1e-6)
 
     def test_gaussian_fractional_orders(self):
-        phi = CharFunction.from_spec(gaussian(1.0))
+        phi = CharFunction.product([gaussian(1.0)])
         for p in (2.2, 2.5, 3.3, 3.8):
             res = haagerup_moment(phi, p, tol=1e-8)
             assert res.converged
@@ -216,7 +218,7 @@ class TestHaagerupMoment:
 
     def test_bad_tol(self):
         with pytest.raises(ValueError):
-            haagerup_moment(CharFunction.from_spec(gaussian(1.0)), 3.0, tol=0.0)
+            haagerup_moment(CharFunction.product([gaussian(1.0)]), 3.0, tol=0.0)
 
 
 def laplace_sum_third_moment(n: int, sigma: float) -> float:
@@ -339,6 +341,87 @@ class TestQuadratureCrossChecks:
         assert laplace_sum_third_moment(1, 1.0) == pytest.approx(3.0 / math.sqrt(2.0), rel=1e-15)
 
 
+class TestEnvelope:
+    """The product's envelope bounds |phi|; the quadrature uses it for its
+    tail point and its aliasing guard, and nowhere else."""
+
+    @given(
+        st.lists(st.tuples(st.integers(0, 4), st.floats(0.1, 10.0), st.integers(1, 50)),
+                 min_size=1, max_size=5),
+        st.lists(st.floats(0.0, 1e4, exclude_min=True), min_size=1, max_size=20),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_product_envelope_bounds_product(self, runs, ts):
+        makers = [gaussian, rademacher, symmetric_exponential, uniform,
+                  lambda b: symmetric_three_point(b, 0.2)]
+        phi = CharFunction.product([makers[i](s) for i, s, k in runs for _ in range(k)])
+        t = np.array(ts)
+        assert np.all(np.abs(phi.fn(t)) <= phi.envelope(t) * (1.0 + 1e-12))
+
+    @pytest.mark.parametrize(
+        "specs, p, golden",
+        [
+            ([rademacher(1.0)] * 3 + [symmetric_three_point(0.7, 0.2)] * 2, 2.5,
+             (5.502433507877242, 2.6227317681765165e-08, 1.5080408464683683e-11,
+              1.150826392285974e-08, 25800, True)),
+            ([symmetric_three_point(1.2, 0.05)] * 4 + [rademacher(0.5)]
+             + [rademacher(0.3)] * 6, 3.3,
+             (3.2870097662889637, 1.034690786306242e-08, 8.099813393812675e-10,
+              4.182477974555015e-09, 6720, True)),
+        ],
+    )
+    def test_no_decay_keeps_every_bit(self, specs, p, golden):
+        """E = 1 for atom sums: the tail point, the panels and every field
+        of the result are those of the rule that knew only |phi| <= 1."""
+        res = haagerup_moment(CharFunction.product(specs), p)
+        assert dataclasses.astuple(res) == golden
+
+    @pytest.mark.parametrize("n", [3, 30, 300, 3000])
+    @pytest.mark.parametrize("p", [2.5, 3.0])
+    def test_closed_forms_in_few_evaluations(self, n, p):
+        """n Laplace(1) summands against E|Z|^p Gamma(n + p/2) / Gamma(n), and
+        n standard Gaussians against n^(p/2) E|Z|^p: each converges within
+        its budget in at most 1000 evaluations."""
+        laplace = gaussian_abs_moment(p) * math.exp(math.lgamma(n + p / 2) - math.lgamma(n))
+        for spec, exact in ((symmetric_exponential(1.0), laplace),
+                            (gaussian(1.0), n ** (p / 2) * gaussian_abs_moment(p))):
+            res = haagerup_moment(CharFunction.product([spec] * n), p)
+            assert res.converged
+            assert abs(res.value - exact) <= res.total_error
+            assert res.evaluations <= 1000
+
+    @pytest.mark.parametrize("sigma, b", [(0.05, 1.0), (0.3, 3.0), (1.0, 10.0)])
+    @pytest.mark.parametrize("p", [2.2, 3.0, 3.9])
+    def test_decaying_times_periodic_within_budget(self, sigma, b, p):
+        """sigma G + b eps: phi = exp(-sigma^2 t^2/2) cos(b t) oscillates
+        under a decaying envelope, so coarse panels are guarded by E(lo).
+        E|sigma G + b|^p is a one-dimensional integral for mpmath."""
+        def density(x):
+            return abs(x) ** p * mp.npdf(x, b, sigma)
+
+        exact = float(mp.quad(density, [-mp.inf, b - 10 * sigma, 0, b, b + 10 * sigma, mp.inf]))
+        res = haagerup_moment(CharFunction.product([gaussian(sigma), rademacher(b)]), p)
+        assert res.converged
+        assert abs(res.value - exact) <= res.total_error
+
+    @pytest.mark.parametrize(
+        "specs, p, evaluations, quad_error",
+        [
+            ([gaussian(0.3), rademacher(3.0)], 2.5, 270, 5.853384780146716e-11),
+            ([symmetric_exponential(0.5), symmetric_three_point(2.0, 0.1)], 2.7,
+             1620, 5.587168292618911e-09),
+            ([rademacher(1.0), uniform(1.0), symmetric_exponential(0.5)], 3.3,
+             465, 6.210945011063801e-09),
+        ],
+    )
+    def test_aliasing_guard_pinned(self, specs, p, evaluations, quad_error):
+        """Pinned panels of decaying products: a guard that read E at a
+        panel's right end, where it is smallest, stops bisecting sooner."""
+        res = haagerup_moment(CharFunction.product(specs), p)
+        assert res.evaluations == evaluations
+        assert res.quad_error == pytest.approx(quad_error, rel=1e-6)
+
+
 class TestVectorizedRule:
     def test_converged_is_the_budget_test(self):
         """One rule at every scale, sums of variance far below 1 included:
@@ -386,7 +469,7 @@ class TestVectorizedRule:
         specs = [symmetric_exponential(1.0)] * 4 + [uniform(1.2)]
         phi = CharFunction.product(specs)
         assert phi.eighth_moment == pytest.approx(sum_even_moment([s.moments(8) for s in specs], 4))
-        assert CharFunction.from_spec(gaussian(1.0)).eighth_moment == pytest.approx(105.0)
+        assert CharFunction.product([gaussian(1.0)]).eighth_moment == pytest.approx(105.0)
         assert phi.factors == 5 + 2
 
     @pytest.mark.parametrize("k", [2, 100, 10_000])

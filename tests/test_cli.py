@@ -549,6 +549,36 @@ class TestBadInputs:
         assert sandwich["verdict"] == "SKIPPED"
         assert sandwich["failed"] == ["finite_head"]
 
+    @pytest.mark.parametrize("command, extra", [("moments", {}), ("scan", {"n_values": [5]})])
+    def test_overflowed_estimate_is_unverified(self, tmp_path, capsys, command, extra):
+        """The same overflow in `moments` and `scan`: the row is UNVERIFIED
+        with a detail, carries no estimate, and the command exits 2."""
+        out = tmp_path / "report.json"
+        count = 5 if command == "moments" else 1
+        variables = [{"family": "symmetric_exponential", "sigma": 1.0, "count": count}]
+        path = write_config(tmp_path, {"command": command, "variables": variables,
+                                       "p_values": [171], "output_path": str(out), **extra})
+        assert main(["--config", path]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "UNVERIFIED" in err
+        text = out.read_text()
+        assert "NaN" not in text and "Infinity" not in text
+        [row] = json.loads(text)["rows"]
+        assert row["verdict"] == "UNVERIFIED"
+        assert "mc ground truth overflowed a float" in row["detail"]
+        assert not {"lp_norm", "deviation", "within_radius"} & set(row)
+
+    def test_scan_outside_radius_fails(self, tmp_path, monkeypatch):
+        import momentcert.cli as cli_mod
+
+        monkeypatch.setattr(cli_mod, "_norm_estimate",
+                            lambda seq, p, cfg: {"value": 1e6, "provenance": "mc", "error": 0.0})
+        path = write_config(tmp_path, {"command": "scan", "variables": LAPLACE_TEN,
+                                       "p_values": [3.0], "n_values": [10]})
+        status, document = run(load_config(path))
+        assert status == EXIT_FAIL
+        assert [r["within_radius"] for r in json.loads(document)["rows"]] == [False]
+
     def test_fail_outranks_unverified(self, tmp_path, monkeypatch):
         import dataclasses
 

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from momentcert import distmodel
@@ -126,6 +128,40 @@ class TestCharfnOf:
         spec = from_profile(MomentProfile((1.0, 0.0, 1.0), centered=True))
         with pytest.raises(NoEngine):
             spec.phi
+
+
+_SCALE = st.floats(1e-3, 1e3)
+FAMILY_PARAMS = {
+    "gaussian": st.tuples(_SCALE),
+    "rademacher": st.tuples(_SCALE),
+    "symmetric_exponential": st.tuples(_SCALE),
+    "uniform": st.tuples(_SCALE),
+    "symmetric_three_point": st.tuples(_SCALE, st.floats(1e-3, 0.5)),
+}
+
+
+class TestEnvelope:
+    def test_every_family_has_params(self):
+        assert set(FAMILY_PARAMS) == set(distmodel.FAMILIES)
+
+    @pytest.mark.parametrize("family", sorted(FAMILY_PARAMS))
+    @given(data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_bounds_phi_and_does_not_increase(self, family, data):
+        """|phi(t)| <= E(t) for t in (0, 10^4], up to rounding, and E does
+        not increase: so E(t) bounds |phi| on all of [t, inf)."""
+        spec = distmodel.VariableSpec(family, data.draw(FAMILY_PARAMS[family]))
+        t = np.sort(np.array(data.draw(st.lists(
+            st.floats(0.0, 1e4, exclude_min=True), min_size=2, max_size=20))))
+        env = spec.envelope(t)
+        assert np.all(np.abs(spec.phi(t)) <= env * (1.0 + 1e-14))
+        assert np.all(env[1:] <= env[:-1] * (1.0 + 1e-14))
+        assert np.all(env <= 1.0)
+
+    def test_raw_has_no_envelope(self):
+        spec = from_profile(MomentProfile((1.0, 0.0, 1.0), centered=True))
+        with pytest.raises(NoEngine):
+            spec.envelope
 
 
 class TestSample:

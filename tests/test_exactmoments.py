@@ -153,6 +153,20 @@ class TestFiniteSupportEngine:
         got = exactmoments._atom_abs_moment([(v, q, k) for (v, q), k in runs], p)
         assert abs(got - math.fsum(terms)) <= 1e-12 * math.fsum(scale)
 
+    def test_cancelling_sums_below_p_one(self):
+        # Three copies of +-0.5, +-a and a point at -0.5: 0.5 + a - a - 0.5
+        # is 0, which a plain float sum of the grid misses by about 1e-16,
+        # and at p = 1/2 that moved the moment by 3e-10.
+        a = 0.8538074796326739
+        law = ((0.5, a, -0.5, -a), (0.25,) * 4)
+        atoms = list(zip(*law))
+        want = math.fsum(
+            0.25**3 * abs(math.fsum([x, y, z, -0.5])) ** 0.5
+            for (x, _), (y, _), (z, _) in itertools.product(atoms, repeat=3)
+        )
+        got = exactmoments._atom_abs_moment([(*law, 3), ((-0.5,), (1.0,), 1)], 0.5)
+        assert abs(got - want) <= 1e-15
+
 
 def fraction_sum_moment(profiles, order):
     """E (sum_k X_k)^order by the binomial recurrence of moments_of_sum in
