@@ -166,13 +166,12 @@ class BoundReport:
 
     statement_id: str
     p: float
-    center: float
-    lower: float | None
-    upper: float | None
-    radius: float | None
-    constants: dict
-    assumptions: tuple[Assumption, ...]
-    certifying: bool
+    center: float = math.nan
+    lower: float | None = None
+    upper: float | None = None
+    radius: float | None = None
+    constants: dict = field(default_factory=dict)
+    assumptions: tuple[Assumption, ...] = ()
     target_kind: str = "norm"
     start_index: int = 1
     error_budget: float = 0.0
@@ -183,22 +182,17 @@ class BoundReport:
             if self.lower > self.upper + 1e-12:
                 raise ValueError("report invariant violated: lower > upper")
 
+    @property
+    def certifying(self) -> bool:
+        """True iff every hypothesis of the statement holds."""
+        return all(a.satisfied for a in self.assumptions)
+
     def failed_assumptions(self) -> tuple[Assumption, ...]:
         return tuple(a for a in self.assumptions if not a.satisfied)
 
 
 def _non_certifying(statement_id, p, assumptions, constants=None):
-    return BoundReport(
-        statement_id=statement_id,
-        p=p,
-        center=float("nan"),
-        lower=None,
-        upper=None,
-        radius=None,
-        constants=constants or {},
-        assumptions=tuple(assumptions),
-        certifying=False,
-    )
+    return BoundReport(statement_id, p, constants=constants or {}, assumptions=tuple(assumptions))
 
 
 # -- constants --------------------------------------------------------------
@@ -277,7 +271,6 @@ def bound_p_2_4(seq: SequenceSpec, p: float) -> BoundReport:
         radius=radius,
         constants=constants,
         assumptions=assumptions,
-        certifying=True,
         aux={"one_sided_lower_radius": 3.0 ** 0.25 * math.sqrt(v[0])},
     )
 
@@ -327,7 +320,6 @@ def _bound_even(seq: SequenceSpec, r: int, symmetric: bool) -> BoundReport:
         radius=radius if symmetric else None,
         constants=constants,
         assumptions=tuple(assumptions),
-        certifying=True,
     )
 
 
@@ -390,12 +382,9 @@ def bound_general_p(seq: SequenceSpec, p: float, r: int) -> BoundReport:
         statement_id="truncated_general_p_upper",
         p=p,
         center=gaussian_abs_moment(p) * tail_var ** (p / 2.0),
-        lower=None,
         upper=multiplier * rad,
-        radius=None,
         constants=constants,
         assumptions=tuple(assumptions),
-        certifying=True,
         target_kind="abs_moment",
         start_index=cutoff,
         aux={"rademacher_abs_moment": rad},
@@ -459,9 +448,7 @@ def logconcave_radius(seq: SequenceSpec, p: float) -> BoundReport:
         lower=center - radius,
         upper=center + radius,
         radius=radius,
-        constants={},
         assumptions=assumptions,
-        certifying=True,
     )
 
 
@@ -484,8 +471,9 @@ def latala_logconcave_bounds(
         otherwise (the head's numeric error is carried in the report's error
         budget).  No engine refuses the head at any scale or spread of
         variances; its quadrature budget is ``tol`` times its E|.|^p scale.
-        A head whose norm or budget overflowed a float makes the sandwich
-        non-certifying, with a failed ``finite_head`` assumption.
+        A head whose value or budget overflowed a float (estimate_moment's
+        OverflowError) makes the sandwich non-certifying, with a failed
+        ``finite_head`` assumption that carries the error's message.
     """
     two_sided = logconcave_radius(seq, p)
     assumptions = two_sided.assumptions
@@ -499,13 +487,13 @@ def latala_logconcave_bounds(
     tail_start = _ceil(p / 2.0)
     tail_var = sum(v[tail_start - 1 :]) if tail_start <= n else 0.0
     constants = {"head_count": head_count, "tail_start": tail_start}
-    head = estimate_moment(
-        sorted_seq, p, slice(0, head_count), exact_atoms=False,
-        tol=tol, samples=mc_samples, seed=mc_seed, confidence=mc_confidence,
-    )
-    if not (math.isfinite(head.norm) and math.isfinite(head.norm_error)):
-        failed = Assumption("finite_head", False, f"the {head.provenance} head norm "
-                            f"{head.norm} +- {head.norm_error} overflowed a float")
+    try:
+        head = estimate_moment(
+            sorted_seq, p, slice(0, head_count), exact_atoms=False,
+            tol=tol, samples=mc_samples, seed=mc_seed, confidence=mc_confidence,
+        )
+    except OverflowError as exc:
+        failed = Assumption("finite_head", False, str(exc))
         return two_sided, _non_certifying(
             "logconcave_sandwich", p, assumptions + (failed,), constants)
     g_tail = gaussian_lp_norm(p) * math.sqrt(tail_var)
@@ -515,10 +503,8 @@ def latala_logconcave_bounds(
         center=two_sided.center,
         lower=max(g_tail, head.norm - head.norm_error),
         upper=g_tail + head.norm + head.norm_error,
-        radius=None,
         constants=constants,
         assumptions=assumptions,
-        certifying=True,
         error_budget=head.norm_error,
         aux={"head_norm": head.norm, "head_provenance": head.provenance},
     )

@@ -1,11 +1,14 @@
 """Batch front door: read a JSON configuration, run the requested
 computation, emit machine-readable reports (JSON or CSV).
 
-Exit codes: 0 all checks pass; 1 a violation or a FAIL; 2 a configuration
-error, or no FAIL but some row UNVERIFIED: a `verify` row whose ground
-truth the atom grid budget refused, or a `verify`, `moments` or `scan` row
-whose value or error budget overflowed a float (the document is still
-written, without that number).
+Exit codes, which `_status` reads from the rows: 0 all checks pass; 1 a
+violation, a failed lemma check or a FAIL; 2 no FAIL but some row
+UNVERIFIED: a `verify` row whose ground truth the atom grid budget
+refused, or a `verify`, `moments` or `scan` row whose value or error
+budget overflowed a float (the document is still written, without that
+number).  `main` also exits 2, with one `error:` line and no document, on
+a configuration error, an engine refusal, a numeric overflow, a sequence
+too long for memory or a report it cannot write.
 """
 from __future__ import annotations
 
@@ -177,25 +180,14 @@ def _tag(value: float, provenance: str, error: float | None = None) -> dict:
     return out
 
 
-def _finite(est: Estimate) -> Estimate:
-    """est, unless a value or budget overflowed a float: that raises
-    OverflowError, since such a number can neither pass nor fail a check."""
-    if not all(map(math.isfinite, (est.raw, est.raw_error, est.norm, est.norm_error))):
-        raise OverflowError(
-            f"the {est.provenance} ground truth overflowed a float: "
-            f"E|S|^p = {est.raw} +- {est.raw_error}"
-        )
-    return est
-
-
-def _norm_estimate(seq: SequenceSpec, p: float, cfg: RunConfig) -> dict:
-    """||sum X_k||_p via the best available engine, tagged with provenance;
-    OverflowError if it is not finite."""
-    est = estimate_moment(
-        seq, p, slice(None), exact_atoms=False,
+def _estimate(seq: SequenceSpec, p: float, part: slice, cfg: RunConfig,
+              exact_atoms: bool = False) -> Estimate:
+    """E|S|^p of the sum of ``seq.variables[part]`` under the run's engine
+    settings; OverflowError if a value or budget is not finite."""
+    return estimate_moment(
+        seq, p, part, exact_atoms=exact_atoms,
         tol=cfg.tol, samples=cfg.samples, seed=cfg.seed, confidence=cfg.confidence,
     )
-    return _estimate_tag(_finite(est), raw=False)
 
 
 def _unverified(row: dict, exc: Exception) -> dict:
@@ -257,43 +249,29 @@ def _all_reports(seq: SequenceSpec, cfg: RunConfig) -> list[BoundReport]:
     return reports
 
 
-def _ground_for_report(ordered: SequenceSpec, report: BoundReport, cfg: RunConfig) -> Estimate:
-    """Ground truth for the report's target; exact atom convolution comes
-    before quadrature and Monte Carlo here.
-
-    `ordered` is the sorted copy of the sequence.  Every bound sorts the
-    same way, so the report's summands are those of `ordered` from
-    start_index on.  A value or budget that overflowed a float raises
-    OverflowError: it can neither pass nor fail a report.
-    """
-    return _finite(estimate_moment(
-        ordered, report.p, slice(report.start_index - 1, None), exact_atoms=True,
-        tol=cfg.tol, samples=cfg.samples, seed=cfg.seed, confidence=cfg.confidence,
-    ))
-
-
 # -- commands ---------------------------------------------------------------
 
 
-def _run_moments(cfg: RunConfig) -> tuple[int, list[dict]]:
+def _run_moments(cfg: RunConfig) -> list[dict]:
     seq = SequenceSpec(tuple(cfg.variables))
     rows = []
     for p in sorted(set(cfg.p_values) | {2.0 * r for r in cfg.r_values}):
         try:
-            row = {"p": p, "lp_norm": _norm_estimate(seq, p, cfg)}
+            est = _estimate(seq, p, slice(None), cfg)
+            row = {"p": p, "lp_norm": _estimate_tag(est, raw=False)}
         except OverflowError as exc:
             row = _unverified({"p": p}, exc)
         row["gaussian_center"] = _tag(gaussian_lp_norm(p) * math.sqrt(seq.total_variance), "exact")
         rows.append(row)
-    return _status(rows), rows
+    return rows
 
 
-def _run_bound(cfg: RunConfig) -> tuple[int, list[dict]]:
+def _run_bound(cfg: RunConfig) -> list[dict]:
     seq = SequenceSpec(tuple(cfg.variables))
-    return EXIT_OK, [_report_row(r) for r in _all_reports(seq, cfg)]
+    return [_report_row(r) for r in _all_reports(seq, cfg)]
 
 
-def _run_verify(cfg: RunConfig) -> tuple[int, list[dict]]:
+def _run_verify(cfg: RunConfig) -> list[dict]:
     seq = SequenceSpec(tuple(cfg.variables))
     ordered, _ = seq.sorted()
     rows = []
@@ -304,10 +282,13 @@ def _run_verify(cfg: RunConfig) -> tuple[int, list[dict]]:
         if not report.certifying:
             row["verdict"] = "SKIPPED"
             continue
+        # Every bound sorts the same way, so the report's summands are those
+        # of `ordered` from start_index on.
         key = (report.p, report.start_index)
         if key not in grounds:
             try:
-                grounds[key] = _ground_for_report(ordered, report, cfg)
+                grounds[key] = _estimate(ordered, report.p, slice(report.start_index - 1, None),
+                                         cfg, exact_atoms=True)
             except (SupportExplosion, OverflowError) as exc:  # no ground truth
                 grounds[key] = exc
         ground = grounds[key]
@@ -323,28 +304,25 @@ def _run_verify(cfg: RunConfig) -> tuple[int, list[dict]]:
         row["ground"] = _estimate_tag(ground, raw)
         row["verdict"] = "PASS" if verdict.passed else "FAIL"
         row["margin"] = verdict.margin
-    return _status(rows), rows
+    return rows
 
 
 def _status(rows: list[dict]) -> int:
-    """1 if a row FAILed or lies outside its radius, else 2 if a row is
-    UNVERIFIED, else 0."""
-    if any(row.get("verdict") == "FAIL" or row.get("within_radius") is False for row in rows):
+    """The exit code of a command's rows: 1 if a row FAILed, failed its
+    check or lies outside its radius, else 2 if a row is UNVERIFIED, else 0."""
+    if any(row.get("verdict") == "FAIL" or row.get("passed") is False
+           or row.get("within_radius") is False for row in rows):
         return EXIT_FAIL
     return EXIT_CONFIG if any(row.get("verdict") == "UNVERIFIED" for row in rows) else EXIT_OK
 
 
-def _run_check_lemmas(cfg: RunConfig) -> tuple[int, list[dict]]:
+def _run_check_lemmas(cfg: RunConfig) -> list[dict]:
     seq = SequenceSpec(tuple(cfg.variables))
     sorted_seq, _ = seq.sorted()
     rows = []
-    status = EXIT_OK
 
     def record(name, passed, **extra):
-        nonlocal status
         rows.append({"check": name, "passed": passed, **extra})
-        if not passed:
-            status = EXIT_FAIL
 
     families = [s for s in dict.fromkeys(sorted_seq.variables) if s.family != "raw_moments"]
     for s in families:
@@ -391,10 +369,10 @@ def _run_check_lemmas(cfg: RunConfig) -> tuple[int, list[dict]]:
                 record(name, tail.passed, r=r, cutoff=tail.cutoff_index)
         ratio = check_rademacher_moment_ratio(weights, r)
         record("rademacher_moment_ratio", ratio.passed, r=r, ratio=ratio.ratio)
-    return status, rows
+    return rows
 
 
-def _run_scan(cfg: RunConfig) -> tuple[int, list[dict]]:
+def _run_scan(cfg: RunConfig) -> list[dict]:
     base = cfg.variables[0]
     rows = []
     for n in sorted(set(cfg.n_values)):
@@ -410,20 +388,20 @@ def _run_scan(cfg: RunConfig) -> tuple[int, list[dict]]:
                 report = logconcave_radius(seq, p)
             row = {"n": n, "p": p, "statement": report.statement_id}
             rows.append(row)
-            if not (report.certifying and report.radius is not None):
+            if not report.certifying:
                 row["certifying"] = False
                 row["failed"] = [a.name for a in report.failed_assumptions()]
                 continue
             row["radius"] = _tag(report.radius, "exact")
             try:
-                est = _norm_estimate(seq, p, cfg)
+                est = _estimate_tag(_estimate(seq, p, slice(None), cfg), raw=False)
             except OverflowError as exc:
                 _unverified(row, exc)
                 continue
             deviation = abs(est["value"] - gaussian_lp_norm(p))
             row["deviation"] = est | {"value": deviation}
             row["within_radius"] = bool(deviation <= report.radius + est.get("error", 0.0))
-    return _status(rows), rows
+    return rows
 
 
 _COMMANDS = {
@@ -449,8 +427,8 @@ def _render(cfg: RunConfig, rows: list[dict]) -> str:
 
 def run(cfg: RunConfig) -> tuple[int, str]:
     """Execute the configured command; returns (exit_status, document)."""
-    status, rows = _COMMANDS[cfg.command](cfg)
-    return status, _render(cfg, rows)
+    rows = _COMMANDS[cfg.command](cfg)
+    return _status(rows), _render(cfg, rows)
 
 
 def _flatten(row: dict, prefix: str = "") -> dict:
@@ -495,7 +473,7 @@ def main(argv=None) -> int:
         cfg = load_config(
             args.config, seed=args.seed, output_format=args.format, output_path=args.out
         )
-        status, rows = _COMMANDS[cfg.command](cfg)
+        rows = _COMMANDS[cfg.command](cfg)
         document = _render(cfg, rows)
     except (ConfigError, NoEngine) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
@@ -505,6 +483,20 @@ def main(argv=None) -> int:
         # for a float or an index: not a failed check.
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    except MemoryError:
+        # A sequence too long to build, say: not a failed check.
+        print("error: out of memory (is a count or an n_values entry too large?)",
+              file=sys.stderr)
+        return EXIT_CONFIG
+    if cfg.output_path:
+        try:
+            with open(cfg.output_path, "w", encoding="utf-8") as fh:
+                fh.write(document)
+        except OSError as exc:
+            print(f"error: cannot write the report: {exc}", file=sys.stderr)
+            return EXIT_CONFIG
+    else:
+        sys.stdout.write(document)
     unverified = [row for row in rows if row.get("verdict") == "UNVERIFIED"]
     if unverified:
         first = unverified[0]
@@ -513,12 +505,7 @@ def main(argv=None) -> int:
             f"{first.get('statement', cfg.command)} p={first['p']}: {first['detail']}",
             file=sys.stderr,
         )
-    if cfg.output_path:
-        with open(cfg.output_path, "w", encoding="utf-8") as fh:
-            fh.write(document)
-    else:
-        sys.stdout.write(document)
-    return status
+    return _status(rows)
 
 
 if __name__ == "__main__":

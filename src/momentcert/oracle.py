@@ -59,13 +59,22 @@ class MCEstimate:
 @dataclass(frozen=True)
 class Estimate:
     """E|S|^p and ||S||_p of one sum, each with its error budget, and the
-    engine that made them: "exact", "quadrature" or "mc"."""
+    engine that made them: "exact", "quadrature" or "mc".  All four numbers
+    are finite: a value or budget that overflowed a float raises
+    OverflowError, since such a number can neither pass nor fail a check."""
 
     raw: float
     raw_error: float
     norm: float
     norm_error: float
     provenance: str
+
+    def __post_init__(self) -> None:
+        if not all(map(math.isfinite, (self.raw, self.raw_error, self.norm, self.norm_error))):
+            raise OverflowError(
+                f"the {self.provenance} ground truth overflowed a float: "
+                f"E|S|^p = {self.raw} +- {self.raw_error}"
+            )
 
 
 @dataclass(frozen=True)
@@ -128,8 +137,11 @@ def mc_moment(
     def run_chunk(arg):
         idx, count = arg
         rng = np.random.default_rng(np.random.SeedSequence([seed, idx]))
-        x = np.abs(sample_runs(runs, rng, count)) ** p
-        return float(np.sum(x)), float(np.sum(x * x))
+        # An overflow reaches the caller as a non-finite Estimate, not as a
+        # warning; worker threads do not inherit the caller's errstate.
+        with np.errstate(over="ignore", invalid="ignore"):
+            x = np.abs(sample_runs(runs, rng, count)) ** p
+            return float(np.sum(x)), float(np.sum(x * x))
 
     with ThreadPoolExecutor(max_workers=min(_worker_count(), len(chunks))) as pool:
         partials = list(pool.map(run_chunk, chunks))
@@ -165,7 +177,8 @@ def estimate_moment(
     to the sum's scale at every variance; else Monte Carlo, unless a
     summand is a raw moment profile without atoms (NoEngine).  A
     quadrature norm's budget is the raw one mapped through the monotone
-    1/p-power; Monte Carlo maps the interval's endpoints.
+    1/p-power; Monte Carlo maps the interval's endpoints.  A value or
+    budget that overflowed a float raises OverflowError.
 
     Nothing is kept between calls: two equal calls run the engine twice.
     """

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conftest import random_centered_atom_spec, random_logconcave_spec, random_symmetric_seq
 from momentcert import exactmoments
@@ -515,5 +517,44 @@ class TestReportInvariant:
         with pytest.raises(ValueError):
             BoundReport(
                 statement_id="x", p=2.0, center=1.0, lower=2.0, upper=1.0,
-                radius=None, constants={}, assumptions=(), certifying=True,
+                radius=None, constants={}, assumptions=(),
             )
+
+
+# Symmetric, centered-asymmetric and uncentered summands, with and without
+# logarithmically concave tails, so that every hypothesis fails somewhere.
+PROPERTY_SPECS = (
+    gaussian(1.0), gaussian(0.3), symmetric_exponential(1.0), uniform(2.0), rademacher(0.5),
+    symmetric_three_point(1.0, 0.2), spec_from_atoms([-1.0, 2.0], [2 / 3, 1 / 3], 12),
+    spec_from_atoms([0.0, 1.0], [0.5, 0.5], 12),
+)
+
+
+class TestCertifyingIsDerived:
+    """A report certifies iff every assumption holds, and a report that does
+    not certify carries no interval."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        runs=st.lists(st.tuples(st.sampled_from(PROPERTY_SPECS), st.integers(1, 4)),
+                      min_size=1, max_size=3),
+        p=st.one_of(st.sampled_from([0.5, 2.0, 3.0, 4.0, 6.0]), st.floats(0.1, 9.0)),
+        r=st.integers(-1, 6),
+    )
+    @example(runs=[(symmetric_exponential(1.0), 5)], p=171.0, r=2)  # a head that overflows
+    def test_reports(self, runs, p, r):
+        seq = SequenceSpec(tuple(spec for spec, k in runs for _ in range(k)))
+        reports = [
+            bound_p_2_4(seq, p),
+            bound_even_symmetric(seq, r),
+            bound_even_centered(seq, r),
+            bound_general_p(seq, p, r),
+            *latala_logconcave_bounds(seq, p, mc_samples=10_000),
+        ]
+        for rep in reports:
+            assert rep.certifying == all(a.satisfied for a in rep.assumptions)
+            if rep.certifying:
+                assert math.isfinite(rep.center) and rep.upper is not None
+            else:
+                assert math.isnan(rep.center)
+                assert rep.lower is None and rep.upper is None and rep.radius is None

@@ -2,6 +2,7 @@ import json
 import re
 import sys
 import tempfile
+import warnings
 from pathlib import Path
 
 import pytest
@@ -28,7 +29,7 @@ from momentcert.distmodel import (
     symmetric_three_point,
     uniform,
 )
-from momentcert.oracle import SupportExplosion
+from momentcert.oracle import Estimate, SupportExplosion
 
 
 def write_config(tmp_path, doc, name="cfg.json"):
@@ -343,6 +344,23 @@ class TestCheckLemmasCommand:
         assert {"cosine_bounds", "counting_identities", "rademacher_moment_ratio"} <= names
         assert all(row["passed"] for row in rows)
 
+    def test_failed_check_exits_one(self, tmp_path, monkeypatch):
+        import momentcert.cli as cli_mod
+        from momentcert.charfn import GridCheckReport
+
+        monkeypatch.setattr(cli_mod, "check_cosine_bounds",
+                            lambda spec: GridCheckReport(False, {"lower": -1.0, "upper": 0.0}))
+        path = write_config(
+            tmp_path,
+            {"command": "check-lemmas", "variables": LAPLACE_TEN, "r_values": [2]},
+        )
+        status, document = run(load_config(path))
+        assert status == EXIT_FAIL
+        rows = json.loads(document)["rows"]
+        assert [row["passed"] for row in rows if row["check"] == "cosine_bounds"] == [False]
+        assert all(row["passed"] for row in rows if row["check"] != "cosine_bounds")
+        assert main(["--config", path]) == EXIT_FAIL
+
 
 class TestScanCommand:
     def test_radius_scaling(self, tmp_path):
@@ -558,7 +576,10 @@ class TestBadInputs:
         variables = [{"family": "symmetric_exponential", "sigma": 1.0, "count": count}]
         path = write_config(tmp_path, {"command": command, "variables": variables,
                                        "p_values": [171], "output_path": str(out), **extra})
-        assert main(["--config", path]) == EXIT_CONFIG
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["--config", path]) == EXIT_CONFIG
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "UNVERIFIED" in err
         text = out.read_text()
@@ -571,8 +592,8 @@ class TestBadInputs:
     def test_scan_outside_radius_fails(self, tmp_path, monkeypatch):
         import momentcert.cli as cli_mod
 
-        monkeypatch.setattr(cli_mod, "_norm_estimate",
-                            lambda seq, p, cfg: {"value": 1e6, "provenance": "mc", "error": 0.0})
+        monkeypatch.setattr(cli_mod, "_estimate",
+                            lambda seq, p, part, cfg: Estimate(1e18, 0.0, 1e6, 0.0, "mc"))
         path = write_config(tmp_path, {"command": "scan", "variables": LAPLACE_TEN,
                                        "p_values": [3.0], "n_values": [10]})
         status, document = run(load_config(path))
@@ -584,12 +605,12 @@ class TestBadInputs:
 
         import momentcert.cli as cli_mod
 
-        real_ground, real_bound = cli_mod._ground_for_report, cli_mod.bound_even_symmetric
+        real_ground, real_bound = cli_mod._estimate, cli_mod.bound_even_symmetric
 
-        def refusing(ordered, report, cfg):
-            if report.p == 3.0:
+        def refusing(seq, p, part, cfg, exact_atoms=False):
+            if p == 3.0:
                 raise SupportExplosion("refused")
-            return real_ground(ordered, report, cfg)
+            return real_ground(seq, p, part, cfg, exact_atoms)
 
         def sabotaged(seq, r):
             rep = real_bound(seq, r)
@@ -603,7 +624,7 @@ class TestBadInputs:
             {"command": "verify", "variables": LAPLACE_TEN, "p_values": [3.0, 4.0],
              "r_values": [2]},
         )
-        monkeypatch.setattr(cli_mod, "_ground_for_report", refusing)
+        monkeypatch.setattr(cli_mod, "_estimate", refusing)
         status, document = run(load_config(path))
         assert verdicts(document)[("logconcave_radius", 3.0)] == "UNVERIFIED"
         assert "FAIL" not in verdicts(document).values()
@@ -648,7 +669,7 @@ class TestBadInputs:
     def test_other_ground_errors_are_not_unverified(self, tmp_path, monkeypatch):
         import momentcert.cli as cli_mod
 
-        def broken(ordered, report, cfg):
+        def broken(seq, p, part, cfg, exact_atoms=False):
             raise ValueError("not a refusal")
 
         path = write_config(
@@ -656,7 +677,7 @@ class TestBadInputs:
             {"command": "verify", "variables": LAPLACE_TEN, "p_values": [4.0],
              "r_values": [2]},
         )
-        monkeypatch.setattr(cli_mod, "_ground_for_report", broken)
+        monkeypatch.setattr(cli_mod, "_estimate", broken)
         with pytest.raises(ValueError, match="not a refusal"):
             run(load_config(path))
 
@@ -689,6 +710,43 @@ class TestBadInputs:
         err = capsys.readouterr().err
         assert err.startswith("error: ")
         assert len(err.strip().splitlines()) == 1
+
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            {"command": "bound", "p_values": [3],
+             "variables": [{"family": "gaussian", "sigma": 1.0, "count": 10**15}]},
+            {"command": "scan", "p_values": [3], "n_values": [10**15],
+             "variables": [{"family": "gaussian", "sigma": 1.0}]},
+        ],
+        ids=["count", "scan-n"],
+    )
+    def test_sequence_too_long_for_memory_exits_two(self, tmp_path, capsys, doc):
+        """A list of 10^15 summands fails to allocate at once, touching no
+        memory: one error line, no document, and not exit 1."""
+        out = tmp_path / "report.json"
+        path = write_config(tmp_path, {**doc, "output_path": str(out)})
+        assert main(["--config", path]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("error: out of memory")
+        assert len(err.strip().splitlines()) == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("via", ["output_path", "--out"])
+    def test_unwritable_output_exits_two(self, tmp_path, capsys, via):
+        out = tmp_path / "missing" / "report.json"
+        doc = {"command": "bound", "variables": LAPLACE_TEN, "r_values": [2]}
+        if via == "output_path":
+            doc["output_path"] = str(out)
+        argv = ["--config", write_config(tmp_path, doc)]
+        if via == "--out":
+            argv += ["--out", str(out)]
+        assert main(argv) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: cannot write the report: ")
+        assert len(captured.err.strip().splitlines()) == 1
+        assert captured.out == ""
+        assert not out.parent.exists()
 
 
 GAUSS =[{"family": "gaussian", "sigma": 1.0}]

@@ -312,6 +312,15 @@ class TestEstimateMoment:
         assert est.provenance == {3.0: "quadrature", 4.0: "exact", 5.0: "mc"}[p]
 
 
+    @pytest.mark.parametrize("spec, n, p, engine", [
+        (symmetric_exponential(1.0), 5, 171.0, "mc"),
+        (gaussian(1e30), 1000, 10.0, "exact"),
+    ])
+    def test_overflow_raises(self, spec, n, p, engine):
+        with pytest.raises(OverflowError, match=f"the {engine} ground truth overflowed a float"):
+            estimate_moment(SequenceSpec((spec,) * n), p, slice(None), **ENGINES)
+
+
 def _bits(est):
     return [float(x).hex() for x in (est.raw, est.raw_error, est.norm, est.norm_error)]
 
