@@ -26,6 +26,7 @@ __all__ = [
     "from_profile",
     "spec_from_atoms",
     "sample_runs",
+    "AliasTable",
     "FAMILIES",
 ]
 
@@ -120,7 +121,10 @@ class Family:
     `mix_variance(q, rng, n, k)` for a Gaussian scale mixture: n draws of
     V (or one fixed V), the sum being sqrt(V) Z for an independent
     standard normal Z; else by `sample_sum(q, rng, n, k)`, its exact law,
-    at k > 1 where known; else by k `sample(q, rng, n)`.
+    at k > 1 where known; else by k `sample(q, rng, n)`.  A family with
+    `atoms` is drawn that way only by `VariableSpec.sample_with` and, in
+    Monte Carlo, for a run past the cap of the alias table into which
+    `oracle.mc_moment` folds the finite-support runs of a sum.
     """
 
     keys: tuple[str, ...]
@@ -262,6 +266,13 @@ class VariableSpec:
         for ok, message in row.checks:
             if not ok(self.params):
                 raise ValueError(f"{self.family} {message}")
+        # A float power raises OverflowError; a float product turns inf.
+        try:
+            variance = row.variance(self.params)
+        except OverflowError:
+            variance = math.inf
+        if not math.isfinite(variance):
+            raise ValueError(f"{self.family} variance overflows a float at {self.params}")
 
     # -- structural flags -------------------------------------------------
 
@@ -357,11 +368,46 @@ class VariableSpec:
         return VariableSpec(self.family, (self.params[0] * c,) + self.params[1:])
 
 
-def sample_runs(runs, rng: np.random.Generator, count: int) -> np.ndarray:
+class AliasTable:
+    """A finite law drawn by Walker's alias method, built by Vose's
+    algorithm: column j holds atom j with probability accept[j] and its
+    alias otherwise, so a draw costs one uniform index and one uniform
+    acceptance, whatever the number of atoms.  The law is exact up to the
+    rounding of the columns' probabilities."""
+
+    def __init__(self, values: np.ndarray, probs: np.ndarray) -> None:
+        n, total = len(values), math.fsum(probs)
+        scaled = [x * n / total for x in map(float, probs)]
+        accept, alias = [1.0] * n, list(range(n))
+        small = [j for j, x in enumerate(scaled) if x < 1.0]
+        large = [j for j, x in enumerate(scaled) if x >= 1.0]
+        while small and large:
+            j, big = small.pop(), large[-1]
+            accept[j], alias[j] = scaled[j], big
+            scaled[big] = (scaled[big] + scaled[j]) - 1.0
+            if scaled[big] < 1.0:
+                small.append(large.pop())
+        # Columns left in either list hold probability 1 up to rounding.
+        self.values = np.array(values, dtype=float)
+        self.accept = np.array(accept)
+        self.aliased = self.values[alias]
+
+    def draw(self, rng: np.random.Generator, count: int) -> np.ndarray:
+        j = rng.integers(0, len(self.values), count)
+        return np.where(rng.random(count) < self.accept[j], self.values[j], self.aliased[j])
+
+
+def sample_runs(runs, rng: np.random.Generator, count: int,
+                table: AliasTable | None = None) -> np.ndarray:
     """`count` draws of the sum of independent runs (spec, k) of k copies
     each, drawn in input order by their `Family` columns; the conditional
-    variances of all `mix_variance` runs share one standard normal draw."""
-    total, var = np.zeros(count), None
+    variances of all `mix_variance` runs share one standard normal draw.
+
+    `table`, if given, holds the law of further summands and is drawn
+    first: :func:`oracle.mc_moment` folds the finite-support runs of a sum
+    into one such table, and passes here only the runs it left out."""
+    total = np.zeros(count) if table is None else table.draw(rng, count)
+    var = None
     for spec, k in runs:
         row = FAMILIES.get(spec.family)
         if row is None and spec.support is None:

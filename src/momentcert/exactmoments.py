@@ -167,14 +167,15 @@ def _merged(law: np.ndarray, lo=None) -> tuple:
     return out, None if lo is None else lo[starts]
 
 
-def _sum_law(x: tuple, y: tuple) -> tuple:
+def _sum_law(x: tuple, y: tuple, cap: int) -> tuple:
     """The law of X + Y for independent X and Y, each a (law, low parts)
-    pair of :func:`_merged`: every grid is built here.  With low parts each
-    atom carries the rounding error of its sum, so a sum that cancels is
-    off by O(eps^2 sum |v|), not O(eps sum |v|), for atoms v of the parts."""
+    pair of :func:`_merged`: every grid is built here, and none above
+    `cap` points (SupportExplosion).  With low parts
+    each atom carries the rounding error of its sum, so a sum that cancels
+    is off by O(eps^2 sum |v|), not O(eps sum |v|), for atoms v of the parts."""
     (x, xlo), (y, ylo) = x, y
-    if len(x) * len(y) > _MAX_GRID:
-        raise SupportExplosion(f"a grid of {len(x) * len(y)} points exceeds {_MAX_GRID}")
+    if len(x) * len(y) > cap:
+        raise SupportExplosion(f"a grid of {len(x) * len(y)} points exceeds {cap}")
     out = np.empty((len(y), len(x)), dtype=complex)
     np.multiply.outer(y.imag, x.imag, out=out.imag)
     if xlo is None:
@@ -183,6 +184,30 @@ def _sum_law(x: tuple, y: tuple) -> tuple:
     hi, lo = _two_sum(y.real[:, None], x.real)
     out.real, lo = _two_sum(hi, lo + np.add.outer(ylo, xlo))
     return _merged(out.ravel(), lo.ravel())
+
+
+def run_law(values, probs, k: int, cap: int, compensated: bool = False) -> tuple[tuple, bool]:
+    """The law of the sum of k independent copies of the finite law
+    (values, probs), as a (law, low parts) pair of :func:`_merged` (low
+    parts only if `compensated`), and whether the one law is mirrored:
+    equal probabilities at -v and +v.
+
+    Two atoms -a, +a of equal probability take their k-fold law in closed
+    form when not compensated: a (2j - k) with probability C(k, j) / 2^k,
+    rounded once.  Other laws are powered by repeated squaring.  Either
+    way SupportExplosion is raised before any law or grid above `cap`
+    points is built.
+    """
+    law = np.asarray(values, dtype=float) + 1j * np.asarray(probs, dtype=float)
+    law, lo = _merged(law, np.zeros(len(law)) if compensated else None)
+    mirrored = np.array_equal(law, -law[::-1].conj())
+    if not (len(law) == 2 and mirrored and not compensated):
+        return _power((law, lo), k, partial(_sum_law, cap=cap)), mirrored
+    if k + 1 > cap:
+        raise SupportExplosion(f"a law of {k + 1} points exceeds {cap}")
+    combs = accumulate(range(k), lambda c, j: c * (k - j) // (j + 1), initial=1)
+    probs = np.array([c / (1 << k) for c in combs])
+    return (law[1].real * (2.0 * np.arange(k + 1) - k) + 1j * probs, None), mirrored
 
 
 def _atom_abs_moment(runs: Sequence[tuple[Sequence, Sequence, int]], p: float) -> float:
@@ -195,31 +220,19 @@ def _atom_abs_moment(runs: Sequence[tuple[Sequence, Sequence, int]], p: float) -
     (eps sum_k |v_k|)^p; there atoms carry low parts (see
     :func:`_sum_law`), which cut that to (eps^2 sum_k |v_k|)^p.
 
-    Two atoms -a, +a of equal probability take their k-fold law in closed
-    form for p >= 1: a (2j - k) with probability C(k, j) / 2^k, rounded
-    once.  Other laws are powered by repeated squaring.  When every run
-    after the first is exactly symmetric, E |x + R|^p is even in x for the
-    rest R of the sum, so the first law folds onto |X|, which halves the grid.
+    Each run's law comes from :func:`run_law`.  When every run after the
+    first is exactly symmetric, E |x + R|^p is even in x for the rest R of
+    the sum, so the first law folds onto |X|, which halves the grid.
     """
     if p <= 0:
         raise ValueError("p must be positive")
     if not runs:
         raise ValueError("need at least one summand")
-    compensated = p < 1
-    laws, mirrored = [], []
-    for values, probs, k in runs:
-        law = np.asarray(values, dtype=float) + 1j * np.asarray(probs, dtype=float)
-        law, lo = _merged(law, np.zeros(len(law)) if compensated else None)
-        mirrored.append(np.array_equal(law, -law[::-1].conj()))
-        if len(law) == 2 and mirrored[-1] and not compensated:
-            combs = accumulate(range(k), lambda c, j: c * (k - j) // (j + 1), initial=1)
-            probs = np.array([c / (1 << k) for c in combs])
-            laws.append((law[1].real * (2.0 * np.arange(k + 1) - k) + 1j * probs, None))
-        else:
-            laws.append(_power((law, lo), k, _sum_law))
+    laws, mirrored = map(list, zip(*(run_law(*run, _MAX_GRID, compensated=p < 1)
+                                     for run in runs)))
     if all(mirrored[1:]):
         law, lo = laws[0]
         lo = None if lo is None else np.sign(law.real) * lo
         laws[0] = _merged(np.abs(law.real) + 1j * law.imag, lo)
-    law, _ = reduce(_sum_law, laws)
+    law, _ = reduce(partial(_sum_law, cap=_MAX_GRID), laws)
     return float((np.abs(law.real) ** p * law.imag).sum())

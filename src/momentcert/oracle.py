@@ -21,8 +21,10 @@ from typing import TYPE_CHECKING, Sequence
 import numpy as np
 
 from .charfn import CharFunction, haagerup_moment
-from .distmodel import NoEngine, VariableSpec, sample_runs
-from .exactmoments import SupportExplosion, _atom_abs_moment, run_lengths, sum_even_moment
+from .distmodel import AliasTable, NoEngine, VariableSpec, sample_runs
+from .exactmoments import (
+    SupportExplosion, _atom_abs_moment, _sum_law, run_law, run_lengths, sum_even_moment,
+)
 
 if TYPE_CHECKING:
     from .bounds import BoundReport, SequenceSpec
@@ -40,6 +42,10 @@ __all__ = [
 ]
 
 _CHUNK = 1 << 14
+# Most atoms of the one law into which mc_moment folds the finite-support
+# runs of a sum.  It is checked before each product is built, so no grid
+# above it is ever formed; a run that would pass it keeps its own sampler.
+_TABLE_CAP = 1024
 
 
 @dataclass(frozen=True)
@@ -103,6 +109,26 @@ def _worker_count() -> int:
     return os.cpu_count() or 1
 
 
+def _finite_table(runs) -> tuple[AliasTable | None, list]:
+    """The finite-support runs folded, in input order, into one exact law
+    by the finite-support engine (:func:`run_law`, :func:`_sum_law`), as an
+    AliasTable (None if there are none), and the runs left to their own
+    samplers: those without atoms, and those whose law, or its product with
+    the law so far, would pass _TABLE_CAP points."""
+    law, rest = None, []
+    for spec, k in runs:
+        atoms = spec.atoms()
+        if atoms is not None:
+            try:
+                run, _ = run_law(*atoms, k, _TABLE_CAP)
+                law = run if law is None else _sum_law(law, run, _TABLE_CAP)
+                continue
+            except SupportExplosion:
+                pass
+        rest.append((spec, k))
+    return (None if law is None else AliasTable(law[0].real, law[0].imag)), rest
+
+
 def mc_moment(
     specs: Sequence[VariableSpec],
     p: float,
@@ -112,9 +138,14 @@ def mc_moment(
 ) -> MCEstimate:
     """Monte Carlo estimate of ||sum_k X_k||_p with a CI at ``confidence``.
 
-    Consecutive equal specs form one run, drawn from the exact law of its
-    sum by distmodel.sample_runs; all gaussian and symmetric_exponential
-    runs share one normal draw.  Sampling is split into chunks of 2^14,
+    Consecutive equal specs form one run.  Before any sample is drawn,
+    the finite-support runs (rademacher, symmetric_three_point, atoms) are
+    folded into one exact law of at most _TABLE_CAP atoms, drawn by an
+    alias table at two uniforms per sample however many runs it holds; a
+    run that would pass the cap is left out of it.  Every other run is
+    drawn from the exact law of its sum by distmodel.sample_runs, after the
+    table; all gaussian and symmetric_exponential runs share one normal
+    draw, which comes last.  Sampling is split into chunks of 2^14,
     each seeded from (seed, chunk_index), so the result is deterministic
     and independent of the worker-thread count, and a few hundred
     thousand samples spread evenly over the workers.  The CI is computed
@@ -128,6 +159,7 @@ def mc_moment(
     runs = run_lengths(specs)
     if any(s.family == "raw_moments" and s.support is None for s, _ in runs):
         raise NoEngine(f"no oracle available for p={p} on raw-moment inputs")
+    table, runs = _finite_table(runs)
 
     chunks = [
         (i, min(_CHUNK, samples - i * _CHUNK))
@@ -140,7 +172,7 @@ def mc_moment(
         # An overflow reaches the caller as a non-finite Estimate, not as a
         # warning; worker threads do not inherit the caller's errstate.
         with np.errstate(over="ignore", invalid="ignore"):
-            x = np.abs(sample_runs(runs, rng, count)) ** p
+            x = np.abs(sample_runs(runs, rng, count, table)) ** p
             return float(np.sum(x)), float(np.sum(x * x))
 
     with ThreadPoolExecutor(max_workers=min(_worker_count(), len(chunks))) as pool:
@@ -149,7 +181,9 @@ def mc_moment(
     s2 = math.fsum(b for _, b in partials)
     mean = s1 / samples
     var = max(s2 / samples - mean * mean, 0.0)
-    z = statistics.NormalDist().inv_cdf(0.5 + confidence / 2.0)
+    # The upper (1 - confidence)/2 quantile: 0.5 + confidence/2 would round
+    # to 1 within an ulp of confidence = 1, where inv_cdf is undefined.
+    z = -statistics.NormalDist().inv_cdf((1.0 - confidence) / 2.0)
     half = z * math.sqrt(var / samples)
     lo = max(mean - half, 0.0) ** (1.0 / p)
     hi = (mean + half) ** (1.0 / p)

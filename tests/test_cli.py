@@ -1,4 +1,5 @@
 import json
+import math
 import re
 import sys
 import tempfile
@@ -698,11 +699,8 @@ class TestBadInputs:
              "p_values": [1001]},
             {"command": "bound", "variables": [{"family": "gaussian", "sigma": 1.0, "count": 5}],
              "p_values": [401]},
-            {"command": "moments",
-             "variables": [{"family": "gaussian", "sigma": 1e200, "count": 3}],
-             "p_values": [3]},
         ],
-        ids=["moments-p1001", "bound-p401", "moments-sigma1e200"],
+        ids=["moments-p1001", "bound-p401"],
     )
     def test_numeric_overflow_exits_two(self, tmp_path, capsys, doc):
         path = write_config(tmp_path, doc)
@@ -803,6 +801,43 @@ class TestConfigNumbers:
             load_config(path)
         assert main(["--config", path]) == EXIT_CONFIG
         assert f"configuration error: {key} must be" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "variable",
+        [
+            {"family": "gaussian", "sigma": 1e200},
+            {"family": "rademacher", "sigma": 1e155},
+            {"family": "symmetric_exponential", "sigma": 1e200},
+            {"family": "uniform", "a": 1e160},
+            {"family": "symmetric_three_point", "b": 1e155, "q": 0.5},
+        ],
+        ids=lambda v: v["family"],
+    )
+    def test_overflowing_variance_names_its_family(self, tmp_path, capsys, variable):
+        """A scale whose variance is not a float is a configuration error
+        that names the family, not an overflow inside a bound."""
+        doc = {"command": "moments", "variables": [dict(variable, count=3)], "p_values": [3]}
+        path = write_config(tmp_path, doc)
+        with pytest.raises(ConfigError, match=f"^{variable['family']} variance overflows"):
+            load_config(path)
+        assert main(["--config", path]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith(f"configuration error: {variable['family']} variance")
+        assert len(err.strip().splitlines()) == 1
+
+    def test_confidence_within_an_ulp_of_one(self, tmp_path, capsys):
+        """The largest float below 1 is a valid confidence: its quantile is
+        taken from the upper tail, where it is finite."""
+        confidence = math.nextafter(1.0, 0.0)
+        doc = {"command": "moments", "variables": [dict(GAUSS[0], count=3)],
+               "p_values": [5], "samples": 20_000, "confidence": confidence}
+        path = write_config(tmp_path, doc)
+        assert load_config(path).confidence == confidence
+        out = tmp_path / "report.json"
+        assert main(["--config", path, "--out", str(out)]) == EXIT_OK
+        norm = json.loads(out.read_text())["rows"][0]["lp_norm"]
+        assert norm["provenance"] == "mc"
+        assert math.isfinite(norm["value"]) and 0.0 < norm["error"] < math.inf
 
     @pytest.mark.parametrize(
         "doc, key, limit",

@@ -229,6 +229,49 @@ RUN_CASES = ([[(spec, k)] for spec in RUN_SPECS for k in (2, 7, 1000)]
              + [[(gaussian(0.7), 1)], [(symmetric_exponential(0.5), 1)], MIXED_RUNS])
 
 
+class TestAliasTable:
+    LAWS = [
+        ([-1.0, 1.0], [0.5, 0.5]),
+        ([2.5], [1.0]),
+        ([-3.0, -0.5, 0.0, 0.25, 4.0], [0.1, 0.35, 0.0, 0.05, 0.5]),
+        (np.linspace(-2.0, 2.0, 37), np.random.default_rng(3).dirichlet(np.ones(37))),
+    ]
+
+    @pytest.mark.parametrize("values, probs", LAWS, ids=["two", "one", "zero-weight", "37"])
+    def test_columns_hold_the_law(self, values, probs):
+        """Column j gives its atom accept[j] / n and its alias the rest, so
+        the columns add up to the law, up to rounding."""
+        table = distmodel.AliasTable(np.array(values), np.array(probs))
+        n = len(values)
+        mass = dict.fromkeys(map(float, values), 0.0)
+        for v, a, w in zip(table.values, table.accept, table.aliased):
+            mass[float(v)] += a / n
+            mass[float(w)] += (1.0 - a) / n
+        assert list(mass.values()) == pytest.approx(list(probs), abs=1e-15)
+
+    @pytest.mark.parametrize("values, probs", LAWS, ids=["two", "one", "zero-weight", "37"])
+    def test_draw_frequencies(self, values, probs):
+        n = 400_000
+        x = distmodel.AliasTable(np.array(values), np.array(probs)).draw(
+            np.random.default_rng(6), n)
+        drawn, counts = np.unique(x, return_counts=True)
+        assert set(drawn) <= {v for v, q in zip(values, probs) if q > 0.0}
+        freq = dict(zip(drawn, counts / n))
+        for v, q in zip(values, probs):
+            assert abs(freq.get(v, 0.0) - q) <= 6.0 * math.sqrt(q * (1.0 - q) / n)
+
+    def test_sample_runs_draws_the_table_first(self):
+        table = distmodel.AliasTable(np.array([-1.0, 2.0]), np.array([2 / 3, 1 / 3]))
+        runs = [(uniform(0.5), 1)]
+        rng = np.random.default_rng(4)
+        expected = table.draw(rng, 1000)
+        expected += sample_runs(runs, rng, 1000)
+        got = sample_runs(runs, np.random.default_rng(4), 1000, table)
+        assert np.array_equal(got, expected)
+        assert np.array_equal(sample_runs([], np.random.default_rng(4), 1000, table),
+                              table.draw(np.random.default_rng(4), 1000))
+
+
 def _runs_id(runs):
     return "mixed" if runs is MIXED_RUNS else f"{runs[0][0]}-{runs[0][1]}"
 
@@ -368,6 +411,29 @@ def test_bad_parameters_rejected():
 
 
 NON_FINITE = [math.nan, math.inf, -math.inf]
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: gaussian(1e200),
+        lambda: rademacher(1e155),
+        lambda: symmetric_exponential(1e200),
+        lambda: uniform(1e160),
+        lambda: symmetric_three_point(1e155, 0.5),
+    ],
+    ids=["gaussian", "rademacher", "laplace", "uniform", "three-point"],
+)
+def test_variance_that_overflows_is_refused(make):
+    """A float power overflows with OverflowError and the three-point
+    product silently to inf; both are refused when the spec is made."""
+    with pytest.raises(ValueError, match="variance overflows a float"):
+        make()
+
+
+def test_largest_finite_variance_is_kept():
+    assert math.isfinite(symmetric_three_point(1e154, 0.5).variance)
+    assert math.isfinite(gaussian(1e154).variance)
 
 
 class TestNonFiniteRejected:

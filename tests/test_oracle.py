@@ -4,6 +4,7 @@ import os
 import statistics
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -158,15 +159,20 @@ MIXING = {
 
 def per_summand_mc(specs, p, samples, seed, confidence=0.999):
     """mc_moment written out per chunk for specs with no two equal
-    neighbours: in input order, each summand adds its draw or, if gaussian
-    or Laplace, its variance given its mixing draw; one standard normal
-    draw, scaled by the root of the summed variances, comes last."""
+    neighbours: the alias table of the finite-support summands, built by
+    the engine, draws first; then, in input order, each other summand adds
+    its draw or, if gaussian or Laplace, its variance given its mixing
+    draw; one standard normal draw, scaled by the root of the summed
+    variances, comes last."""
+    table, _ = oracle._finite_table([(spec, 1) for spec in specs])
     sums = []
     for idx in range((samples + oracle._CHUNK - 1) // oracle._CHUNK):
         count = min(oracle._CHUNK, samples - idx * oracle._CHUNK)
         rng = np.random.default_rng(np.random.SeedSequence([seed, idx]))
-        total, var = np.zeros(count), 0.0
+        total, var = table.draw(rng, count), 0.0
         for spec in specs:
+            if spec.atoms() is not None:
+                continue
             if spec.family in MIXING:
                 var = var + MIXING[spec.family](spec.params[0], rng, count)
             else:
@@ -176,7 +182,7 @@ def per_summand_mc(specs, p, samples, seed, confidence=0.999):
         sums.append((float(np.sum(x)), float(np.sum(x * x))))
     mean = math.fsum(a for a, _ in sums) / samples
     var = max(math.fsum(b for _, b in sums) / samples - mean * mean, 0.0)
-    half = statistics.NormalDist().inv_cdf(0.5 + confidence / 2.0) * math.sqrt(var / samples)
+    half = -statistics.NormalDist().inv_cdf((1.0 - confidence) / 2.0) * math.sqrt(var / samples)
     lo, hi = max(mean - half, 0.0) ** (1.0 / p), (mean + half) ** (1.0 / p)
     return oracle.MCEstimate(p, mean ** (1.0 / p), (hi - lo) / 2.0, samples, seed,
                              confidence, mean, half)
@@ -218,11 +224,112 @@ class TestMCRuns:
         assert oracle._worker_count() == len(os.sched_getaffinity(0))
 
 
+def _law_by_enumeration(runs):
+    """{value rounded to 9 decimals: probability} of a sum of runs (spec, k),
+    adding one summand at a time: no repeated squaring, no closed form."""
+    law = {0.0: 1.0}
+    for spec, k in runs:
+        values, probs = spec.atoms()
+        for _ in range(k):
+            new = {}
+            for s, ps in law.items():
+                for v, pv in zip(values, probs):
+                    key = round(s + float(v), 9)
+                    new[key] = new.get(key, 0.0) + ps * float(pv)
+            law = new
+    return law
+
+
+FINITE_RUNS = {
+    "rademacher": [(rademacher(1.0), 5), (rademacher(0.5), 3)],
+    "three-point-dyadic": [(symmetric_three_point(0.5, 0.3), 6)],
+    "three-point-0.7": [(symmetric_three_point(0.7, 0.3), 6)],
+    "asymmetric-atoms": [(ATOMS, 3)],
+    "mixed": [(rademacher(1.0), 4), (symmetric_three_point(0.7, 0.2), 3), (ATOMS, 2),
+              (rademacher(0.5), 2)],
+}
+PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67, 71, 73,
+          79, 83, 89, 97, 101, 103, 107, 109, 113)
+
+
+class TestFiniteTable:
+    """mc_moment draws the finite-support runs of a sum from one alias table
+    of their exact law, capped at oracle._TABLE_CAP atoms."""
+
+    @pytest.mark.parametrize("runs", FINITE_RUNS.values(), ids=FINITE_RUNS.keys())
+    def test_columns_hold_the_exact_law(self, runs):
+        """Column j gives its atom accept[j] / n and its alias the rest; the
+        columns add up to the enumerated law, up to rounding."""
+        table, _ = oracle._finite_table(runs)
+        n, law = len(table.values), {}
+        for v, a, w in zip(table.values, table.accept, table.aliased):
+            for value, mass in ((v, a / n), (w, (1.0 - a) / n)):
+                law[round(float(value), 9)] = law.get(round(float(value), 9), 0.0) + mass
+        exact = _law_by_enumeration(runs)
+        for value in law.keys() | exact.keys():
+            assert law.get(value, 0.0) == pytest.approx(exact.get(value, 0.0), abs=1e-14)
+
+    @pytest.mark.parametrize("runs", FINITE_RUNS.values(), ids=FINITE_RUNS.keys())
+    def test_drawn_frequencies_match_the_exact_law(self, runs):
+        """Every atom's empirical frequency lies within 6 standard errors of
+        its probability, by enumeration; nothing else is drawn."""
+        table, rest = oracle._finite_table(runs)
+        assert rest == []
+        n = 1_000_000
+        drawn, counts = np.unique(np.round(table.draw(np.random.default_rng(10), n), 9),
+                                  return_counts=True)
+        law = _law_by_enumeration(runs)
+        assert set(drawn) <= set(law)
+        freq = dict(zip(drawn, counts / n))
+        for value, prob in law.items():
+            assert abs(freq.get(value, 0.0) - prob) <= 6.0 * math.sqrt(prob * (1 - prob) / n)
+
+    @pytest.mark.parametrize("p", [2.5, 5.0])
+    @pytest.mark.parametrize("runs", FINITE_RUNS.values(), ids=FINITE_RUNS.keys())
+    def test_mc_matches_the_exact_engine(self, runs, p):
+        specs = [spec for spec, k in runs for _ in range(k)]
+        est = mc_moment(specs, p, samples=200_000, seed=12)
+        assert abs(est.raw_mean - exact_discrete_moment(specs, p)) <= est.raw_half_width
+
+    def test_runs_without_atoms_are_left_out(self):
+        runs = [(gaussian(1.0), 2), (rademacher(1.0), 3), (uniform(0.5), 1), (ATOMS, 2)]
+        table, rest = oracle._finite_table(runs)
+        assert rest == [(gaussian(1.0), 2), (uniform(0.5), 1)]
+        assert len(table.values) <= oracle._TABLE_CAP
+        assert oracle._finite_table([(gaussian(1.0), 2)]) == (None, [(gaussian(1.0), 2)])
+
+    @pytest.mark.parametrize("runs, left, atoms", [
+        ([(rademacher(1.1), 1000)], 0, 1001),
+        ([(rademacher(1.1), 5000)], 1, None),
+        ([(rademacher(1.1), 1000), (symmetric_three_point(0.7, 0.3), 1000)], 1, 1001),
+        ([(rademacher(math.sqrt(q)), 1) for q in PRIMES], 20, 1024),
+    ], ids=["rademacher-1000", "rademacher-5000", "three-point-1000", "30-primes"])
+    def test_past_the_cap_keeps_its_own_sampler(self, runs, left, atoms):
+        """1000 equal signs make 1001 atoms, within the cap; 5000 do not, nor
+        do 1000 three-point summands (2001 atoms); 30 incommensurate weights
+        fill 2^10 = 1024 atoms with the first ten and leave twenty.  No grid
+        above the cap is built, so the peak stays far below one of 10^6."""
+        tracemalloc.start()
+        try:
+            table, rest = oracle._finite_table(runs)
+            specs = [spec for spec, k in runs for _ in range(k)]
+            est = mc_moment(specs, 2.0, samples=20_000, seed=2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rest == runs[len(runs) - left:]
+        assert (None if table is None else len(table.values)) == atoms
+        assert peak < 8_000_000
+        variance = sum(spec.variance * k for spec, k in runs)
+        assert abs(est.raw_mean - variance) <= est.raw_half_width
+
+
 class TestNormalQuantile:
-    @pytest.mark.parametrize("confidence", [0.5, 0.9, 0.95, 0.99, 0.999, 0.999999])
+    @pytest.mark.parametrize("confidence", [0.5, 0.9, 0.95, 0.99, 0.999, 0.999999,
+                                            math.nextafter(1.0, 0.0)])
     def test_half_width_uses_the_normal_quantile(self, confidence):
-        z = float(stats.norm.ppf(0.5 + confidence / 2.0))
-        assert statistics.NormalDist().inv_cdf(0.5 + confidence / 2.0) == pytest.approx(
+        z = float(stats.norm.isf((1.0 - confidence) / 2.0))
+        assert -statistics.NormalDist().inv_cdf((1.0 - confidence) / 2.0) == pytest.approx(
             z, rel=1e-15
         )
         samples = 20_000
