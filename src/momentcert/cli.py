@@ -42,7 +42,7 @@ from .combinatorics import (
     enumerate_indices,
 )
 from .distmodel import MomentProfile, VariableSpec
-from .exactmoments import gaussian_lp_norm
+from .exactmoments import gaussian_abs_moment, gaussian_lp_norm
 from .oracle import Estimate, NoEngine, SupportExplosion, estimate_moment, verify_report
 from .oracle import mc_moment  # noqa: F401  (perfbench/test_perfbench.py reads cli.mc_moment)
 
@@ -122,16 +122,25 @@ def _integer(value, key: str, least: int, most: int | None = None) -> int:
     return n
 
 
+def _gaussian_moment_is_finite(p: float) -> bool:
+    """Whether E|G|^p, which every bound at p carries, is a finite float."""
+    try:
+        return math.isfinite(gaussian_abs_moment(p))
+    except OverflowError:
+        return False
+
+
 def _numbers(doc: dict, key: str, whole: bool, most: int) -> list:
     """doc[key] (empty if absent): integers in [1, most] if `whole`, else
-    finite numbers > 0 that are at most `most` if even."""
+    finite numbers p > 0, at most `most` if even, with E|G|^p a float."""
     values = doc.get(key, [])
     if not isinstance(values, list):
         raise ConfigError(f"{key} must be a list, got {values!r}")
     if whole:
         return [_integer(x, key, 1, most) for x in values]
-    rule = f"a finite number > 0, at most {most} if even"
-    return [_number(x, key, rule, lambda x: x > 0 and (x <= most or x % 2 != 0)) for x in values]
+    rule = f"a finite number p > 0 with E|G|^p below the float range, at most {most} if even"
+    return [_number(x, key, rule, lambda x: x > 0 and (x <= most or x % 2 != 0)
+                    and _gaussian_moment_is_finite(x)) for x in values]
 
 
 def load_config(path: str, *, seed=None, output_format=None, output_path=None) -> RunConfig:

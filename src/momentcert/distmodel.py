@@ -117,14 +117,15 @@ class Family:
     `envelope(q, t)` bounds |charfn(q, t)| for t > 0 and does not increase
     with t, so its value at t bounds |phi| on all of [t, inf); it is 1 for
     a law whose phi does not decay.  `atoms` is None unless the support is
-    finite.  The sum of k copies of X is drawn n at a time by
-    `mix_variance(q, rng, n, k)` for a Gaussian scale mixture: n draws of
-    V (or one fixed V), the sum being sqrt(V) Z for an independent
-    standard normal Z; else by `sample_sum(q, rng, n, k)`, its exact law,
-    at k > 1 where known; else by k `sample(q, rng, n)`.  A family with
-    `atoms` is drawn that way only by `VariableSpec.sample_with` and, in
-    Monte Carlo, for a run past the cap of the alias table into which
-    `oracle.mc_moment` folds the finite-support runs of a sum.
+    finite.  The sum of k copies of X is drawn n at a time from its exact
+    law: by `mix_variance(q, rng, n, k)` for a Gaussian scale mixture, n
+    draws of V (or one fixed V), the sum being sqrt(V) Z for an
+    independent standard normal Z; else by `sample(q, rng, n)` at k = 1
+    and `sample_sum(q, rng, n, k)` at k > 1, each in O(n) memory at any
+    k.  A family with `atoms` is drawn that way only by
+    `VariableSpec.sample_with` and, in Monte Carlo, for a run past the cap
+    of the alias table into which `oracle.mc_moment` folds the
+    finite-support runs of a sum.
     """
 
     keys: tuple[str, ...]
@@ -143,6 +144,18 @@ class Family:
 def _signs(b: float, rng: np.random.Generator, counts: np.ndarray) -> np.ndarray:
     """b (2 Bin(N, 1/2) - N) per entry N of counts: N fair signs of size b."""
     return b * (2.0 * rng.binomial(counts, 0.5) - counts)
+
+
+def _uniform_sum(q: tuple, rng: np.random.Generator, n: int, k: int) -> np.ndarray:
+    """a (2 (U_1 + ... + U_k) - k) for k unit uniforms U_i: the sum of k
+    uniforms on [-a, a].  The U_i are drawn into one reused buffer and
+    added in place, so the memory is two arrays of n at any k."""
+    total, buf = rng.random(n), np.empty(n)
+    for _ in range(k - 1):
+        total += rng.random(out=buf)
+    total *= 2.0 * q[0]
+    total -= k * q[0]
+    return total
 
 
 _POSITIVE_SCALE = ((lambda q: q[0] > 0.0, "scale must be positive"),)
@@ -200,6 +213,7 @@ FAMILIES: dict[str, Family] = {
         charfn=lambda q, t: np.sinc(q[0] * t / np.pi),
         envelope=lambda q, t: 1.0 / np.maximum(1.0, q[0] * t),
         sample=lambda q, rng, n: rng.uniform(-q[0], q[0], n),
+        sample_sum=_uniform_sum,
     ),
     # P(X = +-b) = q, P(X = 0) = 1 - 2q.
     "symmetric_three_point": Family(
@@ -371,9 +385,14 @@ class VariableSpec:
 class AliasTable:
     """A finite law drawn by Walker's alias method, built by Vose's
     algorithm: column j holds atom j with probability accept[j] and its
-    alias otherwise, so a draw costs one uniform index and one uniform
-    acceptance, whatever the number of atoms.  The law is exact up to the
-    rounding of the columns' probabilities."""
+    alias otherwise.  A draw takes one uniform U whatever the number n of
+    atoms: with u = n U, the column is j = floor(u), and its atom is taken
+    iff u - j < accept[j].  u carries 53 bits, of which ceil(log2 n) go to
+    j, so the acceptance is resolved to 2^-(53 - ceil(log2 n)), which is
+    2^-43 at 1024 atoms.  n U rounds below n for every U < 1, so j needs
+    no clamp.  `columns` holds the atoms, then their aliases, so a draw
+    is a single gather.  The law is exact up to the rounding of the
+    columns' probabilities and of that resolution."""
 
     def __init__(self, values: np.ndarray, probs: np.ndarray) -> None:
         n, total = len(values), math.fsum(probs)
@@ -388,13 +407,17 @@ class AliasTable:
             if scaled[big] < 1.0:
                 small.append(large.pop())
         # Columns left in either list hold probability 1 up to rounding.
-        self.values = np.array(values, dtype=float)
+        values = np.array(values, dtype=float)
         self.accept = np.array(accept)
-        self.aliased = self.values[alias]
+        self.columns = np.concatenate((values, values[alias]))
 
     def draw(self, rng: np.random.Generator, count: int) -> np.ndarray:
-        j = rng.integers(0, len(self.values), count)
-        return np.where(rng.random(count) < self.accept[j], self.values[j], self.aliased[j])
+        n = len(self.accept)
+        u = rng.random(count)
+        u *= n
+        j = u.astype(np.intp)
+        u -= j
+        return self.columns[j + n * (u >= self.accept[j])]
 
 
 def sample_runs(runs, rng: np.random.Generator, count: int,
@@ -419,13 +442,14 @@ def sample_runs(runs, rng: np.random.Generator, count: int,
         elif row.mix_variance is not None:
             v = row.mix_variance(spec.params, rng, count, k)
             var = v if var is None else var + v
-        elif k > 1 and row.sample_sum is not None:
+        elif k > 1:
             total += row.sample_sum(spec.params, rng, count, k)
         else:
-            for _ in range(k):
-                total += row.sample(spec.params, rng, count)
+            total += row.sample(spec.params, rng, count)
     if var is not None:
-        total += np.sqrt(var) * rng.standard_normal(count)
+        z = rng.standard_normal(count)
+        z *= np.sqrt(var)
+        total += z
     return total
 
 

@@ -190,7 +190,7 @@ def run_law(values, probs, k: int, cap: int, compensated: bool = False) -> tuple
     """The law of the sum of k independent copies of the finite law
     (values, probs), as a (law, low parts) pair of :func:`_merged` (low
     parts only if `compensated`), and whether the one law is mirrored:
-    equal probabilities at -v and +v.
+    equal probabilities at -v and +v.  Atoms of probability 0 are dropped.
 
     Two atoms -a, +a of equal probability take their k-fold law in closed
     form when not compensated: a (2j - k) with probability C(k, j) / 2^k,
@@ -199,6 +199,7 @@ def run_law(values, probs, k: int, cap: int, compensated: bool = False) -> tuple
     points is built.
     """
     law = np.asarray(values, dtype=float) + 1j * np.asarray(probs, dtype=float)
+    law = law[law.imag != 0.0]  # an atom of probability 0 would only widen every grid
     law, lo = _merged(law, np.zeros(len(law)) if compensated else None)
     mirrored = np.array_equal(law, -law[::-1].conj())
     if not (len(law) == 2 and mirrored and not compensated):

@@ -141,7 +141,7 @@ def mc_moment(
     Consecutive equal specs form one run.  Before any sample is drawn,
     the finite-support runs (rademacher, symmetric_three_point, atoms) are
     folded into one exact law of at most _TABLE_CAP atoms, drawn by an
-    alias table at two uniforms per sample however many runs it holds; a
+    alias table at one uniform per sample however many runs it holds; a
     run that would pass the cap is left out of it.  Every other run is
     drawn from the exact law of its sum by distmodel.sample_runs, after the
     table; all gaussian and symmetric_exponential runs share one normal
@@ -172,8 +172,12 @@ def mc_moment(
         # An overflow reaches the caller as a non-finite Estimate, not as a
         # warning; worker threads do not inherit the caller's errstate.
         with np.errstate(over="ignore", invalid="ignore"):
-            x = np.abs(sample_runs(runs, rng, count, table)) ** p
-            return float(np.sum(x)), float(np.sum(x * x))
+            x = sample_runs(runs, rng, count, table)
+            np.abs(x, out=x)
+            np.power(x, p, out=x)
+            # Not x @ x: BLAS splits a long dot product over the CPUs, so
+            # its rounding would depend on their count; einsum's loop does not.
+            return float(np.sum(x)), float(np.einsum("i,i->", x, x))
 
     with ThreadPoolExecutor(max_workers=min(_worker_count(), len(chunks))) as pool:
         partials = list(pool.map(run_chunk, chunks))

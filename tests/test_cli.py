@@ -699,14 +699,20 @@ class TestBadInputs:
              "p_values": [1001]},
             {"command": "bound", "variables": [{"family": "gaussian", "sigma": 1.0, "count": 5}],
              "p_values": [401]},
+            {"command": "moments", "variables": [{"family": "gaussian", "sigma": 1.0}],
+             "p_values": [401]},
         ],
-        ids=["moments-p1001", "bound-p401"],
+        ids=["moments-p1001", "bound-p401", "moments-p401"],
     )
-    def test_numeric_overflow_exits_two(self, tmp_path, capsys, doc):
+    def test_p_whose_gaussian_moment_overflows_names_p_values(self, tmp_path, capsys, doc):
+        """E|G|^p passes the float range above p = 301.36: load_config
+        refuses such a p, naming the key, before any engine runs."""
         path = write_config(tmp_path, doc)
+        with pytest.raises(ConfigError, match="^p_values must be"):
+            load_config(path)
         assert main(["--config", path]) == EXIT_CONFIG
         err = capsys.readouterr().err
-        assert err.startswith("error: ")
+        assert err.startswith("configuration error: p_values ")
         assert len(err.strip().splitlines()) == 1
 
     @pytest.mark.parametrize(
@@ -862,7 +868,7 @@ class TestConfigNumbers:
     @pytest.mark.parametrize(
         "key, accepted, refused",
         [
-            ("p_values", [170, 171, 170.5, 1001], [172]),
+            ("p_values", [170, 171, 170.5, 301], [172, 401, 1001]),
             ("r_values", [85], [86]),
             ("n_values", [sys.maxsize], [sys.maxsize + 1]),
             ("count", [], [sys.maxsize + 1]),
@@ -870,7 +876,8 @@ class TestConfigNumbers:
     )
     def test_limits_at_the_boundary(self, tmp_path, key, accepted, refused):
         """An even p and 2r are moment orders: math.factorial(l) converts
-        to a float only for l <= 170.  count and n are sequence lengths,
+        to a float only for l <= 170.  Any p needs E|G|^p to be a float,
+        which it is up to about p = 301.36.  count and n are sequence lengths,
         at most sys.maxsize ([spec] * count at sys.maxsize would be built
         in full, so only its refusal is tested)."""
         for value, ok in [(v, True) for v in accepted] + [(v, False) for v in refused]:

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -229,27 +230,39 @@ RUN_CASES = ([[(spec, k)] for spec in RUN_SPECS for k in (2, 7, 1000)]
              + [[(gaussian(0.7), 1)], [(symmetric_exponential(0.5), 1)], MIXED_RUNS])
 
 
+class ConstantUniform:
+    """A generator stub whose every uniform is u."""
+
+    def __init__(self, u):
+        self.u = u
+
+    def random(self, count):
+        return np.full(count, self.u)
+
+
 class TestAliasTable:
     LAWS = [
         ([-1.0, 1.0], [0.5, 0.5]),
         ([2.5], [1.0]),
         ([-3.0, -0.5, 0.0, 0.25, 4.0], [0.1, 0.35, 0.0, 0.05, 0.5]),
         (np.linspace(-2.0, 2.0, 37), np.random.default_rng(3).dirichlet(np.ones(37))),
+        (np.linspace(-5.0, 5.0, 1023), np.random.default_rng(7).dirichlet(np.ones(1023))),
     ]
+    IDS = ["two", "one", "zero-weight", "37", "1023"]
 
-    @pytest.mark.parametrize("values, probs", LAWS, ids=["two", "one", "zero-weight", "37"])
+    @pytest.mark.parametrize("values, probs", LAWS, ids=IDS)
     def test_columns_hold_the_law(self, values, probs):
         """Column j gives its atom accept[j] / n and its alias the rest, so
         the columns add up to the law, up to rounding."""
         table = distmodel.AliasTable(np.array(values), np.array(probs))
         n = len(values)
         mass = dict.fromkeys(map(float, values), 0.0)
-        for v, a, w in zip(table.values, table.accept, table.aliased):
+        for v, a, w in zip(table.columns[:n], table.accept, table.columns[n:]):
             mass[float(v)] += a / n
             mass[float(w)] += (1.0 - a) / n
         assert list(mass.values()) == pytest.approx(list(probs), abs=1e-15)
 
-    @pytest.mark.parametrize("values, probs", LAWS, ids=["two", "one", "zero-weight", "37"])
+    @pytest.mark.parametrize("values, probs", LAWS, ids=IDS)
     def test_draw_frequencies(self, values, probs):
         n = 400_000
         x = distmodel.AliasTable(np.array(values), np.array(probs)).draw(
@@ -259,6 +272,29 @@ class TestAliasTable:
         freq = dict(zip(drawn, counts / n))
         for v, q in zip(values, probs):
             assert abs(freq.get(v, 0.0) - q) <= 6.0 * math.sqrt(q * (1.0 - q) / n)
+
+    def test_largest_uniform_stays_in_the_table(self):
+        """n U < n for U = nextafter(1, 0) at every n the table may have,
+        so floor(n U) is the last column, without a clamp."""
+        u = math.nextafter(1.0, 0.0)
+        assert all(math.floor(n * u) == n - 1 for n in range(1, 1025))
+        n = np.arange(1, 1025)
+        assert np.array_equal((n * u).astype(np.intp), n - 1)
+
+    @pytest.mark.parametrize("values, probs", LAWS, ids=IDS)
+    def test_extreme_uniforms_draw_the_end_columns(self, values, probs):
+        """U = j / n, where n U is j exactly (U = 0 among them), takes
+        column j at remainder 0: its atom, unless that has weight 0.
+        U = nextafter(1, 0) takes the last column, at a remainder within
+        n 2^-53 of 1, so its atom only where it keeps the whole column."""
+        table = distmodel.AliasTable(np.array(values), np.array(probs))
+        n = len(values)
+        for j in [j for j in range(n) if j / n * n == j]:
+            drawn = table.draw(ConstantUniform(j / n), 3)
+            assert np.all(drawn == table.columns[j if table.accept[j] > 0.0 else n + j])
+        last = table.draw(ConstantUniform(math.nextafter(1.0, 0.0)), 3)
+        assert np.all(last == (table.columns[n - 1] if table.accept[-1] == 1.0
+                               else table.columns[2 * n - 1]))
 
     def test_sample_runs_draws_the_table_first(self):
         table = distmodel.AliasTable(np.array([-1.0, 2.0]), np.array([2 / 3, 1 / 3]))
@@ -332,11 +368,28 @@ class TestRunLaw:
         b = spec.sample_with(np.random.default_rng(5), 1000, 1)
         assert np.array_equal(a, b)
 
-    def test_uniform_run_adds_k_draws(self):
+    def test_uniform_run_is_one_buffered_sum(self):
+        """A run of k uniforms on [-a, a] is a (2 (U_1 + ... + U_k) - k),
+        the k unit uniforms drawn one after another and added in order."""
         rng = np.random.default_rng(8)
-        explicit = rng.uniform(-2.0, 2.0, 50) + rng.uniform(-2.0, 2.0, 50)
-        explicit += rng.uniform(-2.0, 2.0, 50)
-        assert np.array_equal(uniform(2.0).sample_with(np.random.default_rng(8), 50, 3), explicit)
+        total = rng.random(50)
+        total += rng.random(50)
+        total += rng.random(50)
+        replay = 4.0 * total - 6.0
+        assert np.array_equal(uniform(2.0).sample_with(np.random.default_rng(8), 50, 3), replay)
+
+    def test_uniform_run_memory_does_not_grow_with_k(self):
+        """1000 uniforms over 2^14 samples peak at a few arrays of 2^14,
+        not at 1000 of them (131 MB)."""
+        count = 1 << 14
+        tracemalloc.start()
+        try:
+            x = uniform(1.0).sample_with(np.random.default_rng(9), count, 1000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert x.shape == (count,)
+        assert peak <= 4 * 8 * count
 
     def test_bad_run_length_rejected(self):
         with pytest.raises(ValueError, match="k must be"):

@@ -167,6 +167,22 @@ class TestFiniteSupportEngine:
         got = exactmoments._atom_abs_moment([(*law, 3), ((-0.5,), (1.0,), 1)], 0.5)
         assert abs(got - want) <= 1e-15
 
+    @pytest.mark.parametrize("compensated", [False, True])
+    def test_zero_probability_atoms_are_dropped(self, compensated):
+        """Six three-point summands at q = 1/2 are six fair signs: the atom
+        0 of probability 0 drops out, leaving the 7 atoms of the signs' law,
+        and without low parts that law takes the closed form."""
+        b = 0.7
+        three, mirrored = exactmoments.run_law((-b, 0.0, b), (0.5, 0.0, 0.5), 6, 1024,
+                                               compensated)
+        signs, _ = exactmoments.run_law((-b, b), (0.5, 0.5), 6, 1024, compensated)
+        assert mirrored
+        assert len(three[0]) == 7 and np.all(three[0].imag > 0.0)
+        assert np.array_equal(three[0], signs[0])
+        law = ((-b, 0.0, b), (0.5, 0.0, 0.5), 6)
+        assert (exactmoments._atom_abs_moment([law], 3.3)
+                == exactmoments._atom_abs_moment([((-b, b), (0.5, 0.5), 6)], 3.3))
+
 
 def fraction_sum_moment(profiles, order):
     """E (sum_k X_k)^order by the binomial recurrence of moments_of_sum in

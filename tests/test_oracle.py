@@ -114,6 +114,24 @@ class TestMCMoment:
         b = mc_moment(specs, 2.5, samples=300_000, seed=9)
         assert a == b
 
+    @pytest.mark.skipif(not hasattr(os, "sched_getaffinity")
+                        or len(os.sched_getaffinity(0)) < 2, reason="needs two CPUs")
+    def test_cpu_count_invariance(self):
+        """A process held to one CPU before numpy loads gets the same
+        estimate: no reduction may round by the CPU count, as a BLAS dot
+        product over 2^14 samples does."""
+        import momentcert
+
+        code = ("import os; os.sched_setaffinity(0, {min(os.sched_getaffinity(0))}); "
+                "from momentcert import gaussian, uniform, mc_moment; "
+                "print(repr(mc_moment([gaussian(1.0), uniform(1.0)] * 3, 3.3, "
+                "samples=100_000, seed=5)))")
+        src = os.path.dirname(os.path.dirname(momentcert.__file__))
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                             text=True, check=True, env={**os.environ, "PYTHONPATH": src})
+        here = mc_moment([gaussian(1.0), uniform(1.0)] * 3, 3.3, samples=100_000, seed=5)
+        assert out.stdout.strip() == repr(here)
+
     def test_matches_exact_gaussian_norm(self):
         est = mc_moment([gaussian(1.0)] * 4, 4.0, samples=2_000_000, seed=11)
         exact = 3.0 ** 0.25 * 2.0
@@ -163,7 +181,7 @@ def per_summand_mc(specs, p, samples, seed, confidence=0.999):
     the engine, draws first; then, in input order, each other summand adds
     its draw or, if gaussian or Laplace, its variance given its mixing
     draw; one standard normal draw, scaled by the root of the summed
-    variances, comes last."""
+    variances, comes last.  The second sum is einsum's, as in mc_moment."""
     table, _ = oracle._finite_table([(spec, 1) for spec in specs])
     sums = []
     for idx in range((samples + oracle._CHUNK - 1) // oracle._CHUNK):
@@ -179,7 +197,7 @@ def per_summand_mc(specs, p, samples, seed, confidence=0.999):
                 total += spec.sample_with(rng, count)
         total += np.sqrt(var) * rng.standard_normal(count)
         x = np.abs(total) ** p
-        sums.append((float(np.sum(x)), float(np.sum(x * x))))
+        sums.append((float(np.sum(x)), float(np.einsum("i,i->", x, x))))
     mean = math.fsum(a for a, _ in sums) / samples
     var = max(math.fsum(b for _, b in sums) / samples - mean * mean, 0.0)
     half = -statistics.NormalDist().inv_cdf((1.0 - confidence) / 2.0) * math.sqrt(var / samples)
@@ -211,8 +229,8 @@ class TestMCRuns:
 
     @pytest.mark.parametrize(
         "spec", [gaussian(0.9), rademacher(1.1), symmetric_exponential(0.4),
-                 symmetric_three_point(0.7, 0.3)],
-        ids=["gaussian", "rademacher", "laplace", "three-point"],
+                 symmetric_three_point(0.7, 0.3), uniform(1.5), ATOMS],
+        ids=["gaussian", "rademacher", "laplace", "three-point", "uniform", "atoms"],
     )
     def test_long_run_matches_exact_fourth_moment(self, spec):
         est = mc_moment([spec] * 1000, 4.0, samples=200_000, seed=8)
@@ -261,8 +279,8 @@ class TestFiniteTable:
         """Column j gives its atom accept[j] / n and its alias the rest; the
         columns add up to the enumerated law, up to rounding."""
         table, _ = oracle._finite_table(runs)
-        n, law = len(table.values), {}
-        for v, a, w in zip(table.values, table.accept, table.aliased):
+        n, law = len(table.accept), {}
+        for v, a, w in zip(table.columns[:n], table.accept, table.columns[n:]):
             for value, mass in ((v, a / n), (w, (1.0 - a) / n)):
                 law[round(float(value), 9)] = law.get(round(float(value), 9), 0.0) + mass
         exact = _law_by_enumeration(runs)
@@ -295,20 +313,24 @@ class TestFiniteTable:
         runs = [(gaussian(1.0), 2), (rademacher(1.0), 3), (uniform(0.5), 1), (ATOMS, 2)]
         table, rest = oracle._finite_table(runs)
         assert rest == [(gaussian(1.0), 2), (uniform(0.5), 1)]
-        assert len(table.values) <= oracle._TABLE_CAP
+        assert len(table.accept) <= oracle._TABLE_CAP
         assert oracle._finite_table([(gaussian(1.0), 2)]) == (None, [(gaussian(1.0), 2)])
 
     @pytest.mark.parametrize("runs, left, atoms", [
         ([(rademacher(1.1), 1000)], 0, 1001),
         ([(rademacher(1.1), 5000)], 1, None),
         ([(rademacher(1.1), 1000), (symmetric_three_point(0.7, 0.3), 1000)], 1, 1001),
+        ([(symmetric_three_point(0.7, 0.5), 500)], 0, 501),
         ([(rademacher(math.sqrt(q)), 1) for q in PRIMES], 20, 1024),
-    ], ids=["rademacher-1000", "rademacher-5000", "three-point-1000", "30-primes"])
+    ], ids=["rademacher-1000", "rademacher-5000", "three-point-1000", "three-point-half-500",
+            "30-primes"])
     def test_past_the_cap_keeps_its_own_sampler(self, runs, left, atoms):
         """1000 equal signs make 1001 atoms, within the cap; 5000 do not, nor
-        do 1000 three-point summands (2001 atoms); 30 incommensurate weights
-        fill 2^10 = 1024 atoms with the first ten and leave twenty.  No grid
-        above the cap is built, so the peak stays far below one of 10^6."""
+        do 1000 three-point summands (2001 atoms); 500 three-point summands
+        at q = 1/2, whose atom 0 has probability 0, are 500 signs (501
+        atoms); 30 incommensurate weights fill 2^10 = 1024 atoms with the
+        first ten and leave twenty.  No grid above the cap is built, so the
+        peak stays far below one of 10^6."""
         tracemalloc.start()
         try:
             table, rest = oracle._finite_table(runs)
@@ -318,7 +340,7 @@ class TestFiniteTable:
         finally:
             tracemalloc.stop()
         assert rest == runs[len(runs) - left:]
-        assert (None if table is None else len(table.values)) == atoms
+        assert (None if table is None else len(table.accept)) == atoms
         assert peak < 8_000_000
         variance = sum(spec.variance * k for spec, k in runs)
         assert abs(est.raw_mean - variance) <= est.raw_half_width
