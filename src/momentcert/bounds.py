@@ -15,13 +15,13 @@ from functools import cached_property
 from typing import Sequence
 
 from .combinatorics import elementary_symmetric
-from .distmodel import VariableSpec
+from .distmodel import VariableSpec, rademacher
 from .exactmoments import (
     SupportExplosion,
     gaussian_abs_moment,
     gaussian_lp_norm,
     rademacher_abs_moment,
-    rademacher_even_moment,
+    rademacher_moments,
     sum_even_moment,
 )
 from .oracle import estimate_moment
@@ -68,7 +68,10 @@ class SequenceSpec:
     ``functools.cached_property``; fields, equality, hash and repr see
     ``variables`` only.  Equal specs share a code, an index into the
     distinct specs: their variance and moments are computed once, and they
-    share one MomentProfile object per order.
+    share one MomentProfile object per order.  The profiles of one spec,
+    and those of one Rademacher weight, share one run-power memo at every
+    order (``MomentProfile.powers``), so each run's power is built once
+    per sequence and its sorted copy, and is dropped with them.
     """
 
     variables: tuple[VariableSpec, ...]
@@ -94,10 +97,12 @@ class SequenceSpec:
         return tuple(index), codes
 
     @cached_property
+    def _distinct_variances(self) -> list[float]:
+        return [s.variance for s in self._coded[0]]
+
+    @cached_property
     def variances(self) -> tuple[float, ...]:
-        distinct, codes = self._coded
-        dvar = [s.variance for s in distinct]
-        return tuple(map(dvar.__getitem__, codes))
+        return tuple(map(self._distinct_variances.__getitem__, self._coded[1]))
 
     @property
     def all_symmetric(self) -> bool:
@@ -120,6 +125,8 @@ class SequenceSpec:
 
     _distinct_profiles = cached_property(lambda self: {})  # {order: profile per distinct spec}
     _profiles = cached_property(lambda self: {})  # {order: profile per position}
+    _rademacher = cached_property(lambda self: {})  # {order: sign profile per position}
+    _memos = cached_property(lambda self: {})  # {spec or weight: its run-power memo}
 
     @cached_property
     def _sorted(self) -> tuple["SequenceSpec", tuple[int, ...]]:
@@ -129,8 +136,10 @@ class SequenceSpec:
         distinct, codes = self._coded
         copy.__dict__.update(
             _coded=(distinct, list(map(codes.__getitem__, order))),
+            _distinct_variances=self._distinct_variances,
             variances=tuple(map(self.variances.__getitem__, order)),
             _distinct_profiles=self._distinct_profiles,
+            _memos=self._memos,
         )
         return copy, order
 
@@ -141,9 +150,11 @@ class SequenceSpec:
 
     def distinct_profiles(self, max_order: int) -> tuple:
         """One moment profile per distinct spec, in no particular order."""
-        cache = self._distinct_profiles
+        cache, memos = self._distinct_profiles, self._memos
         if max_order not in cache:
-            cache[max_order] = tuple(v.moments(max_order) for v in self._coded[0])
+            cache[max_order] = tuple(
+                v.moments(max_order, memos.setdefault(v, {})) for v in self._coded[0]
+            )
         return cache[max_order]
 
     def profiles(self, max_order: int) -> tuple:
@@ -151,6 +162,20 @@ class SequenceSpec:
         cache = self._profiles
         if max_order not in cache:
             shared = self.distinct_profiles(max_order)
+            cache[max_order] = tuple(map(shared.__getitem__, self._coded[1]))
+        return cache[max_order]
+
+    def rademacher_profiles(self, max_order: int) -> tuple:
+        """Moment profile of sqrt(v_k) eps_k for every summand, eps_k fair
+        signs: the weighted Rademacher sum of the truncated bounds.  Equal
+        weights share one object, so in a sorted copy, whose equal weights
+        are adjacent, the runs are those of :func:`rademacher_moments`."""
+        cache, memos = self._rademacher, self._memos
+        if max_order not in cache:
+            weights = list(map(math.sqrt, self._distinct_variances))
+            made = {w: rademacher(w).moments(max_order, memos.setdefault(w, {}))
+                    for w in dict.fromkeys(weights)}
+            shared = list(map(made.__getitem__, weights))
             cache[max_order] = tuple(map(shared.__getitem__, self._coded[1]))
         return cache[max_order]
 
@@ -370,10 +395,11 @@ def bound_general_p(seq: SequenceSpec, p: float, r: int) -> BoundReport:
     )
     if cutoff > n:
         return _non_certifying("truncated_general_p_upper", p, assumptions, constants)
-    w = tuple(map(math.sqrt, v))
-    even = float(p).is_integer() and int(p) % 2 == 0
     try:
-        rad = rademacher_even_moment(w, int(p) // 2) if even else rademacher_abs_moment(w, p)
+        if float(p).is_integer() and int(p) % 2 == 0:
+            rad = sum_even_moment(sorted_seq.rademacher_profiles(int(p)), int(p) // 2)
+        else:
+            rad = rademacher_abs_moment(tuple(map(math.sqrt, v)), p)
     except SupportExplosion as exc:
         assumptions.append(Assumption("enumeration_cap", False, str(exc)))
         return _non_certifying("truncated_general_p_upper", p, assumptions, constants)
@@ -411,8 +437,8 @@ def check_rademacher_moment_ratio(w: Sequence[float], r: int) -> RatioCheckRepor
         raise ValueError("r must be at least 1")
     if any(abs(a) < abs(b) for a, b in zip(w, w[1:])):
         raise ValueError("weights must be sorted by |sigma| nonincreasing")
-    m2r = rademacher_even_moment(w, r)
-    m_prev = rademacher_even_moment(w, r - 1)
+    m = rademacher_moments(w, 2 * r)
+    m2r, m_prev = m[2 * r], m[2 * r - 2]
     lhs = (2.0 * r + 1.0) / (2.0 * r - 1.0) * m2r * m2r
     sq = [s * s for s in w]
     if r + 1 > len(sq):
@@ -533,7 +559,7 @@ def _check_tail_bounds(seq: SequenceSpec, r: int, symmetric: bool) -> TailCheckR
         return TailCheckReport(math.nan, math.nan, math.nan, cutoff, c, False, False)
     tail = sum_even_moment(sorted_seq.profiles(2 * r)[cutoff:], r)
     esym = math.factorial(2 * r) / 2 ** r * elementary_symmetric(list(v), r)
-    rad = rademacher_even_moment(tuple(map(math.sqrt, v)), r)
+    rad = sum_even_moment(sorted_seq.rademacher_profiles(2 * r), r)
     slack = 1.0 - 1e-12
     return TailCheckReport(
         tail, esym, rad, cutoff, c, tail <= esym / slack and esym <= rad / slack

@@ -37,9 +37,9 @@ from .bounds import (
 )
 from .charfn import check_cosine_bounds, check_main_charfn_inequality
 from .combinatorics import (
+    count_compositions,
     count_no_singleton_compositions,
     count_support_compositions,
-    enumerate_indices,
 )
 from .distmodel import MomentProfile, VariableSpec
 from .exactmoments import gaussian_abs_moment, gaussian_lp_norm
@@ -240,8 +240,12 @@ def _report_row(report: BoundReport) -> dict:
 
 
 def _all_reports(seq: SequenceSpec, cfg: RunConfig) -> list[BoundReport]:
+    """Every statement's report at every p and r, sorted by (statement, p).
+    p is visited from the highest down, so that the run powers of an even
+    order serve each lower even order as prefixes (see `moments_of_sum`);
+    the stable sort restores the r order within a (statement, p)."""
     reports: list[BoundReport] = []
-    for p in sorted(set(cfg.p_values)):
+    for p in sorted(set(cfg.p_values), reverse=True):
         if 2.0 <= p <= 4.0:
             reports.append(bound_p_2_4(seq, p))
         reports.extend(
@@ -283,24 +287,30 @@ def _run_bound(cfg: RunConfig) -> list[dict]:
 def _run_verify(cfg: RunConfig) -> list[dict]:
     seq = SequenceSpec(tuple(cfg.variables))
     ordered, _ = seq.sorted()
-    rows = []
-    grounds: dict = {}  # {(p, start_index): Estimate or the refusal}
-    for report in _all_reports(seq, cfg):
-        row = _report_row(report)
-        rows.append(row)
-        if not report.certifying:
-            row["verdict"] = "SKIPPED"
-            continue
-        # Every bound sorts the same way, so the report's summands are those
-        # of `ordered` from start_index on.
+    reports = _all_reports(seq, cfg)
+    # One ground per (p, start_index): the Estimate, or the refusal.  Every
+    # bound sorts the same way, so a report's summands are those of
+    # `ordered` from start_index on.  Even p go first, from the highest
+    # down as in _all_reports, and the rest keep the report order, so an
+    # engine error that ends the run is the same one; no engine's value
+    # depends on the order of the calls.
+    grounds: dict = {}
+    for report in sorted(reports, key=lambda rep: -rep.p if rep.p % 2 == 0 else math.inf):
         key = (report.p, report.start_index)
-        if key not in grounds:
+        if report.certifying and key not in grounds:
             try:
                 grounds[key] = _estimate(ordered, report.p, slice(report.start_index - 1, None),
                                          cfg, exact_atoms=True)
             except (SupportExplosion, OverflowError) as exc:  # no ground truth
                 grounds[key] = exc
-        ground = grounds[key]
+    rows = []
+    for report in reports:
+        row = _report_row(report)
+        rows.append(row)
+        if not report.certifying:
+            row["verdict"] = "SKIPPED"
+            continue
+        ground = grounds[report.p, report.start_index]
         if isinstance(ground, Exception):
             _unverified(row, ground)
             continue
@@ -355,18 +365,13 @@ def _run_check_lemmas(cfg: RunConfig) -> list[dict]:
     rs = sorted(set(cfg.r_values)) or [2]
     for r in rs:
         for i in range(1, r + 1):
-            n = r + 2
-            got_a = sum(1 for _ in enumerate_indices(n, r, support=set(range(1, i + 1))))
-            got_b = sum(
-                1
-                for _ in enumerate_indices(
-                    n, 2 * r, support=set(range(1, i + 1)), no_singletons=True
-                )
-            )
+            # Multi-indices of |alpha| = r on a support of i positions, and
+            # of |alpha| = 2r without singletons: the recurrence's counts
+            # against the closed forms.
             record(
                 "counting_identities",
-                got_a == count_support_compositions(r, i)
-                and got_b == count_no_singleton_compositions(r, i),
+                count_compositions(r, i) == count_support_compositions(r, i)
+                and count_compositions(2 * r, i, least=2) == count_no_singleton_compositions(r, i),
                 r=r,
                 i=i,
             )

@@ -14,6 +14,7 @@ from typing import Iterable, Iterator, Sequence
 __all__ = [
     "MultiIndex",
     "enumerate_indices",
+    "count_compositions",
     "count_support_compositions",
     "count_no_singleton_compositions",
     "multinomial",
@@ -121,6 +122,22 @@ def enumerate_indices(
         if support_size is not None and sum(1 for p in parts if p) != support_size:
             continue
         yield MultiIndex(parts)
+
+
+def count_compositions(total: int, parts: int, least: int = 1) -> int:
+    """Number of ordered ways to write total as `parts` parts, each at
+    least `least`, by the recurrence c_j(t) = sum_{s <= t - least} c_{j-1}(s)
+    with running sums: O(parts * total), no enumeration."""
+    if parts < 0 or total < 0 or least < 0:
+        raise ValueError("total, parts and least must be non-negative")
+    ways = [1] + [0] * total  # no parts: only the empty sum, 0
+    for _ in range(parts):
+        new, run = [0] * (total + 1), 0
+        for t in range(least, total + 1):
+            run += ways[t - least]
+            new[t] = run
+        ways = new
+    return ways[total]
 
 
 def count_support_compositions(r: int, i: int) -> int:

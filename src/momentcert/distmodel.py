@@ -8,7 +8,7 @@ characteristic function, no sampler).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import partial
 from typing import Callable, Sequence
 
@@ -45,11 +45,18 @@ class MomentProfile:
     positivity of even moments, and the Lyapunov chain
     mu_{2a}^{1/(2a)} <= mu_{2b}^{1/(2b)} for a <= b (a necessary condition
     for being a genuine moment sequence).
+
+    `powers`, if given, is a memo {k: moments of the sum of k independent
+    copies} that :func:`exactmoments.moments_of_sum` reads and fills.
+    Entry t of such a power reads only moments up to t, so the profiles
+    of one variable at every order may share one memo; it takes no part
+    in equality or hashing.
     """
 
     moments: tuple[float, ...]
     symmetric: bool = False
     centered: bool = False
+    powers: dict | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "moments", tuple(float(m) for m in self.moments))
@@ -98,13 +105,15 @@ class MomentProfile:
             raise ValueError("even_norm requires an even integer p >= 2")
         return self.moments[p] ** (1.0 / p)
 
-    def truncated(self, max_order: int) -> "MomentProfile":
+    def truncated(self, max_order: int, powers: dict | None = None) -> "MomentProfile":
         if max_order > self.max_order:
             raise ValueError(
                 f"profile only holds moments to order {self.max_order}, "
                 f"requested {max_order}"
             )
-        return MomentProfile(self.moments[: max_order + 1], self.symmetric, self.centered)
+        return MomentProfile(
+            self.moments[: max_order + 1], self.symmetric, self.centered, powers
+        )
 
 
 @dataclass(frozen=True)
@@ -156,6 +165,26 @@ def _uniform_sum(q: tuple, rng: np.random.Generator, n: int, k: int) -> np.ndarr
     total *= 2.0 * q[0]
     total -= k * q[0]
     return total
+
+
+def _atom_sum(values: np.ndarray, probs: np.ndarray, rng: np.random.Generator,
+              n: int, k: int) -> np.ndarray:
+    """n draws of the sum of k copies of the finite law (values, probs).
+    The numbers of copies at the atoms are multinomial, drawn by
+    conditional binomials: atom j takes Bin(k - copies so far, p_j / mass
+    of atoms j on), one vectorized draw per atom at any k, and the last
+    takes the rest.  The sum is reduced by einsum, whose loop, unlike
+    BLAS, rounds alike on any number of CPUs."""
+    keep = probs > 0.0
+    values, probs = values[keep], probs[keep]
+    rest = np.cumsum(probs[::-1])[::-1]  # the mass of atoms j, j+1, ...
+    left = np.full(n, k)
+    copies = np.empty((len(values), n))
+    for j in range(len(values) - 1):
+        copies[j] = drawn = rng.binomial(left, probs[j] / rest[j])
+        left -= drawn
+    copies[-1] = left
+    return np.einsum("j,jn->n", values, copies)
 
 
 _POSITIVE_SCALE = ((lambda q: q[0] > 0.0, "scale must be positive"),)
@@ -310,16 +339,17 @@ class VariableSpec:
 
     # -- moments ----------------------------------------------------------
 
-    def moments(self, max_order: int) -> MomentProfile:
+    def moments(self, max_order: int, powers: dict | None = None) -> MomentProfile:
+        """The profile to `max_order`, with the run-power memo `powers`."""
         if max_order < 2:
             raise ValueError("max_order must be at least 2")
         if self.family == "raw_moments":
-            return self.profile.truncated(max_order)
+            return self.profile.truncated(max_order, powers)
         even_moment, q = FAMILIES[self.family].even_moment, self.params
         mu = [0.0] * (max_order + 1)
         for l in range(0, max_order // 2 + 1):
             mu[2 * l] = even_moment(q, l)
-        return MomentProfile(tuple(mu), symmetric=True, centered=True)
+        return MomentProfile(tuple(mu), symmetric=True, centered=True, powers=powers)
 
     # -- characteristic function ------------------------------------------
 
@@ -423,7 +453,8 @@ class AliasTable:
 def sample_runs(runs, rng: np.random.Generator, count: int,
                 table: AliasTable | None = None) -> np.ndarray:
     """`count` draws of the sum of independent runs (spec, k) of k copies
-    each, drawn in input order by their `Family` columns; the conditional
+    each, drawn in input order by their `Family` columns, or an atom
+    spec's by :func:`_atom_sum`; the conditional
     variances of all `mix_variance` runs share one standard normal draw.
 
     `table`, if given, holds the law of further summands and is drawn
@@ -436,9 +467,7 @@ def sample_runs(runs, rng: np.random.Generator, count: int,
         if row is None and spec.support is None:
             raise NoEngine("cannot sample from a raw moment profile")
         if row is None:
-            values, probs = map(np.asarray, spec.support)
-            for _ in range(k):
-                total += rng.choice(values, count, p=probs)
+            total += _atom_sum(*map(np.asarray, spec.support), rng, count, k)
         elif row.mix_variance is not None:
             v = row.mix_variance(spec.params, rng, count, k)
             var = v if var is None else var + v

@@ -102,10 +102,13 @@ def moments_of_sum(runs: Sequence[tuple[MomentProfile, int]], order: int) -> lis
     m_{j+1, t} = sum_i C(t, i) m_{j, t-i} mu^{(j+1)}_i; entry t reads only
     entries up to t, so it does not depend on `order`.  A run's k-fold
     convolution power is taken by repeated squaring, so the cost is
-    O(order^2 log k) per run of length k.  No step depends on the scale
-    or the spread of the variances: for symmetric summands every term of
-    the recurrence is nonnegative, so its rounding is relative to the
-    result however widely the variances spread.  Odd moments of
+    O(order^2 log k) per run of length k, or O(order^2) when the profile's
+    `powers` memo already holds that power to `order` or beyond: a longer
+    power's prefix is the shorter one, bit for bit.  A power that is
+    built is kept in the memo, if the profile has one.  No step depends on
+    the scale or the spread of the variances: for symmetric summands every
+    term of the recurrence is nonnegative, so its rounding is relative to
+    the result however widely the variances spread.  Odd moments of
     asymmetric summands may cancel; their rounding carries no bound yet.
     """
     for prof, _ in runs:
@@ -117,18 +120,27 @@ def moments_of_sum(runs: Sequence[tuple[MomentProfile, int]], order: int) -> lis
             )
     m = [1.0] + [0.0] * order
     for prof, k in runs:
-        m = _convolve(order, m, _power(prof.moments, k, partial(_convolve, order)))
+        memo = prof.powers
+        power = None if memo is None else memo.get(k)
+        if power is None or len(power) <= order:
+            power = _power(prof.moments, k, partial(_convolve, order))
+            if memo is not None:
+                memo[k] = power
+        m = _convolve(order, m, power)
     return m
 
 
-def rademacher_even_moment(sigmas: Sequence[float], r: int) -> float:
-    """E (sum_k sigma_k eps_k)^{2r}, exact up to rounding:
-    :func:`moments_of_sum` on one run per distinct nonzero |sigma|."""
-    if r == 0:
-        return 1.0
+def rademacher_moments(sigmas: Sequence[float], order: int) -> list[float]:
+    """E (sum_k sigma_k eps_k)^t for t = 0..order >= 2, exact up to
+    rounding: :func:`moments_of_sum` on one run per distinct nonzero
+    |sigma|, in first-seen order."""
     runs = Counter(a for a in map(abs, sigmas) if a != 0.0)
-    profiles = [(rademacher(a).moments(2 * r), k) for a, k in runs.items()]
-    return moments_of_sum(profiles, 2 * r)[2 * r]
+    return moments_of_sum([(rademacher(a).moments(order), k) for a, k in runs.items()], order)
+
+
+def rademacher_even_moment(sigmas: Sequence[float], r: int) -> float:
+    """E (sum_k sigma_k eps_k)^{2r}, exact up to rounding."""
+    return 1.0 if r == 0 else rademacher_moments(sigmas, 2 * r)[2 * r]
 
 
 def rademacher_abs_moment(sigmas: Sequence[float], p: float) -> float:

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from momentcert.combinatorics import (
     MultiIndex,
+    count_compositions,
     count_no_singleton_compositions,
     count_support_compositions,
     elementary_symmetric,
@@ -36,6 +37,30 @@ class TestMultiIndex:
         assert a.factorial == math.prod(math.factorial(e) for e in entries)
         assert a.support == {k + 1 for k, e in enumerate(entries) if e}
         assert a.singletons == {k + 1 for k, e in enumerate(entries) if e == 1}
+
+
+class TestCountCompositions:
+    @pytest.mark.parametrize("least", [0, 1, 2, 3])
+    def test_matches_enumeration(self, least):
+        for total in range(9):
+            for parts in range(1, 6):
+                brute = sum(1 for c in itertools.product(range(total + 1), repeat=parts)
+                            if sum(c) == total and min(c) >= least)
+                assert count_compositions(total, parts, least) == brute
+
+    def test_no_parts(self):
+        assert count_compositions(0, 0) == 1
+        assert count_compositions(3, 0) == 0
+
+    def test_matches_the_closed_forms_to_r_85(self):
+        for r in (1, 2, 12, 40, 85):
+            for i in range(1, r + 1):
+                assert count_compositions(r, i) == count_support_compositions(r, i)
+                assert count_compositions(2 * r, i, 2) == count_no_singleton_compositions(r, i)
+
+    def test_rejects_negative(self):
+        with pytest.raises(ValueError):
+            count_compositions(-1, 2)
 
 
 class TestEnumerate:

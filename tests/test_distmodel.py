@@ -319,6 +319,25 @@ def _draw(runs, rng, n):
     return sample_runs(runs, rng, n)
 
 
+class TestAtomRuns:
+    """An atom spec's run is drawn by conditional binomials, one per atom."""
+
+    def test_atoms_of_probability_zero_are_never_drawn(self):
+        spec = spec_from_atoms([-1.0, 2.0, 5.0, 7.0], [0.5, 0.5, 0.0, 0.0], 4, center=False)
+        x = spec.sample_with(np.random.default_rng(6), 50_000, 1000)
+        # Copies at -1 and 2 only: the sum is -1000 + 3 j for j copies at 2.
+        j = (x + 1000.0) / 3.0
+        assert np.array_equal(j, np.round(j)) and j.min() >= 0 and j.max() <= 1000
+        assert abs(j.mean() - 500.0) <= 6.0 * math.sqrt(250.0 / 50_000)
+
+    def test_one_copy_is_the_atom_law(self):
+        spec = spec_from_atoms([-1.0, 0.5, 2.0], [0.3, 0.5, 0.2], 4, center=False)
+        x = spec.sample_with(np.random.default_rng(7), 100_000)
+        for v, p in zip((-1.0, 0.5, 2.0), (0.3, 0.5, 0.2)):
+            assert abs(np.mean(x == v) - p) <= 6.0 * math.sqrt(p * (1 - p) / 100_000)
+        assert np.isin(x, (-1.0, 0.5, 2.0)).all()
+
+
 class TestRunLaw:
     """sample_with(rng, count, k) draws the sum of k independent copies, and
     sample_runs the sum of several runs."""

@@ -79,6 +79,18 @@ class TestRademacherEvenMoment:
             assert rademacher_even_moment(w, 3) == pytest.approx(want, rel=1e-13)
             assert rademacher_abs_moment(w, 6) == pytest.approx(want, rel=1e-13)
 
+    def test_one_pass_holds_every_lower_even_moment(self):
+        """rademacher_moments to order 2r holds M_{2j} for every j <= r,
+        bit for bit: check_rademacher_moment_ratio reads M_{2r} and
+        M_{2r-2} from one pass."""
+        rng = np.random.default_rng(11)
+        for _ in range(20):
+            sig = rng.uniform(0.2, 2.0, int(rng.integers(1, 30))).round(1)
+            r = int(rng.integers(1, 7))
+            m = exactmoments.rademacher_moments(sig, 2 * r)
+            assert [m[2 * j] for j in range(r + 1)] == [
+                rademacher_even_moment(sig, j) for j in range(r + 1)]
+
     def test_matches_sign_enumeration(self):
         rng = np.random.default_rng(10)
         for _ in range(25):

@@ -4,18 +4,24 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import random_centered_atom_spec, random_symmetric_spec
 from momentcert import (
     SequenceSpec,
     compute_m,
+    exactmoments,
     gaussian,
     minimal_C_centered,
     minimal_C_symmetric,
+    rademacher,
+    rademacher_even_moment,
     spec_from_atoms,
     sum_even_moment,
     symmetric_exponential,
     symmetric_three_point,
+    uniform,
 )
 from momentcert.distmodel import VariableSpec
 
@@ -171,3 +177,106 @@ class TestConstantsOverDistinctProfiles:
             seq = SequenceSpec(tuple(distinct[int(i)] for i in rng.integers(0, 3, 30)))
             for r in (2, 3, 4):
                 assert minimal_C_centered(seq, r) == brute_c_centered(seq, r)
+
+
+ORDERS = (4, 6, 8, 12)
+
+
+@st.composite
+def mixed_sequences(draw):
+    """Blocks of equal summands in random order, drawn from a pool with two
+    distinct specs of equal variance (gaussian and rademacher at one scale),
+    an asymmetric atom spec and three more families."""
+    s = draw(st.floats(0.3, 3.0))
+    values = draw(st.lists(st.sampled_from(np.linspace(-2.0, 2.0, 9).tolist()),
+                           min_size=3, max_size=3, unique=True))
+    weights = draw(st.lists(st.floats(0.1, 1.0), min_size=3, max_size=3))
+    atoms = spec_from_atoms(values, np.array(weights) / sum(weights), 12)
+    pool = [gaussian(s), rademacher(s), atoms, symmetric_exponential(draw(st.floats(0.3, 3.0))),
+            uniform(draw(st.floats(0.3, 3.0))), symmetric_three_point(draw(st.floats(0.3, 3.0)), 0.2)]
+    blocks = draw(st.lists(st.tuples(st.sampled_from(range(len(pool))), st.integers(1, 9)),
+                           min_size=2, max_size=8))
+    return SequenceSpec(tuple(pool[j] for j, k in blocks for _ in range(k)))
+
+
+def poison(seq, order):
+    """Overwrite every power in the memos of seq's profiles with NaNs."""
+    for prof in seq.distinct_profiles(order) + seq.rademacher_profiles(order):
+        for k in prof.powers:
+            prof.powers[k] = [math.nan] * len(prof.powers[k])
+
+
+class TestRunPowerMemo:
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(seq=mixed_sequences(), orders=st.permutations(ORDERS))
+    def test_memo_matches_fresh_profiles_bitwise(self, seq, orders):
+        """At every suffix start and order, asked in shuffled order, the
+        memoized moments equal those of fresh profiles, and the sorted
+        copy's Rademacher moments equal rademacher_even_moment."""
+        srt, _ = seq.sorted()
+        weights = tuple(map(math.sqrt, srt.variances))
+        for order in orders:
+            r = order // 2
+            for s in (seq, srt):
+                profiles = s.profiles(order)
+                for start in range(len(s)):
+                    fresh = [v.moments(order) for v in s.variables[start:]]
+                    assert sum_even_moment(profiles[start:], r) == sum_even_moment(fresh, r)
+            signs = srt.rademacher_profiles(order)
+            for start in range(len(srt)):
+                assert (sum_even_moment(signs[start:], r)
+                        == rademacher_even_moment(weights[start:], r))
+
+    @settings(max_examples=15, deadline=None, derandomize=True)
+    @given(seq=mixed_sequences())
+    def test_a_second_sequence_reads_no_memo_of_the_first(self, seq):
+        srt, _ = seq.sorted()
+        for order in ORDERS:
+            sum_even_moment(srt.profiles(order), order // 2)
+            sum_even_moment(srt.rademacher_profiles(order), order // 2)
+            poison(srt, order)
+        other, _ = SequenceSpec(seq.variables).sorted()
+        weights = tuple(map(math.sqrt, other.variances))
+        assert not any(p.powers for p in other.distinct_profiles(12) + other.rademacher_profiles(12))
+        for order in ORDERS:
+            r = order // 2
+            fresh = [v.moments(order) for v in other.variables]
+            assert sum_even_moment(other.profiles(order), r) == sum_even_moment(fresh, r)
+            assert (sum_even_moment(other.rademacher_profiles(order), r)
+                    == rademacher_even_moment(weights, r))
+        # The poisoned memo is read: the sorted copy shares it with seq.
+        assert math.isnan(sum_even_moment(seq.profiles(12), 6))
+
+    def test_each_power_is_built_once_per_sequence(self, monkeypatch):
+        built = []
+        real = exactmoments._power
+
+        def counting(x, k, times):
+            built.append(k)
+            return real(x, k, times)
+
+        monkeypatch.setattr(exactmoments, "_power", counting)
+        a, b = symmetric_exponential(1.0), gaussian(0.5)
+        seq = SequenceSpec((a,) * 40 + (b,) * 25)
+        high = sum_even_moment(seq.profiles(8), 4)
+        assert sorted(built) == [25, 40]
+        built.clear()
+        # Lower orders and repeats read prefixes of the order-8 powers.
+        low = [sum_even_moment(seq.profiles(order), order // 2) for order in (4, 6, 4, 8)]
+        assert built == []
+        assert low[-1] == high
+        # A longer order builds its powers again.
+        sum_even_moment(seq.profiles(10), 5)
+        assert sorted(built) == [25, 40]
+        fresh = SequenceSpec(seq.variables)
+        assert low == [sum_even_moment(fresh.profiles(order), order // 2)
+                       for order in (4, 6, 4, 8)]
+
+    def test_equal_weights_share_one_rademacher_profile(self):
+        seq = SequenceSpec((gaussian(2.0), rademacher(2.0), uniform(1.0), gaussian(2.0)))
+        signs = seq.rademacher_profiles(6)
+        assert signs[0] is signs[1] is signs[3]
+        assert signs[0] == rademacher(2.0).moments(6)
+        assert signs[2] == rademacher(math.sqrt(1.0 / 3.0)).moments(6)
+        assert signs[0].powers is seq.rademacher_profiles(4)[0].powers
+        assert seq.sorted()[0].rademacher_profiles(6)[0].powers is signs[0].powers
