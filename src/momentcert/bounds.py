@@ -68,10 +68,10 @@ class SequenceSpec:
     ``functools.cached_property``; fields, equality, hash and repr see
     ``variables`` only.  Equal specs share a code, an index into the
     distinct specs: their variance and moments are computed once, and they
-    share one MomentProfile object per order.  The profiles of one spec,
-    and those of one Rademacher weight, share one run-power memo at every
-    order (``MomentProfile.powers``), so each run's power is built once
-    per sequence and its sorted copy, and is dropped with them.
+    share one MomentProfile object per order, so the rows that
+    :func:`exactmoments.moments_of_sum` keeps on a profile are built once
+    per sequence and order, shared by the sorted copy, and dropped with
+    them.
     """
 
     variables: tuple[VariableSpec, ...]
@@ -126,7 +126,6 @@ class SequenceSpec:
     _distinct_profiles = cached_property(lambda self: {})  # {order: profile per distinct spec}
     _profiles = cached_property(lambda self: {})  # {order: profile per position}
     _rademacher = cached_property(lambda self: {})  # {order: sign profile per position}
-    _memos = cached_property(lambda self: {})  # {spec or weight: its run-power memo}
 
     @cached_property
     def _sorted(self) -> tuple["SequenceSpec", tuple[int, ...]]:
@@ -139,7 +138,6 @@ class SequenceSpec:
             _distinct_variances=self._distinct_variances,
             variances=tuple(map(self.variances.__getitem__, order)),
             _distinct_profiles=self._distinct_profiles,
-            _memos=self._memos,
         )
         return copy, order
 
@@ -150,11 +148,9 @@ class SequenceSpec:
 
     def distinct_profiles(self, max_order: int) -> tuple:
         """One moment profile per distinct spec, in no particular order."""
-        cache, memos = self._distinct_profiles, self._memos
+        cache = self._distinct_profiles
         if max_order not in cache:
-            cache[max_order] = tuple(
-                v.moments(max_order, memos.setdefault(v, {})) for v in self._coded[0]
-            )
+            cache[max_order] = tuple(v.moments(max_order) for v in self._coded[0])
         return cache[max_order]
 
     def profiles(self, max_order: int) -> tuple:
@@ -170,11 +166,10 @@ class SequenceSpec:
         signs: the weighted Rademacher sum of the truncated bounds.  Equal
         weights share one object, so in a sorted copy, whose equal weights
         are adjacent, the runs are those of :func:`rademacher_moments`."""
-        cache, memos = self._rademacher, self._memos
+        cache = self._rademacher
         if max_order not in cache:
             weights = list(map(math.sqrt, self._distinct_variances))
-            made = {w: rademacher(w).moments(max_order, memos.setdefault(w, {}))
-                    for w in dict.fromkeys(weights)}
+            made = {w: rademacher(w).moments(max_order) for w in dict.fromkeys(weights)}
             shared = list(map(made.__getitem__, weights))
             cache[max_order] = tuple(map(shared.__getitem__, self._coded[1]))
         return cache[max_order]

@@ -19,6 +19,7 @@ import json
 import math
 import sys
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii
 
 from . import distmodel
 from .bounds import (
@@ -240,12 +241,9 @@ def _report_row(report: BoundReport) -> dict:
 
 
 def _all_reports(seq: SequenceSpec, cfg: RunConfig) -> list[BoundReport]:
-    """Every statement's report at every p and r, sorted by (statement, p).
-    p is visited from the highest down, so that the run powers of an even
-    order serve each lower even order as prefixes (see `moments_of_sum`);
-    the stable sort restores the r order within a (statement, p)."""
+    """Every statement's report at every p and r, sorted by (statement, p)."""
     reports: list[BoundReport] = []
-    for p in sorted(set(cfg.p_values), reverse=True):
+    for p in sorted(set(cfg.p_values)):
         if 2.0 <= p <= 4.0:
             reports.append(bound_p_2_4(seq, p))
         reports.extend(
@@ -287,30 +285,24 @@ def _run_bound(cfg: RunConfig) -> list[dict]:
 def _run_verify(cfg: RunConfig) -> list[dict]:
     seq = SequenceSpec(tuple(cfg.variables))
     ordered, _ = seq.sorted()
-    reports = _all_reports(seq, cfg)
-    # One ground per (p, start_index): the Estimate, or the refusal.  Every
-    # bound sorts the same way, so a report's summands are those of
-    # `ordered` from start_index on.  Even p go first, from the highest
-    # down as in _all_reports, and the rest keep the report order, so an
-    # engine error that ends the run is the same one; no engine's value
-    # depends on the order of the calls.
-    grounds: dict = {}
-    for report in sorted(reports, key=lambda rep: -rep.p if rep.p % 2 == 0 else math.inf):
-        key = (report.p, report.start_index)
-        if report.certifying and key not in grounds:
-            try:
-                grounds[key] = _estimate(ordered, report.p, slice(report.start_index - 1, None),
-                                         cfg, exact_atoms=True)
-            except (SupportExplosion, OverflowError) as exc:  # no ground truth
-                grounds[key] = exc
     rows = []
-    for report in reports:
+    grounds: dict = {}  # {(p, start_index): Estimate or the refusal}
+    for report in _all_reports(seq, cfg):
         row = _report_row(report)
         rows.append(row)
         if not report.certifying:
             row["verdict"] = "SKIPPED"
             continue
-        ground = grounds[report.p, report.start_index]
+        # Every bound sorts the same way, so the report's summands are those
+        # of `ordered` from start_index on.
+        key = (report.p, report.start_index)
+        if key not in grounds:
+            try:
+                grounds[key] = _estimate(ordered, report.p, slice(report.start_index - 1, None),
+                                         cfg, exact_atoms=True)
+            except (SupportExplosion, OverflowError) as exc:  # no ground truth
+                grounds[key] = exc
+        ground = grounds[key]
         if isinstance(ground, Exception):
             _unverified(row, ground)
             continue
@@ -436,7 +428,41 @@ def _render(cfg: RunConfig, rows: list[dict]) -> str:
         "seed": cfg.seed,
         "rows": rows,
     }
-    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    return _json(doc) + "\n"
+
+
+def _json_float(value: float) -> str:
+    if math.isfinite(value):
+        return float.__repr__(value)
+    return {math.inf: "Infinity", -math.inf: "-Infinity"}.get(value, "NaN")
+
+
+_WORDS = {None: "null", True: "true", False: "false"}
+# How json writes each scalar, by exact type; a subclass goes by isinstance.
+_SCALARS = {str: encode_basestring_ascii, float: _json_float, int: int.__repr__,
+            bool: _WORDS.__getitem__, type(None): _WORDS.__getitem__}
+
+
+def _json(value, indent: str = "\n") -> str:
+    """`value` in the bytes of ``json.dumps(value, sort_keys=True,
+    indent=2)``, whose indented output CPython writes with its pure-Python
+    encoder; strings go through the C escaper.  Keys must be strings.  A
+    dict writes its scalar values in its own loop, without recursing."""
+    inner = indent + "  "
+    if isinstance(value, dict):
+        items = []
+        for key in sorted(value):  # the escaper raises TypeError on a key not a str
+            write = _SCALARS.get(type(value[key]))
+            text = write(value[key]) if write else _json(value[key], inner)
+            items.append(f"{encode_basestring_ascii(key)}: {text}")
+        return "{" + inner + ("," + inner).join(items) + indent + "}" if items else "{}"
+    if isinstance(value, (list, tuple)):
+        items = [_json(v, inner) for v in value]
+        return "[" + inner + ("," + inner).join(items) + indent + "]" if items else "[]"
+    for kind in (str, bool, int, float, type(None)):  # bool before int, its base
+        if isinstance(value, kind):
+            return _SCALARS[kind](value)
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
 def run(cfg: RunConfig) -> tuple[int, str]:

@@ -8,8 +8,8 @@ characteristic function, no sampler).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from functools import partial
+from dataclasses import dataclass
+from functools import cached_property, partial
 from typing import Callable, Sequence
 
 import numpy as np
@@ -45,18 +45,11 @@ class MomentProfile:
     positivity of even moments, and the Lyapunov chain
     mu_{2a}^{1/(2a)} <= mu_{2b}^{1/(2b)} for a <= b (a necessary condition
     for being a genuine moment sequence).
-
-    `powers`, if given, is a memo {k: moments of the sum of k independent
-    copies} that :func:`exactmoments.moments_of_sum` reads and fills.
-    Entry t of such a power reads only moments up to t, so the profiles
-    of one variable at every order may share one memo; it takes no part
-    in equality or hashing.
     """
 
     moments: tuple[float, ...]
     symmetric: bool = False
     centered: bool = False
-    powers: dict | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "moments", tuple(float(m) for m in self.moments))
@@ -105,15 +98,20 @@ class MomentProfile:
             raise ValueError("even_norm requires an even integer p >= 2")
         return self.moments[p] ** (1.0 / p)
 
-    def truncated(self, max_order: int, powers: dict | None = None) -> "MomentProfile":
+    @cached_property
+    def active_rows(self) -> dict[int, list[float]]:
+        """{1: Y_1}, Y_1 the moments with 0 at orders 0 and 1: the first row
+        of the expansion of :func:`exactmoments.moments_of_sum`, which adds
+        the rows Y_2, Y_3, ... as a run first needs them."""
+        return {1: [0.0, 0.0, *self.moments[2:]]}
+
+    def truncated(self, max_order: int) -> "MomentProfile":
         if max_order > self.max_order:
             raise ValueError(
                 f"profile only holds moments to order {self.max_order}, "
                 f"requested {max_order}"
             )
-        return MomentProfile(
-            self.moments[: max_order + 1], self.symmetric, self.centered, powers
-        )
+        return MomentProfile(self.moments[: max_order + 1], self.symmetric, self.centered)
 
 
 @dataclass(frozen=True)
@@ -339,17 +337,24 @@ class VariableSpec:
 
     # -- moments ----------------------------------------------------------
 
-    def moments(self, max_order: int, powers: dict | None = None) -> MomentProfile:
-        """The profile to `max_order`, with the run-power memo `powers`."""
+    def moments(self, max_order: int) -> MomentProfile:
         if max_order < 2:
             raise ValueError("max_order must be at least 2")
         if self.family == "raw_moments":
-            return self.profile.truncated(max_order, powers)
+            return self.profile.truncated(max_order)
         even_moment, q = FAMILIES[self.family].even_moment, self.params
         mu = [0.0] * (max_order + 1)
         for l in range(0, max_order // 2 + 1):
-            mu[2 * l] = even_moment(q, l)
-        return MomentProfile(tuple(mu), symmetric=True, centered=True, powers=powers)
+            # A float power raises OverflowError; a float product turns inf.
+            try:
+                mu[2 * l] = even_moment(q, l)
+            except OverflowError:
+                mu[2 * l] = math.inf
+            if math.isinf(mu[2 * l]):
+                raise OverflowError(
+                    f"{self.family} moment of order {2 * l} overflows a float at {self.params}"
+                )
+        return MomentProfile(tuple(mu), symmetric=True, centered=True)
 
     # -- characteristic function ------------------------------------------
 

@@ -6,7 +6,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from functools import partial, reduce
+from functools import lru_cache, partial, reduce
 from itertools import accumulate, groupby
 from typing import Sequence
 
@@ -58,16 +58,25 @@ def run_lengths(items: Sequence) -> list[tuple[object, int]]:
     return [(x, len(list(run))) for x, run in groupby(items)]
 
 
+@lru_cache(maxsize=None)
+def _binomials(t: int) -> tuple[float, ...]:
+    """Row t of Pascal's triangle, each entry a float rounded once."""
+    return tuple(float(math.comb(t, i)) for i in range(t + 1))
+
+
 def _convolve(order: int, a: Sequence[float], b: Sequence[float]) -> list[float]:
     """Moments of X + Y up to `order` from those of independent X (a) and
-    Y (b): c_t = sum_i C(t, i) a_{t-i} b_i."""
+    Y (b): c_t = sum_i C(t, i) a_{t-i} b_i, over the pairs of nonzero
+    entries only, each c_t summed in increasing i."""
+    nonzero = [(s, x) for s, x in enumerate(a[: order + 1]) if x != 0.0]
+    binomials = list(map(_binomials, range(order + 1)))
     out = [0.0] * (order + 1)
-    for t in range(order + 1):
-        acc = 0.0
-        for i in range(t + 1):
-            if b[i] != 0.0 and a[t - i] != 0.0:
-                acc += math.comb(t, i) * a[t - i] * b[i]
-        out[t] = acc
+    for i, y in enumerate(b[: order + 1]):
+        if y != 0.0:
+            for s, x in nonzero:
+                if s + i > order:
+                    break
+                out[s + i] += binomials[s + i][i] * x * y
     return out
 
 
@@ -98,18 +107,17 @@ def moments_of_sum(runs: Sequence[tuple[MomentProfile, int]], order: int) -> lis
     """E S^t for t = 0..order, S the sum of independent centered variables
     given as runs (profile, k) of k copies of one profile.
 
-    Binomial-convolution recurrence over the partial sums,
-    m_{j+1, t} = sum_i C(t, i) m_{j, t-i} mu^{(j+1)}_i; entry t reads only
-    entries up to t, so it does not depend on `order`.  A run's k-fold
-    convolution power is taken by repeated squaring, so the cost is
-    O(order^2 log k) per run of length k, or O(order^2) when the profile's
-    `powers` memo already holds that power to `order` or beyond: a longer
-    power's prefix is the shorter one, bit for bit.  A power that is
-    built is kept in the memo, if the profile has one.  No step depends on
-    the scale or the spread of the variances: for symmetric summands every
-    term of the recurrence is nonnegative, so its rounding is relative to
-    the result however widely the variances spread.  Odd moments of
-    asymmetric summands may cancel; their rounding carries no bound yet.
+    A run of k >= 2 copies of X sums over its active summands, those with a
+    nonzero exponent in the multinomial expansion (never 1, as E X = 0):
+    E S_k^t = sum_{j=1}^{floor(t/2)} C(k, j) Y_j(t), with Y_1 = (0, 0, mu_2,
+    ..., mu_t) and Y_j the binomial convolution of Y_{j-1} with Y_1.  The
+    rows depend on the profile alone and are kept on it
+    (``MomentProfile.active_rows``), so a run costs O(order^2) at any k.
+    The runs are then convolved.  Entry t reads only entries up to t, so it
+    does not depend on `order`.  For symmetric summands every term is
+    nonnegative, so the rounding is relative to the result however widely
+    the variances spread; odd moments of asymmetric summands may cancel,
+    and their rounding carries no bound yet.
     """
     for prof, _ in runs:
         if not prof.centered:
@@ -120,14 +128,37 @@ def moments_of_sum(runs: Sequence[tuple[MomentProfile, int]], order: int) -> lis
             )
     m = [1.0] + [0.0] * order
     for prof, k in runs:
-        memo = prof.powers
-        power = None if memo is None else memo.get(k)
-        if power is None or len(power) <= order:
-            power = _power(prof.moments, k, partial(_convolve, order))
-            if memo is not None:
-                memo[k] = power
-        m = _convolve(order, m, power)
+        m = _convolve(order, m, _run_moments(prof, k, order))
     return m
+
+
+def _run_moments(prof: MomentProfile, k: int, order: int) -> Sequence[float]:
+    """E S_k^t for t = 0..order, S_k the sum of k independent copies of the
+    centered profile: its own moments at k = 1, else the expansion over
+    active summands of :func:`moments_of_sum`."""
+    if k == 1:
+        return prof.moments
+    rows = prof.active_rows
+    out = [1.0] + [0.0] * order
+    c = 1
+    for j in range(1, min(k, order // 2) + 1):
+        if j not in rows:  # a row is set whole, so threads that race set equal rows
+            rows[j] = _convolve(prof.max_order, rows[j - 1], rows[1])
+        c = c * (k - j + 1) // j  # C(k, j), exactly
+        shift = max(0, c.bit_length() - 1000)  # past the float range, 2^shift is put back last
+        coef = float(c >> shift)
+        for t in range(2 * j, order + 1):
+            if rows[j][t] != 0.0:  # odd orders of a symmetric law are 0
+                out[t] += _ldexp(coef * rows[j][t], shift)
+    return out
+
+
+def _ldexp(x: float, e: int) -> float:
+    """x 2^e, infinite when it overflows a float."""
+    try:
+        return math.ldexp(x, e)
+    except OverflowError:
+        return math.copysign(math.inf, x)
 
 
 def rademacher_moments(sigmas: Sequence[float], order: int) -> list[float]:

@@ -5,8 +5,8 @@ Exact E|S|^p for finite-support inputs (the grid engine of
 confidence intervals for everything else, the one dispatcher that picks
 an engine for E|S|^p, and the verdict function that checks a bound report
 against a ground-truth value.  Each is a function of its arguments and
-keeps nothing between calls, save the run powers that the even-moment
-engine keeps on a sequence's profiles; Monte Carlo uses one thread per
+keeps nothing between calls, save the expansion rows that the even-moment
+engine keeps on each moment profile; Monte Carlo uses one thread per
 CPU the process may run on, and its result does not depend on that count.
 """
 from __future__ import annotations
@@ -219,10 +219,10 @@ def estimate_moment(
     1/p-power; Monte Carlo maps the interval's endpoints.  A value or
     budget that overflowed a float raises OverflowError.
 
-    The even-p engine keeps each run's convolution power in the memo of
-    seq's profile (``MomentProfile.powers``), which lives as long as seq
-    and its sorted copy, so a later call reads it back.  Nothing else is
-    kept between calls: two equal calls run every other engine twice.
+    The even-p engine keeps the rows of its expansion on seq's profiles
+    (``MomentProfile.active_rows``), which live as long as seq and its
+    sorted copy, so a later call reads them back.  Nothing else is kept
+    between calls: two equal calls run every other engine twice.
     """
     specs = seq.variables[part]
     if float(p).is_integer() and int(p) % 2 == 0:

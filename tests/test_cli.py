@@ -21,6 +21,7 @@ from momentcert.cli import (
     main,
     run,
 )
+from momentcert.cli import _json as cli_json
 from momentcert import SequenceSpec, distmodel, estimate_moment, oracle
 from momentcert.distmodel import (
     gaussian,
@@ -472,6 +473,50 @@ class TestOutputAndMain:
         assert json.loads(first)["seed"] == 1
 
 
+JSON_SCALARS = (
+    st.none() | st.booleans()
+    | st.integers() | st.integers(-10**40, 10**40).map(lambda x: x * 10**30)
+    | st.floats(allow_nan=True, allow_infinity=True)
+    | st.sampled_from([-0.0, 1e16, 5e-324, math.inf, -math.inf, math.nan])
+    | st.text(st.characters(), max_size=12)
+    | st.sampled_from(['"', "\\", "\x00\x1f\x7f", "caf\u00e9", "\U0001f600", "\u2028"])
+)
+JSON_VALUES = st.recursive(
+    JSON_SCALARS,
+    lambda inner: (st.lists(inner, max_size=4) | st.lists(inner, max_size=4).map(tuple)
+                   | st.dictionaries(st.text(st.characters(), max_size=6), inner, max_size=4)),
+    max_leaves=24,
+)
+
+
+class TestJsonWriter:
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(value=JSON_VALUES)
+    def test_same_bytes_as_json_dumps(self, value):
+        assert cli_json(value) == json.dumps(value, sort_keys=True, indent=2)
+
+    @pytest.mark.parametrize("value", [
+        {}, [], (), {"a": {}, "b": [], "c": [{}, [[]], {"d": ()}]},
+        {"x": [-0.0, 1e16, 5e-324, math.inf, -math.inf, math.nan, 10**400, True, False, None]},
+        {"\u00e9\n\"": "\x00\t\u2028\U0001f600", "": ""},
+    ])
+    def test_named_cases(self, value):
+        assert cli_json(value) == json.dumps(value, sort_keys=True, indent=2)
+
+    @pytest.mark.parametrize("value", [{1, 2}, b"x", object(), {"a": [complex(1, 2)]},
+                                       {1: "a"}, {None: 0}])
+    def test_anything_else_is_a_type_error(self, value):
+        with pytest.raises(TypeError):
+            cli_json(value)
+
+    def test_float_subclass_writes_its_value(self):
+        """numpy floats are floats: written by float.__repr__, as json does."""
+        import numpy as np
+
+        value = {"v": np.float64(0.1), "w": [np.float64(-2.5e-300)]}
+        assert cli_json(value) == json.dumps(value, sort_keys=True, indent=2)
+
+
 class TestBadInputs:
     @pytest.mark.parametrize("x", [float("nan"), float("inf"), float("-inf")])
     @pytest.mark.parametrize(
@@ -830,6 +875,38 @@ class TestConfigNumbers:
         err = capsys.readouterr().err
         assert err.startswith(f"configuration error: {variable['family']} variance")
         assert len(err.strip().splitlines()) == 1
+
+    @pytest.mark.parametrize(
+        "variable",
+        [
+            {"family": "gaussian", "sigma": 1e150},
+            {"family": "rademacher", "sigma": 1e100},
+            {"family": "symmetric_exponential", "sigma": 1e150},
+            {"family": "uniform", "a": 1e150},
+            {"family": "symmetric_three_point", "b": 1e100, "q": 0.5},
+        ],
+        ids=lambda v: v["family"],
+    )
+    def test_overflowing_moment_names_its_family(self, tmp_path, capsys, variable):
+        """A finite variance whose fourth moment overflows: verify exits 2
+        with one `error:` line that names the family, the order and the
+        parameters."""
+        doc = {"command": "verify", "variables": [variable], "p_values": [4]}
+        assert main(["--config", write_config(tmp_path, doc)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {variable['family']} moment of order 4 overflows a float at (")
+        assert len(err.strip().splitlines()) == 1
+
+    def test_moment_past_the_float_range_exits_two(self, tmp_path, capsys):
+        """10^6 x gaussian(1) at p = 170, r = 85: the sum's moments
+        overflow, and verify exits 2 with one `error:` line."""
+        doc = {"command": "verify", "variables": [dict(GAUSS[0], count=10**6)],
+               "p_values": [170], "r_values": [85]}
+        assert main(["--config", write_config(tmp_path, doc)]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and "Traceback" not in captured.err
+        assert len(captured.err.strip().splitlines()) == 1
 
     def test_confidence_within_an_ulp_of_one(self, tmp_path, capsys):
         """The largest float below 1 is a valid confidence: its quantile is

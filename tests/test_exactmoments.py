@@ -23,6 +23,8 @@ from momentcert import (
     spec_from_atoms,
     sum_even_moment,
     symmetric_exponential,
+    symmetric_three_point,
+    uniform,
 )
 from momentcert import exactmoments
 from momentcert.exactmoments import SupportExplosion, gaussian_abs_moment
@@ -332,3 +334,181 @@ class TestGaussianDominatesRademacher:
             lhs = gaussian_abs_moment(p) * sum(s * s for s in w) ** (p / 2.0)
             rhs = rademacher_abs_moment(w, p)
             assert lhs >= rhs * (1 - 1e-12)
+
+
+def _power(x, k, times):
+    """x to the k-th power under the associative product `times`, by
+    repeated squaring."""
+    out = None
+    while True:
+        if k & 1:
+            out = x if out is None else times(out, x)
+        k >>= 1
+        if not k:
+            return out
+        x = times(x, x)
+
+
+def binomial_convolution(a, b):
+    """Moments of X + Y from those of independent X (a) and Y (b)."""
+    return [sum(math.comb(t, i) * a[t - i] * b[i] for i in range(t + 1))
+            for t in range(len(a))]
+
+
+def fraction_run_moments(prof, k, order):
+    """Moments 0..order of the sum of k copies of a centered profile, in
+    exact rationals from its floats by repeated squaring; mu_0 = 1 and
+    mu_1 = 0, which the profile's floats round."""
+    mu = [Fraction(1), Fraction(0)] + [Fraction(x) for x in prof.moments[2: order + 1]]
+    return _power(mu, k, binomial_convolution)
+
+
+def squaring_run_moments(prof, k, order):
+    """The same by repeated squaring in floats: a second oracle, whose
+    rounding differs from the expansion's."""
+    return _power(list(prof.moments[: order + 1]), k, binomial_convolution)
+
+
+EXPANSION_SPECS = {
+    "gaussian": gaussian(0.7),
+    "rademacher": rademacher(1.3),
+    "laplace": symmetric_exponential(1.1),
+    "uniform": uniform(0.9),
+    "three-point": symmetric_three_point(1.2, 0.15),
+    "atoms-skew": spec_from_atoms([-1.0, 0.5, 2.0], [0.375, 0.5, 0.125], 12),
+    "atoms-wide": spec_from_atoms([-0.25, 3.0, 1.5, -2.0], [0.5, 0.125, 0.25, 0.125], 12),
+}
+
+
+ROUNDED_ATOMS = spec_from_atoms([-1.0, 0.5, 2.0], [0.3, 0.5, 0.2], 12)
+
+
+def dense_convolve(order, a, b):
+    """The binomial convolution over every (t, i), skipping zero factors:
+    the reference for the bits of exactmoments._convolve."""
+    out = [0.0] * (order + 1)
+    for t in range(order + 1):
+        acc = 0.0
+        for i in range(t + 1):
+            if b[i] != 0.0 and a[t - i] != 0.0:
+                acc += math.comb(t, i) * a[t - i] * b[i]
+        out[t] = acc
+    return out
+
+
+def assert_moments_close(got, want, rel):
+    """Even entries within `rel` of want; odd ones, which may cancel,
+    within `rel` of sqrt(want_{t-1} want_{t+1}), which bounds E|S|^t."""
+    for t in range(len(want)):
+        scale = abs(want[t]) if t % 2 == 0 or t + 1 >= len(want) else math.sqrt(
+            want[t - 1] * want[t + 1])
+        assert abs(got[t] - want[t]) <= rel * scale, t
+
+
+class TestActiveSummandExpansion:
+    """E S_k^t = sum_j C(k, j) Y_j(t) against exact rationals and against
+    the repeated squaring it replaced."""
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 17, 1000])
+    @pytest.mark.parametrize("name", sorted(EXPANSION_SPECS))
+    def test_run_matches_exact_rationals(self, name, k):
+        spec = EXPANSION_SPECS[name]
+        want = [float(x) for x in fraction_run_moments(spec.moments(12), k, 12)]
+        for order in range(2, 13):
+            got = exactmoments.moments_of_sum([(spec.moments(order), k)], order)
+            assert_moments_close(got, want[: order + 1], 1e-14)
+
+    @pytest.mark.parametrize("ks", [(1, 2, 3), (17, 1, 1000), (1000, 3, 17), (2, 1000, 1)])
+    def test_sum_of_runs_matches_exact_rationals(self, ks):
+        names = sorted(EXPANSION_SPECS)
+        for shift in range(len(names)):
+            specs = [EXPANSION_SPECS[names[(shift + i) % len(names)]] for i in range(len(ks))]
+            want = [Fraction(1)] + [Fraction(0)] * 12
+            for spec, k in zip(specs, ks):
+                want = binomial_convolution(want, fraction_run_moments(spec.moments(12), k, 12))
+            want = [float(x) for x in want]
+            for order in range(2, 13):
+                runs = [(spec.moments(order), k) for spec, k in zip(specs, ks)]
+                got = exactmoments.moments_of_sum(runs, order)
+                assert_moments_close(got, want[: order + 1], 1e-14)
+
+    @pytest.mark.parametrize("k, variance", [(2, 1.0), (3, 1.0), (17, 1.0), (1000, 1.0),
+                                             (10**5, 40.0)])
+    @pytest.mark.parametrize("name", ["gaussian", "laplace", "uniform", "three-point"])
+    def test_high_orders_match_repeated_squaring(self, name, k, variance):
+        """Every even order to 170 on a run scaled to the given variance,
+        where every term is nonnegative and no moment overflows or
+        underflows."""
+        spec = EXPANSION_SPECS[name]
+        spec = spec.scaled(math.sqrt(variance / (k * spec.variance)))
+        prof = spec.moments(170)
+        want = squaring_run_moments(prof, k, 170)
+        got = exactmoments.moments_of_sum([(prof, k)], 170)
+        for t in range(0, 171, 2):
+            assert math.isfinite(got[t])
+            assert abs(got[t] - want[t]) <= 1e-12 * want[t], t
+
+    @pytest.mark.parametrize("name", sorted(EXPANSION_SPECS))
+    def test_entries_do_not_depend_on_the_order(self, name):
+        """Entry t has the same bits at every order >= t, from one profile
+        of order 12 or from a fresh profile of each order."""
+        runs = [(EXPANSION_SPECS[name], 5), (gaussian(0.4), 1), (EXPANSION_SPECS[name], 40)]
+        shared = [(spec.moments(12), k) for spec, k in runs]
+        top = exactmoments.moments_of_sum(shared, 12)
+        for order in range(0, 13):
+            assert exactmoments.moments_of_sum(shared, order) == top[: order + 1]
+            if order >= 2:
+                fresh = [(spec.moments(order), k) for spec, k in runs]
+                assert exactmoments.moments_of_sum(fresh, order) == top[: order + 1]
+
+    @pytest.mark.parametrize("name", sorted(EXPANSION_SPECS) + ["atoms-rounded"])
+    def test_one_copy_is_the_profile(self, name):
+        """Bit for bit, mu_0 and mu_1 included: those of atoms-rounded are
+        1 and 0 only up to rounding."""
+        prof = ROUNDED_ATOMS.moments(12) if name == "atoms-rounded" else (
+            EXPANSION_SPECS[name].moments(12))
+        for order in range(0, 13):
+            assert exactmoments.moments_of_sum([(prof, 1)], order) == list(
+                prof.moments[: order + 1])
+        assert sum_even_moment([prof], 6) == prof.moments[12]
+
+    def test_sparse_convolution_keeps_the_dense_bits(self):
+        """Pairs of nonzero entries only, each entry summed in increasing
+        i: the same floating-point operations in the same order as the
+        dense loop, on random vectors with zero odd entries, random zeros
+        and scales over six decades, up to order 170."""
+        rng = np.random.default_rng(21)
+        for _ in range(300):
+            order = int(rng.choice([2, 4, 6, 8, 12, 31, 60, 120, 170]))
+            a, b = (rng.uniform(-2.0, 2.0, order + 1) * 10.0 ** rng.uniform(-3, 3, order + 1)
+                    for _ in range(2))
+            for v in (a, b):
+                if rng.random() < 0.5:
+                    v[1::2] = 0.0
+                v[rng.random(order + 1) < 0.3] = 0.0
+            a, b = a.tolist(), b.tolist()
+            assert exactmoments._convolve(order, a, b) == dense_convolve(order, a, b)
+
+    @pytest.mark.parametrize("n", [10**4, 10**6])
+    def test_overflow_is_infinite_not_nan(self, n):
+        """As under repeated squaring: the high moments of a sum past the
+        float range are inf, and no inf coefficient meets a zero moment."""
+        m = exactmoments.moments_of_sum([(gaussian(1.0).moments(170), n)], 170)
+        assert sum_even_moment([gaussian(1.0).moments(170)] * n, 85) == math.inf
+        assert not any(map(math.isnan, m))
+        assert all(x == 0.0 for x in m[1::2])
+
+    def test_coefficient_past_the_float_range_keeps_a_finite_moment(self):
+        """C(k, 85) exceeds 2^1024 at k = 2 10^5, yet the moment of order
+        170 is about 1.5e297: the coefficient is scaled, not made inf."""
+        k = 2 * 10**5
+        assert math.comb(k, 85).bit_length() > 1024
+        prof = rademacher(0.0158).moments(170)
+        got = sum_even_moment([prof] * k, 85)
+        want = squaring_run_moments(prof, k, 170)[170]
+        assert math.isfinite(got) and abs(got - want) <= 1e-13 * want
+        # At scale 0.02 the scaled term is finite and overflows only when
+        # 2^shift is put back: inf, as under repeated squaring.
+        prof = rademacher(0.02).moments(170)
+        assert squaring_run_moments(prof, k, 170)[170] == math.inf
+        assert sum_even_moment([prof] * k, 85) == math.inf

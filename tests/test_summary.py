@@ -1,6 +1,8 @@
 """The cached sequence summary and the run-length even-moment engine."""
 import dataclasses
 import math
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -11,7 +13,6 @@ from conftest import random_centered_atom_spec, random_symmetric_spec
 from momentcert import (
     SequenceSpec,
     compute_m,
-    exactmoments,
     gaussian,
     minimal_C_centered,
     minimal_C_symmetric,
@@ -199,20 +200,14 @@ def mixed_sequences(draw):
     return SequenceSpec(tuple(pool[j] for j, k in blocks for _ in range(k)))
 
 
-def poison(seq, order):
-    """Overwrite every power in the memos of seq's profiles with NaNs."""
-    for prof in seq.distinct_profiles(order) + seq.rademacher_profiles(order):
-        for k in prof.powers:
-            prof.powers[k] = [math.nan] * len(prof.powers[k])
-
-
-class TestRunPowerMemo:
+class TestSharedProfiles:
     @settings(max_examples=40, deadline=None, derandomize=True)
     @given(seq=mixed_sequences(), orders=st.permutations(ORDERS))
-    def test_memo_matches_fresh_profiles_bitwise(self, seq, orders):
+    def test_shared_profiles_match_fresh_profiles_bitwise(self, seq, orders):
         """At every suffix start and order, asked in shuffled order, the
-        memoized moments equal those of fresh profiles, and the sorted
-        copy's Rademacher moments equal rademacher_even_moment."""
+        sequence's shared profiles (whose expansion rows are kept) give the
+        bits of fresh profiles, and the sorted copy's Rademacher moments
+        equal rademacher_even_moment."""
         srt, _ = seq.sorted()
         weights = tuple(map(math.sqrt, srt.variances))
         for order in orders:
@@ -227,50 +222,37 @@ class TestRunPowerMemo:
                 assert (sum_even_moment(signs[start:], r)
                         == rademacher_even_moment(weights[start:], r))
 
-    @settings(max_examples=15, deadline=None, derandomize=True)
-    @given(seq=mixed_sequences())
-    def test_a_second_sequence_reads_no_memo_of_the_first(self, seq):
-        srt, _ = seq.sorted()
-        for order in ORDERS:
-            sum_even_moment(srt.profiles(order), order // 2)
-            sum_even_moment(srt.rademacher_profiles(order), order // 2)
-            poison(srt, order)
-        other, _ = SequenceSpec(seq.variables).sorted()
-        weights = tuple(map(math.sqrt, other.variances))
-        assert not any(p.powers for p in other.distinct_profiles(12) + other.rademacher_profiles(12))
-        for order in ORDERS:
-            r = order // 2
-            fresh = [v.moments(order) for v in other.variables]
-            assert sum_even_moment(other.profiles(order), r) == sum_even_moment(fresh, r)
-            assert (sum_even_moment(other.rademacher_profiles(order), r)
-                    == rademacher_even_moment(weights, r))
-        # The poisoned memo is read: the sorted copy shares it with seq.
-        assert math.isnan(sum_even_moment(seq.profiles(12), 6))
-
-    def test_each_power_is_built_once_per_sequence(self, monkeypatch):
-        built = []
-        real = exactmoments._power
-
-        def counting(x, k, times):
-            built.append(k)
-            return real(x, k, times)
-
-        monkeypatch.setattr(exactmoments, "_power", counting)
+    def test_rows_are_built_once_per_profile(self):
+        """A run of k copies needs rows Y_1..Y_min(k, r); they stay on the
+        profile, and a second sequence starts from its own profiles."""
         a, b = symmetric_exponential(1.0), gaussian(0.5)
-        seq = SequenceSpec((a,) * 40 + (b,) * 25)
+        seq = SequenceSpec((a,) * 40 + (b,) * 2)
+        prof_a, prof_b = seq.profiles(8)[0], seq.profiles(8)[-1]
         high = sum_even_moment(seq.profiles(8), 4)
-        assert sorted(built) == [25, 40]
-        built.clear()
-        # Lower orders and repeats read prefixes of the order-8 powers.
-        low = [sum_even_moment(seq.profiles(order), order // 2) for order in (4, 6, 4, 8)]
-        assert built == []
-        assert low[-1] == high
-        # A longer order builds its powers again.
-        sum_even_moment(seq.profiles(10), 5)
-        assert sorted(built) == [25, 40]
-        fresh = SequenceSpec(seq.variables)
-        assert low == [sum_even_moment(fresh.profiles(order), order // 2)
-                       for order in (4, 6, 4, 8)]
+        rows_a, rows_b = dict(prof_a.active_rows), dict(prof_b.active_rows)
+        assert (sorted(rows_a), sorted(rows_b)) == ([1, 2, 3, 4], [1, 2])
+        assert sum_even_moment(seq.profiles(8), 4) == high
+        assert all(prof_a.active_rows[j] is row for j, row in rows_a.items())
+        assert all(prof_b.active_rows[j] is row for j, row in rows_b.items())
+        other = SequenceSpec(seq.variables)
+        assert all(len(p.active_rows) == 1 for p in other.distinct_profiles(8))
+        assert sum_even_moment(other.profiles(8), 4) == high
+
+    def test_threads_that_share_a_profile_agree(self):
+        """Eight threads ask one fresh profile for its rows at once, with a
+        short switch interval: each gets the bits of a lone caller."""
+        want = sum_even_moment([symmetric_exponential(0.9).moments(40)] * 100, 20)
+        for _ in range(5):
+            prof = symmetric_exponential(0.9).moments(40)
+            with ThreadPoolExecutor(8) as pool:
+                old = sys.getswitchinterval()
+                sys.setswitchinterval(1e-6)
+                try:
+                    futures = [pool.submit(sum_even_moment, [prof] * 100, 20) for _ in range(8)]
+                    got = [f.result(timeout=60) for f in futures]
+                finally:
+                    sys.setswitchinterval(old)
+            assert got == [want] * 8
 
     def test_equal_weights_share_one_rademacher_profile(self):
         seq = SequenceSpec((gaussian(2.0), rademacher(2.0), uniform(1.0), gaussian(2.0)))
@@ -278,5 +260,3 @@ class TestRunPowerMemo:
         assert signs[0] is signs[1] is signs[3]
         assert signs[0] == rademacher(2.0).moments(6)
         assert signs[2] == rademacher(math.sqrt(1.0 / 3.0)).moments(6)
-        assert signs[0].powers is seq.rademacher_profiles(4)[0].powers
-        assert seq.sorted()[0].rademacher_profiles(6)[0].powers is signs[0].powers
