@@ -228,15 +228,15 @@ def _minimal_C(seq: SequenceSpec, r: int, orders: range, flag: str) -> float:
     """Least C >= 1 with |E X_k^l| <= C^{l-2} l!/2^{l/2} (E X_k^2)^{l/2}
     for every l in orders and all k, each profile `flag` (symmetric or
     centered); l = 2 holds automatically."""
-    c = 1.0
+    c, factorials = 1.0, [math.factorial(l) for l in orders]
     for prof in seq.distinct_profiles(2 * r):
         if not getattr(prof, flag):
             raise ValueError(f"minimal_C_{flag} requires {flag} profiles")
-        for l in orders:
+        for l, factorial in zip(orders, factorials):
             ratio = (
                 abs(prof.moment(l))
                 * 2 ** (l / 2.0)
-                / (math.factorial(l) * prof.variance ** (l / 2.0))
+                / (factorial * prof.variance ** (l / 2.0))
             )
             if ratio > 1.0:
                 c = max(c, ratio ** (1.0 / (l - 2)))
@@ -398,11 +398,16 @@ def bound_general_p(seq: SequenceSpec, p: float, r: int) -> BoundReport:
     except SupportExplosion as exc:
         assumptions.append(Assumption("enumeration_cap", False, str(exc)))
         return _non_certifying("truncated_general_p_upper", p, assumptions, constants)
-    tail_var = sum(v[cutoff - 1 :])
+    try:  # a float power raises OverflowError; a float product turns inf
+        center = gaussian_abs_moment(p) * sum(v[cutoff - 1 :]) ** (p / 2.0)
+    except OverflowError:
+        center = math.inf
+    if not (math.isfinite(center) and math.isfinite(multiplier * rad)):
+        raise OverflowError(f"truncated_general_p_upper overflows a float at p = {p}, r = {r}")
     return BoundReport(
         statement_id="truncated_general_p_upper",
         p=p,
-        center=gaussian_abs_moment(p) * tail_var ** (p / 2.0),
+        center=center,
         upper=multiplier * rad,
         constants=constants,
         assumptions=tuple(assumptions),

@@ -2,8 +2,8 @@
 
 Every implemented family is symmetric about 0.  Asymmetric inputs enter the
 library as raw moment sequences, typically built from centered finite
-mixtures via :func:`spec_from_atoms`; such specs serve moments only (no
-characteristic function, no sampler).
+mixtures via :func:`spec_from_atoms`; such specs have no characteristic
+function, and are drawn only from their atoms.
 """
 from __future__ import annotations
 
@@ -123,16 +123,12 @@ class Family:
     and the message raised when it fails.  `even_moment(q, l)` is E X^{2l}.
     `envelope(q, t)` bounds |charfn(q, t)| for t > 0 and does not increase
     with t, so its value at t bounds |phi| on all of [t, inf); it is 1 for
-    a law whose phi does not decay.  `atoms` is None unless the support is
-    finite.  The sum of k copies of X is drawn n at a time from its exact
-    law: by `mix_variance(q, rng, n, k)` for a Gaussian scale mixture, n
-    draws of V (or one fixed V), the sum being sqrt(V) Z for an
-    independent standard normal Z; else by `sample(q, rng, n)` at k = 1
-    and `sample_sum(q, rng, n, k)` at k > 1, each in O(n) memory at any
-    k.  A family with `atoms` is drawn that way only by
-    `VariableSpec.sample_with` and, in Monte Carlo, for a run past the cap
-    of the alias table into which `oracle.mc_moment` folds the
-    finite-support runs of a sum.
+    a law whose phi does not decay.  The sum of k copies of X is drawn n
+    at a time from its exact law by exactly one column of the row:
+    `atoms(q)`, the finite support, which :func:`sample_runs` draws from;
+    `mix_variance(q, rng, n, k)` for a Gaussian scale mixture, n draws of
+    V (or one fixed V), the sum being sqrt(V) Z for an independent
+    standard normal Z; or `sample_sum(q, rng, n, k)`, in O(n) memory.
     """
 
     keys: tuple[str, ...]
@@ -142,21 +138,16 @@ class Family:
     even_moment: Callable[[tuple, int], float]
     charfn: Callable[[tuple, np.ndarray], np.ndarray]
     envelope: Callable[[tuple, np.ndarray], np.ndarray]
-    sample: Callable[[tuple, np.random.Generator, int], np.ndarray] | None = None
     sample_sum: Callable[[tuple, np.random.Generator, int, int], np.ndarray] | None = None
     mix_variance: Callable[..., np.ndarray | float] | None = None
     atoms: Callable[[tuple], tuple[np.ndarray, np.ndarray]] | None = None
 
 
-def _signs(b: float, rng: np.random.Generator, counts: np.ndarray) -> np.ndarray:
-    """b (2 Bin(N, 1/2) - N) per entry N of counts: N fair signs of size b."""
-    return b * (2.0 * rng.binomial(counts, 0.5) - counts)
-
-
 def _uniform_sum(q: tuple, rng: np.random.Generator, n: int, k: int) -> np.ndarray:
     """a (2 (U_1 + ... + U_k) - k) for k unit uniforms U_i: the sum of k
-    uniforms on [-a, a].  The U_i are drawn into one reused buffer and
-    added in place, so the memory is two arrays of n at any k."""
+    uniforms on [-a, a], and rng.uniform(-a, a, n) bit for bit at k = 1.
+    The U_i are drawn into one reused buffer and added in place, so the
+    memory is two arrays of n at any k."""
     total, buf = rng.random(n), np.empty(n)
     for _ in range(k - 1):
         total += rng.random(out=buf)
@@ -176,11 +167,11 @@ def _atom_sum(values: np.ndarray, probs: np.ndarray, rng: np.random.Generator,
     keep = probs > 0.0
     values, probs = values[keep], probs[keep]
     rest = np.cumsum(probs[::-1])[::-1]  # the mass of atoms j, j+1, ...
-    left = np.full(n, k)
+    left = k  # a scalar k draws the variates of np.full(n, k)
     copies = np.empty((len(values), n))
     for j in range(len(values) - 1):
-        copies[j] = drawn = rng.binomial(left, probs[j] / rest[j])
-        left -= drawn
+        copies[j] = drawn = rng.binomial(left, probs[j] / rest[j], n)
+        left = left - drawn
     copies[-1] = left
     return np.einsum("j,jn->n", values, copies)
 
@@ -218,8 +209,6 @@ FAMILIES: dict[str, Family] = {
         even_moment=lambda q, l: q[0] ** (2 * l),
         charfn=lambda q, t: np.cos(q[0] * t),
         envelope=_no_decay,
-        sample=lambda q, rng, n: q[0] * (2.0 * rng.integers(0, 2, n) - 1.0),
-        sample_sum=lambda q, rng, n, k: q[0] * (2.0 * rng.binomial(k, 0.5, n) - k),
         atoms=lambda q: (np.array([-q[0], q[0]]), np.array([0.5, 0.5])),
     ),
     # Two-sided (Laplace) exponential with variance sigma^2.
@@ -239,7 +228,6 @@ FAMILIES: dict[str, Family] = {
         even_moment=lambda q, l: q[0] ** (2 * l) / (2 * l + 1),
         charfn=lambda q, t: np.sinc(q[0] * t / np.pi),
         envelope=lambda q, t: 1.0 / np.maximum(1.0, q[0] * t),
-        sample=lambda q, rng, n: rng.uniform(-q[0], q[0], n),
         sample_sum=_uniform_sum,
     ),
     # P(X = +-b) = q, P(X = 0) = 1 - 2q.
@@ -254,11 +242,6 @@ FAMILIES: dict[str, Family] = {
         even_moment=lambda q, l: 1.0 if l == 0 else 2.0 * q[1] * q[0] ** (2 * l),
         charfn=lambda q, t: 1.0 - 2.0 * q[1] + 2.0 * q[1] * np.cos(q[0] * t),
         envelope=_no_decay,
-        sample=lambda q, rng, n: rng.choice(
-            np.array([-q[0], 0.0, q[0]]), size=n, p=[q[1], 1.0 - 2.0 * q[1], q[1]]
-        ),
-        # N ~ Bin(k, 2q) summands are nonzero, and their signs are fair.
-        sample_sum=lambda q, rng, n, k: _signs(q[0], rng, rng.binomial(k, 2.0 * q[1], n)),
         atoms=lambda q: (
             np.array([-q[0], 0.0, q[0]]), np.array([q[1], 1.0 - 2.0 * q[1], q[1]])
         ),
@@ -455,31 +438,29 @@ class AliasTable:
         return self.columns[j + n * (u >= self.accept[j])]
 
 
-def sample_runs(runs, rng: np.random.Generator, count: int,
-                table: AliasTable | None = None) -> np.ndarray:
+def sample_runs(runs, rng: np.random.Generator, count: int, *tables: AliasTable) -> np.ndarray:
     """`count` draws of the sum of independent runs (spec, k) of k copies
-    each, drawn in input order by their `Family` columns, or an atom
-    spec's by :func:`_atom_sum`; the conditional
-    variances of all `mix_variance` runs share one standard normal draw.
-
-    `table`, if given, holds the law of further summands and is drawn
-    first: :func:`oracle.mc_moment` folds the finite-support runs of a sum
-    into one such table, and passes here only the runs it left out."""
-    total = np.zeros(count) if table is None else table.draw(rng, count)
+    each, and of the laws in `tables`, which :func:`oracle.mc_moment`
+    folds from the finite-support runs of a sum.  The tables are drawn
+    first, in order, then the runs in input order: a spec with atoms by
+    :func:`_atom_sum`, any other by its `Family` column; the conditional
+    variances of all `mix_variance` runs share one normal draw, last."""
+    total = tables[0].draw(rng, count) if tables else np.zeros(count)
+    for table in tables[1:]:
+        total += table.draw(rng, count)
     var = None
     for spec, k in runs:
+        atoms = spec.atoms()
         row = FAMILIES.get(spec.family)
-        if row is None and spec.support is None:
+        if atoms is not None:
+            total += _atom_sum(*atoms, rng, count, k)
+        elif row is None:
             raise NoEngine("cannot sample from a raw moment profile")
-        if row is None:
-            total += _atom_sum(*map(np.asarray, spec.support), rng, count, k)
         elif row.mix_variance is not None:
             v = row.mix_variance(spec.params, rng, count, k)
             var = v if var is None else var + v
-        elif k > 1:
-            total += row.sample_sum(spec.params, rng, count, k)
         else:
-            total += row.sample(spec.params, rng, count)
+            total += row.sample_sum(spec.params, rng, count, k)
     if var is not None:
         z = rng.standard_normal(count)
         z *= np.sqrt(var)

@@ -12,7 +12,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .distmodel import MomentProfile, rademacher
+from .distmodel import FAMILIES, MomentProfile, rademacher
 
 __all__ = [
     "SupportExplosion",
@@ -177,8 +177,8 @@ def rademacher_even_moment(sigmas: Sequence[float], r: int) -> float:
 def rademacher_abs_moment(sigmas: Sequence[float], p: float) -> float:
     """E |sum_k sigma_k eps_k|^p by the finite-support engine, one run per
     distinct |sigma| wherever it sits; SupportExplosion past its budget."""
-    runs = Counter(map(abs, sigmas))
-    return _atom_abs_moment([((-a, a), (0.5, 0.5), k) for a, k in runs.items()], p)
+    runs, atoms = Counter(map(abs, sigmas)), FAMILIES["rademacher"].atoms
+    return _atom_abs_moment([(*atoms((a,)), k) for a, k in runs.items()], p)
 
 
 def _two_sum(a, b):

@@ -43,9 +43,9 @@ __all__ = [
 ]
 
 _CHUNK = 1 << 14
-# Most atoms of the one law into which mc_moment folds the finite-support
+# Most atoms of each law into which mc_moment folds the finite-support
 # runs of a sum.  It is checked before each product is built, so no grid
-# above it is ever formed; a run that would pass it keeps its own sampler.
+# above it is ever formed.
 _TABLE_CAP = 1024
 
 
@@ -110,24 +110,27 @@ def _worker_count() -> int:
     return os.cpu_count() or 1
 
 
-def _finite_table(runs) -> tuple[AliasTable | None, list]:
-    """The finite-support runs folded, in input order, into one exact law
-    by the finite-support engine (:func:`run_law`, :func:`_sum_law`), as an
-    AliasTable (None if there are none), and the runs left to their own
-    samplers: those without atoms, and those whose law, or its product with
-    the law so far, would pass _TABLE_CAP points."""
-    law, rest = None, []
+def _finite_table(runs) -> tuple[list[AliasTable], list]:
+    """The finite-support runs folded, in input order, into exact laws by
+    the finite-support engine (:func:`run_law`, :func:`_sum_law`), each
+    as an AliasTable, and the runs left out: those without atoms, and
+    those whose own law would pass _TABLE_CAP points.  A run joins the
+    last law when their product fits in _TABLE_CAP, else it starts the
+    next one."""
+    laws, rest = [], []
     for spec, k in runs:
         atoms = spec.atoms()
-        if atoms is not None:
-            try:
-                run, _ = run_law(*atoms, k, _TABLE_CAP)
-                law = run if law is None else _sum_law(law, run, _TABLE_CAP)
-                continue
-            except SupportExplosion:
-                pass
-        rest.append((spec, k))
-    return (None if law is None else AliasTable(law[0].real, law[0].imag)), rest
+        try:
+            run = None if atoms is None else run_law(*atoms, k, _TABLE_CAP)[0]
+        except SupportExplosion:
+            run = None
+        if run is None:
+            rest.append((spec, k))
+        elif laws and len(laws[-1][0]) * len(run[0]) <= _TABLE_CAP:
+            laws[-1] = _sum_law(laws[-1], run, _TABLE_CAP)
+        else:
+            laws.append(run)
+    return [AliasTable(law.real, law.imag) for law, _ in laws], rest
 
 
 def mc_moment(
@@ -141,11 +144,11 @@ def mc_moment(
 
     Consecutive equal specs form one run.  Before any sample is drawn,
     the finite-support runs (rademacher, symmetric_three_point, atoms) are
-    folded into one exact law of at most _TABLE_CAP atoms, drawn by an
-    alias table at one uniform per sample however many runs it holds; a
-    run that would pass the cap is left out of it.  Every other run is
-    drawn from the exact law of its sum by distmodel.sample_runs, after the
-    table; all gaussian and symmetric_exponential runs share one normal
+    folded into exact laws of at most _TABLE_CAP atoms (_finite_table),
+    each drawn by an alias table at one uniform per sample however many
+    runs it holds.  Every other run is drawn from the exact law of its sum
+    by distmodel.sample_runs after the tables, a finite one from its
+    atoms; all gaussian and symmetric_exponential runs share one normal
     draw, which comes last.  Sampling is split into chunks of 2^14,
     each seeded from (seed, chunk_index), so the result is deterministic
     and independent of the worker-thread count, and a few hundred
@@ -160,7 +163,7 @@ def mc_moment(
     runs = run_lengths(specs)
     if any(s.family == "raw_moments" and s.support is None for s, _ in runs):
         raise NoEngine(f"no oracle available for p={p} on raw-moment inputs")
-    table, runs = _finite_table(runs)
+    tables, runs = _finite_table(runs)
 
     chunks = [
         (i, min(_CHUNK, samples - i * _CHUNK))
@@ -173,7 +176,7 @@ def mc_moment(
         # An overflow reaches the caller as a non-finite Estimate, not as a
         # warning; worker threads do not inherit the caller's errstate.
         with np.errstate(over="ignore", invalid="ignore"):
-            x = sample_runs(runs, rng, count, table)
+            x = sample_runs(runs, rng, count, *tables)
             np.abs(x, out=x)
             np.power(x, p, out=x)
             # Not x @ x: BLAS splits a long dot product over the CPUs, so

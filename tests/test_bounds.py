@@ -291,6 +291,18 @@ class TestBoundGeneralP:
         tail_var = sum(seq.sorted()[0].variances[rep.start_index - 1 :])
         assert 3.0 * tail_var ** 2 <= rep.upper
 
+    @pytest.mark.parametrize("specs", [
+        [gaussian(1.0)] * 200,
+        [rademacher(3.0)] * 85 + [gaussian(1.0)] * 10,
+    ], ids=["center", "upper"])
+    def test_overflow_names_the_statement_and_p(self, specs):
+        """At p = 170, r = 85 the cutoff is 86.  The tail variance of 200
+        unit Gaussians, 115, to the power 85 overflows the center; behind
+        85 signs of size 3 the tail of 10 keeps a finite center, but the
+        weighted Rademacher moment of the whole sum overflows the upper."""
+        with pytest.raises(OverflowError, match=r"truncated_general_p_upper .* p = 170, r = 85"):
+            bound_general_p(SequenceSpec(tuple(specs)), 170, 85)
+
 
 class TestRatioCheck:
     def test_two_unit_weights_r1(self):

@@ -208,7 +208,8 @@ class TestSample:
             assert abs(emp - spec.charfn(t)) <= 6.0 / math.sqrt(n) + 1e-12
 
 
-# Every family with a run law, uniform (k draws) and an atom spec (k draws).
+# Every family, a three-point law at q = 1/2 (whose atom 0 has probability
+# 0) and an atom spec, each drawn from the exact law of its run.
 RUN_SPECS = [
     gaussian(0.7),
     rademacher(1.3),
@@ -307,6 +308,17 @@ class TestAliasTable:
         assert np.array_equal(sample_runs([], np.random.default_rng(4), 1000, table),
                               table.draw(np.random.default_rng(4), 1000))
 
+    def test_sample_runs_draws_the_tables_in_order(self):
+        first = distmodel.AliasTable(np.array([-1.0, 2.0]), np.array([2 / 3, 1 / 3]))
+        second = distmodel.AliasTable(np.array([-0.5, 0.0, 0.5]), np.array([0.25, 0.5, 0.25]))
+        runs = [(uniform(0.5), 1)]
+        rng = np.random.default_rng(5)
+        expected = first.draw(rng, 1000)
+        expected += second.draw(rng, 1000)
+        expected += sample_runs(runs, rng, 1000)
+        got = sample_runs(runs, np.random.default_rng(5), 1000, first, second)
+        assert np.array_equal(got, expected)
+
 
 def _runs_id(runs):
     return "mixed" if runs is MIXED_RUNS else f"{runs[0][0]}-{runs[0][1]}"
@@ -336,6 +348,60 @@ class TestAtomRuns:
         for v, p in zip((-1.0, 0.5, 2.0), (0.3, 0.5, 0.2)):
             assert abs(np.mean(x == v) - p) <= 6.0 * math.sqrt(p * (1 - p) / 100_000)
         assert np.isin(x, (-1.0, 0.5, 2.0)).all()
+
+
+def _atom_sum_by_count_arrays(values, probs, rng, n, k):
+    """The conditional binomials of distmodel._atom_sum with the copies left
+    held as an array from the start, np.full(n, k)."""
+    keep = probs > 0.0
+    values, probs = values[keep], probs[keep]
+    rest = np.cumsum(probs[::-1])[::-1]
+    left = np.full(n, k)
+    copies = np.empty((len(values), n))
+    for j in range(len(values) - 1):
+        copies[j] = drawn = rng.binomial(left, probs[j] / rest[j])
+        left -= drawn
+    copies[-1] = left
+    return np.einsum("j,jn->n", values, copies)
+
+
+class TestOneSamplerPerRow:
+    """Each family row draws a run in exactly one way; a finite law is
+    drawn from its atoms."""
+
+    @pytest.mark.parametrize("name", distmodel.FAMILIES)
+    def test_exactly_one_sampler_column(self, name):
+        row = distmodel.FAMILIES[name]
+        assert [row.atoms is not None, row.mix_variance is not None,
+                row.sample_sum is not None].count(True) == 1
+        assert not hasattr(row, "sample")
+
+    @pytest.mark.parametrize("spec, k", [(rademacher(1.1), 5000),
+                                         (symmetric_three_point(0.7, 0.3), 1000)],
+                             ids=["rademacher", "three-point"])
+    def test_finite_run_is_the_atom_sum(self, spec, k):
+        got = sample_runs([(spec, k)], np.random.default_rng(13), 5000)
+        want = distmodel._atom_sum(*spec.atoms(), np.random.default_rng(13), 5000, k)
+        assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("a", [1e-3, 0.5, 1.0, 3.7, 2e5])
+    def test_one_uniform_is_numpy_uniform(self, a):
+        got = uniform(a).sample_with(np.random.default_rng(14), 4000)
+        assert np.array_equal(got, np.random.default_rng(14).uniform(-a, a, 4000))
+
+    @pytest.mark.parametrize("values, probs", [
+        ([-1.0, 0.5, 2.0], [0.3, 0.5, 0.2]),
+        ([-1.5, 0.0, 0.25, 3.0], [0.2, 0.0, 0.7, 0.1]),
+        ([-2.0, -0.5, 1.0, 4.0], [0.1, 0.4, 0.5, 0.0]),
+    ], ids=["three", "four-zero-inside", "four-zero-last"])
+    @pytest.mark.parametrize("k", [1, 2, 9, 1000])
+    def test_scalar_copies_replay_the_count_arrays(self, values, probs, k):
+        """The first binomial at the scalar k takes the variates that
+        np.full(n, k) takes, so the draws are the same bit for bit."""
+        values, probs = np.array(values), np.array(probs)
+        got = distmodel._atom_sum(values, probs, np.random.default_rng(15), 3000, k)
+        want = _atom_sum_by_count_arrays(values, probs, np.random.default_rng(15), 3000, k)
+        assert np.array_equal(got, want)
 
 
 class TestRunLaw:

@@ -177,17 +177,19 @@ MIXING = {
 
 def per_summand_mc(specs, p, samples, seed, confidence=0.999):
     """mc_moment written out per chunk for specs with no two equal
-    neighbours: the alias table of the finite-support summands, built by
-    the engine, draws first; then, in input order, each other summand adds
-    its draw or, if gaussian or Laplace, its variance given its mixing
-    draw; one standard normal draw, scaled by the root of the summed
-    variances, comes last.  The second sum is einsum's, as in mc_moment."""
-    table, _ = oracle._finite_table([(spec, 1) for spec in specs])
+    neighbours: the alias tables of the finite-support summands, built by
+    the engine, draw first, in order; then, in input order, each other
+    summand adds its draw or, if gaussian or Laplace, its variance given
+    its mixing draw; one standard normal draw, scaled by the root of the
+    summed variances, comes last.  The second sum is einsum's, as in mc_moment."""
+    tables, _ = oracle._finite_table([(spec, 1) for spec in specs])
     sums = []
     for idx in range((samples + oracle._CHUNK - 1) // oracle._CHUNK):
         count = min(oracle._CHUNK, samples - idx * oracle._CHUNK)
         rng = np.random.default_rng(np.random.SeedSequence([seed, idx]))
-        total, var = table.draw(rng, count), 0.0
+        total, var = tables[0].draw(rng, count), 0.0
+        for table in tables[1:]:
+            total += table.draw(rng, count)
         for spec in specs:
             if spec.atoms() is not None:
                 continue
@@ -271,14 +273,14 @@ PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67
 
 
 class TestFiniteTable:
-    """mc_moment draws the finite-support runs of a sum from one alias table
-    of their exact law, capped at oracle._TABLE_CAP atoms."""
+    """mc_moment draws the finite-support runs of a sum from alias tables
+    of their exact law, each capped at oracle._TABLE_CAP atoms."""
 
     @pytest.mark.parametrize("runs", FINITE_RUNS.values(), ids=FINITE_RUNS.keys())
     def test_columns_hold_the_exact_law(self, runs):
         """Column j gives its atom accept[j] / n and its alias the rest; the
         columns add up to the enumerated law, up to rounding."""
-        table, _ = oracle._finite_table(runs)
+        [table], _ = oracle._finite_table(runs)
         n, law = len(table.accept), {}
         for v, a, w in zip(table.columns[:n], table.accept, table.columns[n:]):
             for value, mass in ((v, a / n), (w, (1.0 - a) / n)):
@@ -291,7 +293,7 @@ class TestFiniteTable:
     def test_drawn_frequencies_match_the_exact_law(self, runs):
         """Every atom's empirical frequency lies within 6 standard errors of
         its probability, by enumeration; nothing else is drawn."""
-        table, rest = oracle._finite_table(runs)
+        [table], rest = oracle._finite_table(runs)
         assert rest == []
         n = 1_000_000
         drawn, counts = np.unique(np.round(table.draw(np.random.default_rng(10), n), 9),
@@ -311,36 +313,37 @@ class TestFiniteTable:
 
     def test_runs_without_atoms_are_left_out(self):
         runs = [(gaussian(1.0), 2), (rademacher(1.0), 3), (uniform(0.5), 1), (ATOMS, 2)]
-        table, rest = oracle._finite_table(runs)
+        [table], rest = oracle._finite_table(runs)
         assert rest == [(gaussian(1.0), 2), (uniform(0.5), 1)]
         assert len(table.accept) <= oracle._TABLE_CAP
-        assert oracle._finite_table([(gaussian(1.0), 2)]) == (None, [(gaussian(1.0), 2)])
+        assert oracle._finite_table([(gaussian(1.0), 2)]) == ([], [(gaussian(1.0), 2)])
 
     @pytest.mark.parametrize("runs, left, atoms", [
-        ([(rademacher(1.1), 1000)], 0, 1001),
-        ([(rademacher(1.1), 5000)], 1, None),
-        ([(rademacher(1.1), 1000), (symmetric_three_point(0.7, 0.3), 1000)], 1, 1001),
-        ([(symmetric_three_point(0.7, 0.5), 500)], 0, 501),
-        ([(rademacher(math.sqrt(q)), 1) for q in PRIMES], 20, 1024),
+        ([(rademacher(1.1), 1000)], 0, [1001]),
+        ([(rademacher(1.1), 5000)], 1, []),
+        ([(rademacher(1.1), 1000), (symmetric_three_point(0.7, 0.3), 1000)], 1, [1001]),
+        ([(symmetric_three_point(0.7, 0.5), 500)], 0, [501]),
+        ([(rademacher(math.sqrt(q)), 1) for q in PRIMES], 0, [1024] * 3),
     ], ids=["rademacher-1000", "rademacher-5000", "three-point-1000", "three-point-half-500",
             "30-primes"])
-    def test_past_the_cap_keeps_its_own_sampler(self, runs, left, atoms):
+    def test_past_the_cap_is_drawn_from_its_atoms(self, runs, left, atoms):
         """1000 equal signs make 1001 atoms, within the cap; 5000 do not, nor
-        do 1000 three-point summands (2001 atoms); 500 three-point summands
-        at q = 1/2, whose atom 0 has probability 0, are 500 signs (501
-        atoms); 30 incommensurate weights fill 2^10 = 1024 atoms with the
-        first ten and leave twenty.  No grid above the cap is built, so the
-        peak stays far below one of 10^6."""
+        do 1000 three-point summands (2001 atoms), so each is drawn from its
+        atoms; 500 three-point summands at q = 1/2, whose atom 0 has
+        probability 0, are 500 signs (501 atoms); 30 incommensurate weights
+        fill 2^10 = 1024 atoms with each ten in turn, so they make three
+        tables.  No grid above the cap is built, so the peak stays far
+        below one of 10^6."""
         tracemalloc.start()
         try:
-            table, rest = oracle._finite_table(runs)
+            tables, rest = oracle._finite_table(runs)
             specs = [spec for spec, k in runs for _ in range(k)]
             est = mc_moment(specs, 2.0, samples=20_000, seed=2)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert rest == runs[len(runs) - left:]
-        assert (None if table is None else len(table.accept)) == atoms
+        assert [len(table.accept) for table in tables] == atoms
         assert peak < 8_000_000
         variance = sum(spec.variance * k for spec, k in runs)
         assert abs(est.raw_mean - variance) <= est.raw_half_width
