@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .combinatorics import elementary_symmetric
 from .distmodel import VariableSpec, rademacher
@@ -20,6 +20,7 @@ from .exactmoments import (
     SupportExplosion,
     gaussian_abs_moment,
     gaussian_lp_norm,
+    is_even,
     rademacher_abs_moment,
     rademacher_moments,
     sum_even_moment,
@@ -30,6 +31,8 @@ __all__ = [
     "Assumption",
     "SequenceSpec",
     "BoundReport",
+    "Statement",
+    "STATEMENTS",
     "compute_m",
     "minimal_C_symmetric",
     "minimal_C_centered",
@@ -391,7 +394,7 @@ def bound_general_p(seq: SequenceSpec, p: float, r: int) -> BoundReport:
     if cutoff > n:
         return _non_certifying("truncated_general_p_upper", p, assumptions, constants)
     try:
-        if float(p).is_integer() and int(p) % 2 == 0:
+        if is_even(p):
             rad = sum_even_moment(sorted_seq.rademacher_profiles(int(p)), int(p) // 2)
         else:
             rad = rademacher_abs_moment(tuple(map(math.sqrt, v)), p)
@@ -441,10 +444,7 @@ def check_rademacher_moment_ratio(w: Sequence[float], r: int) -> RatioCheckRepor
     m2r, m_prev = m[2 * r], m[2 * r - 2]
     lhs = (2.0 * r + 1.0) / (2.0 * r - 1.0) * m2r * m2r
     sq = [s * s for s in w]
-    if r + 1 > len(sq):
-        er1 = 0.0
-    else:
-        er1 = elementary_symmetric(sq, r + 1)
+    er1 = elementary_symmetric(sq, r + 1) if r + 1 <= len(sq) else 0.0
     rhs = math.factorial(2 * r + 2) / 2 ** (r + 1) * er1 * m_prev
     ratio = math.inf if rhs == 0.0 else lhs / rhs
     return RatioCheckReport(lhs, rhs, ratio, lhs >= rhs * (1.0 - 1e-12))
@@ -535,6 +535,46 @@ def latala_logconcave_bounds(
         aux={"head_norm": head.norm, "head_provenance": head.provenance},
     )
     return two_sided, sandwich
+
+
+@dataclass(frozen=True)
+class Statement:
+    """A row of STATEMENTS.  cases(ps, rs): the (p, r) at which `bound`
+    and `verify` report the statement, by increasing p, from a run's
+    sorted p and r values (r is None where the builder takes none).
+    build(seq, p, r, **engine): the report there, `engine` being the
+    settings of latala_logconcave_bounds' numeric head; rows name their
+    builders inside lambdas, so a name is looked up when called.
+    scans(p): whether `scan` measures the statement's radius at p."""
+
+    cases: Callable
+    build: Callable
+    scans: Callable = lambda p: False
+
+
+# `scan` measures one radius at each p: the even band's at even p >= 4, the
+# 2 <= p <= 4 band's on [2, 4), and the log-concave one elsewhere.
+_scans_even, _scans_p24 = (lambda p: is_even(p) and p >= 4.0), (lambda p: 2.0 <= p < 4.0)
+STATEMENTS = {
+    "even_centered_upper": Statement(
+        lambda ps, rs: [(2 * r, None) for r in rs],
+        lambda seq, p, r, **_: bound_even_centered(seq, int(p) // 2)),
+    "even_symmetric_band": Statement(
+        lambda ps, rs: [(2 * r, None) for r in rs],
+        lambda seq, p, r, **_: bound_even_symmetric(seq, int(p) // 2), _scans_even),
+    "logconcave_radius": Statement(
+        lambda ps, rs: [(p, None) for p in ps], lambda seq, p, r, **_: logconcave_radius(seq, p),
+        lambda p: not (_scans_even(p) or _scans_p24(p))),
+    "logconcave_sandwich": Statement(
+        lambda ps, rs: [(p, None) for p in ps],
+        lambda seq, p, r, **engine: latala_logconcave_bounds(seq, p, **engine)[1]),
+    "symmetric_p24_band": Statement(
+        lambda ps, rs: [(p, None) for p in ps if 2.0 <= p <= 4.0],
+        lambda seq, p, r, **_: bound_p_2_4(seq, p), _scans_p24),
+    "truncated_general_p_upper": Statement(
+        lambda ps, rs: [(p, r) for p in ps for r in rs if 2.0 <= p <= 2 * r],
+        lambda seq, p, r, **_: bound_general_p(seq, p, r)),
+}
 
 
 # -- tail-moment theorem checkers -------------------------------------------

@@ -194,10 +194,7 @@ def check_cosine_bounds(spec: VariableSpec, t_grid=None) -> GridCheckReport:
     upper = lower + prof.moment(4) * t ** 4 / 24.0
     lo_slack = phi - lower
     up_slack = upper - phi
-    margins = {
-        "lower_min_slack": float(lo_slack.min()),
-        "upper_min_slack": float(up_slack.min()),
-    }
+    margins = {"lower_min_slack": float(lo_slack.min()), "upper_min_slack": float(up_slack.min())}
     return _grid_report(t, np.minimum(lo_slack, up_slack), margins)
 
 
@@ -220,33 +217,20 @@ def check_main_charfn_inequality(
         raise ValueError("x_specs and y_specs must have equal length")
     vx = [s.variance for s in x_specs]
     vy = [s.variance for s in y_specs]
-    pre = []
-    pre.append(
-        (
-            "matching_second_moments",
-            all(math.isclose(a, b, rel_tol=1e-9) for a, b in zip(vx, vy)),
-            "E X_k^2 = E Y_k^2 for all k",
-        )
-    )
-    pre.append(("head_range", 1 <= m < n, f"1 <= m={m} < n={n}"))
+    pre = [
+        ("matching_second_moments",
+         all(math.isclose(a, b, rel_tol=1e-9) for a, b in zip(vx, vy)),
+         "E X_k^2 = E Y_k^2 for all k"),
+        ("head_range", 1 <= m < n, f"1 <= m={m} < n={n}"),
+    ]
     if 1 <= m < n:
-        pre.append(
-            (
-                "max_in_head",
-                max(vx[:m]) >= max(vx) * (1.0 - 1e-12),
-                "max variance attained at some l <= m",
-            )
-        )
-        worst = max(
-            y_specs[k].moments(4).moment(4) / vy[k] for k in range(m, n)
-        )
-        pre.append(
-            (
-                "head_mass",
-                sum(vx[:m]) >= worst / 6.0 * (1.0 - 1e-12),
-                "sum_{k<=m} E X_k^2 >= (1/6) max_{k>m} E Y_k^4 / E Y_k^2",
-            )
-        )
+        worst = max(y_specs[k].moments(4).moment(4) / vy[k] for k in range(m, n))
+        pre += [
+            ("max_in_head", max(vx[:m]) >= max(vx) * (1.0 - 1e-12),
+             "max variance attained at some l <= m"),
+            ("head_mass", sum(vx[:m]) >= worst / 6.0 * (1.0 - 1e-12),
+             "sum_{k<=m} E X_k^2 >= (1/6) max_{k>m} E Y_k^4 / E Y_k^2"),
+        ]
     preconditions = tuple(pre)
     if not all(ok for _, ok, _ in preconditions):
         return GridCheckReport(

@@ -23,18 +23,13 @@ from json.encoder import encode_basestring_ascii
 
 from . import distmodel
 from .bounds import (
+    STATEMENTS,
     BoundReport,
     SequenceSpec,
-    bound_even_centered,
-    bound_even_symmetric,
-    bound_general_p,
-    bound_p_2_4,
     check_centered_tail_bounds,
     check_rademacher_moment_ratio,
     check_symmetric_tail_bounds,
     compute_m,
-    latala_logconcave_bounds,
-    logconcave_radius,
 )
 from .charfn import check_cosine_bounds, check_main_charfn_inequality
 from .combinatorics import (
@@ -241,21 +236,13 @@ def _report_row(report: BoundReport) -> dict:
 
 
 def _all_reports(seq: SequenceSpec, cfg: RunConfig) -> list[BoundReport]:
-    """Every statement's report at every p and r, sorted by (statement, p)."""
-    reports: list[BoundReport] = []
-    for p in sorted(set(cfg.p_values)):
-        if 2.0 <= p <= 4.0:
-            reports.append(bound_p_2_4(seq, p))
-        reports.extend(
-            latala_logconcave_bounds(seq, p, tol=cfg.tol, mc_samples=cfg.samples,
-                                     mc_seed=cfg.seed, mc_confidence=cfg.confidence)
-        )
-        for r in sorted(set(cfg.r_values)):
-            if 2.0 <= p <= 2 * r:
-                reports.append(bound_general_p(seq, p, r))
-    for r in sorted(set(cfg.r_values)):
-        reports.append(bound_even_symmetric(seq, r))
-        reports.append(bound_even_centered(seq, r))
+    """Every statement's report at each of its (p, r) cases, sorted by
+    (statement, p)."""
+    ps, rs = sorted(set(cfg.p_values)), sorted(set(cfg.r_values))
+    engine = {"tol": cfg.tol, "mc_samples": cfg.samples, "mc_seed": cfg.seed,
+              "mc_confidence": cfg.confidence}
+    reports = [row.build(seq, p, r, **engine)
+               for row in STATEMENTS.values() for p, r in row.cases(ps, rs)]
     reports.sort(key=lambda rep: (rep.statement_id, rep.p))
     return reports
 
@@ -339,20 +326,13 @@ def _run_check_lemmas(cfg: RunConfig) -> list[dict]:
     for s in families:
         rep = check_cosine_bounds(s)
         record("cosine_bounds", rep.passed, family=s.family, margins=rep.margins)
-    if sorted_seq.all_symmetric and all(
-        s.family != "raw_moments" for s in sorted_seq.variables
-    ):
+    if sorted_seq.all_symmetric and all(s.family != "raw_moments" for s in sorted_seq.variables):
         m = compute_m(sorted_seq)
         if m < len(sorted_seq):
             gauss = [distmodel.gaussian(math.sqrt(v)) for v in sorted_seq.variances]
             rep = check_main_charfn_inequality(list(sorted_seq.variables), gauss, m)
-            record(
-                "charfn_inequality",
-                rep.passed or not rep.applicable,
-                applicable=rep.applicable,
-                m=m,
-                margins=rep.margins,
-            )
+            record("charfn_inequality", rep.passed or not rep.applicable,
+                   applicable=rep.applicable, m=m, margins=rep.margins)
     weights = tuple(map(math.sqrt, sorted_seq.variances))
     rs = sorted(set(cfg.r_values)) or [2]
     for r in rs:
@@ -360,13 +340,10 @@ def _run_check_lemmas(cfg: RunConfig) -> list[dict]:
             # Multi-indices of |alpha| = r on a support of i positions, and
             # of |alpha| = 2r without singletons: the recurrence's counts
             # against the closed forms.
-            record(
-                "counting_identities",
-                count_compositions(r, i) == count_support_compositions(r, i)
-                and count_compositions(2 * r, i, least=2) == count_no_singleton_compositions(r, i),
-                r=r,
-                i=i,
-            )
+            record("counting_identities",
+                   count_compositions(r, i) == count_support_compositions(r, i) and
+                   count_compositions(2 * r, i, least=2) == count_no_singleton_compositions(r, i),
+                   r=r, i=i)
         for name, holds, check in (
             ("symmetric_tail_bounds", sorted_seq.all_symmetric, check_symmetric_tail_bounds),
             ("centered_tail_bounds", sorted_seq.all_centered, check_centered_tail_bounds),
@@ -386,12 +363,8 @@ def _run_scan(cfg: RunConfig) -> list[dict]:
         spec = base.scaled(scale)
         seq = SequenceSpec((spec,) * n)
         for p in sorted(set(cfg.p_values)):
-            if float(p).is_integer() and int(p) % 2 == 0 and p >= 4.0:
-                report = bound_even_symmetric(seq, int(p) // 2)
-            elif 2.0 <= p <= 4.0:
-                report = bound_p_2_4(seq, p)
-            else:
-                report = logconcave_radius(seq, p)
+            (row,) = (row for row in STATEMENTS.values() if row.scans(p))
+            report = row.build(seq, p, None)
             row = {"n": n, "p": p, "statement": report.statement_id}
             rows.append(row)
             if not report.certifying:
@@ -486,16 +459,11 @@ def _flatten(row: dict, prefix: str = "") -> dict:
 
 def _to_csv(rows: list[dict]) -> str:
     flat = [_flatten(r) for r in rows]
-    columns: list[str] = []
-    for r in flat:
-        for k in r:
-            if k not in columns:
-                columns.append(k)
     buf = io.StringIO()
-    writer = csv.DictWriter(buf, fieldnames=columns, restval="")
+    writer = csv.DictWriter(buf, fieldnames=list(dict.fromkeys(k for r in flat for k in r)),
+                            restval="")
     writer.writeheader()
-    for r in flat:
-        writer.writerow(r)
+    writer.writerows(flat)
     return buf.getvalue()
 
 

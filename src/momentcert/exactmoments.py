@@ -18,6 +18,7 @@ __all__ = [
     "SupportExplosion",
     "gaussian_abs_moment",
     "gaussian_lp_norm",
+    "is_even",
     "moments_of_sum",
     "rademacher_even_moment",
     "rademacher_abs_moment",
@@ -30,6 +31,11 @@ _MAX_GRID = 20_000_000
 
 class SupportExplosion(ValueError):
     """A finite-support grid would exceed the point budget."""
+
+
+def is_even(p: float) -> bool:
+    """Whether p is an even integer, the orders the even-moment engine takes."""
+    return p % 2 == 0
 
 
 def gaussian_abs_moment(p: float) -> float:

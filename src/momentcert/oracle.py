@@ -24,7 +24,7 @@ import numpy as np
 from .charfn import CharFunction, haagerup_moment
 from .distmodel import AliasTable, NoEngine, VariableSpec, sample_runs
 from .exactmoments import (
-    SupportExplosion, _atom_abs_moment, _sum_law, run_law, run_lengths, sum_even_moment,
+    SupportExplosion, _atom_abs_moment, _sum_law, is_even, run_law, run_lengths, sum_even_moment,
 )
 
 if TYPE_CHECKING:
@@ -228,7 +228,7 @@ def estimate_moment(
     between calls: two equal calls run every other engine twice.
     """
     specs = seq.variables[part]
-    if float(p).is_integer() and int(p) % 2 == 0:
+    if is_even(p):
         raw = sum_even_moment(seq.profiles(int(p))[part], int(p) // 2)
         return Estimate(raw, 0.0, raw ** (1.0 / p), 0.0, "exact")
     heads = [s for s, _ in run_lengths(specs)]  # one spec per run of equal specs

@@ -163,6 +163,32 @@ class TestBoundCommand:
         skipped = [r for r in rows if not r["certifying"]]
         assert skipped and all("failed" in r for r in skipped)
 
+    def test_statement_cases_pinned(self, tmp_path):
+        # Each row of bounds.STATEMENTS reports at its own (p, r) cases, and
+        # the rows come sorted by (statement, p), r breaking ties.
+        path = write_config(
+            tmp_path,
+            {"command": "bound", "variables": LAPLACE_TEN, "samples": 10000,
+             "p_values": [6, 1.5, 2, 2.5, 3, 4, 4.5, 5], "r_values": [3, 1, 2]},
+        )
+        status, document = run(load_config(path))
+        assert status == EXIT_OK
+        every_p = [1.5, 2, 2.5, 3, 4, 4.5, 5, 6]
+        expected = (
+            [("even_centered_upper", p) for p in (2, 4, 6)]
+            + [("even_symmetric_band", p) for p in (2, 4, 6)]
+            + [("logconcave_radius", p) for p in every_p]
+            + [("logconcave_sandwich", p) for p in every_p]
+            + [("symmetric_p24_band", p) for p in (2, 2.5, 3, 4)]
+            + [("truncated_general_p_upper", p)  # r = 1, 2, 3 at p = 2; r >= p/2 above
+               for p in (2, 2, 2, 2.5, 2.5, 3, 3, 4, 4, 4.5, 5, 6)]
+        )
+        rows = json.loads(document)["rows"]
+        assert [(row["statement"], row["p"]) for row in rows] == expected
+        general = [row["assumptions"][0]["detail"] for row in rows
+                   if row["statement"] == "truncated_general_p_upper"]
+        assert general[:3] == [f"2 <= p=2.0 <= 2r={2 * r}" for r in (1, 2, 3)]
+
 
 class TestMomentsCommand:
     def test_even_exact(self, tmp_path):
@@ -234,7 +260,7 @@ class TestVerifyCommand:
 
     def test_corrupted_engine_yields_fail(self, tmp_path, monkeypatch):
         """End-to-end self-test: sabotage a bound and expect exit code 1."""
-        import momentcert.cli as cli_mod
+        import momentcert.bounds as bounds_mod
         from momentcert.bounds import bound_even_symmetric as real
 
         def sabotaged(seq, r):
@@ -247,7 +273,7 @@ class TestVerifyCommand:
                 rep, upper=rep.lower + 1e-9, radius=None, center=rep.lower
             )
 
-        monkeypatch.setattr(cli_mod, "bound_even_symmetric", sabotaged)
+        monkeypatch.setattr(bounds_mod, "bound_even_symmetric", sabotaged)
         path = write_config(
             tmp_path,
             {"command": "verify", "variables": LAPLACE_TEN, "p_values": [],
@@ -384,6 +410,24 @@ class TestScanCommand:
             assert row["radius"]["value"] == pytest.approx(2.0 / row["n"] ** 0.5)
         deviations = [row["deviation"]["value"] for row in rows]
         assert deviations[0] > deviations[1] > deviations[2]
+
+    def test_one_statement_scans_each_p(self, tmp_path):
+        from momentcert.bounds import STATEMENTS
+
+        expected = {1.5: "logconcave_radius", 2: "symmetric_p24_band",
+                    2.5: "symmetric_p24_band", 3: "symmetric_p24_band", 4: "even_symmetric_band",
+                    4.5: "logconcave_radius", 5: "logconcave_radius", 6: "even_symmetric_band"}
+        for p, statement in expected.items():
+            assert [sid for sid, row in STATEMENTS.items() if row.scans(p)] == [statement]
+        path = write_config(
+            tmp_path,
+            {"command": "scan", "variables": [{"family": "symmetric_exponential", "sigma": 1.0}],
+             "p_values": list(expected), "n_values": [10], "samples": 10000},
+        )
+        status, document = run(load_config(path))
+        assert status == EXIT_OK
+        rows = json.loads(document)["rows"]
+        assert [(row["p"], row["statement"]) for row in rows] == list(expected.items())
 
     def test_one_monte_carlo_run_per_row(self, tmp_path, monkeypatch):
         # The radius needs no sandwich head: only the deviation draws.
@@ -649,9 +693,10 @@ class TestBadInputs:
     def test_fail_outranks_unverified(self, tmp_path, monkeypatch):
         import dataclasses
 
+        import momentcert.bounds as bounds_mod
         import momentcert.cli as cli_mod
 
-        real_ground, real_bound = cli_mod._estimate, cli_mod.bound_even_symmetric
+        real_ground, real_bound = cli_mod._estimate, bounds_mod.bound_even_symmetric
 
         def refusing(seq, p, part, cfg, exact_atoms=False):
             if p == 3.0:
@@ -675,7 +720,7 @@ class TestBadInputs:
         assert verdicts(document)[("logconcave_radius", 3.0)] == "UNVERIFIED"
         assert "FAIL" not in verdicts(document).values()
         assert status == EXIT_CONFIG
-        monkeypatch.setattr(cli_mod, "bound_even_symmetric", sabotaged)
+        monkeypatch.setattr(bounds_mod, "bound_even_symmetric", sabotaged)
         status, document = run(load_config(path))
         assert verdicts(document)[("logconcave_radius", 3.0)] == "UNVERIFIED"
         assert verdicts(document)[("even_symmetric_band", 4.0)] == "FAIL"
