@@ -197,6 +197,22 @@ class TestFiniteSupportEngine:
         assert (exactmoments._atom_abs_moment([law], 3.3)
                 == exactmoments._atom_abs_moment([((-b, b), (0.5, 0.5), 6)], 3.3))
 
+    @pytest.mark.parametrize("k", [1, 2, 3, 7, 64, 1000, 3000])
+    def test_sign_run_law_against_exact_rationals(self, k):
+        """The closed form for k fair signs: atoms a (2j - k), mirrored
+        exactly, each probability within the docstring's bound of
+        C(k, j) / 2^k wherever that is above 2^-1022."""
+        (law, lo), mirrored = exactmoments.run_law((-0.5, 0.5), (0.5, 0.5), k, 10**6)
+        assert mirrored and lo is None and len(law) == k + 1
+        assert np.array_equal(law.real, 0.5 * (2.0 * np.arange(k + 1) - k))
+        assert np.array_equal(law.imag, law.imag[::-1])
+        u, tiny = Fraction(2) ** -53, Fraction(2) ** -1022
+        for j, prob in enumerate(law.imag.tolist()):
+            exact = Fraction(math.comb(k, j), 1 << k)
+            if exact > tiny:
+                bound = (2 * abs(Fraction(2 * j - k, 2)) + Fraction(math.sqrt(k)) + 2) * u
+                assert abs(Fraction(prob) - exact) <= bound * exact, j
+
 
 def fraction_sum_moment(profiles, order):
     """E (sum_k X_k)^order by the binomial recurrence of moments_of_sum in
