@@ -119,12 +119,15 @@ class SequenceSpec:
     def all_log_concave(self) -> bool:
         return all(v.log_concave_tail for v in self._coded[0])
 
-    @cached_property
-    def total_variance(self) -> float:
-        """The sum of the variances, correctly rounded: a lower endpoint
-        center - radius may cancel to a small fraction of the center,
-        where a plain sum's rounding shows."""
-        return math.fsum(self.variances)
+    def tail_variance(self, k: int) -> float:
+        """The sum of the variances from position k (0-based) on, correctly
+        rounded: on the sorted copy, the tail that a bound keeps past its
+        k largest summands.  An endpoint such as center - radius may cancel
+        to a small fraction of the center, where a plain sum's rounding
+        shows."""
+        return math.fsum(self.variances[k:])
+
+    total_variance = cached_property(lambda self: self.tail_variance(0))
 
     _distinct_profiles = cached_property(lambda self: {})  # {order: profile per distinct spec}
     _profiles = cached_property(lambda self: {})  # {order: profile per position}
@@ -289,7 +292,7 @@ def bound_p_2_4(seq: SequenceSpec, p: float) -> BoundReport:
         statement_id="symmetric_p24_band",
         p=p,
         center=center,
-        lower=gp * math.sqrt(sum(v[1:])),
+        lower=gp * math.sqrt(sorted_seq.tail_variance(1)),
         upper=center + radius,
         radius=radius,
         constants=constants,
@@ -338,7 +341,7 @@ def _bound_even(seq: SequenceSpec, r: int, symmetric: bool) -> BoundReport:
         statement_id=statement,
         p=float(2 * r),
         center=center,
-        lower=gp * math.sqrt(sum(v[r - 1 :])) if symmetric else None,
+        lower=gp * math.sqrt(sorted_seq.tail_variance(r - 1)) if symmetric else None,
         upper=center + radius,
         radius=radius if symmetric else None,
         constants=constants,
@@ -402,7 +405,7 @@ def bound_general_p(seq: SequenceSpec, p: float, r: int) -> BoundReport:
         assumptions.append(Assumption("enumeration_cap", False, str(exc)))
         return _non_certifying("truncated_general_p_upper", p, assumptions, constants)
     try:  # a float power raises OverflowError; a float product turns inf
-        center = gaussian_abs_moment(p) * sum(v[cutoff - 1 :]) ** (p / 2.0)
+        center = gaussian_abs_moment(p) * sorted_seq.tail_variance(cutoff - 1) ** (p / 2.0)
     except OverflowError:
         center = math.inf
     if not (math.isfinite(center) and math.isfinite(multiplier * rad)):
@@ -506,12 +509,10 @@ def latala_logconcave_bounds(
     if not two_sided.certifying:
         return two_sided, _non_certifying("logconcave_sandwich", p, assumptions)
     sorted_seq, _ = seq.sorted()
-    v = sorted_seq.variances
-    n = len(v)
     # Sandwich: head indices k < p, tail variance from index ceil(p/2) on.
-    head_count = min(n, math.ceil(p) - 1)
+    head_count = min(len(sorted_seq), math.ceil(p) - 1)
     tail_start = _ceil(p / 2.0)
-    tail_var = sum(v[tail_start - 1 :]) if tail_start <= n else 0.0
+    tail_var = sorted_seq.tail_variance(tail_start - 1)
     constants = {"head_count": head_count, "tail_start": tail_start}
     try:
         head = estimate_moment(
