@@ -205,7 +205,7 @@ class BoundReport:
 
     def __post_init__(self) -> None:
         if self.lower is not None and self.upper is not None:
-            if self.lower > self.upper + 1e-12:
+            if self.lower > self.upper:
                 raise ValueError("report invariant violated: lower > upper")
 
     @property

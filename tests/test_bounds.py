@@ -532,6 +532,14 @@ class TestReportInvariant:
                 radius=None, constants={}, assumptions=(),
             )
 
+    def test_no_absolute_slack(self):
+        # At sigma = 1e-8 an absolute slack of 1e-12 would be 1e-4 relative.
+        from momentcert.bounds import BoundReport
+
+        with pytest.raises(ValueError):
+            BoundReport(statement_id="x", p=2.0, center=1.5e-13, lower=2e-13, upper=1e-13)
+        BoundReport(statement_id="x", p=2.0, center=1e-13, lower=1e-13, upper=1e-13)
+
 
 # Symmetric, centered-asymmetric and uncentered summands, with and without
 # logarithmically concave tails, so that every hypothesis fails somewhere.
