@@ -38,7 +38,7 @@ from .combinatorics import (
     count_support_compositions,
 )
 from .distmodel import MomentProfile, VariableSpec
-from .exactmoments import gaussian_abs_moment, gaussian_lp_norm
+from .exactmoments import gaussian_abs_moment, gaussian_lp_norm, is_even
 from .oracle import Estimate, NoEngine, SupportExplosion, estimate_moment, verify_report
 from .oracle import mc_moment  # noqa: F401  (perfbench/test_perfbench.py reads cli.mc_moment)
 
@@ -135,7 +135,7 @@ def _numbers(doc: dict, key: str, whole: bool, most: int) -> list:
     if whole:
         return [_integer(x, key, 1, most) for x in values]
     rule = f"a finite number p > 0 with E|G|^p below the float range, at most {most} if even"
-    return [_number(x, key, rule, lambda x: x > 0 and (x <= most or x % 2 != 0)
+    return [_number(x, key, rule, lambda x: x > 0 and (x <= most or not is_even(x))
                     and _gaussian_moment_is_finite(x)) for x in values]
 
 
@@ -363,8 +363,8 @@ def _run_scan(cfg: RunConfig) -> list[dict]:
         spec = base.scaled(scale)
         seq = SequenceSpec((spec,) * n)
         for p in sorted(set(cfg.p_values)):
-            (row,) = (row for row in STATEMENTS.values() if row.scans(p))
-            report = row.build(seq, p, None)
+            (statement,) = (s for s in STATEMENTS.values() if s.scans(p))
+            report = statement.build(seq, p, None)
             row = {"n": n, "p": p, "statement": report.statement_id}
             rows.append(row)
             if not report.certifying:
