@@ -21,8 +21,9 @@ from .exactmoments import (
     gaussian_abs_moment,
     gaussian_lp_norm,
     is_even,
-    rademacher_abs_moment,
+    law_abs_moment,
     rademacher_moments,
+    sign_law,
     sum_even_moment,
 )
 from .oracle import estimate_moment
@@ -66,8 +67,8 @@ class Assumption:
 class SequenceSpec:
     """An ordered family of independent variables.
 
-    The distinct specs, variances, moment profiles and the sorted copy are
-    computed on first use and kept in the instance's ``__dict__`` by
+    The distinct specs, variances, moment profiles, the weighted-sign law
+    and the sorted copy are computed on first use and kept in the instance's ``__dict__`` by
     ``functools.cached_property``; fields, equality, hash and repr see
     ``variables`` only.  Equal specs share a code, an index into the
     distinct specs: their variance and moments are computed once, and they
@@ -128,10 +129,24 @@ class SequenceSpec:
         return math.fsum(self.variances[k:])
 
     total_variance = cached_property(lambda self: self.tail_variance(0))
+    max_variance = cached_property(lambda self: max(self._distinct_variances))
 
     _distinct_profiles = cached_property(lambda self: {})  # {order: profile per distinct spec}
     _profiles = cached_property(lambda self: {})  # {order: profile per position}
     _rademacher = cached_property(lambda self: {})  # {order: sign profile per position}
+
+    @cached_property
+    def sign_law(self):
+        """The law of sum_k sqrt(v_k) eps_k, eps_k fair signs, that
+        :func:`exactmoments.sign_law` builds from the weights in sorted
+        order, or the SupportExplosion with which it refused them: the
+        truncated bound reads it at every p and r, so a sequence builds or
+        refuses its grid once.  The refusal is kept without its traceback,
+        whose frames would hold the grid's parts."""
+        try:
+            return sign_law(tuple(map(math.sqrt, sorted(self.variances, reverse=True))))
+        except SupportExplosion as exc:
+            return exc.with_traceback(None)
 
     @cached_property
     def _sorted(self) -> tuple["SequenceSpec", tuple[int, ...]]:
@@ -139,10 +154,12 @@ class SequenceSpec:
         order = tuple(sorted(range(len(self)), key=self.variances.__getitem__, reverse=True))
         copy = SequenceSpec(tuple(map(self.variables.__getitem__, order)))
         distinct, codes = self._coded
+        variances = tuple(map(self.variances.__getitem__, order))
         copy.__dict__.update(
             _coded=(distinct, list(map(codes.__getitem__, order))),
             _distinct_variances=self._distinct_variances,
-            variances=tuple(map(self.variances.__getitem__, order)),
+            variances=variances,
+            max_variance=variances[0],
             _distinct_profiles=self._distinct_profiles,
         )
         return copy, order
@@ -378,8 +395,7 @@ def bound_general_p(seq: SequenceSpec, p: float, r: int) -> BoundReport:
     re-labels this as a bound on the full sum.
     """
     sorted_seq, _ = seq.sorted()
-    v = sorted_seq.variances
-    n = len(v)
+    n = len(sorted_seq)
     half = math.floor(p / 2.0)
     assumptions = [
         Assumption("p_range", 2.0 <= p <= 2 * r, f"2 <= p={p} <= 2r={2 * r}"),
@@ -396,14 +412,13 @@ def bound_general_p(seq: SequenceSpec, p: float, r: int) -> BoundReport:
     )
     if cutoff > n:
         return _non_certifying("truncated_general_p_upper", p, assumptions, constants)
-    try:
-        if is_even(p):
-            rad = sum_even_moment(sorted_seq.rademacher_profiles(int(p)), int(p) // 2)
-        else:
-            rad = rademacher_abs_moment(tuple(map(math.sqrt, v)), p)
-    except SupportExplosion as exc:
-        assumptions.append(Assumption("enumeration_cap", False, str(exc)))
+    if is_even(p):
+        rad = sum_even_moment(sorted_seq.rademacher_profiles(int(p)), int(p) // 2)
+    elif isinstance(law := sorted_seq.sign_law, SupportExplosion):
+        assumptions.append(Assumption("enumeration_cap", False, str(law)))
         return _non_certifying("truncated_general_p_upper", p, assumptions, constants)
+    else:
+        rad = law_abs_moment(law, p)
     try:  # a float power raises OverflowError; a float product turns inf
         center = gaussian_abs_moment(p) * sorted_seq.tail_variance(cutoff - 1) ** (p / 2.0)
     except OverflowError:
@@ -469,7 +484,7 @@ def logconcave_radius(seq: SequenceSpec, p: float) -> BoundReport:
     if not all(a.satisfied for a in assumptions):
         return _non_certifying("logconcave_radius", p, assumptions)
     center = gaussian_lp_norm(p) * math.sqrt(seq.total_variance)
-    radius = p * math.sqrt(max(seq.variances))
+    radius = p * math.sqrt(seq.max_variance)
     return BoundReport(
         statement_id="logconcave_radius",
         p=p,

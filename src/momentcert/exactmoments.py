@@ -19,9 +19,11 @@ __all__ = [
     "gaussian_abs_moment",
     "gaussian_lp_norm",
     "is_even",
+    "law_abs_moment",
     "moments_of_sum",
     "rademacher_even_moment",
     "rademacher_abs_moment",
+    "sign_law",
     "sum_even_moment",
 ]
 
@@ -180,11 +182,28 @@ def rademacher_even_moment(sigmas: Sequence[float], r: int) -> float:
     return 1.0 if r == 0 else rademacher_moments(sigmas, 2 * r)[2 * r]
 
 
+def sign_law(sigmas: Sequence[float], compensated: bool = False) -> np.ndarray:
+    """The law of sum_k sigma_k eps_k as the finite-support engine builds
+    it, one run per distinct |sigma| in first-seen order, after the fold
+    of the first run onto its absolute value: values + 1j * probabilities,
+    which :func:`law_abs_moment` reads at any p.  Atoms carry low parts
+    while the grid is built if `compensated` (see :func:`_atom_law`).
+    SupportExplosion past the grid budget."""
+    runs, atoms = Counter(map(abs, sigmas)), FAMILIES["rademacher"].atoms
+    return _atom_law([(*atoms((a,)), k) for a, k in runs.items()], compensated)
+
+
+def law_abs_moment(law: np.ndarray, p: float) -> float:
+    """E |X|^p for the finite law `law`, held as values + 1j * probabilities."""
+    return float((np.abs(law.real) ** p * law.imag).sum())
+
+
 def rademacher_abs_moment(sigmas: Sequence[float], p: float) -> float:
     """E |sum_k sigma_k eps_k|^p by the finite-support engine, one run per
     distinct |sigma| wherever it sits; SupportExplosion past its budget."""
-    runs, atoms = Counter(map(abs, sigmas)), FAMILIES["rademacher"].atoms
-    return _atom_abs_moment([(*atoms((a,)), k) for a, k in runs.items()], p)
+    if p <= 0:
+        raise ValueError("p must be positive")
+    return law_abs_moment(sign_law(sigmas, compensated=p < 1), p)
 
 
 def _two_sum(a, b):
@@ -277,20 +296,27 @@ def _atom_abs_moment(runs: Sequence[tuple[Sequence, Sequence, int]], p: float) -
     serve.  For p < 1 a sum that cancels to near 0 would be off by
     (eps sum_k |v_k|)^p; there atoms carry low parts (see
     :func:`_sum_law`), which cut that to (eps^2 sum_k |v_k|)^p.
+    """
+    if p <= 0:
+        raise ValueError("p must be positive")
+    return law_abs_moment(_atom_law(runs, compensated=p < 1), p)
+
+
+def _atom_law(runs: Sequence[tuple[Sequence, Sequence, int]], compensated: bool) -> np.ndarray:
+    """The law of S, or of |S|, for S as in :func:`_atom_abs_moment`, with
+    low parts while it is built if `compensated`: a law on which E |.|^p
+    is E |S|^p at every p.
 
     Each run's law comes from :func:`run_law`.  When every run after the
     first is exactly symmetric, E |x + R|^p is even in x for the rest R of
     the sum, so the first law folds onto |X|, which halves the grid.
     """
-    if p <= 0:
-        raise ValueError("p must be positive")
     if not runs:
         raise ValueError("need at least one summand")
-    laws, mirrored = map(list, zip(*(run_law(*run, _MAX_GRID, compensated=p < 1)
+    laws, mirrored = map(list, zip(*(run_law(*run, _MAX_GRID, compensated)
                                      for run in runs)))
     if all(mirrored[1:]):
         law, lo = laws[0]
         lo = None if lo is None else np.sign(law.real) * lo
         laws[0] = _merged(np.abs(law.real) + 1j * law.imag, lo)
-    law, _ = reduce(partial(_sum_law, cap=_MAX_GRID), laws)
-    return float((np.abs(law.real) ** p * law.imag).sum())
+    return reduce(partial(_sum_law, cap=_MAX_GRID), laws)[0]

@@ -6,8 +6,10 @@ confidence intervals for everything else, the one dispatcher that picks
 an engine for E|S|^p, and the verdict function that checks a bound report
 against a ground-truth value.  Each is a function of its arguments and
 keeps nothing between calls, save the expansion rows that the even-moment
-engine keeps on each moment profile; Monte Carlo uses one thread per
-CPU the process may run on, and its result does not depend on that count.
+engine keeps on each moment profile.  Monte Carlo uses one thread per
+CPU the process may run on, from a pool that the process keeps for its
+life and a forked child starts afresh; its result does not depend on
+that count.
 """
 from __future__ import annotations
 
@@ -17,6 +19,7 @@ import statistics
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
@@ -110,6 +113,19 @@ def _worker_count() -> int:
     return os.cpu_count() or 1
 
 
+@lru_cache(maxsize=None)
+def _pool(workers: int) -> ThreadPoolExecutor:
+    """The process's pool of at most `workers` threads, made on first use
+    and kept.  A thread starts only when a task finds none idle, so the
+    pool never holds more threads than the most chunks one call ran."""
+    return ThreadPoolExecutor(max_workers=workers)
+
+
+if hasattr(os, "register_at_fork"):
+    # A forked child inherits the pools but none of their threads.
+    os.register_at_fork(after_in_child=_pool.cache_clear)
+
+
 def _finite_table(runs) -> tuple[list[AliasTable], list]:
     """The finite-support runs folded, in input order, into exact laws by
     the finite-support engine (:func:`run_law`, :func:`_sum_law`), each
@@ -152,7 +168,8 @@ def mc_moment(
     draw, which comes last.  Sampling is split into chunks of 2^14,
     each seeded from (seed, chunk_index), so the result is deterministic
     and independent of the worker-thread count, and a few hundred
-    thousand samples spread evenly over the workers.  The CI is computed
+    thousand samples spread evenly over the workers.  The workers are
+    the process's pool for its CPU count (_pool), kept between calls.  The CI is computed
     on E|S|^p with a normal approximation, its endpoints mapped through
     the monotone 1/p-power.  Raw moment profiles without atoms raise NoEngine.
     """
@@ -183,8 +200,7 @@ def mc_moment(
             # its rounding would depend on their count; einsum's loop does not.
             return float(np.sum(x)), float(np.einsum("i,i->", x, x))
 
-    with ThreadPoolExecutor(max_workers=min(_worker_count(), len(chunks))) as pool:
-        partials = list(pool.map(run_chunk, chunks))
+    partials = list(_pool(_worker_count()).map(run_chunk, chunks))
     s1 = math.fsum(a for a, _ in partials)
     s2 = math.fsum(b for _, b in partials)
     mean = s1 / samples
@@ -224,8 +240,9 @@ def estimate_moment(
 
     The even-p engine keeps the rows of its expansion on seq's profiles
     (``MomentProfile.active_rows``), which live as long as seq and its
-    sorted copy, so a later call reads them back.  Nothing else is kept
-    between calls: two equal calls run every other engine twice.
+    sorted copy, so a later call reads them back.  No value is kept
+    between calls: two equal calls run every other engine twice.  Monte
+    Carlo keeps only its worker threads, one pool per process.
     """
     specs = seq.variables[part]
     if is_even(p):

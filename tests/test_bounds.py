@@ -35,6 +35,7 @@ from momentcert import (
     uniform,
 )
 from momentcert.distmodel import from_profile
+from momentcert.exactmoments import is_even, rademacher_abs_moment
 
 
 def seq_of(spec, n):
@@ -263,6 +264,20 @@ class TestBoundGeneralP:
         rep = bound_general_p(SequenceSpec(tuple(rademacher(float(s)) for s in sig)), 3.0, 2)
         assert not rep.certifying
         assert [a.name for a in rep.failed_assumptions()] == ["enumeration_cap"]
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.lists(st.one_of(st.sampled_from([0.5, 1.0, 2.0]), st.floats(0.1, 10.0)),
+                    min_size=4, max_size=9),
+           st.lists(st.floats(2.0, 6.0).filter(lambda p: not is_even(p)), min_size=1, max_size=3))
+    def test_reads_the_sequence_sign_law(self, weights, ps):
+        # Every p reads the law kept on the sorted copy, and gets the value
+        # that the law built afresh gives, bit for bit.
+        seq = SequenceSpec(tuple(rademacher(w) for w in weights))
+        sigmas = tuple(map(math.sqrt, seq.sorted()[0].variances))
+        for p in ps:
+            rep = bound_general_p(seq, p, 3)
+            assert rep.certifying
+            assert rep.aux["rademacher_abs_moment"] == rademacher_abs_moment(sigmas, p)
 
     def test_truncated_soundness_randomized(self):
         rng = np.random.default_rng(34)

@@ -22,7 +22,7 @@ from momentcert.cli import (
     run,
 )
 from momentcert.cli import _json as cli_json
-from momentcert import SequenceSpec, distmodel, estimate_moment, oracle
+from momentcert import SequenceSpec, distmodel, estimate_moment, exactmoments, oracle
 from momentcert.distmodel import (
     gaussian,
     rademacher,
@@ -162,6 +162,30 @@ class TestBoundCommand:
         rows = json.loads(document)["rows"]
         skipped = [r for r in rows if not r["certifying"]]
         assert skipped and all("failed" in r for r in skipped)
+
+    def test_sign_law_built_once_per_sequence(self, tmp_path, monkeypatch):
+        # 26 incommensurate weights sqrt(q), q prime, pass the grid budget,
+        # here lowered to 2^16: every truncated case reads the one refusal.
+        monkeypatch.setattr(exactmoments, "_MAX_GRID", 1 << 16)
+        calls = count_calls(monkeypatch, exactmoments, "_sum_law")
+        primes = [q for q in range(2, 102) if all(q % d for d in range(2, q))]
+        variables = [{"family": "rademacher", "sigma": math.sqrt(q)} for q in primes]
+
+        def bound(ps, rs):
+            calls.clear()
+            doc = {"command": "bound", "variables": variables, "p_values": ps, "r_values": rs}
+            status, document = run(load_config(write_config(tmp_path, doc)))
+            assert status == EXIT_OK
+            rows = json.loads(document)["rows"]
+            return len(calls), [r for r in rows if r["statement"] == "truncated_general_p_upper"]
+
+        single, _ = bound([3], [2])
+        count, rows = bound([2.5, 3, 3.5, 5], [2, 3])
+        assert len(primes) == 26 and count == single > 0
+        assert [row["p"] for row in rows] == [2.5, 2.5, 3, 3, 3.5, 3.5, 5]
+        for row in rows:
+            assert row["failed"] == ["enumeration_cap"]
+            assert re.fullmatch(r"a grid of \d+ points exceeds 65536", row["assumptions"][-1]["detail"])
 
     def test_statement_cases_pinned(self, tmp_path):
         # Each row of bounds.STATEMENTS reports at its own (p, r) cases, and

@@ -113,6 +113,31 @@ class TestMCMoment:
         monkeypatch.setattr(oracle, "_worker_count", lambda: 4)
         b = mc_moment(specs, 2.5, samples=300_000, seed=9)
         assert a == b
+        # Each count has its own kept pool, so the two calls ran at 1 and 4 threads.
+        assert oracle._pool(1) is not oracle._pool(4)
+        assert (oracle._pool(1)._max_workers, oracle._pool(4)._max_workers) == (1, 4)
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="fork is Linux-only here")
+    def test_forked_child_gets_parents_estimate(self):
+        """A child forked after a call inherits the kept pool without its
+        threads; it must start its own rather than wait on them."""
+        import multiprocessing
+
+        specs = [gaussian(1.0), uniform(1.0)] * 3
+        here = mc_moment(specs, 3.3, samples=100_000, seed=5)
+        ctx = multiprocessing.get_context("fork")
+        parent_end, child_end = ctx.Pipe(duplex=False)
+        child = ctx.Process(target=lambda: child_end.send(
+            mc_moment(specs, 3.3, samples=100_000, seed=5)))
+        child.start()
+        try:
+            assert parent_end.poll(60), "the forked child's Monte Carlo never returned"
+            assert parent_end.recv() == here
+        finally:
+            child.join(10)
+            if child.exitcode is None:
+                child.kill()
+        assert child.exitcode == 0
 
     @pytest.mark.skipif(not hasattr(os, "sched_getaffinity")
                         or len(os.sched_getaffinity(0)) < 2, reason="needs two CPUs")
