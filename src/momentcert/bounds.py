@@ -336,13 +336,14 @@ def _bound_even(seq: SequenceSpec, r: int, symmetric: bool) -> BoundReport:
     sorted_seq, _ = seq.sorted()
     v = sorted_seq.variances
     n = len(v)
+    p = float(2 * r)
     holds = sorted_seq.all_symmetric if symmetric else sorted_seq.all_centered
     assumptions = [
         Assumption("r_range", r >= 2, f"r={r} >= 2"),
         Assumption(kind, holds, f"all summands {kind}"),
     ]
     if not all(a.satisfied for a in assumptions):
-        return _non_certifying(statement, 2 * r, assumptions)
+        return _non_certifying(statement, p, assumptions)
     c, cutoff = _cutoff(sorted_seq, r, r - 1, symmetric)
     constants = {"C": c, "cutoff_index": cutoff}
     formula = "ceil(C^2 (r-1))" if symmetric else "ceil(C^2 r(r-1)/2)"
@@ -350,13 +351,13 @@ def _bound_even(seq: SequenceSpec, r: int, symmetric: bool) -> BoundReport:
         Assumption("cutoff_below_n", cutoff < n, f"{formula}={cutoff} < n={n}")
     )
     if cutoff >= n:
-        return _non_certifying(statement, 2 * r, assumptions, constants)
-    gp = gaussian_lp_norm(2 * r)
+        return _non_certifying(statement, p, assumptions, constants)
+    gp = gaussian_lp_norm(p)
     center = gp * math.sqrt(sorted_seq.total_variance)
     radius = 2.0 * cutoff * math.sqrt(v[0])
     return BoundReport(
         statement_id=statement,
-        p=float(2 * r),
+        p=p,
         center=center,
         lower=gp * math.sqrt(sorted_seq.tail_variance(r - 1)) if symmetric else None,
         upper=center + radius,

@@ -199,6 +199,13 @@ class TestBoundEvenSymmetric:
         rep = bound_even_symmetric(seq_of(gaussian(1.0), 5), 1)
         assert not rep.certifying
 
+    @pytest.mark.parametrize("build", [bound_even_symmetric, bound_even_centered])
+    def test_p_is_a_float_whether_or_not_certifying(self, build):
+        # r = 1 fails r_range; 2 summands at r = 3 fail the cutoff.
+        reps = [build(seq_of(symmetric_exponential(1.0), n), r) for n, r in ((10, 1), (10, 2), (2, 3))]
+        assert [rep.certifying for rep in reps] == [False, True, False]
+        assert [(type(rep.p), rep.p) for rep in reps] == [(float, 2.0), (float, 4.0), (float, 6.0)]
+
 
 class TestBoundEvenCentered:
     def _atom_seq(self, rng, n):
