@@ -68,14 +68,14 @@ class SequenceSpec:
     """An ordered family of independent variables.
 
     The distinct specs, variances, moment profiles, the weighted-sign law
-    and the sorted copy are computed on first use and kept in the instance's ``__dict__`` by
-    ``functools.cached_property``; fields, equality, hash and repr see
-    ``variables`` only.  Equal specs share a code, an index into the
-    distinct specs: their variance and moments are computed once, and they
-    share one MomentProfile object per order, so the rows that
-    :func:`exactmoments.moments_of_sum` keeps on a profile are built once
-    per sequence and order, shared by the sorted copy, and dropped with
-    them.
+    and the sorted copy are computed on first use and kept in the
+    instance's ``__dict__`` by ``functools.cached_property``; fields,
+    equality, hash and repr see ``variables`` only.  Equal specs share a
+    code, an index into the distinct specs: their variance and moments
+    are computed once, and they share one MomentProfile object per order,
+    so the rows that :func:`exactmoments.moments_of_sum` keeps on a
+    profile are built once per sequence and order, shared by the sorted
+    copy, and dropped with them.
     """
 
     variables: tuple[VariableSpec, ...]

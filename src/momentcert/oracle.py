@@ -168,10 +168,11 @@ def mc_moment(
     draw, which comes last.  Sampling is split into chunks of 2^14,
     each seeded from (seed, chunk_index), so the result is deterministic
     and independent of the worker-thread count, and a few hundred
-    thousand samples spread evenly over the workers.  The workers are
-    the process's pool for its CPU count (_pool), kept between calls.  The CI is computed
-    on E|S|^p with a normal approximation, its endpoints mapped through
-    the monotone 1/p-power.  Raw moment profiles without atoms raise NoEngine.
+    thousand samples spread evenly over the workers, the threads of the
+    process's pool for its CPU count (_pool), kept between calls.  The CI
+    is computed on E|S|^p with a normal approximation, its endpoints
+    mapped through the monotone 1/p-power.  Raw moment profiles without
+    atoms raise NoEngine.
     """
     if samples < 10_000:
         raise ValueError("samples must be at least 10^4")

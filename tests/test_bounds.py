@@ -50,6 +50,13 @@ class TestSequenceSpec:
         assert perm == (1, 2, 0)
         assert list(srt.variances) == sorted(srt.variances, reverse=True)
 
+    def test_max_variance_kept_and_seeded_on_the_sorted_copy(self):
+        seq = SequenceSpec((gaussian(0.5), uniform(3.0), gaussian(2.0), gaussian(0.5)))
+        srt, _ = seq.sorted()
+        assert "max_variance" in srt.__dict__ and "max_variance" not in seq.__dict__
+        assert seq.max_variance == srt.max_variance == max(seq.variances) == 4.0
+        assert "max_variance" in seq.__dict__
+
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             SequenceSpec(())
