@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import multiprocessing
 import os
 import statistics
 import subprocess
@@ -117,12 +118,10 @@ class TestMCMoment:
         assert oracle._pool(1) is not oracle._pool(4)
         assert (oracle._pool(1)._max_workers, oracle._pool(4)._max_workers) == (1, 4)
 
-    @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="fork is Linux-only here")
+    @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="forks only on Linux")
     def test_forked_child_gets_parents_estimate(self):
         """A child forked after a call inherits the kept pool without its
         threads; it must start its own rather than wait on them."""
-        import multiprocessing
-
         specs = [gaussian(1.0), uniform(1.0)] * 3
         here = mc_moment(specs, 3.3, samples=100_000, seed=5)
         ctx = multiprocessing.get_context("fork")
