@@ -1,6 +1,6 @@
 """Print one sha256 digest per benchmark job's report document.
 
-    python3 tools/report_digest.py [--workloads NAME ...] [--seeds 1 2 3] [--batches 4]
+    python3 tools/report_digest.py [--workloads NAME ...] [--seeds 1 2 3] [--batches 4] [--write]
 
 Each output line is `workload seed batch job exit sha256(document)`.  The
 jobs are those of perfbench/workloads.make_batch, by default for every
@@ -17,6 +17,10 @@ to one CPU checks that no report depends on the thread count:
     taskset -c 0 python3 tools/report_digest.py > one.txt
     python3 tools/report_digest.py > all.txt
     diff one.txt all.txt
+
+`--write` regenerates tests/golden/digests.txt instead of printing, by
+default from the verify-even-large documents, which no Monte Carlo
+draw reaches; tests/test_golden.py recomputes every line of that file.
 """
 from __future__ import annotations
 
@@ -34,10 +38,26 @@ sys.path.insert(0, str(ROOT / "src"))
 import workloads  # noqa: E402
 from momentcert import cli  # noqa: E402
 
+GOLDEN = ROOT / "tests" / "golden" / "digests.txt"
+GOLDEN_WORKLOADS = ("verify-even-large",)
+
 
 def default_workloads() -> list[str]:
     doc = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
     return [w["name"] for w in doc["workloads"]]
+
+
+def batch_lines(workload: str, seed: int, batch: int) -> list[str]:
+    """The digest line of every job of one batch, in job order."""
+    lines = []
+    with tempfile.TemporaryDirectory() as tmp:
+        config = Path(tmp) / "job.json"
+        for job, doc in enumerate(workloads.make_batch(workload, seed, batch)):
+            config.write_text(json.dumps(doc, sort_keys=True), encoding="utf-8")
+            status, document = cli.run(cli.load_config(str(config)))
+            digest = hashlib.sha256(document.encode("utf-8")).hexdigest()
+            lines.append(f"{workload} {seed} {batch} {job} {status} {digest}")
+    return lines
 
 
 def main(argv=None) -> int:
@@ -45,17 +65,20 @@ def main(argv=None) -> int:
     parser.add_argument("--workloads", nargs="+", choices=workloads.WORKLOADS)
     parser.add_argument("--seeds", nargs="+", type=int, default=[1, 2, 3])
     parser.add_argument("--batches", type=int, default=4, help="batches 0..N-1 of each seed")
+    parser.add_argument("--write", action="store_true", help=f"write {GOLDEN.relative_to(ROOT)}")
     args = parser.parse_args(argv)
-    with tempfile.TemporaryDirectory() as tmp:
-        config = Path(tmp) / "job.json"
-        for workload in args.workloads or default_workloads():
-            for seed in args.seeds:
-                for batch in range(args.batches):
-                    for job, doc in enumerate(workloads.make_batch(workload, seed, batch)):
-                        config.write_text(json.dumps(doc, sort_keys=True), encoding="utf-8")
-                        status, document = cli.run(cli.load_config(str(config)))
-                        digest = hashlib.sha256(document.encode("utf-8")).hexdigest()
-                        print(workload, seed, batch, job, status, digest, flush=True)
+    names = args.workloads or (GOLDEN_WORKLOADS if args.write else default_workloads())
+    lines = []
+    for workload in names:
+        for seed in args.seeds:
+            for batch in range(args.batches):
+                for line in batch_lines(workload, seed, batch):
+                    lines.append(line)
+                    if not args.write:
+                        print(line, flush=True)
+    if args.write:
+        GOLDEN.parent.mkdir(parents=True, exist_ok=True)
+        GOLDEN.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
     return 0
 
 
