@@ -186,11 +186,13 @@ def _tag(value: float, provenance: str, error: float | None = None) -> dict:
 
 
 def _estimate(seq: SequenceSpec, p: float, part: slice, cfg: RunConfig,
-              exact_atoms: bool = False) -> Estimate:
+              exact_atoms: bool = False, starts: tuple[int, ...] = ()) -> Estimate:
     """E|S|^p of the sum of ``seq.variables[part]`` under the run's engine
-    settings; OverflowError if a value or budget is not finite."""
+    settings, Monte Carlo drawing the suffixes from ``starts`` in one pass
+    (:func:`estimate_moment`); OverflowError if a value or budget is not
+    finite."""
     return estimate_moment(
-        seq, p, part, exact_atoms=exact_atoms,
+        seq, p, part, exact_atoms=exact_atoms, starts=starts,
         tol=cfg.tol, samples=cfg.samples, seed=cfg.seed, confidence=cfg.confidence,
     )
 
@@ -272,9 +274,14 @@ def _run_bound(cfg: RunConfig) -> list[dict]:
 def _run_verify(cfg: RunConfig) -> list[dict]:
     seq = SequenceSpec(tuple(cfg.variables))
     ordered, _ = seq.sorted()
+    reports = _all_reports(seq, cfg)
+    starts: dict = {}  # {p: the 0-based starts of its certifying reports}
+    for report in reports:
+        if report.certifying:
+            starts.setdefault(report.p, set()).add(report.start_index - 1)
     rows = []
     grounds: dict = {}  # {(p, start_index): Estimate or the refusal}
-    for report in _all_reports(seq, cfg):
+    for report in reports:
         row = _report_row(report)
         rows.append(row)
         if not report.certifying:
@@ -286,7 +293,8 @@ def _run_verify(cfg: RunConfig) -> list[dict]:
         if key not in grounds:
             try:
                 grounds[key] = _estimate(ordered, report.p, slice(report.start_index - 1, None),
-                                         cfg, exact_atoms=True)
+                                         cfg, exact_atoms=True,
+                                         starts=tuple(sorted(starts[report.p])))
             except (SupportExplosion, OverflowError) as exc:  # no ground truth
                 grounds[key] = exc
         ground = grounds[key]

@@ -26,6 +26,7 @@ __all__ = [
     "from_profile",
     "spec_from_atoms",
     "sample_runs",
+    "sample_suffixes",
     "AliasTable",
     "FAMILIES",
 ]
@@ -445,27 +446,60 @@ def sample_runs(runs, rng: np.random.Generator, count: int, *tables: AliasTable)
     first, in order, then the runs in input order: a spec with atoms by
     :func:`_atom_sum`, any other by its `Family` column; the conditional
     variances of all `mix_variance` runs share one normal draw, last."""
-    total = tables[0].draw(rng, count) if tables else np.zeros(count)
-    for table in tables[1:]:
-        total += table.draw(rng, count)
-    var = None
-    for spec, k in runs:
-        atoms = spec.atoms()
-        row = FAMILIES.get(spec.family)
-        if atoms is not None:
-            total += _atom_sum(*atoms, rng, count, k)
-        elif row is None:
-            raise NoEngine("cannot sample from a raw moment profile")
-        elif row.mix_variance is not None:
-            v = row.mix_variance(spec.params, rng, count, k)
-            var = v if var is None else var + v
-        else:
-            total += row.sample_sum(spec.params, rng, count, k)
+    return sample_suffixes([(tables, runs)], rng, count)[0]
+
+
+def sample_suffixes(segments, rng: np.random.Generator, count: int) -> list[np.ndarray]:
+    """`count` draws of S_i = T_i + ... + T_m for each i, T_i the sum of
+    segment i, a (tables, runs) pair that :func:`sample_runs` would draw,
+    the segments independent.  Each segment is drawn in turn, tables
+    first, as sample_runs draws it, save the normal: the conditional
+    variances of the `mix_variance` runs of every segment share one
+    standard normal Z, drawn last, and S_i takes sqrt(V_i + ... + V_m) Z.
+    Each S_i has its exact law, and the S_i are correlated; a single
+    segment gives sample_runs' draws bit for bit."""
+    parts = []
+    for tables, runs in segments:
+        total = tables[0].draw(rng, count) if tables else np.zeros(count)
+        for table in tables[1:]:
+            total += table.draw(rng, count)
+        var = None
+        for spec, k in runs:
+            atoms = spec.atoms()
+            row = FAMILIES.get(spec.family)
+            if atoms is not None:
+                total += _atom_sum(*atoms, rng, count, k)
+            elif row is None:
+                raise NoEngine("cannot sample from a raw moment profile")
+            elif row.mix_variance is not None:
+                v = row.mix_variance(spec.params, rng, count, k)
+                var = v if var is None else var + v
+            else:
+                total += row.sample_sum(spec.params, rng, count, k)
+        parts.append((total, var))
+    z = None if all(v is None for _, v in parts) else rng.standard_normal(count)
+    # From the last segment on, each S_i is formed in place of T_i + ...
+    # + T_m once S_{i-1} has read that sum, and each segment's arrays are
+    # dropped once read, so a chunk holds few arrays beyond the segments'.
+    sums, var = [], None
+
+    def add_normal(x):
+        scaled = np.sqrt(var)
+        scaled *= z
+        x += scaled
+
+    while parts:
+        x, v = parts.pop()
+        if sums:
+            x += sums[-1]
+            if var is not None:
+                add_normal(sums[-1])
+        if v is not None:
+            var = v if var is None else v + var
+        sums.append(x)
     if var is not None:
-        z = rng.standard_normal(count)
-        z *= np.sqrt(var)
-        total += z
-    return total
+        add_normal(sums[-1])
+    return sums[::-1]
 
 
 # -- factories -------------------------------------------------------------

@@ -272,19 +272,36 @@ def run_law(values, probs, k: int, cap: int, compensated: bool = False) -> tuple
     repeated squaring.  Either way SupportExplosion is raised before any
     law or grid above `cap` points is built.
     """
+    one = _one_law(values, probs, compensated)
+    return _run_law(one, k, cap), _mirrored(one[0])
+
+
+def _one_law(values, probs, compensated: bool) -> tuple:
+    """The finite law (values, probs) as a (law, low parts) pair of
+    :func:`_merged`, without its atoms of probability 0."""
     law = np.asarray(values, dtype=float) + 1j * np.asarray(probs, dtype=float)
     law = law[law.imag != 0.0]  # an atom of probability 0 would only widen every grid
-    law, lo = _merged(law, np.zeros(len(law)) if compensated else None)
-    mirrored = np.array_equal(law, -law[::-1].conj())
-    if not (len(law) == 2 and mirrored and not compensated):
-        return _power((law, lo), k, partial(_sum_law, cap=cap)), mirrored
+    return _merged(law, np.zeros(len(law)) if compensated else None)
+
+
+def _mirrored(law: np.ndarray) -> bool:
+    """Whether a merged law has equal probabilities at -v and +v."""
+    return np.array_equal(law, -law[::-1].conj())
+
+
+def _run_law(one: tuple, k: int, cap: int) -> tuple:
+    """The law of the sum of k copies of the law `one` of :func:`_one_law`,
+    as :func:`run_law` builds it."""
+    law, lo = one
+    if not (len(law) == 2 and lo is None and _mirrored(law)):
+        return _power(one, k, partial(_sum_law, cap=cap))
     if k + 1 > cap:
         raise SupportExplosion(f"a law of {k + 1} points exceeds {cap}")
     h = k // 2
     upper = np.cumprod(np.concatenate(([1.0], np.arange(h, 0, -1) / np.arange(k - h + 1, k + 1))))
     probs = np.concatenate((upper[::-1], upper[1 - k % 2:]))
     probs /= math.fsum(probs)
-    return (law[1].real * (2.0 * np.arange(k + 1) - k) + 1j * probs, None), mirrored
+    return law[1].real * (2.0 * np.arange(k + 1) - k) + 1j * probs, None
 
 
 def _atom_abs_moment(runs: Sequence[tuple[Sequence, Sequence, int]], p: float) -> float:
@@ -307,16 +324,20 @@ def _atom_law(runs: Sequence[tuple[Sequence, Sequence, int]], compensated: bool)
     low parts while it is built if `compensated`: a law on which E |.|^p
     is E |S|^p at every p.
 
-    Each run's law comes from :func:`run_law`.  When every run after the
-    first is exactly symmetric, E |x + R|^p is even in x for the rest R of
-    the sum, so the first law folds onto |X|, which halves the grid.
+    Each run's law is built as :func:`run_law` builds it, the first before
+    the reduce and each other one at its step, so a refused grid ends the
+    build before the later runs' laws are made.  When every run after the
+    first is exactly symmetric (its one-copy law mirrored, which its k-fold
+    law then is), E |x + R|^p is even in x for the rest R of the sum, so
+    the first law folds onto |X|, which halves the grid.
     """
     if not runs:
         raise ValueError("need at least one summand")
-    laws, mirrored = map(list, zip(*(run_law(*run, _MAX_GRID, compensated)
-                                     for run in runs)))
-    if all(mirrored[1:]):
-        law, lo = laws[0]
+    ones = [_one_law(values, probs, compensated) for values, probs, _ in runs]
+    laws = (_run_law(one, k, _MAX_GRID) for one, (_, _, k) in zip(ones, runs))
+    first = next(laws)
+    if all(_mirrored(law) for law, _ in ones[1:]):
+        law, lo = first
         lo = None if lo is None else np.sign(law.real) * lo
-        laws[0] = _merged(np.abs(law.real) + 1j * law.imag, lo)
-    return reduce(partial(_sum_law, cap=_MAX_GRID), laws)[0]
+        first = _merged(np.abs(law.real) + 1j * law.imag, lo)
+    return reduce(partial(_sum_law, cap=_MAX_GRID), laws, first)[0]

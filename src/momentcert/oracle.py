@@ -6,10 +6,11 @@ confidence intervals for everything else, the one dispatcher that picks
 an engine for E|S|^p, and the verdict function that checks a bound report
 against a ground-truth value.  Each is a function of its arguments and
 keeps nothing between calls, save the expansion rows that the even-moment
-engine keeps on each moment profile.  Monte Carlo uses one thread per
-CPU the process may run on, from a pool that the process keeps for its
-life and a forked child starts afresh; its result does not depend on
-that count.
+engine keeps on each moment profile and the two sums per start of the
+last few Monte Carlo passes over several starts (:func:`mc_moment`).
+Monte Carlo uses one thread per CPU the process may run on, from a pool
+that the process keeps for its life and a forked child starts afresh;
+its result does not depend on that count.
 """
 from __future__ import annotations
 
@@ -25,7 +26,7 @@ from typing import TYPE_CHECKING, Sequence
 import numpy as np
 
 from .charfn import CharFunction, haagerup_moment
-from .distmodel import AliasTable, NoEngine, VariableSpec, sample_runs
+from .distmodel import AliasTable, NoEngine, VariableSpec, sample_suffixes
 from .exactmoments import (
     SupportExplosion, _atom_abs_moment, _sum_law, is_even, run_law, run_lengths, sum_even_moment,
 )
@@ -149,14 +150,59 @@ def _finite_table(runs) -> tuple[list[AliasTable], list]:
     return [AliasTable(law.real, law.imag) for law, _ in laws], rest
 
 
+def _moment_sums(segments, p: float, samples: int, seed: int) -> tuple[tuple[float, float], ...]:
+    """(sum |S_i|^p, sum |S_i|^2p) over `samples` draws for each segment
+    i, S_i the sum of segments i, i+1, ..., each segment a sequence of
+    runs (spec, k), drawn as :func:`mc_moment` describes.  Raw moment
+    profiles without atoms raise NoEngine before any draw."""
+    if any(s.family == "raw_moments" and s.support is None for runs in segments for s, _ in runs):
+        raise NoEngine(f"no oracle available for p={p} on raw-moment inputs")
+    segments = [_finite_table(runs) for runs in segments]
+    chunks = [
+        (i, min(_CHUNK, samples - i * _CHUNK))
+        for i in range((samples + _CHUNK - 1) // _CHUNK)
+    ]
+
+    def run_chunk(arg):
+        idx, count = arg
+        rng = np.random.default_rng(np.random.SeedSequence([seed, idx]))
+        # An overflow reaches the caller as a non-finite Estimate, not as a
+        # warning; worker threads do not inherit the caller's errstate.
+        with np.errstate(over="ignore", invalid="ignore"):
+            sums = []
+            for x in sample_suffixes(segments, rng, count):
+                np.abs(x, out=x)
+                np.power(x, p, out=x)
+                # Not x @ x: BLAS splits a long dot product over the CPUs, so
+                # its rounding would depend on their count; einsum's loop does not.
+                sums.append((float(np.sum(x)), float(np.einsum("i,i->", x, x))))
+            return sums
+
+    partials = list(_pool(_worker_count()).map(run_chunk, chunks))
+    return tuple((math.fsum(c[i][0] for c in partials), math.fsum(c[i][1] for c in partials))
+                 for i in range(len(segments)))
+
+
+@lru_cache(maxsize=32)
+def _pass_sums(segments: tuple, p: float, samples: int,
+               seed: int) -> tuple[tuple[float, float], ...]:
+    """_moment_sums, kept for the later calls with the same segments (in
+    run-length form), p, samples and seed: two floats per segment."""
+    return _moment_sums(segments, p, samples, seed)
+
+
 def mc_moment(
     specs: Sequence[VariableSpec],
     p: float,
     samples: int = 1_000_000,
     seed: int = 0,
     confidence: float = 0.999,
+    *,
+    start: int = 0,
+    starts: Sequence[int] = (),
 ) -> MCEstimate:
-    """Monte Carlo estimate of ||sum_k X_k||_p with a CI at ``confidence``.
+    """Monte Carlo estimate of ||sum_{k >= start} X_k||_p with a CI at
+    ``confidence``, X_k = specs[k].
 
     Consecutive equal specs form one run.  Before any sample is drawn,
     the finite-support runs (rademacher, symmetric_three_point, atoms) are
@@ -173,37 +219,31 @@ def mc_moment(
     is computed on E|S|^p with a normal approximation, its endpoints
     mapped through the monotone 1/p-power.  Raw moment profiles without
     atoms raise NoEngine.
+
+    ``starts`` names other 0-based starts whose sums share this call's
+    draws.  Then the sums from every start are drawn in one pass
+    (distmodel.sample_suffixes): the specs are cut at each start into
+    segments, each segment's runs are drawn once per chunk, tables first,
+    and all segments share one normal.  Each estimate is exact in law on
+    its own, and the estimates are correlated.  The pass keeps two floats
+    per start (_pass_sums), keyed on the segments' runs, p, samples and
+    seed, so a later call for another of its starts reads its sums back
+    and draws nothing.  A call whose only start is ``start`` draws the
+    sum of ``specs[start:]`` as above and keeps nothing.
     """
     if samples < 10_000:
         raise ValueError("samples must be at least 10^4")
     if not 0.0 < confidence < 1.0:
         raise ValueError("confidence must lie in (0, 1)")
-    runs = run_lengths(specs)
-    if any(s.family == "raw_moments" and s.support is None for s, _ in runs):
-        raise NoEngine(f"no oracle available for p={p} on raw-moment inputs")
-    tables, runs = _finite_table(runs)
-
-    chunks = [
-        (i, min(_CHUNK, samples - i * _CHUNK))
-        for i in range((samples + _CHUNK - 1) // _CHUNK)
-    ]
-
-    def run_chunk(arg):
-        idx, count = arg
-        rng = np.random.default_rng(np.random.SeedSequence([seed, idx]))
-        # An overflow reaches the caller as a non-finite Estimate, not as a
-        # warning; worker threads do not inherit the caller's errstate.
-        with np.errstate(over="ignore", invalid="ignore"):
-            x = sample_runs(runs, rng, count, *tables)
-            np.abs(x, out=x)
-            np.power(x, p, out=x)
-            # Not x @ x: BLAS splits a long dot product over the CPUs, so
-            # its rounding would depend on their count; einsum's loop does not.
-            return float(np.sum(x)), float(np.einsum("i,i->", x, x))
-
-    partials = list(_pool(_worker_count()).map(run_chunk, chunks))
-    s1 = math.fsum(a for a, _ in partials)
-    s2 = math.fsum(b for _, b in partials)
+    starts = tuple(sorted({start, *starts}))
+    if starts[0] < 0 or starts[-1] >= max(len(specs), 1):
+        raise ValueError(f"starts {starts} outside the {len(specs)} summands")
+    if len(starts) == 1:
+        [(s1, s2)] = _moment_sums([run_lengths(specs[start:])], p, samples, seed)
+    else:
+        ends = starts[1:] + (len(specs),)
+        segments = tuple(tuple(run_lengths(specs[a:b])) for a, b in zip(starts, ends))
+        s1, s2 = _pass_sums(segments, p, samples, seed)[starts.index(start)]
     mean = s1 / samples
     var = max(s2 / samples - mean * mean, 0.0)
     # The upper (1 - confidence)/2 quantile: 0.5 + confidence/2 would round
@@ -227,6 +267,7 @@ def mc_moment(
 def estimate_moment(
     seq: SequenceSpec, p: float, part: slice, *,
     exact_atoms: bool, tol: float, samples: int, seed: int, confidence: float,
+    starts: Sequence[int] = (),
 ) -> Estimate:
     """E|S|^p for S the sum of ``seq.variables[part]``, by the first engine
     that applies: exact convolution of the cached moment profiles for even
@@ -239,11 +280,18 @@ def estimate_moment(
     1/p-power; Monte Carlo maps the interval's endpoints.  A value or
     budget that overflowed a float raises OverflowError.
 
+    ``starts``, if given, names the 0-based starts of every suffix sum
+    whose Monte Carlo estimate should come from one pass, ``part`` being
+    the suffix from one of them: the pass draws all of them at once
+    (:func:`mc_moment` with ``start`` and ``starts``), and the calls for
+    the other starts read their sums back.  The other engines ignore it.
+
     The even-p engine keeps the rows of its expansion on seq's profiles
     (``MomentProfile.active_rows``), which live as long as seq and its
-    sorted copy, so a later call reads them back.  No value is kept
-    between calls: two equal calls run every other engine twice.  Monte
-    Carlo keeps only its worker threads, one pool per process.
+    sorted copy, so a later call reads them back.  Monte Carlo keeps the
+    two sums per start of its last few passes over several starts, and
+    its worker threads, one pool per process.  No other value is kept
+    between calls: two equal calls run every other engine twice.
     """
     specs = seq.variables[part]
     if is_even(p):
@@ -259,7 +307,13 @@ def estimate_moment(
         norm = res.value ** (1.0 / p)
         norm_error = (res.value + res.total_error) ** (1.0 / p) - norm
         return Estimate(res.value, res.total_error, norm, norm_error, "quadrature")
-    est = mc_moment(specs, p, samples=samples, seed=seed, confidence=confidence)
+    if starts:
+        if part.stop is not None or part.step is not None:
+            raise ValueError("a Monte Carlo pass over starts estimates suffixes only")
+        est = mc_moment(seq.variables, p, samples=samples, seed=seed, confidence=confidence,
+                        start=part.start or 0, starts=starts)
+    else:
+        est = mc_moment(specs, p, samples=samples, seed=seed, confidence=confidence)
     return Estimate(est.raw_mean, est.raw_half_width, est.point, est.half_width, "mc")
 
 

@@ -312,17 +312,19 @@ class TestVerifyCommand:
 class TestGroundsComputedOncePerJob:
     """verify computes each (p, start_index) ground truth once per job."""
 
-    @pytest.mark.parametrize("p, engine, provenance", [
-        (3.0, (oracle, "haagerup_moment"), "quadrature"),
-        (4.0, (oracle, "sum_even_moment"), "exact"),
-    ], ids=["quadrature", "exact"])
-    def test_one_engine_run_per_distinct_ground(self, tmp_path, monkeypatch, p, engine,
-                                                provenance):
+    @pytest.mark.parametrize("p, r, engine, provenance, tail", [
+        (3.0, 2, (oracle, "haagerup_moment"), "quadrature", 2),
+        (4.0, 2, (oracle, "sum_even_moment"), "exact", 3),
+        (5.0, 3, (oracle, "_moment_sums"), "mc", 3),
+    ], ids=["quadrature", "exact", "mc"])
+    def test_one_engine_run_per_distinct_ground(self, tmp_path, monkeypatch, p, r, engine,
+                                                provenance, tail):
+        oracle._pass_sums.cache_clear()
         calls = count_calls(monkeypatch, *engine)
         path = write_config(
             tmp_path,
             {"command": "verify", "variables": LAPLACE_TEN, "p_values": [p],
-             "r_values": [2], "samples": 20000},
+             "r_values": [r], "samples": 20000},
         )
         status, document = run(load_config(path))
         assert status == EXIT_OK
@@ -331,13 +333,21 @@ class TestGroundsComputedOncePerJob:
                    if r["ground"]["provenance"] == provenance}
         (sandwich,) = [r for r in rows if r["statement"] == "logconcave_sandwich"]
         assert sandwich["upper"]["provenance"] == provenance
-        assert grounds == {(1, p), (p - 1, p)}
+        assert grounds == {(1, p), (tail, p)}
         assert len(rows) > len(grounds)
-        assert len(calls) == len(grounds) + 1  # and the sandwich head
+        if provenance != "mc":
+            assert len(calls) == len(grounds) + 1  # and the sandwich head
 
-        # The table lives no longer than the job: a rerun computes again.
+            # The table lives no longer than the job: a rerun computes again.
+            assert run(load_config(path)) == (status, document)
+            assert len(calls) == 2 * (len(grounds) + 1)
+            return
+        # Monte Carlo draws both grounds in one pass, and the head alone.
+        assert len(calls) == 1 + 1
+        assert sorted(len(segments) for segments, *_ in calls) == [1, 2]
+        # The pass keeps its sums, so a rerun draws the head alone.
         assert run(load_config(path)) == (status, document)
-        assert len(calls) == 2 * (len(grounds) + 1)
+        assert len(calls) == 2 + 1
 
     @pytest.mark.parametrize("p", [2.5, 3.0, 4.0, 5.0])
     def test_shared_ground_is_each_reports_own(self, tmp_path, p):
@@ -354,10 +364,13 @@ class TestGroundsComputedOncePerJob:
         ordered, _ = SequenceSpec(tuple(cfg.variables)).sorted()
         grounds = [r for r in json.loads(document)["rows"] if "ground" in r]
         assert len(grounds) > len({(r["p"], r["start_index"]) for r in grounds})
+        # Monte Carlo draws every start of one p in one pass.
+        starts = tuple(sorted({r["start_index"] - 1 for r in grounds}))
         for row in grounds:
             alone = estimate_moment(
                 ordered, row["p"], slice(row["start_index"] - 1, None), exact_atoms=True,
                 tol=cfg.tol, samples=cfg.samples, seed=cfg.seed, confidence=cfg.confidence,
+                starts=starts,
             )
             assert row["ground"] in (_estimate_tag(alone, True), _estimate_tag(alone, False))
 
@@ -722,10 +735,10 @@ class TestBadInputs:
 
         real_ground, real_bound = cli_mod._estimate, bounds_mod.bound_even_symmetric
 
-        def refusing(seq, p, part, cfg, exact_atoms=False):
+        def refusing(seq, p, part, cfg, exact_atoms=False, starts=()):
             if p == 3.0:
                 raise SupportExplosion("refused")
-            return real_ground(seq, p, part, cfg, exact_atoms)
+            return real_ground(seq, p, part, cfg, exact_atoms, starts)
 
         def sabotaged(seq, r):
             rep = real_bound(seq, r)
@@ -784,7 +797,7 @@ class TestBadInputs:
     def test_other_ground_errors_are_not_unverified(self, tmp_path, monkeypatch):
         import momentcert.cli as cli_mod
 
-        def broken(seq, p, part, cfg, exact_atoms=False):
+        def broken(seq, p, part, cfg, exact_atoms=False, starts=()):
             raise ValueError("not a refusal")
 
         path = write_config(

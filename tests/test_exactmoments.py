@@ -8,6 +8,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    count_calls,
     enum_sum_even_moment_centered,
     enum_sum_even_moment_symmetric,
     rademacher_abs_moment_brute,
@@ -127,8 +128,13 @@ class TestRademacherAbsMoment:
         )
         monkeypatch.setattr(exactmoments, "_MAX_GRID", 1 << 12)
         w = tuple(np.random.default_rng(30).uniform(0.2, 2.0, 26))
+        built = count_calls(monkeypatch, exactmoments, "_run_law")
         with pytest.raises(SupportExplosion):
             rademacher_abs_moment(w, 3)
+        # The folded first law has one point and each other weight doubles
+        # the grid, so adding the 14th law would make 2^13 points: the run
+        # laws are built at their steps, and the last 12 never are.
+        assert len(built) == 14
 
 
 @st.composite

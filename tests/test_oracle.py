@@ -33,7 +33,9 @@ from momentcert import (
     uniform,
     verify_report,
 )
+from conftest import count_calls
 from momentcert.distmodel import from_profile
+from momentcert.exactmoments import gaussian_abs_moment
 
 
 class TestExactDiscreteMoment:
@@ -266,6 +268,135 @@ class TestMCRuns:
     @pytest.mark.skipif(not hasattr(os, "sched_getaffinity"), reason="no affinity mask")
     def test_default_thread_count_is_the_affinity_mask(self):
         assert oracle._worker_count() == len(os.sched_getaffinity(0))
+
+
+def per_segment_pass(specs, starts, p, samples, seed):
+    """The sums of a pass written out per chunk: the summands from each
+    start to the next are drawn in turn, as per_summand_mc draws a sum
+    (tables, then the other summands, then the summed mixing variances);
+    one normal draw, last, serves every start, whose sum S_i adds the
+    draws of its own segment to S_{i+1}.  Specs with no two equal
+    neighbours, as for per_summand_mc.  Returns
+    [(sum |S_i|^p, sum |S_i|^2p)] by increasing start."""
+    bounds = list(starts) + [len(specs)]
+    segments = [specs[a:b] for a, b in zip(bounds, bounds[1:])]
+    tables = [oracle._finite_table([(spec, 1) for spec in segment])[0] for segment in segments]
+    sums = [[] for _ in starts]
+    for idx in range((samples + oracle._CHUNK - 1) // oracle._CHUNK):
+        count = min(oracle._CHUNK, samples - idx * oracle._CHUNK)
+        rng = np.random.default_rng(np.random.SeedSequence([seed, idx]))
+        parts = []
+        for segment, seg_tables in zip(segments, tables):
+            total, var = np.zeros(count), None
+            for table in seg_tables:
+                total += table.draw(rng, count)
+            for spec in segment:
+                if spec.atoms() is not None:
+                    continue
+                if spec.family in MIXING:
+                    v = MIXING[spec.family](spec.params[0], rng, count)
+                    var = v if var is None else var + v
+                else:
+                    total += spec.sample_with(rng, count)
+            parts.append((total, var))
+        z = rng.standard_normal(count)
+        total = var = 0.0
+        for i in reversed(range(len(starts))):
+            t, v = parts[i]
+            total = t + total
+            var = var if v is None else v + var
+            x = np.abs(total + np.sqrt(var) * z) ** p
+            sums[i].append((float(np.sum(x)), float(np.einsum("i,i->", x, x))))
+    return [(math.fsum(a for a, _ in chunk), math.fsum(b for _, b in chunk)) for chunk in sums]
+
+
+def _gamma_laplace_norm(k, p):
+    """||S||_p for S the sum of k Laplace(1): S = sqrt(G) Z with G ~ Gamma(k)."""
+    log = math.lgamma(k + p / 2.0) - math.lgamma(k)
+    return (gaussian_abs_moment(p) * math.exp(log)) ** (1.0 / p)
+
+
+class TestMCPass:
+    """mc_moment draws the sums from several starts of one sequence in one
+    pass, and keeps the pass's sums for the calls at its other starts."""
+
+    SPECS = [symmetric_exponential(1.0)] * 12
+    MIXED = [gaussian(1.0), uniform(0.8), THREE_POINT, symmetric_exponential(0.6), ATOMS,
+             gaussian(0.5), rademacher(0.5), uniform(0.3), symmetric_exponential(1.2),
+             THREE_POINT, gaussian(1.0), uniform(0.8), rademacher(1.0),
+             symmetric_exponential(0.6)]
+
+    @pytest.fixture(autouse=True)
+    def _fresh_passes(self):
+        oracle._pass_sums.cache_clear()
+        yield
+        oracle._pass_sums.cache_clear()
+
+    def test_pass_is_written_out(self):
+        starts = (0, 4, 9, 13)
+        want = per_segment_pass(self.MIXED, starts, 3.3, 100_000, 6)
+        for start, (s1, s2) in zip(starts, want):
+            est = mc_moment(self.MIXED, 3.3, samples=100_000, seed=6, start=start,
+                            starts=starts)
+            assert est.raw_mean == s1 / 100_000
+            assert est.samples == 100_000 and est.seed == 6
+
+    def test_single_start_is_todays_draw(self, monkeypatch):
+        """A call whose only start is `start` draws the suffix as a call
+        on the suffix alone does, and keeps nothing."""
+        calls = count_calls(monkeypatch, oracle, "_moment_sums")
+        here = mc_moment(self.MIXED, 3.3, samples=50_000, seed=2, start=4, starts=(4,))
+        again = mc_moment(self.MIXED, 3.3, samples=50_000, seed=2, start=4)
+        assert len(calls) == 2
+        assert here == again == mc_moment(self.MIXED[4:], 3.3, samples=50_000, seed=2)
+
+    def test_later_starts_read_the_kept_pass(self, monkeypatch):
+        calls = count_calls(monkeypatch, oracle, "_moment_sums")
+        first = [mc_moment(self.SPECS, 5.0, samples=50_000, seed=3, start=s, starts=(2, 0))
+                 for s in (0, 2)]
+        assert len(calls) == 1
+        again = [mc_moment(self.SPECS, 5.0, samples=50_000, seed=3, start=s, starts=(0, 2))
+                 for s in (2, 0)]
+        assert len(calls) == 1
+        assert again == first[::-1]
+        # Another seed, p or sample count is another pass.
+        mc_moment(self.SPECS, 5.0, samples=50_000, seed=4, start=0, starts=(0, 2))
+        assert len(calls) == 2
+
+    @pytest.mark.parametrize("starts", [(0, 2), (1, 4, 9, 13)])
+    def test_thread_count_invariance(self, monkeypatch, starts):
+        def pass_at(workers):
+            oracle._pass_sums.cache_clear()
+            monkeypatch.setattr(oracle, "_worker_count", lambda: workers)
+            return [mc_moment(self.MIXED, 2.5, samples=300_000, seed=9, start=s, starts=starts)
+                    for s in starts]
+
+        assert pass_at(1) == pass_at(4)
+
+    def test_each_start_matches_the_gamma_closed_form(self):
+        """12 x Laplace(1) at p = 5, cut at 0-based starts 0 and 2: the
+        pass splits the one Laplace run, and each estimate lies within its
+        CI of (E|Z|^5 Gamma(k + 5/2) / Gamma(k))^(1/5), k the suffix length."""
+        for start in (0, 2):
+            est = mc_moment(self.SPECS, 5.0, samples=200_000, seed=0, start=start,
+                            starts=(0, 2))
+            exact = _gamma_laplace_norm(12 - start, 5.0)
+            assert abs(est.point - exact) <= est.half_width
+
+    @pytest.mark.parametrize("start, starts", [(-1, (0,)), (0, (0, 12)), (3, (0, 20))])
+    def test_starts_outside_the_sequence_rejected(self, start, starts):
+        with pytest.raises(ValueError, match="outside"):
+            mc_moment(self.SPECS, 5.0, samples=20_000, start=start, starts=starts)
+
+    def test_estimate_moment_passes_suffixes_only(self):
+        seq = SequenceSpec(tuple(self.SPECS))
+        with pytest.raises(ValueError, match="suffixes only"):
+            estimate_moment(seq, 5.0, slice(0, 4), **ENGINES, starts=(0, 2))
+
+    def test_raw_profiles_in_a_pass_have_no_engine(self):
+        raw = from_profile(gaussian(1.0).moments(8))
+        with pytest.raises(NoEngine):
+            mc_moment([raw] + self.SPECS, 5.0, samples=20_000, start=1, starts=(0, 1))
 
 
 def _law_by_enumeration(runs):
