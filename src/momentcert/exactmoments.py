@@ -273,7 +273,8 @@ def run_law(values, probs, k: int, cap: int, compensated: bool = False) -> tuple
     law or grid above `cap` points is built.
     """
     one = _one_law(values, probs, compensated)
-    return _run_law(one, k, cap), _mirrored(one[0])
+    mirrored = _mirrored(one[0])
+    return _run_law(one, k, cap, mirrored), mirrored
 
 
 def _one_law(values, probs, compensated: bool) -> tuple:
@@ -289,11 +290,11 @@ def _mirrored(law: np.ndarray) -> bool:
     return np.array_equal(law, -law[::-1].conj())
 
 
-def _run_law(one: tuple, k: int, cap: int) -> tuple:
+def _run_law(one: tuple, k: int, cap: int, mirrored: bool) -> tuple:
     """The law of the sum of k copies of the law `one` of :func:`_one_law`,
-    as :func:`run_law` builds it."""
+    `mirrored` or not, as :func:`run_law` builds it."""
     law, lo = one
-    if not (len(law) == 2 and lo is None and _mirrored(law)):
+    if not (len(law) == 2 and mirrored and lo is None):
         return _power(one, k, partial(_sum_law, cap=cap))
     if k + 1 > cap:
         raise SupportExplosion(f"a law of {k + 1} points exceeds {cap}")
@@ -334,9 +335,10 @@ def _atom_law(runs: Sequence[tuple[Sequence, Sequence, int]], compensated: bool)
     if not runs:
         raise ValueError("need at least one summand")
     ones = [_one_law(values, probs, compensated) for values, probs, _ in runs]
-    laws = (_run_law(one, k, _MAX_GRID) for one, (_, _, k) in zip(ones, runs))
+    mirrored = [_mirrored(law) for law, _ in ones]
+    laws = (_run_law(one, k, _MAX_GRID, m) for one, m, (_, _, k) in zip(ones, mirrored, runs))
     first = next(laws)
-    if all(_mirrored(law) for law, _ in ones[1:]):
+    if all(mirrored[1:]):
         law, lo = first
         lo = None if lo is None else np.sign(law.real) * lo
         first = _merged(np.abs(law.real) + 1j * law.imag, lo)
