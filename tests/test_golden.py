@@ -1,8 +1,9 @@
 """Golden report digests: the committed documents stay byte-identical.
 
 tests/golden/digests.txt holds one `tools/report_digest.py` line per
-benchmark job, `workload seed batch job exit sha256(document)`; every
-line is recomputed here.  A change that moves a document regenerates the
+benchmark job, `workload seed batch job exit sha256(document)`, and one
+per configuration in tests/golden/configs/, `config name exit
+sha256(document)`; every line is recomputed here.  A change that moves a document regenerates the
 file with `python3 tools/report_digest.py --write`, and the diff of the
 file names the documents that moved.
 """
@@ -28,9 +29,11 @@ def test_golden_digests_are_recomputed():
     assert tool.GOLDEN == GOLDEN
     want = GOLDEN.read_text(encoding="utf-8").splitlines()
     assert want, "the golden file is empty"
-    batches = dict.fromkeys(tuple(line.split()[:3]) for line in want)
+    jobs = [line for line in want if not line.startswith("config ")]
+    batches = dict.fromkeys(tuple(line.split()[:3]) for line in jobs)
     got = [line for workload, seed, batch in batches
            for line in tool.batch_lines(workload, int(seed), int(batch))]
+    got += tool.config_lines()
     assert len(got) == len(want)
     moved = [f"{w}  !=  {g}" for w, g in zip(want, got) if w != g]
     assert not moved, "documents moved:\n" + "\n".join(moved)

@@ -1,6 +1,7 @@
 """Print one sha256 digest per benchmark job's report document.
 
-    python3 tools/report_digest.py [--workloads NAME ...] [--seeds 1 2 3] [--batches 4] [--write]
+    python3 tools/report_digest.py [--workloads NAME ...] [--seeds 1 2 3] [--batches 4]
+                                   [--configs] [--write]
 
 Each output line is `workload seed batch job exit sha256(document)`.  The
 jobs are those of perfbench/workloads.make_batch, by default for every
@@ -18,9 +19,14 @@ to one CPU checks that no report depends on the thread count:
     python3 tools/report_digest.py > all.txt
     diff one.txt all.txt
 
+`--configs` prints instead one line `config name exit sha256(document)`
+per configuration in tests/golden/configs/, by file name: documents of
+every command at sizes up to 10^6 summands, on exact engines only.
+
 `--write` regenerates tests/golden/digests.txt instead of printing, by
 default from the verify-even-large documents, which no Monte Carlo
-draw reaches; tests/test_golden.py recomputes every line of that file.
+draw reaches, followed by the config lines; tests/test_golden.py
+recomputes every line of that file.
 """
 from __future__ import annotations
 
@@ -40,6 +46,7 @@ from momentcert import cli  # noqa: E402
 
 GOLDEN = ROOT / "tests" / "golden" / "digests.txt"
 GOLDEN_WORKLOADS = ("verify-even-large",)
+CONFIGS = ROOT / "tests" / "golden" / "configs"
 
 
 def default_workloads() -> list[str]:
@@ -60,13 +67,30 @@ def batch_lines(workload: str, seed: int, batch: int) -> list[str]:
     return lines
 
 
+def config_line(path: Path) -> str:
+    """The digest line of the document that one configuration file writes."""
+    status, document = cli.run(cli.load_config(str(path)))
+    digest = hashlib.sha256(document.encode("utf-8")).hexdigest()
+    return f"config {path.name} {status} {digest}"
+
+
+def config_lines() -> list[str]:
+    return [config_line(path) for path in sorted(CONFIGS.glob("*.json"))]
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--workloads", nargs="+", choices=workloads.WORKLOADS)
     parser.add_argument("--seeds", nargs="+", type=int, default=[1, 2, 3])
     parser.add_argument("--batches", type=int, default=4, help="batches 0..N-1 of each seed")
+    parser.add_argument("--configs", action="store_true",
+                        help=f"print the lines of {CONFIGS.relative_to(ROOT)}/*.json instead")
     parser.add_argument("--write", action="store_true", help=f"write {GOLDEN.relative_to(ROOT)}")
     args = parser.parse_args(argv)
+    if args.configs and not args.write:
+        for path in sorted(CONFIGS.glob("*.json")):
+            print(config_line(path), flush=True)
+        return 0
     names = args.workloads or (GOLDEN_WORKLOADS if args.write else default_workloads())
     lines = []
     for workload in names:
@@ -77,6 +101,7 @@ def main(argv=None) -> int:
                     if not args.write:
                         print(line, flush=True)
     if args.write:
+        lines += config_lines()
         GOLDEN.parent.mkdir(parents=True, exist_ok=True)
         GOLDEN.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
     return 0
