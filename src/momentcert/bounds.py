@@ -10,13 +10,17 @@ can tabulate applicability regions.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import accumulate, chain, groupby, repeat
+from operator import itemgetter, mul
 from typing import Callable, Sequence
 
 from .combinatorics import elementary_symmetric
 from .distmodel import VariableSpec, rademacher
 from .exactmoments import (
+    Runs,
     SupportExplosion,
     gaussian_abs_moment,
     gaussian_lp_norm,
@@ -63,19 +67,46 @@ class Assumption:
     detail: str = ""
 
 
+def _exact(v: float) -> int:
+    """v in units of 2^-1074, of which every finite float is a whole number."""
+    num, den = v.as_integer_ratio()
+    return num << (1075 - den.bit_length())
+
+
+def _repeat(items, counts) -> tuple:
+    """items[i] repeated counts[i] times, for each i in turn, in C."""
+    return tuple(chain.from_iterable(map(repeat, items, counts)))
+
+
+def _merged(items, counts) -> tuple[list, list[int]]:
+    """The runs (items[i], counts[i]) with adjacent equal items merged,
+    each keeping its first item, as :func:`exactmoments.run_lengths`
+    groups them: their items and counts."""
+    out, sizes = [], []
+    for item, k in zip(items, counts):
+        if out and out[-1] == item:
+            sizes[-1] += k
+        else:
+            out.append(item)
+            sizes.append(k)
+    return out, sizes
+
+
 @dataclass(frozen=True)
 class SequenceSpec:
     """An ordered family of independent variables.
 
-    The distinct specs, variances, moment profiles, the weighted-sign law
-    and the sorted copy are computed on first use and kept in the
-    instance's ``__dict__`` by ``functools.cached_property``; fields,
-    equality, hash and repr see ``variables`` only.  Equal specs share a
-    code, an index into the distinct specs: their variance and moments
-    are computed once, and they share one MomentProfile object per order,
-    so the rows that :func:`exactmoments.moments_of_sum` keeps on a
-    profile are built once per sequence and order, shared by the sorted
-    copy, and dropped with them.
+    The sequence is summarized as runs: the distinct specs, and for each
+    maximal run of k equal consecutive specs its code, an index into the
+    distinct specs, and k.  Every summary is built from the runs on first
+    use and kept in the instance's ``__dict__``; fields, equality, hash and
+    repr see ``variables`` only.  What depends on the distinct specs alone
+    (variances, moment profiles, the constants m and C) is computed once
+    and shared with the sorted copy, so the rows that
+    :func:`exactmoments.moments_of_sum` keeps on a profile are built once
+    per sequence and order, and dropped with them.  ``variables``,
+    ``variances``, ``profiles`` and ``rademacher_profiles`` list one item
+    per summand, repeated from the runs; the bounds read the runs.
     """
 
     variables: tuple[VariableSpec, ...]
@@ -88,52 +119,84 @@ class SequenceSpec:
     def __len__(self) -> int:
         return len(self.variables)
 
+    _shared = cached_property(lambda self: {})  # by distinct specs; the sorted copy's too
+    _own = cached_property(lambda self: {})  # by runs, in this sequence's order
+
+    def _once(self, cache: dict, key, make):
+        if key not in cache:
+            cache[key] = make()
+        return cache[key]
+
     @cached_property
-    def _coded(self) -> tuple[tuple[VariableSpec, ...], list[int]]:
-        """The distinct specs, and each summand's code."""
+    def _runs(self) -> tuple[tuple[VariableSpec, ...], list[int], list[int]]:
+        """The distinct specs, and the code and length of each maximal run
+        of equal specs."""
         index: dict = {}
-        codes = []
-        prev = code = None
-        for v in self.variables:
-            if v is not prev:  # the CLI repeats one object `count` times
-                prev, code = v, index.setdefault(v, len(index))
-            codes.append(code)
-        return tuple(index), codes
+        codes, counts = [], []
+        for v, run in groupby(self.variables):  # the CLI repeats one object `count` times
+            codes.append(index.setdefault(v, len(index)))
+            counts.append(len(list(run)))
+        return tuple(index), codes, counts
+
+    @property
+    def runs(self) -> Runs:
+        """(spec, k) for each maximal run of k equal consecutive specs."""
+        distinct, codes, counts = self._runs
+        return Runs(zip(map(distinct.__getitem__, codes), counts))
+
+    def _per_run(self, per_code: Sequence) -> list:
+        return list(map(per_code.__getitem__, self._runs[1]))
+
+    def _view(self, per_code: Sequence) -> tuple:
+        """One item per summand: per_code[c] for a summand of code c."""
+        return _repeat(self._per_run(per_code), self._runs[2])
 
     @cached_property
     def _distinct_variances(self) -> list[float]:
-        return [s.variance for s in self._coded[0]]
+        return [s.variance for s in self._runs[0]]
 
-    @cached_property
-    def variances(self) -> tuple[float, ...]:
-        return tuple(map(self._distinct_variances.__getitem__, self._coded[1]))
-
-    @property
-    def all_symmetric(self) -> bool:
-        return all(v.symmetric for v in self._coded[0])
-
-    @property
-    def all_centered(self) -> bool:
-        return all(v.centered for v in self._coded[0])
-
-    @property
-    def all_log_concave(self) -> bool:
-        return all(v.log_concave_tail for v in self._coded[0])
-
-    def tail_variance(self, k: int) -> float:
-        """The sum of the variances from position k (0-based) on, correctly
-        rounded: on the sorted copy, the tail that a bound keeps past its
-        k largest summands.  An endpoint such as center - radius may cancel
-        to a small fraction of the center, where a plain sum's rounding
-        shows."""
-        return math.fsum(self.variances[k:])
-
+    variances = cached_property(lambda self: self._view(self._distinct_variances))
     total_variance = cached_property(lambda self: self.tail_variance(0))
     max_variance = cached_property(lambda self: max(self._distinct_variances))
 
-    _distinct_profiles = cached_property(lambda self: {})  # {order: profile per distinct spec}
-    _profiles = cached_property(lambda self: {})  # {order: profile per position}
-    _rademacher = cached_property(lambda self: {})  # {order: sign profile per position}
+    @property
+    def all_symmetric(self) -> bool:
+        return all(v.symmetric for v in self._runs[0])
+
+    @property
+    def all_centered(self) -> bool:
+        return all(v.centered for v in self._runs[0])
+
+    @property
+    def all_log_concave(self) -> bool:
+        return all(v.log_concave_tail for v in self._runs[0])
+
+    @cached_property
+    def _offsets(self) -> list[int]:
+        """The position of each run's first summand, then n."""
+        return list(accumulate(self._runs[2], initial=0))
+
+    @cached_property
+    def _tails(self) -> list[int]:
+        """The exact sum of the variances from each run on, in units of
+        2^-1074 (:func:`_exact`), then 0."""
+        terms = map(mul, map(_exact, self._per_run(self._distinct_variances)), self._runs[2])
+        return list(accumulate(reversed(list(terms)), initial=0))[::-1]
+
+    def tail_variance(self, k: int) -> float:
+        """The sum of the variances from position k (0-based) on, correctly
+        rounded: on the sorted copy, the tail that a bound keeps past its k
+        largest summands.  It is summed exactly over the runs and rounded
+        once, as math.fsum over the summands rounds it.  An endpoint such as
+        center - radius may cancel to a small fraction of the center, where
+        a plain sum's rounding shows."""
+        if k < 0:
+            raise ValueError("k must be non-negative")
+        i = bisect_right(self._offsets, k) - 1
+        if i == len(self._tails) - 1:
+            return 0.0
+        part = _exact(self._distinct_variances[self._runs[1][i]]) * (self._offsets[i + 1] - k)
+        return (self._tails[i + 1] + part) / (1 << 1074)  # int division rounds correctly
 
     @cached_property
     def sign_law(self):
@@ -143,25 +206,25 @@ class SequenceSpec:
         truncated bound reads it at every p and r, so a sequence builds or
         refuses its grid once.  The refusal is kept without its traceback,
         whose frames would hold the grid's parts."""
+        weights = zip(map(math.sqrt, self._per_run(self._distinct_variances)), self._runs[2])
         try:
-            return sign_law(tuple(map(math.sqrt, sorted(self.variances, reverse=True))))
+            return sign_law(Runs(sorted(weights, key=itemgetter(0), reverse=True)))
         except SupportExplosion as exc:
             return exc.with_traceback(None)
 
     @cached_property
     def _sorted(self) -> tuple["SequenceSpec", tuple[int, ...]]:
-        # A reverse sort keeps equal keys in their original order.
-        order = tuple(sorted(range(len(self)), key=self.variances.__getitem__, reverse=True))
-        copy = SequenceSpec(tuple(map(self.variables.__getitem__, order)))
-        distinct, codes = self._coded
-        variances = tuple(map(self.variances.__getitem__, order))
-        copy.__dict__.update(
-            _coded=(distinct, list(map(codes.__getitem__, order))),
-            _distinct_variances=self._distinct_variances,
-            variances=variances,
-            max_variance=variances[0],
-            _distinct_profiles=self._distinct_profiles,
-        )
+        distinct, codes, counts = self._runs
+        offsets, variances = self._offsets, self._per_run(self._distinct_variances)
+        # A reverse sort keeps equal keys in their original order, and a
+        # run's summands are consecutive, so sorting the runs sorts them.
+        ranks = sorted(range(len(codes)), key=variances.__getitem__, reverse=True)
+        order = tuple(chain.from_iterable(range(offsets[i], offsets[i + 1]) for i in ranks))
+        codes, counts = _merged(map(codes.__getitem__, ranks), map(counts.__getitem__, ranks))
+        copy = SequenceSpec(_repeat(map(distinct.__getitem__, codes), counts))
+        copy.__dict__.update(_runs=(distinct, codes, counts), _shared=self._shared,
+                             _distinct_variances=self._distinct_variances,
+                             max_variance=variances[ranks[0]])
         return copy, order
 
     def sorted(self) -> tuple["SequenceSpec", tuple[int, ...]]:
@@ -171,31 +234,59 @@ class SequenceSpec:
 
     def distinct_profiles(self, max_order: int) -> tuple:
         """One moment profile per distinct spec, in no particular order."""
-        cache = self._distinct_profiles
-        if max_order not in cache:
-            cache[max_order] = tuple(v.moments(max_order) for v in self._coded[0])
-        return cache[max_order]
+        return self._once(self._shared, ("moments", max_order),
+                          lambda: tuple(v.moments(max_order) for v in self._runs[0]))
+
+    def _distinct(self, max_order: int, signs: bool) -> Sequence:
+        """distinct_profiles, or with `signs` the profile of sqrt(v) eps
+        for each distinct spec, eps a fair sign, specs of equal weight
+        sharing one object."""
+        if not signs:
+            return self.distinct_profiles(max_order)
+
+        def make():
+            weights = list(map(math.sqrt, self._distinct_variances))
+            made = {w: rademacher(w).moments(max_order) for w in dict.fromkeys(weights)}
+            return list(map(made.__getitem__, weights))
+        return self._once(self._shared, ("signs", max_order), make)
 
     def profiles(self, max_order: int) -> tuple:
         """Moment profile of every summand; equal summands share one object."""
-        cache = self._profiles
-        if max_order not in cache:
-            shared = self.distinct_profiles(max_order)
-            cache[max_order] = tuple(map(shared.__getitem__, self._coded[1]))
-        return cache[max_order]
+        return self._once(self._own, ("view", max_order, False),
+                          lambda: self._view(self._distinct(max_order, False)))
 
     def rademacher_profiles(self, max_order: int) -> tuple:
         """Moment profile of sqrt(v_k) eps_k for every summand, eps_k fair
         signs: the weighted Rademacher sum of the truncated bounds.  Equal
         weights share one object, so in a sorted copy, whose equal weights
         are adjacent, the runs are those of :func:`rademacher_moments`."""
-        cache = self._rademacher
-        if max_order not in cache:
-            weights = list(map(math.sqrt, self._distinct_variances))
-            made = {w: rademacher(w).moments(max_order) for w in dict.fromkeys(weights)}
-            shared = list(map(made.__getitem__, weights))
-            cache[max_order] = tuple(map(shared.__getitem__, self._coded[1]))
-        return cache[max_order]
+        return self._once(self._own, ("view", max_order, True),
+                          lambda: self._view(self._distinct(max_order, True)))
+
+    def profile_runs(self, max_order: int, part: slice = slice(None), signs: bool = False) -> Runs:
+        """(profile, k) for the runs of equal moment profiles (with `signs`,
+        of sqrt(v_k) eps_k) among the summands `part`, a slice without step:
+        adjacent runs whose profiles compare equal are merged, as
+        :func:`exactmoments.sum_even_moment` would merge them."""
+        items, counts = self._once(self._own, ("runs", max_order, signs), lambda: _merged(
+            self._per_run(self._distinct(max_order, signs)), self._runs[2]))
+        offsets = self._once(self._own, ("offsets", max_order, signs),
+                             lambda: list(accumulate(counts, initial=0)))
+        start, stop, step = part.indices(len(self))
+        if step != 1:
+            raise ValueError("runs are cut from a slice without step")
+        out = []
+        i = bisect_right(offsets, start) - 1
+        while start < stop and i < len(items) and offsets[i] < stop:
+            out.append((items[i], min(offsets[i + 1], stop) - max(offsets[i], start)))
+            i += 1
+        return Runs(out)
+
+    def rademacher_even_moment(self, r: int) -> float:
+        """E (sum_k sqrt(v_k) eps_k)^{2r} over the whole sequence, summed
+        in its order by :func:`exactmoments.sum_even_moment` once per r."""
+        return self._once(self._own, ("signs", r),
+                          lambda: sum_even_moment(self.profile_runs(2 * r, signs=True), r))
 
 
 @dataclass(frozen=True)
@@ -242,15 +333,19 @@ def _non_certifying(statement_id, p, assumptions, constants=None):
 
 
 def compute_m(seq: SequenceSpec) -> int:
-    """Head length m = max_k ceil((1/6) E X_k^4 / (E X_k^2)^2)."""
-    worst = max(p.moment(4) / p.variance ** 2 for p in seq.distinct_profiles(4))
-    return _ceil(worst / 6.0)
+    """Head length m = max_k ceil((1/6) E X_k^4 / (E X_k^2)^2), computed
+    once for a sequence and its sorted copy."""
+    return seq._once(seq._shared, "m", lambda: _ceil(
+        max(p.moment(4) / p.variance ** 2 for p in seq.distinct_profiles(4)) / 6.0))
 
 
 def _minimal_C(seq: SequenceSpec, r: int, orders: range, flag: str) -> float:
     """Least C >= 1 with |E X_k^l| <= C^{l-2} l!/2^{l/2} (E X_k^2)^{l/2}
     for every l in orders and all k, each profile `flag` (symmetric or
-    centered); l = 2 holds automatically."""
+    centered); l = 2 holds automatically.  Computed once per (flag, r) for
+    a sequence and its sorted copy."""
+    if (flag, r) in seq._shared:
+        return seq._shared[flag, r]
     c, factorials = 1.0, [math.factorial(l) for l in orders]
     for prof in seq.distinct_profiles(2 * r):
         if not getattr(prof, flag):
@@ -263,6 +358,7 @@ def _minimal_C(seq: SequenceSpec, r: int, orders: range, flag: str) -> float:
             )
             if ratio > 1.0:
                 c = max(c, ratio ** (1.0 / (l - 2)))
+    seq._shared[flag, r] = c
     return c
 
 
@@ -291,8 +387,7 @@ def bound_p_2_4(seq: SequenceSpec, p: float) -> BoundReport:
     sqrt(v_1) as auxiliary data.
     """
     sorted_seq, _ = seq.sorted()
-    v = sorted_seq.variances
-    n = len(v)
+    n = len(sorted_seq)
     m = compute_m(sorted_seq)
     assumptions = (
         Assumption("p_range", 2.0 <= p <= 4.0, f"2 <= p={p} <= 4"),
@@ -304,7 +399,7 @@ def bound_p_2_4(seq: SequenceSpec, p: float) -> BoundReport:
         return _non_certifying("symmetric_p24_band", p, assumptions, constants)
     gp = gaussian_lp_norm(p)
     center = gp * math.sqrt(sorted_seq.total_variance)
-    radius = math.sqrt(3.0 * m) * math.sqrt(v[0])
+    radius = math.sqrt(3.0 * m) * math.sqrt(sorted_seq.max_variance)
     return BoundReport(
         statement_id="symmetric_p24_band",
         p=p,
@@ -314,7 +409,7 @@ def bound_p_2_4(seq: SequenceSpec, p: float) -> BoundReport:
         radius=radius,
         constants=constants,
         assumptions=assumptions,
-        aux={"one_sided_lower_radius": 3.0 ** 0.25 * math.sqrt(v[0])},
+        aux={"one_sided_lower_radius": 3.0 ** 0.25 * math.sqrt(sorted_seq.max_variance)},
     )
 
 
@@ -334,8 +429,7 @@ def _bound_even(seq: SequenceSpec, r: int, symmetric: bool) -> BoundReport:
     statement = "even_symmetric_band" if symmetric else "even_centered_upper"
     kind = "symmetric" if symmetric else "centered"
     sorted_seq, _ = seq.sorted()
-    v = sorted_seq.variances
-    n = len(v)
+    n = len(sorted_seq)
     p = float(2 * r)
     holds = sorted_seq.all_symmetric if symmetric else sorted_seq.all_centered
     assumptions = [
@@ -354,7 +448,7 @@ def _bound_even(seq: SequenceSpec, r: int, symmetric: bool) -> BoundReport:
         return _non_certifying(statement, p, assumptions, constants)
     gp = gaussian_lp_norm(p)
     center = gp * math.sqrt(sorted_seq.total_variance)
-    radius = 2.0 * cutoff * math.sqrt(v[0])
+    radius = 2.0 * cutoff * math.sqrt(sorted_seq.max_variance)
     return BoundReport(
         statement_id=statement,
         p=p,
@@ -414,7 +508,7 @@ def bound_general_p(seq: SequenceSpec, p: float, r: int) -> BoundReport:
     if cutoff > n:
         return _non_certifying("truncated_general_p_upper", p, assumptions, constants)
     if is_even(p):
-        rad = sum_even_moment(sorted_seq.rademacher_profiles(int(p)), int(p) // 2)
+        rad = sorted_seq.rademacher_even_moment(int(p) // 2)
     elif isinstance(law := sorted_seq.sign_law, SupportExplosion):
         assumptions.append(Assumption("enumeration_cap", False, str(law)))
         return _non_certifying("truncated_general_p_upper", p, assumptions, constants)
@@ -610,13 +704,12 @@ class TailCheckReport:
 
 def _check_tail_bounds(seq: SequenceSpec, r: int, symmetric: bool) -> TailCheckReport:
     sorted_seq, _ = seq.sorted()
-    v = sorted_seq.variances
     c, cutoff = _cutoff(sorted_seq, r, r - 1, symmetric)
-    if r < 2 or cutoff >= len(v):
+    if r < 2 or cutoff >= len(sorted_seq):
         return TailCheckReport(math.nan, math.nan, math.nan, cutoff, c, False, False)
-    tail = sum_even_moment(sorted_seq.profiles(2 * r)[cutoff:], r)
-    esym = math.factorial(2 * r) / 2 ** r * elementary_symmetric(list(v), r)
-    rad = sum_even_moment(sorted_seq.rademacher_profiles(2 * r), r)
+    tail = sum_even_moment(sorted_seq.profile_runs(2 * r, slice(cutoff, None)), r)
+    esym = math.factorial(2 * r) / 2 ** r * elementary_symmetric(list(sorted_seq.variances), r)
+    rad = sorted_seq.rademacher_even_moment(r)
     slack = 1.0 - 1e-12
     return TailCheckReport(
         tail, esym, rad, cutoff, c, tail <= esym / slack and esym <= rad / slack

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain, repeat
 from typing import Callable, Sequence
 
 import numpy as np
@@ -210,13 +211,14 @@ def check_main_charfn_inequality(
     The hypotheses (matching second moments, max variance within the head,
     head variance dominating the worst tail ratio E Y_k^4 / E Y_k^2 over 6)
     are verified first; when any fails the report is marked not applicable
-    and the grid is not scanned.
+    and the grid is not scanned.  Each run of equal specs reads its
+    variance and moments once and evaluates its factor once, which is
+    multiplied in once per summand, in input order.
     """
     n = len(x_specs)
     if len(y_specs) != n:
         raise ValueError("x_specs and y_specs must have equal length")
-    vx = [s.variance for s in x_specs]
-    vy = [s.variance for s in y_specs]
+    vx, vy = _variances(x_specs), _variances(y_specs)
     pre = [
         ("matching_second_moments",
          all(math.isclose(a, b, rel_tol=1e-9) for a, b in zip(vx, vy)),
@@ -224,7 +226,7 @@ def check_main_charfn_inequality(
         ("head_range", 1 <= m < n, f"1 <= m={m} < n={n}"),
     ]
     if 1 <= m < n:
-        worst = max(y_specs[k].moments(4).moment(4) / vy[k] for k in range(m, n))
+        worst = max(s.moments(4).moment(4) / s.variance for s, _ in run_lengths(y_specs[m:]))
         pre += [
             ("max_in_head", max(vx[:m]) >= max(vx) * (1.0 - 1e-12),
              "max variance attained at some l <= m"),
@@ -237,10 +239,27 @@ def check_main_charfn_inequality(
             passed=False, margins={}, preconditions=preconditions, applicable=False
         )
     t = default_t_grid() if t_grid is None else np.asarray(t_grid, dtype=float)
-    phi_s = math.prod(s.charfn(t) for s in x_specs)
-    phi_r = math.prod(s.charfn(t) for s in y_specs[m:])
+    phi_s = _power_product(run_lengths(x_specs), t)
+    phi_r = _power_product(run_lengths(y_specs[m:]), t)
     slack = phi_s + 0.5 * sum(vx[:m]) * t ** 2 - phi_r
     return _grid_report(t, slack, {"min_slack": float(slack.min())}, preconditions)
+
+
+def _variances(specs: Sequence[VariableSpec]) -> list[float]:
+    """The variance of each spec, read once per run of equal specs."""
+    return list(chain.from_iterable(repeat(s.variance, k) for s, k in run_lengths(specs)))
+
+
+def _power_product(runs, t: np.ndarray):
+    """The product of k factors spec.charfn(t) for each run (spec, k), one
+    multiplication at a time from 1 in input order: each run's factor is
+    evaluated once."""
+    out = 1
+    for spec, k in runs:
+        f = spec.charfn(t)
+        for _ in range(k):
+            out = out * f
+    return out
 
 
 def haagerup_constant(p: float) -> float:

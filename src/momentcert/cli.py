@@ -19,6 +19,7 @@ import json
 import math
 import sys
 from dataclasses import dataclass, field
+from itertools import chain, repeat
 from json.encoder import encode_basestring_ascii
 
 from . import distmodel
@@ -151,7 +152,7 @@ def load_config(path: str, *, seed=None, output_format=None, output_path=None) -
     raw_vars = doc.get("variables") or []
     if not raw_vars:
         raise ConfigError("at least one variable is required")
-    variables = [s for d in raw_vars for s in _parse_variable(d)]
+    variables = list(chain.from_iterable(map(_parse_variable, raw_vars)))
     cfg = RunConfig(
         command=command,
         variables=variables,
@@ -330,15 +331,19 @@ def _run_check_lemmas(cfg: RunConfig) -> list[dict]:
     def record(name, passed, **extra):
         rows.append({"check": name, "passed": passed, **extra})
 
-    families = [s for s in dict.fromkeys(sorted_seq.variables) if s.family != "raw_moments"]
-    for s in families:
-        rep = check_cosine_bounds(s)
-        record("cosine_bounds", rep.passed, family=s.family, margins=rep.margins)
-    if sorted_seq.all_symmetric and all(s.family != "raw_moments" for s in sorted_seq.variables):
+    runs = sorted_seq.runs
+    distinct = list(dict.fromkeys(s for s, _ in runs))
+    for s in distinct:
+        if s.family != "raw_moments":
+            rep = check_cosine_bounds(s)
+            record("cosine_bounds", rep.passed, family=s.family, margins=rep.margins)
+    if sorted_seq.all_symmetric and all(s.family != "raw_moments" for s in distinct):
         m = compute_m(sorted_seq)
         if m < len(sorted_seq):
-            gauss = [distmodel.gaussian(math.sqrt(v)) for v in sorted_seq.variances]
-            rep = check_main_charfn_inequality(list(sorted_seq.variables), gauss, m)
+            # One Gaussian of matching variance per run, repeated.
+            gauss = list(chain.from_iterable(
+                repeat(distmodel.gaussian(math.sqrt(s.variance)), k) for s, k in runs))
+            rep = check_main_charfn_inequality(sorted_seq.variables, gauss, m)
             record("charfn_inequality", rep.passed or not rep.applicable,
                    applicable=rep.applicable, m=m, margins=rep.margins)
     weights = tuple(map(math.sqrt, sorted_seq.variances))

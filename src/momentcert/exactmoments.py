@@ -23,6 +23,7 @@ __all__ = [
     "moments_of_sum",
     "rademacher_even_moment",
     "rademacher_abs_moment",
+    "Runs",
     "sign_law",
     "sum_even_moment",
 ]
@@ -57,13 +58,34 @@ def gaussian_lp_norm(p: float) -> float:
     return gaussian_abs_moment(p) ** (1.0 / p)
 
 
-def run_lengths(items: Sequence) -> list[tuple[object, int]]:
-    """(first item, k) for each maximal run of k consecutive equal items.
+class Runs(tuple):
+    """A sequence in run-length form: (item, k) pairs, each for k
+    consecutive copies of item; :func:`run_lengths` gives the maximal runs.
+    Every function here that groups its input into runs takes Runs as they
+    are."""
+
+
+def run_lengths(items: Sequence) -> Runs:
+    """(first item, k) for each maximal run of k consecutive equal items;
+    Runs are returned as they are.
 
     groupby tests identity before equality, and callers repeat one
     object for equal summands, so the fast test usually decides.
     """
-    return [(x, len(list(run))) for x, run in groupby(items)]
+    if isinstance(items, Runs):
+        return items
+    return Runs((x, len(list(run))) for x, run in groupby(items))
+
+
+def _abs_counts(sigmas: Sequence[float]) -> Counter:
+    """How many of `sigmas`, a sequence or Runs, share each |sigma|, in
+    first-seen order."""
+    if not isinstance(sigmas, Runs):
+        return Counter(map(abs, sigmas))
+    counts = Counter()
+    for sigma, k in sigmas:
+        counts[abs(sigma)] += k
+    return counts
 
 
 @lru_cache(maxsize=None)
@@ -103,7 +125,8 @@ def _power(x, k: int, times):
 
 def sum_even_moment(profiles: Sequence[MomentProfile], r: int) -> float:
     """E (sum_k X_k)^{2r} for independent centered X_k, exact up to rounding:
-    :func:`moments_of_sum` on the runs of consecutive equal profiles."""
+    :func:`moments_of_sum` on the runs of consecutive equal profiles, which
+    `profiles` may give as Runs."""
     if r < 0:
         raise ValueError("r must be non-negative")
     if not profiles:
@@ -188,8 +211,8 @@ def sign_law(sigmas: Sequence[float], compensated: bool = False) -> np.ndarray:
     of the first run onto its absolute value: values + 1j * probabilities,
     which :func:`law_abs_moment` reads at any p.  Atoms carry low parts
     while the grid is built if `compensated` (see :func:`_atom_law`).
-    SupportExplosion past the grid budget."""
-    runs, atoms = Counter(map(abs, sigmas)), FAMILIES["rademacher"].atoms
+    `sigmas` may be Runs.  SupportExplosion past the grid budget."""
+    runs, atoms = _abs_counts(sigmas), FAMILIES["rademacher"].atoms
     return _atom_law([(*atoms((a,)), k) for a, k in runs.items()], compensated)
 
 

@@ -270,15 +270,16 @@ def estimate_moment(
     starts: Sequence[int] = (),
 ) -> Estimate:
     """E|S|^p for S the sum of ``seq.variables[part]``, by the first engine
-    that applies: exact convolution of the cached moment profiles for even
-    p; if ``exact_atoms``, the exact finite-support engine on atom
-    summands; quadrature for 2 < p < 4 on symmetric parametric summands,
-    converged when its budget is at most ``tol * variance^(p/2)``, relative
-    to the sum's scale at every variance; else Monte Carlo, unless a
-    summand is a raw moment profile without atoms (NoEngine).  A
-    quadrature norm's budget is the raw one mapped through the monotone
-    1/p-power; Monte Carlo maps the interval's endpoints.  A value or
-    budget that overflowed a float raises OverflowError.
+    that applies: exact convolution of seq's runs of cached moment
+    profiles (``seq.profile_runs``) for even p; if ``exact_atoms``, the
+    exact finite-support engine on atom summands; quadrature for 2 < p < 4
+    on symmetric parametric summands, converged when its budget is at most
+    ``tol * variance^(p/2)``, relative to the sum's scale at every
+    variance; else Monte Carlo, unless a summand is a raw moment profile
+    without atoms (NoEngine).  A quadrature norm's budget is the raw one
+    mapped through the monotone 1/p-power; Monte Carlo maps the
+    interval's endpoints.  A value or budget that overflowed a float
+    raises OverflowError.
 
     ``starts``, if given, names the 0-based starts of every suffix sum
     whose Monte Carlo estimate should come from one pass, ``part`` being
@@ -293,10 +294,10 @@ def estimate_moment(
     its worker threads, one pool per process.  No other value is kept
     between calls: two equal calls run every other engine twice.
     """
-    specs = seq.variables[part]
     if is_even(p):
-        raw = sum_even_moment(seq.profiles(int(p))[part], int(p) // 2)
+        raw = sum_even_moment(seq.profile_runs(int(p), part), int(p) // 2)
         return Estimate(raw, 0.0, raw ** (1.0 / p), 0.0, "exact")
+    specs = seq.variables[part]
     heads = [s for s, _ in run_lengths(specs)]  # one spec per run of equal specs
     if exact_atoms and all(s.atoms() is not None for s in heads):
         raw = exact_discrete_moment(specs, p)

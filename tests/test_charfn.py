@@ -142,6 +142,25 @@ class TestMainInequality:
         with pytest.raises(ValueError):
             check_main_charfn_inequality([gaussian(1.0)], [gaussian(1.0)] * 2, 1)
 
+    def test_one_factor_per_run_keeps_the_bits(self, monkeypatch):
+        """Each run's factor is evaluated once and multiplied in once per
+        summand in input order: the margin is that of one factor per
+        summand, bit for bit, after one charfn call per run (equal specs
+        built apart form one run too)."""
+        x = ([gaussian(1.0)] * 5 + [symmetric_exponential(0.7) for _ in range(4)]
+             + [uniform(1.5)] * 3 + [gaussian(1.0)] * 2)
+        y = [gaussian(math.sqrt(s.variance)) for s in x]
+        t = np.linspace(0.0, 20.0, 501)
+        vx = [s.variance for s in x]
+        want = float((math.prod(s.charfn(t) for s in x) + 0.5 * sum(vx[:5]) * t ** 2
+                      - math.prod(s.charfn(t) for s in y[5:])).min())
+        calls = []
+        real = type(x[0]).charfn
+        monkeypatch.setattr(type(x[0]), "charfn", lambda s, t: calls.append(s) or real(s, t))
+        report = check_main_charfn_inequality(x, y, 5, t)
+        assert report.applicable and report.margins == {"min_slack": want}
+        assert len(calls) == 4 + 3  # runs of x, then runs of y past the head
+
 
 class TestHaagerupConstant:
     def test_p3(self):

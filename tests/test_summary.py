@@ -1,5 +1,6 @@
 """The cached sequence summary and the run-length even-moment engine."""
 import dataclasses
+import itertools
 import math
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -12,7 +13,11 @@ from hypothesis import strategies as st
 from conftest import random_centered_atom_spec, random_symmetric_spec
 from momentcert import (
     SequenceSpec,
+    bound_general_p,
+    bounds,
+    check_symmetric_tail_bounds,
     compute_m,
+    exactmoments,
     gaussian,
     minimal_C_centered,
     minimal_C_symmetric,
@@ -260,3 +265,139 @@ class TestSharedProfiles:
         assert signs[0] is signs[1] is signs[3]
         assert signs[0] == rademacher(2.0).moments(6)
         assert signs[2] == rademacher(math.sqrt(1.0 / 3.0)).moments(6)
+
+
+@st.composite
+def run_sequences(draw, wide=False, longest=40):
+    """Blocks of equal summands drawn with replacement from a pool, so one
+    spec sits in several non-adjacent runs and runs repeat interleaved.
+    The pool holds distinct specs of equal variance (gaussian, rademacher
+    and three-point at one scale) and distinct specs of equal profiles
+    (rademacher(s) and symmetric_three_point(s, 0.5)); every block builds
+    its specs afresh, so equal specs are mostly distinct objects.  `wide`
+    spreads the scales over 16 decades; a block holds at most `longest`."""
+    scale = st.floats(1e-8, 1e8) if wide else st.floats(0.3, 3.0)
+    s, t, u = draw(scale), draw(scale), draw(scale)
+    makers = [lambda: gaussian(s), lambda: rademacher(s), lambda: symmetric_three_point(s, 0.5),
+              lambda: symmetric_three_point(s, 0.2), lambda: symmetric_exponential(t),
+              lambda: uniform(u), lambda: rademacher(t)]
+    blocks = draw(st.lists(st.tuples(st.sampled_from(range(len(makers))), st.integers(1, longest),
+                                     st.booleans()), min_size=1, max_size=10))
+    variables = []
+    for j, k, shared in blocks:
+        variables += [makers[j]()] * k if shared else [makers[j]() for _ in range(k)]
+    return SequenceSpec(tuple(variables))
+
+
+class TestRunSummary:
+    """Every summary that SequenceSpec builds from its runs equals the
+    per-summand definition bit for bit."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(seq=run_sequences(wide=True))
+    def test_variances_sort_and_tails(self, seq):
+        variances = tuple(v.variance for v in seq.variables)
+        assert seq.variances == variances
+        assert seq.max_variance == max(variances)
+        srt, perm = seq.sorted()
+        assert perm == tuple(sorted(range(len(seq)), key=variances.__getitem__, reverse=True))
+        assert srt.variables == tuple(seq.variables[i] for i in perm)
+        assert srt.variances == tuple(variances[i] for i in perm)
+        assert srt.max_variance == max(variances)
+        for s in (seq, srt):
+            for k in range(len(s) + 2):
+                assert s.tail_variance(k) == math.fsum(s.variances[k:])
+            assert s.total_variance == math.fsum(s.variances)
+        assert [(v.family, k) for v, k in srt.runs] == [
+            (v.family, len(list(g))) for v, g in itertools.groupby(srt.variables)]
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(seq=run_sequences(longest=6), order=st.sampled_from((4, 6, 8)))
+    def test_profile_runs_from_every_start(self, seq, order):
+        """Each fed to sum_even_moment: the runs from every start, the
+        per-summand view's slice, and fresh per-summand profiles."""
+        r = order // 2
+        srt, _ = seq.sorted()
+        weights = tuple(map(math.sqrt, srt.variances))
+        for s in (seq, srt):
+            view = s.profiles(order)
+            fresh = [v.moments(order) for v in s.variables]
+            assert list(view) == fresh
+            for start in range(len(s)):
+                runs = s.profile_runs(order, slice(start, None))
+                assert sum(k for _, k in runs) == len(s) - start
+                want = sum_even_moment(fresh[start:], r)
+                assert sum_even_moment(runs, r) == sum_even_moment(view[start:], r) == want
+            head = min(len(s), 3)
+            assert (sum_even_moment(s.profile_runs(order, slice(0, head)), r)
+                    == sum_even_moment(fresh[:head], r))
+        signs = srt.rademacher_profiles(order)
+        for start in range(len(srt)):
+            runs = srt.profile_runs(order, slice(start, None), signs=True)
+            want = rademacher_even_moment(weights[start:], r)
+            assert sum_even_moment(runs, r) == sum_even_moment(signs[start:], r) == want
+        assert srt.rademacher_even_moment(r) == rademacher_even_moment(weights, r)
+
+    @settings(max_examples=25, deadline=None, derandomize=True)
+    @given(seq=run_sequences())
+    def test_sign_law(self, seq):
+        if len(set(seq.variances)) > 4:
+            return  # keep the grids small
+        weights = tuple(map(math.sqrt, sorted(seq.variances, reverse=True)))
+        want = exactmoments.sign_law(weights)
+        for s in (seq, seq.sorted()[0]):
+            assert np.array_equal(s.sign_law, want)
+
+    def test_equal_profiles_of_distinct_specs_merge(self):
+        a, b = rademacher(1.0), symmetric_three_point(1.0, 0.5)
+        assert a != b and a.moments(6) == b.moments(6)
+        seq = SequenceSpec((a,) * 3 + (b,) * 4 + (a,) * 2 + (gaussian(0.5),))
+        assert [k for _, k in seq.runs] == [3, 4, 2, 1]
+        runs = seq.profile_runs(6)
+        assert [k for _, k in runs] == [9, 1]
+        assert runs[0][0] is seq.distinct_profiles(6)[0]
+        assert [k for _, k in seq.profile_runs(6, slice(4, 8))] == [4]
+        assert seq.profile_runs(6, slice(5, 5)) == ()
+        with pytest.raises(ValueError, match="without step"):
+            seq.profile_runs(6, slice(0, None, 2))
+
+    def test_a_long_run_is_one_pair(self):
+        seq = SequenceSpec((gaussian(1.0),) * 10**6 + (uniform(1.0),) * 10)
+        assert seq.runs == ((gaussian(1.0), 10**6), (uniform(1.0), 10))
+        srt, perm = seq.sorted()
+        assert srt.runs == seq.runs and perm[:3] == (0, 1, 2) and len(perm) == len(seq)
+        assert srt.tail_variance(999_999) == math.fsum([1.0] + [1.0 / 3.0] * 10)
+        with pytest.raises(ValueError, match="non-negative"):
+            seq.tail_variance(-1)
+
+
+class TestConstantsOncePerSequence:
+    def test_m_and_c_are_computed_once_for_a_sequence_and_its_copy(self, monkeypatch):
+        seq = SequenceSpec((gaussian(1.0), symmetric_three_point(2.0, 0.1), gaussian(1.0)))
+        srt, _ = seq.sorted()
+        calls = []
+        real = SequenceSpec.distinct_profiles
+        monkeypatch.setattr(SequenceSpec, "distinct_profiles",
+                            lambda s, order: calls.append(order) or real(s, order))
+        want = {r: (minimal_C_symmetric(seq, r), minimal_C_centered(seq, r)) for r in (2, 3)}
+        for s in (seq, srt, seq):
+            for r in (2, 3):
+                assert (minimal_C_symmetric(s, r), minimal_C_centered(s, r)) == want[r]
+        assert sorted(calls) == [4, 4, 6, 6]  # one profile read per (r, kind)
+        assert compute_m(seq) == compute_m(srt) == brute_m(seq)
+        assert calls.count(4) == 3
+
+    def test_rademacher_moment_once_per_r(self, monkeypatch):
+        seq = SequenceSpec((uniform(1.0),) * 30 + (gaussian(2.0),) * 20)
+        calls = []
+        real = bounds.sum_even_moment
+        monkeypatch.setattr(bounds, "sum_even_moment",
+                            lambda runs, r: calls.append((len(runs), r)) or real(runs, r))
+        reports = [bound_general_p(seq, p, r) for p in (4.0, 6.0) for r in (3, 4)]
+        check_symmetric_tail_bounds(seq, 3)
+        assert all(rep.certifying for rep in reports)
+        # One sum per p over the two sign runs, which the tail check reads
+        # again, and the tail check's own sum past its cutoff.
+        assert sorted(calls) == [(2, 2), (2, 3), (2, 3)]
+        weights = tuple(map(math.sqrt, seq.sorted()[0].variances))
+        assert reports[0].aux["rademacher_abs_moment"] == rademacher_even_moment(weights, 2)
