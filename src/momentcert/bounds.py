@@ -78,6 +78,13 @@ def _repeat(items, counts) -> tuple:
     return tuple(chain.from_iterable(map(repeat, items, counts)))
 
 
+def _once(cache: dict, key, make):
+    """cache[key], made by make() on first use."""
+    if key not in cache:
+        cache[key] = make()
+    return cache[key]
+
+
 def _merged(items, counts) -> tuple[list, list[int]]:
     """The runs (items[i], counts[i]) with adjacent equal items merged,
     each keeping its first item, as :func:`exactmoments.run_lengths`
@@ -121,11 +128,6 @@ class SequenceSpec:
 
     _shared = cached_property(lambda self: {})  # by distinct specs; the sorted copy's too
     _own = cached_property(lambda self: {})  # by runs, in this sequence's order
-
-    def _once(self, cache: dict, key, make):
-        if key not in cache:
-            cache[key] = make()
-        return cache[key]
 
     @cached_property
     def _runs(self) -> tuple[tuple[VariableSpec, ...], list[int], list[int]]:
@@ -234,8 +236,8 @@ class SequenceSpec:
 
     def distinct_profiles(self, max_order: int) -> tuple:
         """One moment profile per distinct spec, in no particular order."""
-        return self._once(self._shared, ("moments", max_order),
-                          lambda: tuple(v.moments(max_order) for v in self._runs[0]))
+        return _once(self._shared, ("moments", max_order),
+                     lambda: tuple(v.moments(max_order) for v in self._runs[0]))
 
     def _distinct(self, max_order: int, signs: bool) -> Sequence:
         """distinct_profiles, or with `signs` the profile of sqrt(v) eps
@@ -248,30 +250,30 @@ class SequenceSpec:
             weights = list(map(math.sqrt, self._distinct_variances))
             made = {w: rademacher(w).moments(max_order) for w in dict.fromkeys(weights)}
             return list(map(made.__getitem__, weights))
-        return self._once(self._shared, ("signs", max_order), make)
+        return _once(self._shared, ("signs", max_order), make)
 
     def profiles(self, max_order: int) -> tuple:
         """Moment profile of every summand; equal summands share one object."""
-        return self._once(self._own, ("view", max_order, False),
-                          lambda: self._view(self._distinct(max_order, False)))
+        return _once(self._own, ("view", max_order, False),
+                     lambda: self._view(self._distinct(max_order, False)))
 
     def rademacher_profiles(self, max_order: int) -> tuple:
         """Moment profile of sqrt(v_k) eps_k for every summand, eps_k fair
         signs: the weighted Rademacher sum of the truncated bounds.  Equal
         weights share one object, so in a sorted copy, whose equal weights
         are adjacent, the runs are those of :func:`rademacher_moments`."""
-        return self._once(self._own, ("view", max_order, True),
-                          lambda: self._view(self._distinct(max_order, True)))
+        return _once(self._own, ("view", max_order, True),
+                     lambda: self._view(self._distinct(max_order, True)))
 
     def profile_runs(self, max_order: int, part: slice = slice(None), signs: bool = False) -> Runs:
         """(profile, k) for the runs of equal moment profiles (with `signs`,
         of sqrt(v_k) eps_k) among the summands `part`, a slice without step:
         adjacent runs whose profiles compare equal are merged, as
         :func:`exactmoments.sum_even_moment` would merge them."""
-        items, counts = self._once(self._own, ("runs", max_order, signs), lambda: _merged(
-            self._per_run(self._distinct(max_order, signs)), self._runs[2]))
-        offsets = self._once(self._own, ("offsets", max_order, signs),
-                             lambda: list(accumulate(counts, initial=0)))
+        def make():
+            items, counts = _merged(self._per_run(self._distinct(max_order, signs)), self._runs[2])
+            return items, list(accumulate(counts, initial=0))
+        items, offsets = _once(self._own, ("runs", max_order, signs), make)
         start, stop, step = part.indices(len(self))
         if step != 1:
             raise ValueError("runs are cut from a slice without step")
@@ -285,8 +287,8 @@ class SequenceSpec:
     def rademacher_even_moment(self, r: int) -> float:
         """E (sum_k sqrt(v_k) eps_k)^{2r} over the whole sequence, summed
         in its order by :func:`exactmoments.sum_even_moment` once per r."""
-        return self._once(self._own, ("signs", r),
-                          lambda: sum_even_moment(self.profile_runs(2 * r, signs=True), r))
+        return _once(self._own, ("signs", r),
+                     lambda: sum_even_moment(self.profile_runs(2 * r, signs=True), r))
 
 
 @dataclass(frozen=True)
@@ -335,7 +337,7 @@ def _non_certifying(statement_id, p, assumptions, constants=None):
 def compute_m(seq: SequenceSpec) -> int:
     """Head length m = max_k ceil((1/6) E X_k^4 / (E X_k^2)^2), computed
     once for a sequence and its sorted copy."""
-    return seq._once(seq._shared, "m", lambda: _ceil(
+    return _once(seq._shared, "m", lambda: _ceil(
         max(p.moment(4) / p.variance ** 2 for p in seq.distinct_profiles(4)) / 6.0))
 
 

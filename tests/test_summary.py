@@ -308,8 +308,7 @@ class TestRunSummary:
             for k in range(len(s) + 2):
                 assert s.tail_variance(k) == math.fsum(s.variances[k:])
             assert s.total_variance == math.fsum(s.variances)
-        assert [(v.family, k) for v, k in srt.runs] == [
-            (v.family, len(list(g))) for v, g in itertools.groupby(srt.variables)]
+            assert list(s.runs) == [(v, len(list(g))) for v, g in itertools.groupby(s.variables)]
 
     @settings(max_examples=40, deadline=None, derandomize=True)
     @given(seq=run_sequences(longest=6), order=st.sampled_from((4, 6, 8)))
