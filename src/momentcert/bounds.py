@@ -13,8 +13,8 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import accumulate, chain, groupby, repeat
-from operator import itemgetter, mul
+from itertools import accumulate, chain, repeat
+from operator import itemgetter
 from typing import Callable, Sequence
 
 from .combinatorics import elementary_symmetric
@@ -27,6 +27,7 @@ from .exactmoments import (
     is_even,
     law_abs_moment,
     rademacher_moments,
+    run_lengths,
     sign_law,
     sum_even_moment,
 )
@@ -73,11 +74,6 @@ def _exact(v: float) -> int:
     return num << (1075 - den.bit_length())
 
 
-def _repeat(items, counts) -> tuple:
-    """items[i] repeated counts[i] times, for each i in turn, in C."""
-    return tuple(chain.from_iterable(map(repeat, items, counts)))
-
-
 def _once(cache: dict, key, make):
     """cache[key], made by make() on first use."""
     if key not in cache:
@@ -85,35 +81,20 @@ def _once(cache: dict, key, make):
     return cache[key]
 
 
-def _merged(items, counts) -> tuple[list, list[int]]:
-    """The runs (items[i], counts[i]) with adjacent equal items merged,
-    each keeping its first item, as :func:`exactmoments.run_lengths`
-    groups them: their items and counts."""
-    out, sizes = [], []
-    for item, k in zip(items, counts):
-        if out and out[-1] == item:
-            sizes[-1] += k
-        else:
-            out.append(item)
-            sizes.append(k)
-    return out, sizes
-
-
 @dataclass(frozen=True)
 class SequenceSpec:
     """An ordered family of independent variables.
 
-    The sequence is summarized as runs: the distinct specs, and for each
-    maximal run of k equal consecutive specs its code, an index into the
-    distinct specs, and k.  Every summary is built from the runs on first
-    use and kept in the instance's ``__dict__``; fields, equality, hash and
-    repr see ``variables`` only.  What depends on the distinct specs alone
-    (variances, moment profiles, the constants m and C) is computed once
-    and shared with the sorted copy, so the rows that
+    The sequence is summarized as its runs: (spec, k) for each maximal run
+    of k equal consecutive specs.  Every summary is built from the runs on
+    first use and kept in the instance's ``__dict__``; fields, equality,
+    hash and repr see ``variables`` only.  What depends on the distinct
+    specs alone (their variances, moment profiles and sign profiles, the
+    constants m and C) is computed once, in tables by distinct spec that
+    the sorted copy shares, so the rows that
     :func:`exactmoments.moments_of_sum` keeps on a profile are built once
-    per sequence and order, and dropped with them.  ``variables``,
-    ``variances``, ``profiles`` and ``rademacher_profiles`` list one item
-    per summand, repeated from the runs; the bounds read the runs.
+    per sequence and order, and dropped with them.  Every other summary
+    is itself a Runs, which the engines take as they are.
     """
 
     variables: tuple[VariableSpec, ...]
@@ -130,60 +111,42 @@ class SequenceSpec:
     _own = cached_property(lambda self: {})  # by runs, in this sequence's order
 
     @cached_property
-    def _runs(self) -> tuple[tuple[VariableSpec, ...], list[int], list[int]]:
-        """The distinct specs, and the code and length of each maximal run
-        of equal specs."""
-        index: dict = {}
-        codes, counts = [], []
-        for v, run in groupby(self.variables):  # the CLI repeats one object `count` times
-            codes.append(index.setdefault(v, len(index)))
-            counts.append(len(list(run)))
-        return tuple(index), codes, counts
-
-    @property
     def runs(self) -> Runs:
         """(spec, k) for each maximal run of k equal consecutive specs."""
-        distinct, codes, counts = self._runs
-        return Runs(zip(map(distinct.__getitem__, codes), counts))
+        return run_lengths(self.variables)  # the CLI repeats one object `count` times
 
-    def _per_run(self, per_code: Sequence) -> list:
-        return list(map(per_code.__getitem__, self._runs[1]))
-
-    def _view(self, per_code: Sequence) -> tuple:
-        """One item per summand: per_code[c] for a summand of code c."""
-        return _repeat(self._per_run(per_code), self._runs[2])
+    @property
+    def _variance(self) -> dict:
+        """The variance of each distinct spec, in first-seen order."""
+        return _once(self._shared, "variance",
+                     lambda: {s: s.variance for s in dict.fromkeys(s for s, _ in self.runs)})
 
     @cached_property
-    def _distinct_variances(self) -> list[float]:
-        return [s.variance for s in self._runs[0]]
+    def variance_runs(self) -> Runs:
+        """(v, k) for each maximal run of k consecutive summands of variance v."""
+        return Runs.join((self._variance[s], k) for s, k in self.runs)
 
-    variances = cached_property(lambda self: self._view(self._distinct_variances))
     total_variance = cached_property(lambda self: self.tail_variance(0))
-    max_variance = cached_property(lambda self: max(self._distinct_variances))
+    max_variance = cached_property(lambda self: max(self._variance.values()))
 
     @property
     def all_symmetric(self) -> bool:
-        return all(v.symmetric for v in self._runs[0])
+        return all(v.symmetric for v in self._variance)
 
     @property
     def all_centered(self) -> bool:
-        return all(v.centered for v in self._runs[0])
+        return all(v.centered for v in self._variance)
 
     @property
     def all_log_concave(self) -> bool:
-        return all(v.log_concave_tail for v in self._runs[0])
-
-    @cached_property
-    def _offsets(self) -> list[int]:
-        """The position of each run's first summand, then n."""
-        return list(accumulate(self._runs[2], initial=0))
+        return all(v.log_concave_tail for v in self._variance)
 
     @cached_property
     def _tails(self) -> list[int]:
-        """The exact sum of the variances from each run on, in units of
-        2^-1074 (:func:`_exact`), then 0."""
-        terms = map(mul, map(_exact, self._per_run(self._distinct_variances)), self._runs[2])
-        return list(accumulate(reversed(list(terms)), initial=0))[::-1]
+        """The exact sum of the variances from each variance run on, in
+        units of 2^-1074 (:func:`_exact`), then 0."""
+        terms = [_exact(v) * k for v, k in self.variance_runs]
+        return list(accumulate(reversed(terms), initial=0))[::-1]
 
     def tail_variance(self, k: int) -> float:
         """The sum of the variances from position k (0-based) on, correctly
@@ -194,10 +157,11 @@ class SequenceSpec:
         a plain sum's rounding shows."""
         if k < 0:
             raise ValueError("k must be non-negative")
-        i = bisect_right(self._offsets, k) - 1
-        if i == len(self._tails) - 1:
+        runs = self.variance_runs
+        i = bisect_right(runs.offsets, k) - 1
+        if i == len(runs):
             return 0.0
-        part = _exact(self._distinct_variances[self._runs[1][i]]) * (self._offsets[i + 1] - k)
+        part = _exact(runs[i][0]) * (runs.offsets[i + 1] - k)
         return (self._tails[i + 1] + part) / (1 << 1074)  # int division rounds correctly
 
     @cached_property
@@ -208,7 +172,7 @@ class SequenceSpec:
         truncated bound reads it at every p and r, so a sequence builds or
         refuses its grid once.  The refusal is kept without its traceback,
         whose frames would hold the grid's parts."""
-        weights = zip(map(math.sqrt, self._per_run(self._distinct_variances)), self._runs[2])
+        weights = ((math.sqrt(v), k) for v, k in self.variance_runs)
         try:
             return sign_law(Runs(sorted(weights, key=itemgetter(0), reverse=True)))
         except SupportExplosion as exc:
@@ -216,17 +180,15 @@ class SequenceSpec:
 
     @cached_property
     def _sorted(self) -> tuple["SequenceSpec", tuple[int, ...]]:
-        distinct, codes, counts = self._runs
-        offsets, variances = self._offsets, self._per_run(self._distinct_variances)
+        runs, offsets = self.runs, self.runs.offsets
+        variances = [self._variance[s] for s, _ in runs]
         # A reverse sort keeps equal keys in their original order, and a
         # run's summands are consecutive, so sorting the runs sorts them.
-        ranks = sorted(range(len(codes)), key=variances.__getitem__, reverse=True)
+        ranks = sorted(range(len(runs)), key=variances.__getitem__, reverse=True)
         order = tuple(chain.from_iterable(range(offsets[i], offsets[i + 1]) for i in ranks))
-        codes, counts = _merged(map(codes.__getitem__, ranks), map(counts.__getitem__, ranks))
-        copy = SequenceSpec(_repeat(map(distinct.__getitem__, codes), counts))
-        copy.__dict__.update(_runs=(distinct, codes, counts), _shared=self._shared,
-                             _distinct_variances=self._distinct_variances,
-                             max_variance=variances[ranks[0]])
+        ordered = Runs.join(map(runs.__getitem__, ranks))
+        copy = SequenceSpec(tuple(chain.from_iterable(repeat(s, k) for s, k in ordered)))
+        copy.__dict__.update(runs=ordered, _shared=self._shared, max_variance=variances[ranks[0]])
         return copy, order
 
     def sorted(self) -> tuple["SequenceSpec", tuple[int, ...]]:
@@ -234,36 +196,21 @@ class SequenceSpec:
         (original 0-based positions in sorted order; stable)."""
         return self._sorted
 
+    def _profiles(self, max_order: int, signs: bool) -> dict:
+        """The moment profile of each distinct spec, or with `signs` that
+        of sqrt(v) eps for its variance v, eps a fair sign, specs of equal
+        weight sharing one object."""
+        def make():
+            if not signs:
+                return {s: s.moments(max_order) for s in self._variance}
+            weights = {s: math.sqrt(v) for s, v in self._variance.items()}
+            made = {w: rademacher(w).moments(max_order) for w in dict.fromkeys(weights.values())}
+            return {s: made[w] for s, w in weights.items()}
+        return _once(self._shared, ("profiles", max_order, signs), make)
+
     def distinct_profiles(self, max_order: int) -> tuple:
         """One moment profile per distinct spec, in no particular order."""
-        return _once(self._shared, ("moments", max_order),
-                     lambda: tuple(v.moments(max_order) for v in self._runs[0]))
-
-    def _distinct(self, max_order: int, signs: bool) -> Sequence:
-        """distinct_profiles, or with `signs` the profile of sqrt(v) eps
-        for each distinct spec, eps a fair sign, specs of equal weight
-        sharing one object."""
-        if not signs:
-            return self.distinct_profiles(max_order)
-
-        def make():
-            weights = list(map(math.sqrt, self._distinct_variances))
-            made = {w: rademacher(w).moments(max_order) for w in dict.fromkeys(weights)}
-            return list(map(made.__getitem__, weights))
-        return _once(self._shared, ("signs", max_order), make)
-
-    def profiles(self, max_order: int) -> tuple:
-        """Moment profile of every summand; equal summands share one object."""
-        return _once(self._own, ("view", max_order, False),
-                     lambda: self._view(self._distinct(max_order, False)))
-
-    def rademacher_profiles(self, max_order: int) -> tuple:
-        """Moment profile of sqrt(v_k) eps_k for every summand, eps_k fair
-        signs: the weighted Rademacher sum of the truncated bounds.  Equal
-        weights share one object, so in a sorted copy, whose equal weights
-        are adjacent, the runs are those of :func:`rademacher_moments`."""
-        return _once(self._own, ("view", max_order, True),
-                     lambda: self._view(self._distinct(max_order, True)))
+        return tuple(self._profiles(max_order, False).values())
 
     def profile_runs(self, max_order: int, part: slice = slice(None), signs: bool = False) -> Runs:
         """(profile, k) for the runs of equal moment profiles (with `signs`,
@@ -271,18 +218,9 @@ class SequenceSpec:
         adjacent runs whose profiles compare equal are merged, as
         :func:`exactmoments.sum_even_moment` would merge them."""
         def make():
-            items, counts = _merged(self._per_run(self._distinct(max_order, signs)), self._runs[2])
-            return items, list(accumulate(counts, initial=0))
-        items, offsets = _once(self._own, ("runs", max_order, signs), make)
-        start, stop, step = part.indices(len(self))
-        if step != 1:
-            raise ValueError("runs are cut from a slice without step")
-        out = []
-        i = bisect_right(offsets, start) - 1
-        while start < stop and i < len(items) and offsets[i] < stop:
-            out.append((items[i], min(offsets[i + 1], stop) - max(offsets[i], start)))
-            i += 1
-        return Runs(out)
+            table = self._profiles(max_order, signs)
+            return Runs.join((table[s], k) for s, k in self.runs)
+        return _once(self._own, ("runs", max_order, signs), make).cut(part)
 
     def rademacher_even_moment(self, r: int) -> float:
         """E (sum_k sqrt(v_k) eps_k)^{2r} over the whole sequence, summed
@@ -549,17 +487,19 @@ def check_rademacher_moment_ratio(w: Sequence[float], r: int) -> RatioCheckRepor
     ((2r+1)/(2r-1)) M_{2r}^2 >= ((2r+2)!/2^{r+1}) e_{r+1}(sigma^2) M_{2r-2},
 
     with M_{2j} = E (sum sigma_k eps_k)^{2j}.  Requires |sigma| sorted
-    nonincreasing.  Returns the ratio LHS/RHS (inf when the RHS vanishes).
+    nonincreasing; `w` may be Runs.  Returns the ratio LHS/RHS (inf when
+    the RHS vanishes).
     """
     if r < 1:
         raise ValueError("r must be at least 1")
-    if any(abs(a) < abs(b) for a, b in zip(w, w[1:])):
+    w = run_lengths(w)
+    if any(abs(a) < abs(b) for (a, _), (b, _) in zip(w, w[1:])):
         raise ValueError("weights must be sorted by |sigma| nonincreasing")
     m = rademacher_moments(w, 2 * r)
     m2r, m_prev = m[2 * r], m[2 * r - 2]
     lhs = (2.0 * r + 1.0) / (2.0 * r - 1.0) * m2r * m2r
-    sq = [s * s for s in w]
-    er1 = elementary_symmetric(sq, r + 1) if r + 1 <= len(sq) else 0.0
+    sq = Runs((s * s, k) for s, k in w)
+    er1 = elementary_symmetric(sq, r + 1) if r + 1 <= w.total else 0.0
     rhs = math.factorial(2 * r + 2) / 2 ** (r + 1) * er1 * m_prev
     ratio = math.inf if rhs == 0.0 else lhs / rhs
     return RatioCheckReport(lhs, rhs, ratio, lhs >= rhs * (1.0 - 1e-12))
@@ -710,7 +650,7 @@ def _check_tail_bounds(seq: SequenceSpec, r: int, symmetric: bool) -> TailCheckR
     if r < 2 or cutoff >= len(sorted_seq):
         return TailCheckReport(math.nan, math.nan, math.nan, cutoff, c, False, False)
     tail = sum_even_moment(sorted_seq.profile_runs(2 * r, slice(cutoff, None)), r)
-    esym = math.factorial(2 * r) / 2 ** r * elementary_symmetric(list(sorted_seq.variances), r)
+    esym = math.factorial(2 * r) / 2 ** r * elementary_symmetric(sorted_seq.variance_runs, r)
     rad = sorted_seq.rademacher_even_moment(r)
     slack = 1.0 - 1e-12
     return TailCheckReport(

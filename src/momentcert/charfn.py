@@ -23,6 +23,7 @@ rescaling does.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import chain, repeat
 from typing import Callable, Sequence
@@ -103,7 +104,7 @@ class CharFunction:
     def product(cls, specs: Sequence[VariableSpec]) -> "CharFunction":
         """phi of a sum of independent variables: the product of the factors.
 
-        Consecutive equal specs form one run, and every step works per run:
+        Consecutive equal specs form one run (`specs` may be Runs), and every step works per run:
         its moments are read once, its variance counts k times, the fourth,
         sixth and eighth moments of the sum come from one exact convolution
         of the runs, and phi evaluates its factor once and raises it to the
@@ -112,9 +113,10 @@ class CharFunction:
         The envelope is the product of the runs' envelopes E^k, identically
         1 when no factor decays.
         """
+        specs = run_lengths(specs)
         if not specs:
             raise ValueError("need at least one spec")
-        runs = [(s.moments(8), s.phi, s.envelope, k) for s, k in run_lengths(specs)]
+        runs = [(s.moments(8), s.phi, s.envelope, k) for s, k in specs]
         variance = sum(prof.variance * k for prof, _, _, k in runs)
         m = moments_of_sum([(prof, k) for prof, _, _, k in runs], 8)
 
@@ -128,7 +130,7 @@ class CharFunction:
 
         return cls(
             power_product([(f, k) for _, f, _, k in runs]), variance, m[4], m[6], m[8],
-            power_product([(e, k) for _, _, e, k in runs]), len(specs) + len(runs),
+            power_product([(e, k) for _, _, e, k in runs]), specs.total + len(runs),
         )
 
 
@@ -211,26 +213,30 @@ def check_main_charfn_inequality(
     The hypotheses (matching second moments, max variance within the head,
     head variance dominating the worst tail ratio E Y_k^4 / E Y_k^2 over 6)
     are verified first; when any fails the report is marked not applicable
-    and the grid is not scanned.  Each run of equal specs reads its
-    variance and moments once and evaluates its factor once, which is
-    multiplied in once per summand, in input order.
+    and the grid is not scanned.  Either side may be given as Runs.  Each
+    run of equal specs reads its variance and moments once and evaluates
+    its factor once, which is multiplied in once per summand, in input
+    order.
     """
-    n = len(x_specs)
-    if len(y_specs) != n:
+    x, y = run_lengths(x_specs), run_lengths(y_specs)
+    if y.total != (n := x.total):
         raise ValueError("x_specs and y_specs must have equal length")
-    vx, vy = _variances(x_specs), _variances(y_specs)
+    # Both sides are constant between consecutive starts of a run of x or y.
+    starts = sorted(set(x.offsets[:-1]) | set(y.offsets[:-1]))
     pre = [
         ("matching_second_moments",
-         all(math.isclose(a, b, rel_tol=1e-9) for a, b in zip(vx, vy)),
+         all(math.isclose(_at(x, i).variance, _at(y, i).variance, rel_tol=1e-9) for i in starts),
          "E X_k^2 = E Y_k^2 for all k"),
         ("head_range", 1 <= m < n, f"1 <= m={m} < n={n}"),
     ]
     if 1 <= m < n:
-        worst = max(s.moments(4).moment(4) / s.variance for s, _ in run_lengths(y_specs[m:]))
+        head = x.cut(slice(m))
+        head_mass = sum(chain.from_iterable(repeat(s.variance, k) for s, k in head))
+        worst = max(s.moments(4).moment(4) / s.variance for s, _ in y.cut(slice(m, None)))
         pre += [
-            ("max_in_head", max(vx[:m]) >= max(vx) * (1.0 - 1e-12),
-             "max variance attained at some l <= m"),
-            ("head_mass", sum(vx[:m]) >= worst / 6.0 * (1.0 - 1e-12),
+            ("max_in_head", max(s.variance for s, _ in head) >= max(s.variance for s, _ in x)
+             * (1.0 - 1e-12), "max variance attained at some l <= m"),
+            ("head_mass", head_mass >= worst / 6.0 * (1.0 - 1e-12),
              "sum_{k<=m} E X_k^2 >= (1/6) max_{k>m} E Y_k^4 / E Y_k^2"),
         ]
     preconditions = tuple(pre)
@@ -239,15 +245,15 @@ def check_main_charfn_inequality(
             passed=False, margins={}, preconditions=preconditions, applicable=False
         )
     t = default_t_grid() if t_grid is None else np.asarray(t_grid, dtype=float)
-    phi_s = _power_product(run_lengths(x_specs), t)
-    phi_r = _power_product(run_lengths(y_specs[m:]), t)
-    slack = phi_s + 0.5 * sum(vx[:m]) * t ** 2 - phi_r
+    phi_s = _power_product(x, t)
+    phi_r = _power_product(y.cut(slice(m, None)), t)
+    slack = phi_s + 0.5 * head_mass * t ** 2 - phi_r
     return _grid_report(t, slack, {"min_slack": float(slack.min())}, preconditions)
 
 
-def _variances(specs: Sequence[VariableSpec]) -> list[float]:
-    """The variance of each spec, read once per run of equal specs."""
-    return list(chain.from_iterable(repeat(s.variance, k) for s, k in run_lengths(specs)))
+def _at(runs, i: int):
+    """The item at position i of `runs`."""
+    return runs[bisect_right(runs.offsets, i) - 1][0]
 
 
 def _power_product(runs, t: np.ndarray):

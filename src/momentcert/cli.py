@@ -19,7 +19,7 @@ import json
 import math
 import sys
 from dataclasses import dataclass, field
-from itertools import chain, repeat
+from itertools import chain
 from json.encoder import encode_basestring_ascii
 
 from . import distmodel
@@ -39,7 +39,7 @@ from .combinatorics import (
     count_support_compositions,
 )
 from .distmodel import MomentProfile, VariableSpec
-from .exactmoments import gaussian_abs_moment, gaussian_lp_norm, is_even
+from .exactmoments import Runs, gaussian_abs_moment, gaussian_lp_norm, is_even
 from .oracle import Estimate, NoEngine, SupportExplosion, estimate_moment, verify_report
 from .oracle import mc_moment  # noqa: F401  (perfbench/test_perfbench.py reads cli.mc_moment)
 
@@ -340,13 +340,12 @@ def _run_check_lemmas(cfg: RunConfig) -> list[dict]:
     if sorted_seq.all_symmetric and all(s.family != "raw_moments" for s in distinct):
         m = compute_m(sorted_seq)
         if m < len(sorted_seq):
-            # One Gaussian of matching variance per run, repeated.
-            gauss = list(chain.from_iterable(
-                repeat(distmodel.gaussian(math.sqrt(s.variance)), k) for s, k in runs))
-            rep = check_main_charfn_inequality(sorted_seq.variables, gauss, m)
+            # One Gaussian of matching variance per run.
+            gauss = Runs.join((distmodel.gaussian(math.sqrt(s.variance)), k) for s, k in runs)
+            rep = check_main_charfn_inequality(runs, gauss, m)
             record("charfn_inequality", rep.passed or not rep.applicable,
                    applicable=rep.applicable, m=m, margins=rep.margins)
-    weights = tuple(map(math.sqrt, sorted_seq.variances))
+    weights = Runs((math.sqrt(v), k) for v, k in sorted_seq.variance_runs)
     rs = sorted(set(cfg.r_values)) or [2]
     for r in rs:
         for i in range(1, r + 1):

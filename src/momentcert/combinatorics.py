@@ -11,6 +11,8 @@ import warnings
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
+from .exactmoments import run_lengths
+
 __all__ = [
     "MultiIndex",
     "enumerate_indices",
@@ -171,15 +173,17 @@ def multinomial(total: int, parts: Sequence[int] | MultiIndex) -> int:
 
 
 def elementary_symmetric(values: Sequence[float], r: int) -> float:
-    """e_r(values): sum over r-subsets of products of the chosen values.
+    """e_r(values): sum over r-subsets of products of the chosen values,
+    which may be given as Runs.
 
-    Computed by the stable column recurrence e_j += v * e_{j-1} in O(n r);
+    Computed by the stable column recurrence e_j += v * e_{j-1} in O(n r),
+    once per value, so a run of k values applies its update k times;
     never by subset enumeration.
     """
     if r < 0:
         raise ValueError("r must be non-negative")
-    n = len(values)
-    if r > n:
+    runs = run_lengths(values)
+    if r > (n := runs.total):
         warnings.warn(
             f"elementary_symmetric with r={r} > n={n}: empty sum, returning 0",
             stacklevel=2,
@@ -187,7 +191,8 @@ def elementary_symmetric(values: Sequence[float], r: int) -> float:
         return 0.0
     e = [0.0] * (r + 1)
     e[0] = 1.0
-    for v in values:
-        for j in range(r, 0, -1):
-            e[j] += v * e[j - 1]
+    for v, k in runs:
+        for _ in range(k):
+            for j in range(r, 0, -1):
+                e[j] += v * e[j - 1]
     return e[r]

@@ -5,9 +5,11 @@ sums of independent finite-support summands on one grid budget.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from collections import Counter
-from functools import lru_cache, partial, reduce
-from itertools import groupby
+from functools import cached_property, lru_cache, partial, reduce
+from itertools import accumulate, groupby
+from operator import itemgetter
 from typing import Sequence
 
 import numpy as np
@@ -64,6 +66,34 @@ class Runs(tuple):
     Every function here that groups its input into runs takes Runs as they
     are."""
 
+    @classmethod
+    def join(cls, pairs) -> "Runs":
+        """Runs of the (item, k) pairs, each stretch of consecutive equal
+        items joined into one run that keeps its first item."""
+        return cls((x, sum(map(itemgetter(1), run))) for x, run in groupby(pairs, itemgetter(0)))
+
+    @cached_property
+    def offsets(self) -> list[int]:
+        """The position of each run's first item, then the item count."""
+        return list(accumulate(map(itemgetter(1), self), initial=0))
+
+    @property
+    def total(self) -> int:
+        """The number of items."""
+        return self.offsets[-1]
+
+    def cut(self, part: slice) -> "Runs":
+        """The runs of the items `part`, a slice without step."""
+        start, stop, step = part.indices(self.total)
+        if step != 1:
+            raise ValueError("runs are cut from a slice without step")
+        offsets, out = self.offsets, []
+        i = bisect_right(offsets, start) - 1
+        while start < stop and offsets[i] < stop:
+            out.append((self[i][0], min(offsets[i + 1], stop) - max(offsets[i], start)))
+            i += 1
+        return Runs(out)
+
 
 def run_lengths(items: Sequence) -> Runs:
     """(first item, k) for each maximal run of k consecutive equal items;
@@ -77,15 +107,13 @@ def run_lengths(items: Sequence) -> Runs:
     return Runs((x, len(list(run))) for x, run in groupby(items))
 
 
-def _abs_counts(sigmas: Sequence[float]) -> Counter:
-    """How many of `sigmas`, a sequence or Runs, share each |sigma|, in
-    first-seen order."""
-    if not isinstance(sigmas, Runs):
-        return Counter(map(abs, sigmas))
-    counts = Counter()
-    for sigma, k in sigmas:
-        counts[abs(sigma)] += k
-    return counts
+def counts(items: Sequence, key=None) -> Counter:
+    """How many of `items`, a sequence or Runs, share each key(item) (each
+    item if no key), in first-seen order."""
+    out = Counter()
+    for x, k in run_lengths(items):
+        out[x if key is None else key(x)] += k
+    return out
 
 
 @lru_cache(maxsize=None)
@@ -195,9 +223,10 @@ def _ldexp(x: float, e: int) -> float:
 def rademacher_moments(sigmas: Sequence[float], order: int) -> list[float]:
     """E (sum_k sigma_k eps_k)^t for t = 0..order >= 2, exact up to
     rounding: :func:`moments_of_sum` on one run per distinct nonzero
-    |sigma|, in first-seen order."""
-    runs = Counter(a for a in map(abs, sigmas) if a != 0.0)
-    return moments_of_sum([(rademacher(a).moments(order), k) for a, k in runs.items()], order)
+    |sigma|, in first-seen order; `sigmas` may be Runs."""
+    runs = counts(sigmas, abs)
+    return moments_of_sum([(rademacher(a).moments(order), k) for a, k in runs.items() if a != 0.0],
+                          order)
 
 
 def rademacher_even_moment(sigmas: Sequence[float], r: int) -> float:
@@ -212,7 +241,7 @@ def sign_law(sigmas: Sequence[float], compensated: bool = False) -> np.ndarray:
     which :func:`law_abs_moment` reads at any p.  Atoms carry low parts
     while the grid is built if `compensated` (see :func:`_atom_law`).
     `sigmas` may be Runs.  SupportExplosion past the grid budget."""
-    runs, atoms = _abs_counts(sigmas), FAMILIES["rademacher"].atoms
+    runs, atoms = counts(sigmas, abs), FAMILIES["rademacher"].atoms
     return _atom_law([(*atoms((a,)), k) for a, k in runs.items()], compensated)
 
 

@@ -17,7 +17,6 @@ from __future__ import annotations
 import math
 import os
 import statistics
-from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
@@ -28,7 +27,8 @@ import numpy as np
 from .charfn import CharFunction, haagerup_moment
 from .distmodel import AliasTable, NoEngine, VariableSpec, sample_suffixes
 from .exactmoments import (
-    SupportExplosion, _atom_abs_moment, _sum_law, is_even, run_law, run_lengths, sum_even_moment,
+    SupportExplosion, _atom_abs_moment, _sum_law, counts, is_even, run_law, run_lengths,
+    sum_even_moment,
 )
 
 if TYPE_CHECKING:
@@ -96,10 +96,11 @@ class Verdict:
 
 
 def exact_discrete_moment(specs: Sequence[VariableSpec], p: float) -> float:
-    """E |sum_k X_k|^p for finite-support specs by the finite-support
-    engine, equal specs forming one run; SupportExplosion past its budget."""
+    """E |sum_k X_k|^p for finite-support specs, which may be given as Runs,
+    by the finite-support engine, equal specs forming one run wherever they
+    sit; SupportExplosion past its budget."""
     runs = []
-    for spec, k in Counter(specs).items():
+    for spec, k in counts(specs).items():
         atoms = spec.atoms()
         if atoms is None:
             raise ValueError(f"family {spec.family!r} has no finite support")
@@ -204,7 +205,7 @@ def mc_moment(
     """Monte Carlo estimate of ||sum_{k >= start} X_k||_p with a CI at
     ``confidence``, X_k = specs[k].
 
-    Consecutive equal specs form one run.  Before any sample is drawn,
+    Consecutive equal specs form one run (`specs` may be Runs).  Before any sample is drawn,
     the finite-support runs (rademacher, symmetric_three_point, atoms) are
     folded into exact laws of at most _TABLE_CAP atoms (_finite_table),
     each drawn by an alias table at one uniform per sample however many
@@ -228,21 +229,22 @@ def mc_moment(
     its own, and the estimates are correlated.  The pass keeps two floats
     per start (_pass_sums), keyed on the segments' runs, p, samples and
     seed, so a later call for another of its starts reads its sums back
-    and draws nothing.  A call whose only start is ``start`` draws the
-    sum of ``specs[start:]`` as above and keeps nothing.
+    and draws nothing.  The segments are cut from the runs, never from a
+    list of summands.  A call whose only start is ``start`` draws the sum
+    of ``specs[start:]`` as above and keeps nothing.
     """
     if samples < 10_000:
         raise ValueError("samples must be at least 10^4")
     if not 0.0 < confidence < 1.0:
         raise ValueError("confidence must lie in (0, 1)")
-    starts = tuple(sorted({start, *starts}))
-    if starts[0] < 0 or starts[-1] >= max(len(specs), 1):
-        raise ValueError(f"starts {starts} outside the {len(specs)} summands")
+    runs, starts = run_lengths(specs), tuple(sorted({start, *starts}))
+    if starts[0] < 0 or starts[-1] >= max(runs.total, 1):
+        raise ValueError(f"starts {starts} outside the {runs.total} summands")
     if len(starts) == 1:
-        [(s1, s2)] = _moment_sums([run_lengths(specs[start:])], p, samples, seed)
+        [(s1, s2)] = _moment_sums([runs.cut(slice(start, None))], p, samples, seed)
     else:
-        ends = starts[1:] + (len(specs),)
-        segments = tuple(tuple(run_lengths(specs[a:b])) for a, b in zip(starts, ends))
+        ends = starts[1:] + (runs.total,)
+        segments = tuple(runs.cut(slice(a, b)) for a, b in zip(starts, ends))
         s1, s2 = _pass_sums(segments, p, samples, seed)[starts.index(start)]
     mean = s1 / samples
     var = max(s2 / samples - mean * mean, 0.0)
@@ -270,8 +272,9 @@ def estimate_moment(
     starts: Sequence[int] = (),
 ) -> Estimate:
     """E|S|^p for S the sum of ``seq.variables[part]``, by the first engine
-    that applies: exact convolution of seq's runs of cached moment
-    profiles (``seq.profile_runs``) for even p; if ``exact_atoms``, the
+    that applies, each handed the runs ``seq.runs.cut(part)``: exact
+    convolution of seq's runs of cached moment profiles
+    (``seq.profile_runs``) for even p; if ``exact_atoms``, the
     exact finite-support engine on atom summands; quadrature for 2 < p < 4
     on symmetric parametric summands, converged when its budget is at most
     ``tol * variance^(p/2)``, relative to the sum's scale at every
@@ -297,24 +300,24 @@ def estimate_moment(
     if is_even(p):
         raw = sum_even_moment(seq.profile_runs(int(p), part), int(p) // 2)
         return Estimate(raw, 0.0, raw ** (1.0 / p), 0.0, "exact")
-    specs = seq.variables[part]
-    heads = [s for s, _ in run_lengths(specs)]  # one spec per run of equal specs
+    runs = seq.runs.cut(part)
+    heads = [s for s, _ in runs]  # one spec per run of equal specs
     if exact_atoms and all(s.atoms() is not None for s in heads):
-        raw = exact_discrete_moment(specs, p)
+        raw = exact_discrete_moment(runs, p)
         return Estimate(raw, 0.0, raw ** (1.0 / p), 0.0, "exact")
     parametric = all(s.family != "raw_moments" for s in heads)
     if 2.0 < p < 4.0 and parametric and all(s.symmetric for s in heads):
-        res = haagerup_moment(CharFunction.product(specs), p, tol)
+        res = haagerup_moment(CharFunction.product(runs), p, tol)
         norm = res.value ** (1.0 / p)
         norm_error = (res.value + res.total_error) ** (1.0 / p) - norm
         return Estimate(res.value, res.total_error, norm, norm_error, "quadrature")
     if starts:
         if part.stop is not None or part.step is not None:
             raise ValueError("a Monte Carlo pass over starts estimates suffixes only")
-        est = mc_moment(seq.variables, p, samples=samples, seed=seed, confidence=confidence,
+        est = mc_moment(seq.runs, p, samples=samples, seed=seed, confidence=confidence,
                         start=part.start or 0, starts=starts)
     else:
-        est = mc_moment(specs, p, samples=samples, seed=seed, confidence=confidence)
+        est = mc_moment(runs, p, samples=samples, seed=seed, confidence=confidence)
     return Estimate(est.raw_mean, est.raw_half_width, est.point, est.half_width, "mc")
 
 

@@ -43,6 +43,21 @@ def random_symmetric_seq(rng: np.random.Generator, n: int, **kw) -> SequenceSpec
     return SequenceSpec(tuple(random_symmetric_spec(rng, **kw) for _ in range(n)))
 
 
+def variances(seq: SequenceSpec) -> tuple[float, ...]:
+    """The variance of every summand of seq, read from its variables."""
+    return tuple(v.variance for v in seq.variables)
+
+
+def profiles(seq: SequenceSpec, order: int) -> list[MomentProfile]:
+    """The moment profile of every summand of seq, read from its variables."""
+    return [v.moments(order) for v in seq.variables]
+
+
+def expand(runs) -> list:
+    """The items of `runs`, one per copy."""
+    return [x for x, k in runs for _ in range(k)]
+
+
 def random_logconcave_spec(rng: np.random.Generator):
     kind = rng.integers(0, 4)
     scale = float(rng.uniform(0.4, 1.6))

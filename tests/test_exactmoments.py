@@ -283,7 +283,7 @@ class TestSumEvenMoment:
             n = int(rng.integers(1, 9))
             r = int(rng.integers(1, 5))
             seq = random_symmetric_seq(rng, n)
-            profiles = seq.profiles(2 * r)
+            profiles = [v.moments(2 * r) for v in seq.variables]
             assert sum_even_moment(profiles, r) == pytest.approx(
                 enum_sum_even_moment_symmetric(profiles, r), rel=1e-10
             )

@@ -548,7 +548,7 @@ class TestEstimateMoment:
 
     def test_even_p_is_exact(self):
         est = estimate_moment(self.LAPLACE, 4.0, slice(None), **ENGINES)
-        raw = sum_even_moment(self.LAPLACE.profiles(4), 2)
+        raw = sum_even_moment([v.moments(4) for v in self.LAPLACE.variables], 2)
         assert est == Estimate(raw, 0.0, raw ** 0.25, 0.0, "exact")
 
     def test_atoms_only_when_asked(self):

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_centered_atom_spec, random_symmetric_spec
+from conftest import expand, profiles, random_centered_atom_spec, random_symmetric_spec, variances
 from momentcert import (
     SequenceSpec,
     bound_general_p,
@@ -68,17 +68,17 @@ class TestSortedSummary:
         v = [s * s for s in scales]
         assert list(perm) == sorted(range(n), key=lambda i: -v[i])
         assert srt.variables == tuple(seq.variables[i] for i in perm)
-        assert list(srt.variances) == sorted(srt.variances, reverse=True)
+        assert list(variances(srt)) == sorted(variances(srt), reverse=True)
 
     def test_equal_specs_share_one_profile(self):
         a, b = symmetric_exponential(1.0), symmetric_exponential(1.0)
         seq = SequenceSpec((a, gaussian(2.0), b, a))
-        profs = seq.profiles(6)
-        assert profs[0] is profs[2] is profs[3]
-        assert seq.profiles(6) is profs
+        runs = seq.profile_runs(6)
+        assert [k for _, k in runs] == [1, 1, 2] and runs[0][0] is runs[2][0]
+        assert seq.profile_runs(6)[0][0] is runs[0][0]
         assert len(seq.distinct_profiles(6)) == 2
         srt, _ = seq.sorted()
-        assert set(map(id, srt.profiles(6))) == set(map(id, profs))
+        assert set(id(p) for p, _ in srt.profile_runs(6)) == set(id(p) for p, _ in runs)
 
     def test_flags_read_every_distinct_spec(self):
         skew = spec_from_atoms([-1.0, 0.0, 2.0], [0.3, 0.4, 0.3], 8)
@@ -94,7 +94,7 @@ class TestSortedSummary:
         seq = SequenceSpec((gaussian(0.5), symmetric_exponential(2.0), gaussian(0.5)))
         srt, _ = seq.sorted()
         for s in (seq, srt):
-            s.profiles(8), s.total_variance
+            s.profile_runs(8), s.variance_runs, s.total_variance
             fresh = SequenceSpec(s.variables)
             assert [f.name for f in dataclasses.fields(SequenceSpec)] == ["variables"]
             assert s == fresh and hash(s) == hash(fresh) and repr(s) == repr(fresh)
@@ -214,34 +214,33 @@ class TestSharedProfiles:
         bits of fresh profiles, and the sorted copy's Rademacher moments
         equal rademacher_even_moment."""
         srt, _ = seq.sorted()
-        weights = tuple(map(math.sqrt, srt.variances))
+        weights = tuple(map(math.sqrt, variances(srt)))
         for order in orders:
             r = order // 2
             for s in (seq, srt):
-                profiles = s.profiles(order)
                 for start in range(len(s)):
                     fresh = [v.moments(order) for v in s.variables[start:]]
-                    assert sum_even_moment(profiles[start:], r) == sum_even_moment(fresh, r)
-            signs = srt.rademacher_profiles(order)
+                    assert (sum_even_moment(s.profile_runs(order, slice(start, None)), r)
+                            == sum_even_moment(fresh, r))
             for start in range(len(srt)):
-                assert (sum_even_moment(signs[start:], r)
-                        == rademacher_even_moment(weights[start:], r))
+                signs = srt.profile_runs(order, slice(start, None), signs=True)
+                assert sum_even_moment(signs, r) == rademacher_even_moment(weights[start:], r)
 
     def test_rows_are_built_once_per_profile(self):
         """A run of k copies needs rows Y_1..Y_min(k, r); they stay on the
         profile, and a second sequence starts from its own profiles."""
         a, b = symmetric_exponential(1.0), gaussian(0.5)
         seq = SequenceSpec((a,) * 40 + (b,) * 2)
-        prof_a, prof_b = seq.profiles(8)[0], seq.profiles(8)[-1]
-        high = sum_even_moment(seq.profiles(8), 4)
+        (prof_a, _), (prof_b, _) = seq.profile_runs(8)
+        high = sum_even_moment(seq.profile_runs(8), 4)
         rows_a, rows_b = dict(prof_a.active_rows), dict(prof_b.active_rows)
         assert (sorted(rows_a), sorted(rows_b)) == ([1, 2, 3, 4], [1, 2])
-        assert sum_even_moment(seq.profiles(8), 4) == high
+        assert sum_even_moment(seq.profile_runs(8), 4) == high
         assert all(prof_a.active_rows[j] is row for j, row in rows_a.items())
         assert all(prof_b.active_rows[j] is row for j, row in rows_b.items())
         other = SequenceSpec(seq.variables)
         assert all(len(p.active_rows) == 1 for p in other.distinct_profiles(8))
-        assert sum_even_moment(other.profiles(8), 4) == high
+        assert sum_even_moment(other.profile_runs(8), 4) == high
 
     def test_threads_that_share_a_profile_agree(self):
         """Eight threads ask one fresh profile for its rows at once, with a
@@ -261,10 +260,10 @@ class TestSharedProfiles:
 
     def test_equal_weights_share_one_rademacher_profile(self):
         seq = SequenceSpec((gaussian(2.0), rademacher(2.0), uniform(1.0), gaussian(2.0)))
-        signs = seq.rademacher_profiles(6)
-        assert signs[0] is signs[1] is signs[3]
-        assert signs[0] == rademacher(2.0).moments(6)
-        assert signs[2] == rademacher(math.sqrt(1.0 / 3.0)).moments(6)
+        signs = seq.profile_runs(6, signs=True)
+        assert [k for _, k in signs] == [2, 1, 1] and signs[0][0] is signs[2][0]
+        assert signs[0][0] == rademacher(2.0).moments(6)
+        assert signs[1][0] == rademacher(math.sqrt(1.0 / 3.0)).moments(6)
 
 
 @st.composite
@@ -296,41 +295,42 @@ class TestRunSummary:
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(seq=run_sequences(wide=True))
     def test_variances_sort_and_tails(self, seq):
-        variances = tuple(v.variance for v in seq.variables)
-        assert seq.variances == variances
-        assert seq.max_variance == max(variances)
+        per_summand = variances(seq)
+        assert expand(seq.variance_runs) == list(per_summand)
+        assert seq.max_variance == max(per_summand)
         srt, perm = seq.sorted()
-        assert perm == tuple(sorted(range(len(seq)), key=variances.__getitem__, reverse=True))
+        assert perm == tuple(sorted(range(len(seq)), key=per_summand.__getitem__, reverse=True))
         assert srt.variables == tuple(seq.variables[i] for i in perm)
-        assert srt.variances == tuple(variances[i] for i in perm)
-        assert srt.max_variance == max(variances)
+        assert expand(srt.variance_runs) == [per_summand[i] for i in perm]
+        assert srt.max_variance == max(per_summand)
         for s in (seq, srt):
             for k in range(len(s) + 2):
-                assert s.tail_variance(k) == math.fsum(s.variances[k:])
-            assert s.total_variance == math.fsum(s.variances)
+                assert s.tail_variance(k) == math.fsum(variances(s)[k:])
+            assert s.total_variance == math.fsum(variances(s))
             assert list(s.runs) == [(v, len(list(g))) for v, g in itertools.groupby(s.variables)]
+            assert list(s.variance_runs) == [
+                (v, len(list(g))) for v, g in itertools.groupby(variances(s))]
 
     @settings(max_examples=40, deadline=None, derandomize=True)
     @given(seq=run_sequences(longest=6), order=st.sampled_from((4, 6, 8)))
     def test_profile_runs_from_every_start(self, seq, order):
-        """Each fed to sum_even_moment: the runs from every start, the
-        per-summand view's slice, and fresh per-summand profiles."""
+        """Each fed to sum_even_moment: the runs from every start, their
+        items one per summand, and fresh per-summand profiles."""
         r = order // 2
         srt, _ = seq.sorted()
-        weights = tuple(map(math.sqrt, srt.variances))
+        weights = tuple(map(math.sqrt, variances(srt)))
         for s in (seq, srt):
-            view = s.profiles(order)
-            fresh = [v.moments(order) for v in s.variables]
-            assert list(view) == fresh
+            fresh = profiles(s, order)
+            assert expand(s.profile_runs(order)) == fresh
             for start in range(len(s)):
                 runs = s.profile_runs(order, slice(start, None))
                 assert sum(k for _, k in runs) == len(s) - start
                 want = sum_even_moment(fresh[start:], r)
-                assert sum_even_moment(runs, r) == sum_even_moment(view[start:], r) == want
+                assert sum_even_moment(runs, r) == sum_even_moment(expand(runs), r) == want
             head = min(len(s), 3)
             assert (sum_even_moment(s.profile_runs(order, slice(0, head)), r)
                     == sum_even_moment(fresh[:head], r))
-        signs = srt.rademacher_profiles(order)
+        signs = [rademacher(w).moments(order) for w in weights]
         for start in range(len(srt)):
             runs = srt.profile_runs(order, slice(start, None), signs=True)
             want = rademacher_even_moment(weights[start:], r)
@@ -340,9 +340,9 @@ class TestRunSummary:
     @settings(max_examples=25, deadline=None, derandomize=True)
     @given(seq=run_sequences())
     def test_sign_law(self, seq):
-        if len(set(seq.variances)) > 4:
+        if len(set(variances(seq))) > 4:
             return  # keep the grids small
-        weights = tuple(map(math.sqrt, sorted(seq.variances, reverse=True)))
+        weights = tuple(map(math.sqrt, sorted(variances(seq), reverse=True)))
         want = exactmoments.sign_law(weights)
         for s in (seq, seq.sorted()[0]):
             assert np.array_equal(s.sign_law, want)
@@ -398,5 +398,5 @@ class TestConstantsOncePerSequence:
         # One sum per p over the two sign runs, which the tail check reads
         # again, and the tail check's own sum past its cutoff.
         assert sorted(calls) == [(2, 2), (2, 3), (2, 3)]
-        weights = tuple(map(math.sqrt, seq.sorted()[0].variances))
+        weights = tuple(map(math.sqrt, variances(seq.sorted()[0])))
         assert reports[0].aux["rademacher_abs_moment"] == rademacher_even_moment(weights, 2)
