@@ -115,11 +115,10 @@ class SequenceSpec:
         """(spec, k) for each maximal run of k equal consecutive specs."""
         return run_lengths(self.variables)  # the CLI repeats one object `count` times
 
-    @property
+    @cached_property
     def _variance(self) -> dict:
-        """The variance of each distinct spec, in first-seen order."""
-        return _once(self._shared, "variance",
-                     lambda: {s: s.variance for s in dict.fromkeys(s for s, _ in self.runs)})
+        """The variance of each distinct spec, in first-seen order; the sorted copy's too."""
+        return {s: s.variance for s in dict.fromkeys(s for s, _ in self.runs)}
 
     @cached_property
     def variance_runs(self) -> Runs:
@@ -188,7 +187,8 @@ class SequenceSpec:
         order = tuple(chain.from_iterable(range(offsets[i], offsets[i + 1]) for i in ranks))
         ordered = Runs.join(map(runs.__getitem__, ranks))
         copy = SequenceSpec(tuple(chain.from_iterable(repeat(s, k) for s, k in ordered)))
-        copy.__dict__.update(runs=ordered, _shared=self._shared, max_variance=variances[ranks[0]])
+        copy.__dict__.update(runs=ordered, _shared=self._shared, _variance=self._variance,
+                             max_variance=variances[ranks[0]])
         return copy, order
 
     def sorted(self) -> tuple["SequenceSpec", tuple[int, ...]]:

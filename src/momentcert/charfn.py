@@ -23,8 +23,8 @@ rescaling does.
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 from dataclasses import dataclass
+from functools import partial
 from itertools import chain, repeat
 from typing import Callable, Sequence
 
@@ -104,12 +104,13 @@ class CharFunction:
     def product(cls, specs: Sequence[VariableSpec]) -> "CharFunction":
         """phi of a sum of independent variables: the product of the factors.
 
-        Consecutive equal specs form one run (`specs` may be Runs), and every step works per run:
-        its moments are read once, its variance counts k times, the fourth,
-        sixth and eighth moments of the sum come from one exact convolution
-        of the runs, and phi evaluates its factor once and raises it to the
-        k-th power, so a run costs the same at any k.  The power differs
-        from k multiplications by less than one unit roundoff per factor.
+        Consecutive equal specs form one run (`specs` may be Runs), and
+        every step works per run: its moments are read once, its variance
+        counts k times, the fourth, sixth and eighth moments of the sum come
+        from one exact convolution of the runs, and phi evaluates its factor
+        once and raises it to the k-th power, so a run costs the same at
+        any k.  The power differs from k multiplications by less than one
+        unit roundoff per factor.
         The envelope is the product of the runs' envelopes E^k, identically
         1 when no factor decays.
         """
@@ -119,19 +120,19 @@ class CharFunction:
         runs = [(s.moments(8), s.phi, s.envelope, k) for s, k in specs]
         variance = sum(prof.variance * k for prof, _, _, k in runs)
         m = moments_of_sum([(prof, k) for prof, _, _, k in runs], 8)
-
-        def power_product(factors):
-            def prod(t: np.ndarray) -> np.ndarray:
-                out = 1.0
-                for f, k in factors:
-                    out = out * f(t) ** k
-                return out
-            return prod
-
         return cls(
-            power_product([(f, k) for _, f, _, k in runs]), variance, m[4], m[6], m[8],
-            power_product([(e, k) for _, _, e, k in runs]), specs.total + len(runs),
+            partial(_power_product, [(f, k) for _, f, _, k in runs]), variance, m[4], m[6], m[8],
+            partial(_power_product, [(e, k) for _, _, e, k in runs]), specs.total + len(runs),
         )
+
+
+def _power_product(factors, t: np.ndarray) -> np.ndarray:
+    """The product of f(t) ** k over the pairs (f, k), from 1 in input
+    order: each f is evaluated once, at any k."""
+    out = 1.0
+    for f, k in factors:
+        out = out * f(t) ** k
+    return out
 
 
 @dataclass(frozen=True)
@@ -164,10 +165,10 @@ class GridCheckReport:
     applicable: bool = True
 
 
-def _grid_report(t, slack, margins, preconditions=()) -> GridCheckReport:
-    """Passed iff no slack falls below -_GRID_SLACK; the first ten
+def _grid_report(t, slack, margins, preconditions=(), rounding=_GRID_SLACK) -> GridCheckReport:
+    """Passed iff no slack falls below -rounding; the first ten
     violations are reported as (t, slack)."""
-    bad = slack < -_GRID_SLACK
+    bad = slack < -rounding
     return GridCheckReport(
         passed=not bad.any(),
         margins=margins,
@@ -215,17 +216,16 @@ def check_main_charfn_inequality(
     are verified first; when any fails the report is marked not applicable
     and the grid is not scanned.  Either side may be given as Runs.  Each
     run of equal specs reads its variance and moments once and evaluates
-    its factor once, which is multiplied in once per summand, in input
-    order.
+    its factor once, raised to the run's length as in CharFunction.product.
+    A slack passes down to minus its rounding, which grows with n.
     """
     x, y = run_lengths(x_specs), run_lengths(y_specs)
     if y.total != (n := x.total):
         raise ValueError("x_specs and y_specs must have equal length")
-    # Both sides are constant between consecutive starts of a run of x or y.
-    starts = sorted(set(x.offsets[:-1]) | set(y.offsets[:-1]))
     pre = [
-        ("matching_second_moments",
-         all(math.isclose(_at(x, i).variance, _at(y, i).variance, rel_tol=1e-9) for i in starts),
+        ("matching_second_moments",  # each run of x against the runs of y beside it
+         all(math.isclose(a.variance, b.variance, rel_tol=1e-9)
+             for (a, k), i in zip(x, x.offsets) for b, _ in y.cut(slice(i, i + k))),
          "E X_k^2 = E Y_k^2 for all k"),
         ("head_range", 1 <= m < n, f"1 <= m={m} < n={n}"),
     ]
@@ -245,27 +245,17 @@ def check_main_charfn_inequality(
             passed=False, margins={}, preconditions=preconditions, applicable=False
         )
     t = default_t_grid() if t_grid is None else np.asarray(t_grid, dtype=float)
-    phi_s = _power_product(x, t)
-    phi_r = _power_product(y.cut(slice(m, None)), t)
-    slack = phi_s + 0.5 * head_mass * t ** 2 - phi_r
-    return _grid_report(t, slack, {"min_slack": float(slack.min())}, preconditions)
-
-
-def _at(runs, i: int):
-    """The item at position i of `runs`."""
-    return runs[bisect_right(runs.offsets, i) - 1][0]
-
-
-def _power_product(runs, t: np.ndarray):
-    """The product of k factors spec.charfn(t) for each run (spec, k), one
-    multiplication at a time from 1 in input order: each run's factor is
-    evaluated once."""
-    out = 1
-    for spec, k in runs:
-        f = spec.charfn(t)
-        for _ in range(k):
-            out = out * f
-    return out
+    sides = (x, y.cut(slice(m, None)))
+    phi_s, phi_r = (_power_product([(s.charfn, k) for s, k in side], t) for side in sides)
+    quadratic = 0.5 * head_mass * t ** 2
+    slack = phi_s + quadratic - phi_r
+    # Each product rounds as haagerup_moment charges phi (summands and runs
+    # as factors), the quadratic term m + 1 times and each addition once.
+    u = _UNIT_ROUNDOFF
+    rounding = sum(_FACTOR_ULPS * u * (side.total + len(side))
+                   * (1.0 + math.sqrt(sum(s.variance * k for s, k in side)) * t) for side in sides)
+    rounding += u * ((m + 1) * quadratic + np.abs(phi_s + quadratic) + np.abs(slack))
+    return _grid_report(t, slack, {"min_slack": float(slack.min())}, preconditions, rounding)
 
 
 def haagerup_constant(p: float) -> float:

@@ -173,12 +173,10 @@ def multinomial(total: int, parts: Sequence[int] | MultiIndex) -> int:
 
 
 def elementary_symmetric(values: Sequence[float], r: int) -> float:
-    """e_r(values): sum over r-subsets of products of the chosen values,
-    which may be given as Runs.
+    """e_r(values): sum over r-subsets of products of the chosen values.
 
     Computed by the stable column recurrence e_j += v * e_{j-1} in O(n r),
-    once per value, so a run of k values applies its update k times;
-    never by subset enumeration.
+    once per value, also when `values` are Runs; never by subset enumeration.
     """
     if r < 0:
         raise ValueError("r must be non-negative")

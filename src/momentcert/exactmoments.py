@@ -77,10 +77,7 @@ class Runs(tuple):
         """The position of each run's first item, then the item count."""
         return list(accumulate(map(itemgetter(1), self), initial=0))
 
-    @property
-    def total(self) -> int:
-        """The number of items."""
-        return self.offsets[-1]
+    total = property(lambda self: self.offsets[-1])  # the number of items
 
     def cut(self, part: slice) -> "Runs":
         """The runs of the items `part`, a slice without step."""
@@ -224,9 +221,8 @@ def rademacher_moments(sigmas: Sequence[float], order: int) -> list[float]:
     """E (sum_k sigma_k eps_k)^t for t = 0..order >= 2, exact up to
     rounding: :func:`moments_of_sum` on one run per distinct nonzero
     |sigma|, in first-seen order; `sigmas` may be Runs."""
-    runs = counts(sigmas, abs)
-    return moments_of_sum([(rademacher(a).moments(order), k) for a, k in runs.items() if a != 0.0],
-                          order)
+    runs = [(rademacher(a).moments(order), k) for a, k in counts(sigmas, abs).items() if a != 0.0]
+    return moments_of_sum(runs, order)
 
 
 def rademacher_even_moment(sigmas: Sequence[float], r: int) -> float:

@@ -203,9 +203,9 @@ def mc_moment(
     starts: Sequence[int] = (),
 ) -> MCEstimate:
     """Monte Carlo estimate of ||sum_{k >= start} X_k||_p with a CI at
-    ``confidence``, X_k = specs[k].
+    ``confidence``, X_k = specs[k]; `specs` may be Runs.
 
-    Consecutive equal specs form one run (`specs` may be Runs).  Before any sample is drawn,
+    Consecutive equal specs form one run.  Before any sample is drawn,
     the finite-support runs (rademacher, symmetric_three_point, atoms) are
     folded into exact laws of at most _TABLE_CAP atoms (_finite_table),
     each drawn by an alias table at one uniform per sample however many
@@ -229,9 +229,8 @@ def mc_moment(
     its own, and the estimates are correlated.  The pass keeps two floats
     per start (_pass_sums), keyed on the segments' runs, p, samples and
     seed, so a later call for another of its starts reads its sums back
-    and draws nothing.  The segments are cut from the runs, never from a
-    list of summands.  A call whose only start is ``start`` draws the sum
-    of ``specs[start:]`` as above and keeps nothing.
+    and draws nothing.  A call whose only start is ``start`` draws the
+    sum of ``specs[start:]`` as above and keeps nothing.
     """
     if samples < 10_000:
         raise ValueError("samples must be at least 10^4")
@@ -240,12 +239,10 @@ def mc_moment(
     runs, starts = run_lengths(specs), tuple(sorted({start, *starts}))
     if starts[0] < 0 or starts[-1] >= max(runs.total, 1):
         raise ValueError(f"starts {starts} outside the {runs.total} summands")
-    if len(starts) == 1:
-        [(s1, s2)] = _moment_sums([runs.cut(slice(start, None))], p, samples, seed)
-    else:
-        ends = starts[1:] + (runs.total,)
-        segments = tuple(runs.cut(slice(a, b)) for a, b in zip(starts, ends))
-        s1, s2 = _pass_sums(segments, p, samples, seed)[starts.index(start)]
+    ends = starts[1:] + (runs.total,)
+    segments = tuple(runs.cut(slice(a, b)) for a, b in zip(starts, ends))
+    sums = _moment_sums if len(starts) == 1 else _pass_sums
+    s1, s2 = sums(segments, p, samples, seed)[starts.index(start)]
     mean = s1 / samples
     var = max(s2 / samples - mean * mean, 0.0)
     # The upper (1 - confidence)/2 quantile: 0.5 + confidence/2 would round

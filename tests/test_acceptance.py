@@ -64,7 +64,8 @@ def test_exact_engine_agreement():
         n = int(rng.integers(1, 9))
         r = int(rng.integers(1, 5))
         if rng.integers(0, 2):
-            profiles = [v.moments(2 * r) for v in random_symmetric_seq(rng, n, min_q=0.1).variables]
+            seq = random_symmetric_seq(rng, n, min_q=0.1)
+            profiles = [v.moments(2 * r) for v in seq.variables]
             brute = enum_sum_even_moment_symmetric(profiles, r)
         else:
             profiles = [random_centered_atom_spec(rng, 2 * r).profile for _ in range(n)]

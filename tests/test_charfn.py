@@ -143,10 +143,10 @@ class TestMainInequality:
             check_main_charfn_inequality([gaussian(1.0)], [gaussian(1.0)] * 2, 1)
 
     def test_one_factor_per_run_keeps_the_bits(self, monkeypatch):
-        """Each run's factor is evaluated once and multiplied in once per
-        summand in input order: the margin is that of one factor per
-        summand, bit for bit, after one charfn call per run (equal specs
-        built apart form one run too)."""
+        """Each run's factor is evaluated once and raised to the run's
+        length: the margin agrees with that of one factor per summand
+        within the rounding that the check charges each side, after one
+        charfn call per run (equal specs built apart form one run too)."""
         x = ([gaussian(1.0)] * 5 + [symmetric_exponential(0.7) for _ in range(4)]
              + [uniform(1.5)] * 3 + [gaussian(1.0)] * 2)
         y = [gaussian(math.sqrt(s.variance)) for s in x]
@@ -158,7 +158,15 @@ class TestMainInequality:
         real = type(x[0]).charfn
         monkeypatch.setattr(type(x[0]), "charfn", lambda s, t: calls.append(s) or real(s, t))
         report = check_main_charfn_inequality(x, y, 5, t)
-        assert report.applicable and report.margins == {"min_slack": want}
+        # Each slack is off by at most the charge: 4 u (1 + sigma t) per
+        # factor and multiplication (14 summands and 4 runs of x, 9 and 3
+        # of y past the head), 6 roundings of the quadratic term and one
+        # per addition.
+        u, quadratic = 2.0 ** -53, 0.5 * sum(vx[:5]) * t ** 2
+        charge = (4 * u * (18 + 12) * (1.0 + math.sqrt(sum(vx)) * t)
+                  + u * (6 * quadratic + 2 * (2.0 + quadratic)))
+        assert report.applicable and report.passed
+        assert abs(report.margins["min_slack"] - want) <= 2 * charge.max()
         assert len(calls) == 4 + 3  # runs of x, then runs of y past the head
 
 

@@ -426,6 +426,21 @@ class TestCheckLemmasCommand:
         assert all(row["passed"] for row in rows if row["check"] != "cosine_bounds")
         assert main(["--config", path]) == EXIT_FAIL
 
+    def test_main_inequality_holds_on_many_summands(self, tmp_path):
+        """30 000 summands: both sides of the char-fn inequality are
+        products of about n factors, whose rounding passes any fixed
+        slack; the check charges it and passes."""
+        variables = [{"family": "gaussian", "sigma": 1.0, "count": 12_000},
+                     {"family": "symmetric_exponential", "sigma": 0.6, "count": 9_000},
+                     {"family": "uniform", "a": 1.2, "count": 9_000}]
+        path = write_config(
+            tmp_path, {"command": "check-lemmas", "variables": variables, "r_values": [2, 3]})
+        status, document = run(load_config(path))
+        rows = json.loads(document)["rows"]
+        [charfn] = [row for row in rows if row["check"] == "charfn_inequality"]
+        assert charfn["applicable"] and charfn["passed"]
+        assert status == EXIT_OK
+
 
 class TestScanCommand:
     def test_radius_scaling(self, tmp_path):
