@@ -1,19 +1,31 @@
-"""Runs of equal summands in the char-fn product and the finite-support engine."""
+"""Runs of equal summands: the char-fn product, the finite-support engine, and
+every engine and checker on Runs against the same summands as a list."""
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from momentcert import exactmoments
+from momentcert import exactmoments, oracle
 from momentcert import (
     CharFunction,
+    SequenceSpec,
+    check_rademacher_moment_ratio,
+    elementary_symmetric,
+    exact_discrete_moment,
     gaussian,
+    mc_moment,
+    rademacher,
     rademacher_abs_moment,
+    spec_from_atoms,
     sum_even_moment,
     symmetric_exponential,
     symmetric_three_point,
     uniform,
 )
+from momentcert.exactmoments import Runs, run_lengths
 
 
 def explicit_product(specs, t):
@@ -124,3 +136,115 @@ class TestRademacherRuns:
         with pytest.raises(exactmoments.SupportExplosion, match="8192 points"):
             rademacher_abs_moment(sig, 3.0)
         assert rademacher_abs_moment(sig[:13], 3.0) > 0
+
+
+@st.composite
+def run_lists(draw, finite=False, longest=6):
+    """Summands in blocks drawn with replacement from a pool, so runs repeat
+    interleaved and one spec sits in several non-adjacent runs; each block
+    builds its specs afresh or repeats one object.  The pool holds
+    rademacher(s) beside symmetric_three_point(s, 0.5), distinct specs of
+    equal profiles; `finite` keeps to finite supports (with an asymmetric
+    atom spec), else to families with a characteristic function."""
+    s, t = draw(st.floats(0.3, 3.0)), draw(st.floats(0.3, 3.0))
+    makers = [lambda: rademacher(s), lambda: symmetric_three_point(s, 0.5),
+              lambda: symmetric_three_point(t, 0.2)]
+    if finite:
+        makers.append(lambda: spec_from_atoms([-1.0, 0.5, 2.0], [0.3, 0.5, 0.2], 8))
+    else:
+        makers += [lambda: gaussian(t), lambda: symmetric_exponential(s), lambda: uniform(t)]
+    blocks = draw(st.lists(st.tuples(st.sampled_from(range(len(makers))), st.integers(1, longest),
+                                     st.booleans()), min_size=1, max_size=5 if finite else 8))
+    specs = []
+    for j, k, shared in blocks:
+        specs += [makers[j]()] * k if shared else [makers[j]() for _ in range(k)]
+    return specs
+
+
+def sequential_esym(values, r):
+    """e_r(values) by the column recurrence, one value at a time."""
+    e = [1.0] + [0.0] * r
+    for v in values:
+        for j in range(r, 0, -1):
+            e[j] += v * e[j - 1]
+    return e[r]
+
+
+def cuts(n):
+    """Every slice(a, b) with 0 <= a <= b <= n."""
+    return [slice(a, b) for a in range(n + 1) for b in range(a, n + 1)]
+
+
+class TestRunsGiveTheBitsOfLists:
+    """Each engine and checker gives the same bits on a cut of a
+    sequence's runs as on the list of the summands it holds."""
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(specs=run_lists())
+    def test_cut_is_the_runs_of_the_slice(self, specs):
+        runs = run_lengths(specs)
+        assert runs.total == len(specs) and runs.offsets[-1] == len(specs)
+        for part in cuts(len(specs)):
+            assert runs.cut(part) == run_lengths(specs[part])
+        assert runs.cut(slice(-2, None)) == run_lengths(specs[-2:])
+        with pytest.raises(ValueError, match="without step"):
+            runs.cut(slice(0, None, 2))
+
+    @settings(max_examples=25, deadline=None, derandomize=True)
+    @given(specs=run_lists(finite=True, longest=4))
+    def test_exact_discrete_moment(self, specs):
+        runs = SequenceSpec(tuple(specs)).runs
+        for part in cuts(len(specs))[1::7]:
+            if part.start == part.stop:
+                continue
+            # Equal specs merge into one run wherever they sit, in first-seen order.
+            laws = [(*s.atoms(), k) for s, k in Counter(specs[part]).items()]
+            for p in (0.5, 3.0, 4.5):
+                want = exactmoments._atom_abs_moment(laws, p)
+                assert exact_discrete_moment(runs.cut(part), p) == want
+                assert exact_discrete_moment(specs[part], p) == want
+
+    @settings(max_examples=10, deadline=None, derandomize=True)
+    @given(specs=run_lists(), p=st.sampled_from((3.0, 4.5)))
+    def test_mc_moment(self, specs, p):
+        runs = SequenceSpec(tuple(specs)).runs
+        starts = sorted({0, len(specs) // 2, len(specs) - 1})
+        for start in starts:
+            alone = mc_moment(specs[start:], p, samples=10_000, seed=3)
+            for others in ((), starts):
+                got = []
+                for arg in (runs, specs):
+                    oracle._pass_sums.cache_clear()  # each pass is drawn, not read back
+                    got.append(mc_moment(arg, p, samples=10_000, seed=3, start=start,
+                                         starts=others))
+                assert got[0] == got[1]
+            oracle._pass_sums.cache_clear()
+            assert mc_moment(runs, p, samples=10_000, seed=3, start=start) == alone
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(specs=run_lists())
+    def test_char_function_product(self, specs):
+        runs = SequenceSpec(tuple(specs)).runs
+        for part in cuts(len(specs))[1::5]:
+            if part.start == part.stop:
+                continue
+            a, b = CharFunction.product(runs.cut(part)), CharFunction.product(specs[part])
+            assert (a.variance, a.fourth_moment, a.sixth_moment, a.eighth_moment, a.factors) == (
+                b.variance, b.fourth_moment, b.sixth_moment, b.eighth_moment, b.factors)
+            assert a.factors == len(specs[part]) + len(run_lengths(specs[part]))
+            assert np.array_equal(a.fn(T_GRID), b.fn(T_GRID))
+            assert np.array_equal(a.envelope(T_GRID[1:]), b.envelope(T_GRID[1:]))
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(specs=run_lists())
+    def test_symmetric_sums_and_the_ratio_check(self, specs):
+        srt, _ = SequenceSpec(tuple(specs)).sorted()
+        variances = [v.variance for v in srt.variables]
+        weights = Runs((math.sqrt(v), k) for v, k in srt.variance_runs)
+        for r in range(len(specs) + 1):
+            want = sequential_esym(variances, r)
+            assert elementary_symmetric(srt.variance_runs, r) == want
+            assert elementary_symmetric(variances, r) == want
+        for r in (1, 2, 3):
+            assert (check_rademacher_moment_ratio(weights, r)
+                    == check_rademacher_moment_ratio(list(map(math.sqrt, variances)), r))
