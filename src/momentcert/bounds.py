@@ -157,9 +157,8 @@ class SequenceSpec:
         if k < 0:
             raise ValueError("k must be non-negative")
         runs = self.variance_runs
-        i = bisect_right(runs.offsets, k) - 1
-        if i == len(runs):
-            return 0.0
+        k = min(k, runs.total)  # past the end, the last run's part is 0
+        i = bisect_right(runs.offsets, k, 0, len(runs)) - 1
         part = _exact(runs[i][0]) * (runs.offsets[i + 1] - k)
         return (self._tails[i + 1] + part) / (1 << 1074)  # int division rounds correctly
 

@@ -25,7 +25,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import partial
-from itertools import chain, repeat
 from typing import Callable, Sequence
 
 import numpy as np
@@ -222,6 +221,7 @@ def check_main_charfn_inequality(
     x, y = run_lengths(x_specs), run_lengths(y_specs)
     if y.total != (n := x.total):
         raise ValueError("x_specs and y_specs must have equal length")
+    head, tail = x.cut(slice(m)), y.cut(slice(m, None))
     pre = [
         ("matching_second_moments",  # each run of x against the runs of y beside it
          all(math.isclose(a.variance, b.variance, rel_tol=1e-9)
@@ -230,9 +230,8 @@ def check_main_charfn_inequality(
         ("head_range", 1 <= m < n, f"1 <= m={m} < n={n}"),
     ]
     if 1 <= m < n:
-        head = x.cut(slice(m))
-        head_mass = sum(chain.from_iterable(repeat(s.variance, k) for s, k in head))
-        worst = max(s.moments(4).moment(4) / s.variance for s, _ in y.cut(slice(m, None)))
+        head_mass = sum(s.variance * k for s, k in head)
+        worst = max(s.moments(4).moment(4) / s.variance for s, _ in tail)
         pre += [
             ("max_in_head", max(s.variance for s, _ in head) >= max(s.variance for s, _ in x)
              * (1.0 - 1e-12), "max variance attained at some l <= m"),
@@ -245,16 +244,15 @@ def check_main_charfn_inequality(
             passed=False, margins={}, preconditions=preconditions, applicable=False
         )
     t = default_t_grid() if t_grid is None else np.asarray(t_grid, dtype=float)
-    sides = (x, y.cut(slice(m, None)))
-    phi_s, phi_r = (_power_product([(s.charfn, k) for s, k in side], t) for side in sides)
+    phi_s, phi_r = (_power_product([(s.charfn, k) for s, k in side], t) for side in (x, tail))
     quadratic = 0.5 * head_mass * t ** 2
     slack = phi_s + quadratic - phi_r
     # Each product rounds as haagerup_moment charges phi (summands and runs
     # as factors), the quadratic term m + 1 times and each addition once.
-    u = _UNIT_ROUNDOFF
-    rounding = sum(_FACTOR_ULPS * u * (side.total + len(side))
-                   * (1.0 + math.sqrt(sum(s.variance * k for s, k in side)) * t) for side in sides)
-    rounding += u * ((m + 1) * quadratic + np.abs(phi_s + quadratic) + np.abs(slack))
+    rounding = _UNIT_ROUNDOFF * ((m + 1) * quadratic + np.abs(phi_s + quadratic) + np.abs(slack))
+    for side in (x, tail):
+        sigma = math.sqrt(sum(s.variance * k for s, k in side))
+        rounding += _FACTOR_ULPS * _UNIT_ROUNDOFF * (side.total + len(side)) * (1.0 + sigma * t)
     return _grid_report(t, slack, {"min_slack": float(slack.min())}, preconditions, rounding)
 
 

@@ -70,7 +70,12 @@ class Runs(tuple):
     def join(cls, pairs) -> "Runs":
         """Runs of the (item, k) pairs, each stretch of consecutive equal
         items joined into one run that keeps its first item."""
-        return cls((x, sum(map(itemgetter(1), run))) for x, run in groupby(pairs, itemgetter(0)))
+        out = []
+        for x, k in pairs:
+            if out and out[-1][0] == x:
+                x, k = out[-1][0], out.pop()[1] + k
+            out.append((x, k))
+        return cls(out)
 
     @cached_property
     def offsets(self) -> list[int]:
