@@ -21,7 +21,9 @@ to one CPU checks that no report depends on the thread count:
 
 `--configs` prints instead one line `config name exit sha256(document)`
 per configuration in tests/golden/configs/, by file name: documents of
-every command at sizes up to 10^6 summands, on exact engines only.
+every command at sizes up to 10^6 summands, on exact engines only.  A
+configuration that `momentcert` refuses (exit 2, one line on stderr and
+no document) digests that line.
 
 `--write` regenerates tests/golden/digests.txt instead of printing, by
 default from the verify-even-large documents, which no Monte Carlo
@@ -32,9 +34,11 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import io
 import json
 import sys
 import tempfile
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -68,8 +72,12 @@ def batch_lines(workload: str, seed: int, batch: int) -> list[str]:
 
 
 def config_line(path: Path) -> str:
-    """The digest line of the document that one configuration file writes."""
-    status, document = cli.run(cli.load_config(str(path)))
+    """The digest line of the document that `momentcert --config path`
+    writes, or, where it exits 2 without a document, of its `error:` line."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        status = cli.main(["--config", str(path)])
+    document = out.getvalue() or err.getvalue()
     digest = hashlib.sha256(document.encode("utf-8")).hexdigest()
     return f"config {path.name} {status} {digest}"
 
