@@ -3,7 +3,7 @@ bound reports for every supported statement.
 
 Every operation sorts the sequence by variance (nonincreasing) internally,
 so callers never have to pre-sort; reports do not carry the permutation,
-which `SequenceSpec.sorted()` returns.  When a hypothesis fails the engine
+which `SequenceSpec.sort_order` gives.  When a hypothesis fails the engine
 returns a structured non-certifying report instead of raising, so sweeps
 can tabulate applicability regions.
 """
@@ -18,7 +18,7 @@ from operator import itemgetter
 from typing import Callable, Sequence
 
 from .combinatorics import elementary_symmetric
-from .distmodel import VariableSpec, rademacher
+from .distmodel import VariableSpec
 from .exactmoments import (
     Runs,
     SupportExplosion,
@@ -26,6 +26,7 @@ from .exactmoments import (
     gaussian_lp_norm,
     is_even,
     law_abs_moment,
+    rademacher_even_moment,
     rademacher_moments,
     run_lengths,
     sign_law,
@@ -89,12 +90,12 @@ class SequenceSpec:
     of k equal consecutive specs.  Every summary is built from the runs on
     first use and kept in the instance's ``__dict__``; fields, equality,
     hash and repr see ``variables`` only.  What depends on the distinct
-    specs alone (their variances, moment profiles and sign profiles, the
-    constants m and C) is computed once, in tables by distinct spec that
-    the sorted copy shares, so the rows that
-    :func:`exactmoments.moments_of_sum` keeps on a profile are built once
-    per sequence and order, and dropped with them.  Every other summary
-    is itself a Runs, which the engines take as they are.
+    specs alone (their variances and moment profiles, the constants m and
+    C) is computed once, in tables by distinct spec that the sorted copy
+    shares, so the rows that :func:`exactmoments.moments_of_sum` keeps on
+    a profile are built once per sequence and order, and dropped with
+    them.  Every other summary is itself a Runs, which the engines take as
+    they are.
     """
 
     variables: tuple[VariableSpec, ...]
@@ -124,6 +125,13 @@ class SequenceSpec:
     def variance_runs(self) -> Runs:
         """(v, k) for each maximal run of k consecutive summands of variance v."""
         return Runs.join((self._variance[s], k) for s, k in self.runs)
+
+    @cached_property
+    def weight_runs(self) -> Runs:
+        """(sqrt(v), k) for each variance run (v, k): the weights of the
+        sum_k sqrt(v_k) eps_k, eps_k fair signs, that the truncated bounds
+        compare with."""
+        return Runs((math.sqrt(v), k) for v, k in self.variance_runs)
 
     total_variance = cached_property(lambda self: self.tail_variance(0))
     max_variance = cached_property(lambda self: max(self._variance.values()))
@@ -170,62 +178,62 @@ class SequenceSpec:
         truncated bound reads it at every p and r, so a sequence builds or
         refuses its grid once.  The refusal is kept without its traceback,
         whose frames would hold the grid's parts."""
-        weights = ((math.sqrt(v), k) for v, k in self.variance_runs)
         try:
-            return sign_law(Runs(sorted(weights, key=itemgetter(0), reverse=True)))
+            return sign_law(Runs(sorted(self.weight_runs, key=itemgetter(0), reverse=True)))
         except SupportExplosion as exc:
             return exc.with_traceback(None)
 
     @cached_property
-    def _sorted(self) -> tuple["SequenceSpec", tuple[int, ...]]:
-        runs, offsets = self.runs, self.runs.offsets
-        variances = [self._variance[s] for s, _ in runs]
-        # A reverse sort keeps equal keys in their original order, and a
-        # run's summands are consecutive, so sorting the runs sorts them.
-        ranks = sorted(range(len(runs)), key=variances.__getitem__, reverse=True)
-        order = tuple(chain.from_iterable(range(offsets[i], offsets[i + 1]) for i in ranks))
-        ordered = Runs.join(map(runs.__getitem__, ranks))
+    def _ranks(self) -> list[int]:
+        """The indices of the runs in variance-nonincreasing order.  A
+        reverse sort keeps equal keys in their original order, and a run's
+        summands are consecutive, so sorting the runs sorts them."""
+        variances = [self._variance[s] for s, _ in self.runs]
+        return sorted(range(len(self.runs)), key=variances.__getitem__, reverse=True)
+
+    @cached_property
+    def _sorted(self) -> "SequenceSpec":
+        ordered = Runs.join(map(self.runs.__getitem__, self._ranks))
         copy = SequenceSpec(tuple(chain.from_iterable(repeat(s, k) for s, k in ordered)))
         copy.__dict__.update(runs=ordered, _shared=self._shared, _variance=self._variance,
-                             max_variance=variances[ranks[0]])
-        return copy, order
+                             max_variance=self._variance[ordered[0][0]])
+        return copy
 
-    def sorted(self) -> tuple["SequenceSpec", tuple[int, ...]]:
-        """Variance-nonincreasing copy plus the applied permutation
-        (original 0-based positions in sorted order; stable)."""
+    def sorted(self) -> "SequenceSpec":
+        """The variance-nonincreasing copy (stable), built once."""
         return self._sorted
 
-    def _profiles(self, max_order: int, signs: bool) -> dict:
-        """The moment profile of each distinct spec, or with `signs` that
-        of sqrt(v) eps for its variance v, eps a fair sign, specs of equal
-        weight sharing one object."""
-        def make():
-            if not signs:
-                return {s: s.moments(max_order) for s in self._variance}
-            weights = {s: math.sqrt(v) for s, v in self._variance.items()}
-            made = {w: rademacher(w).moments(max_order) for w in dict.fromkeys(weights.values())}
-            return {s: made[w] for s, w in weights.items()}
-        return _once(self._shared, ("profiles", max_order, signs), make)
+    @cached_property
+    def sort_order(self) -> tuple[int, ...]:
+        """The permutation that sorted() applies: the original 0-based
+        positions in sorted order, built on first read."""
+        offsets = self.runs.offsets
+        return tuple(chain.from_iterable(range(offsets[i], offsets[i + 1]) for i in self._ranks))
+
+    def _profiles(self, max_order: int) -> dict:
+        """The moment profile of each distinct spec."""
+        return _once(self._shared, ("profiles", max_order),
+                     lambda: {s: s.moments(max_order) for s in self._variance})
 
     def distinct_profiles(self, max_order: int) -> tuple:
         """One moment profile per distinct spec, in no particular order."""
-        return tuple(self._profiles(max_order, False).values())
+        return tuple(self._profiles(max_order).values())
 
-    def profile_runs(self, max_order: int, part: slice = slice(None), signs: bool = False) -> Runs:
-        """(profile, k) for the runs of equal moment profiles (with `signs`,
-        of sqrt(v_k) eps_k) among the summands `part`, a slice without step:
-        adjacent runs whose profiles compare equal are merged, as
-        :func:`exactmoments.sum_even_moment` would merge them."""
+    def profile_runs(self, max_order: int, part: slice = slice(None)) -> Runs:
+        """(profile, k) for the runs of equal moment profiles among the
+        summands `part`, a slice without step: adjacent runs whose profiles
+        compare equal are merged, as :func:`exactmoments.sum_even_moment`
+        would merge them."""
         def make():
-            table = self._profiles(max_order, signs)
+            table = self._profiles(max_order)
             return Runs.join((table[s], k) for s, k in self.runs)
-        return _once(self._own, ("runs", max_order, signs), make).cut(part)
+        return _once(self._own, ("runs", max_order), make).cut(part)
 
     def rademacher_even_moment(self, r: int) -> float:
-        """E (sum_k sqrt(v_k) eps_k)^{2r} over the whole sequence, summed
-        in its order by :func:`exactmoments.sum_even_moment` once per r."""
-        return _once(self._own, ("signs", r),
-                     lambda: sum_even_moment(self.profile_runs(2 * r, signs=True), r))
+        """E (sum_k sqrt(v_k) eps_k)^{2r} over the whole sequence:
+        :func:`exactmoments.rademacher_even_moment` on its weight runs,
+        once per r."""
+        return _once(self._own, ("signs", r), lambda: rademacher_even_moment(self.weight_runs, r))
 
 
 @dataclass(frozen=True)
@@ -325,7 +333,7 @@ def bound_p_2_4(seq: SequenceSpec, p: float) -> BoundReport:
     reported, together with the tighter one-sided lower radius 3^{1/4}
     sqrt(v_1) as auxiliary data.
     """
-    sorted_seq, _ = seq.sorted()
+    sorted_seq = seq.sorted()
     n = len(sorted_seq)
     m = compute_m(sorted_seq)
     assumptions = (
@@ -367,7 +375,7 @@ def _bound_even(seq: SequenceSpec, r: int, symmetric: bool) -> BoundReport:
     for centered ones; both have upper = center + 2 D sqrt(v_1)."""
     statement = "even_symmetric_band" if symmetric else "even_centered_upper"
     kind = "symmetric" if symmetric else "centered"
-    sorted_seq, _ = seq.sorted()
+    sorted_seq = seq.sorted()
     n = len(sorted_seq)
     p = float(2 * r)
     holds = sorted_seq.all_symmetric if symmetric else sorted_seq.all_centered
@@ -428,7 +436,7 @@ def bound_general_p(seq: SequenceSpec, p: float, r: int) -> BoundReport:
     (ceil(C^2 floor(p/2)(floor(p/2)+1)/2)+1 otherwise).  The report never
     re-labels this as a bound on the full sum.
     """
-    sorted_seq, _ = seq.sorted()
+    sorted_seq = seq.sorted()
     n = len(sorted_seq)
     half = math.floor(p / 2.0)
     assumptions = [
@@ -559,7 +567,7 @@ def latala_logconcave_bounds(
     assumptions = two_sided.assumptions
     if not two_sided.certifying:
         return two_sided, _non_certifying("logconcave_sandwich", p, assumptions)
-    sorted_seq, _ = seq.sorted()
+    sorted_seq = seq.sorted()
     # Sandwich: head indices k < p, tail variance from index ceil(p/2) on.
     head_count = min(len(sorted_seq), math.ceil(p) - 1)
     tail_start = _ceil(p / 2.0)
@@ -644,7 +652,7 @@ class TailCheckReport:
 
 
 def _check_tail_bounds(seq: SequenceSpec, r: int, symmetric: bool) -> TailCheckReport:
-    sorted_seq, _ = seq.sorted()
+    sorted_seq = seq.sorted()
     c, cutoff = _cutoff(sorted_seq, r, r - 1, symmetric)
     if r < 2 or cutoff >= len(sorted_seq):
         return TailCheckReport(math.nan, math.nan, math.nan, cutoff, c, False, False)

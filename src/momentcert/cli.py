@@ -274,7 +274,7 @@ def _run_bound(cfg: RunConfig) -> list[dict]:
 
 def _run_verify(cfg: RunConfig) -> list[dict]:
     seq = SequenceSpec(tuple(cfg.variables))
-    ordered, _ = seq.sorted()
+    ordered = seq.sorted()
     reports = _all_reports(seq, cfg)
     starts: dict = {}  # {p: the 0-based starts of its certifying reports}
     for report in reports:
@@ -325,7 +325,7 @@ def _status(rows: list[dict]) -> int:
 
 def _run_check_lemmas(cfg: RunConfig) -> list[dict]:
     seq = SequenceSpec(tuple(cfg.variables))
-    sorted_seq, _ = seq.sorted()
+    sorted_seq = seq.sorted()
     rows = []
 
     def record(name, passed, **extra):
@@ -345,7 +345,6 @@ def _run_check_lemmas(cfg: RunConfig) -> list[dict]:
             rep = check_main_charfn_inequality(runs, gauss, m)
             record("charfn_inequality", rep.passed or not rep.applicable,
                    applicable=rep.applicable, m=m, margins=rep.margins)
-    weights = Runs((math.sqrt(v), k) for v, k in sorted_seq.variance_runs)
     rs = sorted(set(cfg.r_values)) or [2]
     for r in rs:
         for i in range(1, r + 1):
@@ -362,7 +361,7 @@ def _run_check_lemmas(cfg: RunConfig) -> list[dict]:
         ):
             if holds and (tail := check(seq, r)).applicable:
                 record(name, tail.passed, r=r, cutoff=tail.cutoff_index)
-        ratio = check_rademacher_moment_ratio(weights, r)
+        ratio = check_rademacher_moment_ratio(sorted_seq.weight_runs, r)
         record("rademacher_moment_ratio", ratio.passed, r=r, ratio=ratio.ratio)
     return rows
 

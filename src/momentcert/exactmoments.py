@@ -223,11 +223,37 @@ def _ldexp(x: float, e: int) -> float:
 
 
 def rademacher_moments(sigmas: Sequence[float], order: int) -> list[float]:
-    """E (sum_k sigma_k eps_k)^t for t = 0..order >= 2, exact up to
-    rounding: :func:`moments_of_sum` on one run per distinct nonzero
-    |sigma|, in first-seen order; `sigmas` may be Runs."""
-    runs = [(rademacher(a).moments(order), k) for a, k in counts(sigmas, abs).items() if a != 0.0]
-    return moments_of_sum(runs, order)
+    """E (sum_k sigma_k eps_k)^t for t = 0..order >= 2, eps_k fair signs,
+    exact up to rounding; `sigmas` may be Runs.
+
+    The k signs of each distinct nonzero |sigma| = a are one run, in
+    first-seen order, with moments a^t x_t: x_t = E (eps_1 + ... + eps_k)^t
+    by :func:`_run_moments` on one fair-sign profile, built per call.  For
+    a = m 2^e (math.frexp), entry t is x_t m^t scaled by 2^(e t) with
+    :func:`_ldexp`: one rounding below the smallest normal float 2^-1022,
+    inf on overflow.  The runs are convolved, in O(order^2) each.
+
+    The weight's own sign profile, a^t at even t, can fail its checks (an
+    even moment of 0, a Lyapunov chain broken by rounding) only where
+    a^order < 2^-1022; there that power row is validated (ValueError).  A
+    run whose x_t overflows while a < 1 is expanded on that row instead.
+    """
+    unit, m = rademacher(1.0).moments(order), [1.0] + [0.0] * order
+    for a, k in counts(sigmas, abs).items():
+        if a == 0.0:
+            continue
+        if not math.isfinite(a):
+            raise ValueError(f"sign weights must be finite, got {a!r}")
+        x = _run_moments(unit, k, order)
+        if a < 1.0 and (math.inf in x or a ** order < 2.0 ** -1022):
+            powers = MomentProfile([a ** t if t % 2 == 0 else 0.0 for t in range(order + 1)],
+                                   symmetric=True, centered=True)
+            if math.inf in x:
+                m = _convolve(order, m, _run_moments(powers, k, order))
+                continue
+        mant, e = math.frexp(a)
+        m = _convolve(order, m, [_ldexp(x_t * mant ** t, e * t) for t, x_t in enumerate(x)])
+    return m
 
 
 def rademacher_even_moment(sigmas: Sequence[float], r: int) -> float:

@@ -253,7 +253,7 @@ def test_certification_soundness():
             rep = bound_general_p(seq, p, 2)
             candidates = [rep]
             if rep.certifying:
-                srt, _ = seq.sorted()
+                srt = seq.sorted()
                 grounds = [
                     exact_discrete_moment(list(srt.variables[rep.start_index - 1 :]), p)
                 ]

@@ -47,14 +47,14 @@ def seq_of(spec, n):
 class TestSequenceSpec:
     def test_sorted_records_permutation(self):
         seq = SequenceSpec((gaussian(0.5), gaussian(2.0), gaussian(1.0)))
-        srt, perm = seq.sorted()
+        srt, perm = seq.sorted(), seq.sort_order
         assert variances(srt) == (4.0, 1.0, 0.25)
         assert perm == (1, 2, 0)
         assert list(variances(srt)) == sorted(variances(srt), reverse=True)
 
     def test_max_variance_kept_and_seeded_on_the_sorted_copy(self):
         seq = SequenceSpec((gaussian(0.5), uniform(3.0), gaussian(2.0), gaussian(0.5)))
-        srt, _ = seq.sorted()
+        srt = seq.sorted()
         assert "max_variance" in srt.__dict__ and "max_variance" not in seq.__dict__
         assert seq.max_variance == srt.max_variance == max(variances(seq)) == 4.0
         assert "max_variance" in seq.__dict__
@@ -289,7 +289,7 @@ class TestBoundGeneralP:
         # Every p reads the law kept on the sorted copy, and gets the value
         # that the law built afresh gives, bit for bit.
         seq = SequenceSpec(tuple(rademacher(w) for w in weights))
-        sigmas = tuple(map(math.sqrt, variances(seq.sorted()[0])))
+        sigmas = tuple(map(math.sqrt, variances(seq.sorted())))
         for p in ps:
             rep = bound_general_p(seq, p, 3)
             assert rep.certifying
@@ -305,7 +305,7 @@ class TestBoundGeneralP:
             rep = bound_general_p(seq, p, 2)
             if not rep.certifying:
                 continue
-            srt, _ = seq.sorted()
+            srt = seq.sorted()
             truth = exact_discrete_moment(list(srt.variables[rep.start_index - 1 :]), p)
             assert truth <= rep.upper * (1 + 1e-10)
 
@@ -319,7 +319,7 @@ class TestBoundGeneralP:
         seq = SequenceSpec((gaussian(1.0),) * 5 + (gaussian(1e-5),) * 5)
         rep = bound_general_p(seq, 4.0, 2)
         assert rep.certifying
-        tail_var = sum(variances(seq.sorted()[0])[rep.start_index - 1 :])
+        tail_var = sum(variances(seq.sorted())[rep.start_index - 1 :])
         assert 3.0 * tail_var ** 2 <= rep.upper
 
     @pytest.mark.parametrize("specs", [

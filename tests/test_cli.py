@@ -361,7 +361,7 @@ class TestGroundsComputedOncePerJob:
              "r_values": [2, 3], "samples": 20000},
         ))
         _, document = run(cfg)
-        ordered, _ = SequenceSpec(tuple(cfg.variables)).sorted()
+        ordered = SequenceSpec(tuple(cfg.variables)).sorted()
         grounds = [r for r in json.loads(document)["rows"] if "ground" in r]
         assert len(grounds) > len({(r["p"], r["start_index"]) for r in grounds})
         # Monte Carlo draws every start of one p in one pass.

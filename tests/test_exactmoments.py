@@ -16,6 +16,8 @@ from conftest import (
     random_symmetric_seq,
 )
 from momentcert import (
+    SequenceSpec,
+    bound_general_p,
     gaussian,
     gaussian_lp_norm,
     rademacher,
@@ -104,6 +106,146 @@ class TestRademacherEvenMoment:
             assert rademacher_even_moment(tuple(sig), r) == pytest.approx(
                 brute, rel=1e-11
             )
+
+
+U = Fraction(1, 2 ** 53)  # the unit roundoff
+TINY = Fraction(1, 2 ** 1074)  # the smallest subnormal float
+
+
+def _poly_times(a, b):
+    """The product of two power series, truncated to the length of a."""
+    return [sum(a[i] * b[t - i] for i in range(t + 1)) for t in range(len(a))]
+
+
+def exact_sign_moments(sigmas, order):
+    """E (sum_k sigma_k eps_k)^t for t = 0..order in rationals, from the
+    generating function E e^{xS} = prod_k cosh(sigma_k x): t! times the
+    coefficient of x^t, each cosh(a x)^k powered by squaring.  `sigmas`
+    are (sigma, k) runs; nothing here shares the expansion under test."""
+    series = [Fraction(1)] + [Fraction(0)] * order
+    for sigma, k in sigmas:
+        a = Fraction(sigma)
+        power = [a ** t / math.factorial(t) if t % 2 == 0 else Fraction(0)
+                 for t in range(order + 1)]
+        while k:
+            if k & 1:
+                series = _poly_times(series, power)
+            k >>= 1
+            if k:
+                power = _poly_times(power, power)
+    return [math.factorial(t) * c for t, c in enumerate(series)]
+
+
+@st.composite
+def sign_runs(draw, subnormal=False):
+    """(sigma, k) runs of signed weights with counts up to 10^6, some
+    weights 0, one |sigma| possibly in several non-adjacent runs, and an
+    order up to 12.  With `subnormal`, one |sigma| = a whose power a^order
+    lies between 2^-1040 and the smallest normal float, 2^-1022: a
+    subnormal power whose rounding the Lyapunov check tolerates."""
+    order = draw(st.integers(2, 12))
+    if subnormal:
+        mags = [2.0 ** (-draw(st.floats(1022.5, 1040.0)) / order)]
+        assume(2.0 ** -1040 <= mags[0] ** order < 2.0 ** -1022)
+    else:
+        mags = draw(st.lists(st.floats(2.0 ** -30, 2.0 ** 30), min_size=1, max_size=4))
+    blocks = draw(st.lists(st.tuples(st.integers(0, len(mags)), st.integers(1, 10 ** 6),
+                                     st.booleans()), min_size=1, max_size=6))
+    runs = [((-1.0 if neg else 1.0) * (mags[j] if j < len(mags) else 0.0), k)
+            for j, k, neg in blocks]
+    return exactmoments.Runs(runs), order
+
+
+class TestScaledSignRows:
+    """rademacher_moments scales one fair-sign expansion by a^t per weight."""
+
+    @staticmethod
+    def check(runs, order):
+        """Entry t is within (d + 1)(order + 8) u of the exact moment
+        relative, d the number of distinct nonzero |sigma|, plus d
+        smallest subnormals: a run's entry carries at most order/2 + 4
+        roundings (the binomial coefficient, each product and sum of the
+        expansion, the mantissa power and its product), each convolution
+        order/2 + 3 more, all of nonnegative terms; a subnormal entry is
+        rounded once more, by at most half the smallest subnormal."""
+        got = exactmoments.rademacher_moments(runs, order)
+        want = exact_sign_moments(runs, order)
+        d = len({abs(a) for a, _ in runs} - {0.0})
+        assert len(got) == order + 1 and got[0] == 1.0
+        for t, (g, w) in enumerate(zip(got, want)):
+            if t % 2:
+                assert g == 0.0 and w == 0
+            else:
+                err = abs(Fraction(g) - w)
+                assert err <= (d + 1) * (order + 8) * U * w + d * TINY, (t, g, float(w))
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(case=sign_runs())
+    def test_matches_exact_rationals(self, case):
+        self.check(*case)
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(case=sign_runs(subnormal=True))
+    def test_subnormal_powers_round_once(self, case):
+        """Within u (order/2 + 4) relative and half a subnormal: the plain
+        x * a**t would carry the subnormal power's own rounding times x."""
+        runs, order = case
+        got = exactmoments.rademacher_moments(runs, order)
+        want = exact_sign_moments(runs, order)
+        for t in range(0, order + 1, 2):
+            err = abs(Fraction(got[t]) - want[t])
+            assert err <= (Fraction(order, 2) + 4) * U * want[t] + TINY / 2, (t, got[t])
+
+    def test_three_point_subnormal_moment(self):
+        """30 three-point summands of b = 1e-53, q = 0.01: the weight a has
+        a^6 = 8e-324, and the truncated bound's sign moment 378480 a^6 is
+        the exact value rounded once, where x * a**6 was 23% off."""
+        a = math.sqrt(2.0 * 0.01 * 1e-53 * 1e-53)
+        seq = SequenceSpec((symmetric_three_point(1e-53, 0.01),) * 30)
+        rep = bound_general_p(seq, 6.0, 3)
+        exact = 378480 * Fraction(a) ** 6
+        assert rep.aux["rademacher_abs_moment"] == float(exact) == 3.02784e-318
+        assert abs(378480 * a ** 6 / float(exact) - 1.0) > 0.2
+        assert abs(Fraction(rep.upper) - Fraction(7, 5) * exact) <= TINY
+
+    @pytest.mark.parametrize("a, message", [
+        (1e-60, "even moment mu_6 must be positive"),
+        (2.0 ** -179 * 1.4 ** (1.0 / 6.0), "Lyapunov chain violated at order 6"),
+    ])
+    def test_subnormal_powers_are_refused_as_a_weight_profile(self, a, message):
+        """a^6 underflows to 0, or rounds to one subnormal step, 0.71 of
+        its value: the weight's own sign profile refuses both, and so does
+        the scaled row, beside any other weight."""
+        with pytest.raises(ValueError, match=message):
+            rademacher(a).moments(6)
+        with pytest.raises(ValueError, match=message):
+            exactmoments.rademacher_moments((1.0, a, a), 6)
+
+    def test_non_finite_weights_are_refused(self):
+        for a in (math.inf, -math.inf, math.nan):
+            with pytest.raises(ValueError, match="finite"):
+                exactmoments.rademacher_moments((1.0, a), 4)
+
+    def test_many_small_signs_at_a_high_order(self):
+        """E (eps_1 + ... + eps_100)^170 overflows a float, yet with weight
+        1/2 the moment is 1.9e260: that run is expanded on its own power
+        row, with the bits of the weight's own sign profile, and a weight
+        of 1 overflows."""
+        got = exactmoments.rademacher_moments(exactmoments.Runs([(0.5, 100)]), 170)
+        want = exactmoments.moments_of_sum([(rademacher(0.5).moments(170), 100)], 170)
+        assert got == want and math.isfinite(got[170]) and got[170] > 1e260
+        assert exactmoments.rademacher_even_moment(exactmoments.Runs([(1.0, 100)]), 85) == math.inf
+
+    def test_one_fair_sign_profile_per_call(self, monkeypatch):
+        """Every weight reads one fair-sign profile, built for the call:
+        no profile per weight, none kept between calls."""
+        calls = []
+        real = exactmoments.rademacher
+        monkeypatch.setattr(exactmoments, "rademacher",
+                            lambda s: calls.append(s) or real(s))
+        for _ in range(2):
+            exactmoments.rademacher_moments((0.5, 2.0, -0.5, 3.0, 0.0), 8)
+        assert calls == [1.0, 1.0]
 
 
 class TestRademacherAbsMoment:

@@ -238,7 +238,7 @@ class TestRunsGiveTheBitsOfLists:
     @settings(max_examples=40, deadline=None, derandomize=True)
     @given(specs=run_lists())
     def test_symmetric_sums_and_the_ratio_check(self, specs):
-        srt, _ = SequenceSpec(tuple(specs)).sorted()
+        srt = SequenceSpec(tuple(specs)).sorted()
         variances = [v.variance for v in srt.variables]
         weights = Runs((math.sqrt(v), k) for v, k in srt.variance_runs)
         for r in range(len(specs) + 1):

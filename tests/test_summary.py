@@ -64,7 +64,7 @@ class TestSortedSummary:
         first = seq.sorted()
         assert calls[0] <= n
         assert seq.sorted() is first
-        srt, perm = first
+        srt, perm = first, seq.sort_order
         v = [s * s for s in scales]
         assert list(perm) == sorted(range(n), key=lambda i: -v[i])
         assert srt.variables == tuple(seq.variables[i] for i in perm)
@@ -77,7 +77,7 @@ class TestSortedSummary:
         assert [k for _, k in runs] == [1, 1, 2] and runs[0][0] is runs[2][0]
         assert seq.profile_runs(6)[0][0] is runs[0][0]
         assert len(seq.distinct_profiles(6)) == 2
-        srt, _ = seq.sorted()
+        srt = seq.sorted()
         assert set(id(p) for p, _ in srt.profile_runs(6)) == set(id(p) for p, _ in runs)
 
     def test_flags_read_every_distinct_spec(self):
@@ -92,7 +92,7 @@ class TestSortedSummary:
         """Every cache is warm, yet fields, equality, hash and repr see
         the variables only."""
         seq = SequenceSpec((gaussian(0.5), symmetric_exponential(2.0), gaussian(0.5)))
-        srt, _ = seq.sorted()
+        srt = seq.sorted()
         for s in (seq, srt):
             s.profile_runs(8), s.variance_runs, s.total_variance
             fresh = SequenceSpec(s.variables)
@@ -211,9 +211,10 @@ class TestSharedProfiles:
     def test_shared_profiles_match_fresh_profiles_bitwise(self, seq, orders):
         """At every suffix start and order, asked in shuffled order, the
         sequence's shared profiles (whose expansion rows are kept) give the
-        bits of fresh profiles, and the sorted copy's Rademacher moments
-        equal rademacher_even_moment."""
-        srt, _ = seq.sorted()
+        bits of fresh profiles, and the Rademacher moments of the sequence,
+        of its sorted copy and of the sorted weight runs from every start
+        equal rademacher_even_moment on the weights one per summand."""
+        srt = seq.sorted()
         weights = tuple(map(math.sqrt, variances(srt)))
         for order in orders:
             r = order // 2
@@ -222,9 +223,11 @@ class TestSharedProfiles:
                     fresh = [v.moments(order) for v in s.variables[start:]]
                     assert (sum_even_moment(s.profile_runs(order, slice(start, None)), r)
                             == sum_even_moment(fresh, r))
+                assert s.rademacher_even_moment(r) == rademacher_even_moment(
+                    tuple(map(math.sqrt, variances(s))), r)
             for start in range(len(srt)):
-                signs = srt.profile_runs(order, slice(start, None), signs=True)
-                assert sum_even_moment(signs, r) == rademacher_even_moment(weights[start:], r)
+                signs = srt.weight_runs.cut(slice(start, None))
+                assert rademacher_even_moment(signs, r) == rademacher_even_moment(weights[start:], r)
 
     def test_rows_are_built_once_per_profile(self):
         """A run of k copies needs rows Y_1..Y_min(k, r); they stay on the
@@ -258,12 +261,19 @@ class TestSharedProfiles:
                     sys.setswitchinterval(old)
             assert got == [want] * 8
 
-    def test_equal_weights_share_one_rademacher_profile(self):
+    def test_equal_weights_share_one_rademacher_profile(self, monkeypatch):
+        """The weights 2, 2, 3^-1/2, 2 make one run of three signs, also
+        across the third summand, and one of one sign; both are expanded
+        on one fair-sign profile, built for the call."""
         seq = SequenceSpec((gaussian(2.0), rademacher(2.0), uniform(1.0), gaussian(2.0)))
-        signs = seq.profile_runs(6, signs=True)
-        assert [k for _, k in signs] == [2, 1, 1] and signs[0][0] is signs[2][0]
-        assert signs[0][0] == rademacher(2.0).moments(6)
-        assert signs[1][0] == rademacher(math.sqrt(1.0 / 3.0)).moments(6)
+        calls = []
+        real = exactmoments._run_moments
+        monkeypatch.setattr(exactmoments, "_run_moments",
+                            lambda prof, k, order: calls.append((prof, k)) or real(prof, k, order))
+        got = seq.rademacher_even_moment(3)
+        assert [k for _, k in calls] == [3, 1] and calls[0][0] is calls[1][0]
+        assert calls[0][0] == rademacher(1.0).moments(6)
+        assert got == rademacher_even_moment((2.0, 2.0, math.sqrt(1.0 / 3.0), 2.0), 3)
 
 
 @st.composite
@@ -298,7 +308,7 @@ class TestRunSummary:
         per_summand = variances(seq)
         assert expand(seq.variance_runs) == list(per_summand)
         assert seq.max_variance == max(per_summand)
-        srt, perm = seq.sorted()
+        srt, perm = seq.sorted(), seq.sort_order
         assert perm == tuple(sorted(range(len(seq)), key=per_summand.__getitem__, reverse=True))
         assert srt.variables == tuple(seq.variables[i] for i in perm)
         assert expand(srt.variance_runs) == [per_summand[i] for i in perm]
@@ -317,7 +327,7 @@ class TestRunSummary:
         """Each fed to sum_even_moment: the runs from every start, their
         items one per summand, and fresh per-summand profiles."""
         r = order // 2
-        srt, _ = seq.sorted()
+        srt = seq.sorted()
         weights = tuple(map(math.sqrt, variances(srt)))
         for s in (seq, srt):
             fresh = profiles(s, order)
@@ -330,11 +340,15 @@ class TestRunSummary:
             head = min(len(s), 3)
             assert (sum_even_moment(s.profile_runs(order, slice(0, head)), r)
                     == sum_even_moment(fresh[:head], r))
+        # Each weight's own sign profile, as the moments were once summed,
+        # agrees within the rounding bound of both sums (test_exactmoments).
         signs = [rademacher(w).moments(order) for w in weights]
         for start in range(len(srt)):
-            runs = srt.profile_runs(order, slice(start, None), signs=True)
+            runs = srt.weight_runs.cut(slice(start, None))
             want = rademacher_even_moment(weights[start:], r)
-            assert sum_even_moment(runs, r) == sum_even_moment(signs[start:], r) == want
+            assert rademacher_even_moment(runs, r) == want
+            bound = 2 * (len(set(weights[start:])) + 1) * (order + 8) * 2.0 ** -53
+            assert sum_even_moment(signs[start:], r) == pytest.approx(want, rel=bound, abs=0.0)
         assert srt.rademacher_even_moment(r) == rademacher_even_moment(weights, r)
 
     @settings(max_examples=25, deadline=None, derandomize=True)
@@ -344,7 +358,7 @@ class TestRunSummary:
             return  # keep the grids small
         weights = tuple(map(math.sqrt, sorted(variances(seq), reverse=True)))
         want = exactmoments.sign_law(weights)
-        for s in (seq, seq.sorted()[0]):
+        for s in (seq, seq.sorted()):
             assert np.array_equal(s.sign_law, want)
 
     def test_equal_profiles_of_distinct_specs_merge(self):
@@ -363,7 +377,7 @@ class TestRunSummary:
     def test_a_long_run_is_one_pair(self):
         seq = SequenceSpec((gaussian(1.0),) * 10**6 + (uniform(1.0),) * 10)
         assert seq.runs == ((gaussian(1.0), 10**6), (uniform(1.0), 10))
-        srt, perm = seq.sorted()
+        srt, perm = seq.sorted(), seq.sort_order
         assert srt.runs == seq.runs and perm[:3] == (0, 1, 2) and len(perm) == len(seq)
         assert srt.tail_variance(999_999) == math.fsum([1.0] + [1.0 / 3.0] * 10)
         with pytest.raises(ValueError, match="non-negative"):
@@ -373,7 +387,7 @@ class TestRunSummary:
 class TestConstantsOncePerSequence:
     def test_m_and_c_are_computed_once_for_a_sequence_and_its_copy(self, monkeypatch):
         seq = SequenceSpec((gaussian(1.0), symmetric_three_point(2.0, 0.1), gaussian(1.0)))
-        srt, _ = seq.sorted()
+        srt = seq.sorted()
         calls = []
         real = SequenceSpec.distinct_profiles
         monkeypatch.setattr(SequenceSpec, "distinct_profiles",
@@ -388,15 +402,19 @@ class TestConstantsOncePerSequence:
 
     def test_rademacher_moment_once_per_r(self, monkeypatch):
         seq = SequenceSpec((uniform(1.0),) * 30 + (gaussian(2.0),) * 20)
-        calls = []
-        real = bounds.sum_even_moment
+        calls, signs = [], []
+        real, real_signs = bounds.sum_even_moment, bounds.rademacher_even_moment
         monkeypatch.setattr(bounds, "sum_even_moment",
                             lambda runs, r: calls.append((len(runs), r)) or real(runs, r))
+        monkeypatch.setattr(bounds, "rademacher_even_moment",
+                            lambda runs, r: signs.append((runs, r)) or real_signs(runs, r))
         reports = [bound_general_p(seq, p, r) for p in (4.0, 6.0) for r in (3, 4)]
         check_symmetric_tail_bounds(seq, 3)
         assert all(rep.certifying for rep in reports)
-        # One sum per p over the two sign runs, which the tail check reads
-        # again, and the tail check's own sum past its cutoff.
-        assert sorted(calls) == [(2, 2), (2, 3), (2, 3)]
-        weights = tuple(map(math.sqrt, variances(seq.sorted()[0])))
+        # One sign moment per p over the two weight runs, which the tail
+        # check reads again, and the tail check's own sum past its cutoff.
+        assert sorted((len(runs), r) for runs, r in signs) == [(2, 2), (2, 3)]
+        assert all(runs == ((2.0, 20), (math.sqrt(1.0 / 3.0), 30)) for runs, _ in signs)
+        assert calls == [(2, 3)]
+        weights = tuple(map(math.sqrt, variances(seq.sorted())))
         assert reports[0].aux["rademacher_abs_moment"] == rademacher_even_moment(weights, 2)
