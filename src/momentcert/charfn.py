@@ -264,7 +264,7 @@ def haagerup_constant(p: float) -> float:
 
 
 def haagerup_moment(phi: CharFunction, p: float, tol: float = 1e-8) -> IntegralResult:
-    """E|X|^p from phi via the compensated integral identity, 2 < p < 4.
+    """E|X|^p from phi via Haagerup's integral identity, 2 < p < 4.
 
     With I = int_0^inf g(t) t^{-p-1} dt, g = phi - 1 + t^2 variance / 2:
     - on [0, a], g is replaced by its Taylor polynomial m4 t^4/24 -

@@ -1,6 +1,7 @@
 """Exact moment engines: Gaussian L^p norms, even moments of sums of
-independent variables from per-variable moment profiles, and E|S|^p of
-sums of independent finite-support summands on one grid budget.
+independent variables from per-variable moment profiles, and E|S|^p,
+p >= 1, of sums of independent finite-support summands on one grid
+budget, each law one complex array of values + 1j * probabilities.
 """
 from __future__ import annotations
 
@@ -261,15 +262,14 @@ def rademacher_even_moment(sigmas: Sequence[float], r: int) -> float:
     return 1.0 if r == 0 else rademacher_moments(sigmas, 2 * r)[2 * r]
 
 
-def sign_law(sigmas: Sequence[float], compensated: bool = False) -> np.ndarray:
+def sign_law(sigmas: Sequence[float]) -> np.ndarray:
     """The law of sum_k sigma_k eps_k as the finite-support engine builds
     it, one run per distinct |sigma| in first-seen order, after the fold
     of the first run onto its absolute value: values + 1j * probabilities,
-    which :func:`law_abs_moment` reads at any p.  Atoms carry low parts
-    while the grid is built if `compensated` (see :func:`_atom_law`).
-    `sigmas` may be Runs.  SupportExplosion past the grid budget."""
+    which :func:`law_abs_moment` reads at any p >= 1.  `sigmas` may be
+    Runs.  SupportExplosion past the grid budget."""
     runs, atoms = counts(sigmas, abs), FAMILIES["rademacher"].atoms
-    return _atom_law([(*atoms((a,)), k) for a, k in runs.items()], compensated)
+    return _atom_law([(*atoms((a,)), k) for a, k in runs.items()])
 
 
 def law_abs_moment(law: np.ndarray, p: float) -> float:
@@ -277,91 +277,74 @@ def law_abs_moment(law: np.ndarray, p: float) -> float:
     return float((np.abs(law.real) ** p * law.imag).sum())
 
 
+def _check_p(p: float) -> None:
+    """Refuse p < 1 (ValueError).  An atom s = sum_k v_k, a float sum off by
+    O(eps sum_k |v_k|), has |s|^p off by O(eps) relative to (sum_k |v_k|)^p
+    at p >= 1, but by up to (eps sum_k |v_k|)^p below 1."""
+    if not p >= 1.0:
+        raise ValueError(f"the finite-support engine takes p >= 1, got p = {p}")
+
+
 def rademacher_abs_moment(sigmas: Sequence[float], p: float) -> float:
-    """E |sum_k sigma_k eps_k|^p by the finite-support engine, one run per
-    distinct |sigma| wherever it sits; SupportExplosion past its budget."""
-    if p <= 0:
-        raise ValueError("p must be positive")
-    return law_abs_moment(sign_law(sigmas, compensated=p < 1), p)
+    """E |sum_k sigma_k eps_k|^p for p >= 1 by the finite-support engine,
+    one run per distinct |sigma| wherever it sits; SupportExplosion past
+    its budget."""
+    _check_p(p)
+    return law_abs_moment(sign_law(sigmas), p)
 
 
-def _two_sum(a, b):
-    """(s, e) with s = fl(a + b) and s + e = a + b exactly (Knuth)."""
-    s = a + b
-    bb = s - a
-    return s, (a - (s - bb)) + (b - bb)
-
-
-def _merged(law: np.ndarray, lo=None) -> tuple:
-    """A law, held as values + 1j * probabilities, sorted by value with equal
-    values merged, and its low parts.  Complex numbers sort by real part
-    first, and timsort merges the sorted rows of an outer sum in
-    O(N log rows).  Without low parts (None) the law sorts in place.  With
-    them, each atom sits at value + low part, normalized so that the value
-    is that sum rounded; atoms of one value lie within an ulp of it, and a
-    merged atom keeps the first atom's low part."""
-    if lo is None:
-        law.sort(kind="stable")
-    else:
-        order = np.argsort(law, kind="stable")
-        law, lo = law[order], lo[order]
+def _merged(law: np.ndarray) -> np.ndarray:
+    """A law, held as values + 1j * probabilities, sorted in place by value
+    with equal values merged.  Complex numbers sort by real part first, and
+    timsort merges the sorted rows of an outer sum in O(N log rows)."""
+    law.sort(kind="stable")
     new = np.concatenate(([True], law.real[1:] != law.real[:-1]))
     if new.all():
-        return law, lo
+        return law
     starts = np.flatnonzero(new)
     out = law[starts]
     out.imag = np.add.reduceat(law.imag, starts)
-    return out, None if lo is None else lo[starts]
+    return out
 
 
-def _sum_law(x: tuple, y: tuple, cap: int) -> tuple:
-    """The law of X + Y for independent X and Y, each a (law, low parts)
-    pair of :func:`_merged`: every grid is built here, and none above
-    `cap` points (SupportExplosion).  With low parts
-    each atom carries the rounding error of its sum, so a sum that cancels
-    is off by O(eps^2 sum |v|), not O(eps sum |v|), for atoms v of the parts."""
-    (x, xlo), (y, ylo) = x, y
+def _sum_law(x: np.ndarray, y: np.ndarray, cap: int) -> np.ndarray:
+    """The law of X + Y for independent X and Y, each a law of
+    :func:`_merged`: every grid is built here, and none above `cap` points
+    (SupportExplosion)."""
     if len(x) * len(y) > cap:
         raise SupportExplosion(f"a grid of {len(x) * len(y)} points exceeds {cap}")
     out = np.empty((len(y), len(x)), dtype=complex)
     np.multiply.outer(y.imag, x.imag, out=out.imag)
-    if xlo is None:
-        np.add.outer(y.real, x.real, out=out.real)
-        return _merged(out.ravel())
-    hi, lo = _two_sum(y.real[:, None], x.real)
-    out.real, lo = _two_sum(hi, lo + np.add.outer(ylo, xlo))
-    return _merged(out.ravel(), lo.ravel())
+    np.add.outer(y.real, x.real, out=out.real)
+    return _merged(out.ravel())
 
 
-def run_law(values, probs, k: int, cap: int, compensated: bool = False) -> tuple[tuple, bool]:
+def run_law(values, probs, k: int, cap: int) -> np.ndarray:
     """The law of the sum of k independent copies of the finite law
-    (values, probs), as a (law, low parts) pair of :func:`_merged` (low
-    parts only if `compensated`), and whether the one law is mirrored:
-    equal probabilities at -v and +v.  Atoms of probability 0 are dropped.
+    (values, probs), as a law of :func:`_merged`.  Atoms of probability 0
+    are dropped.
 
-    Two atoms -a, +a of equal probability take their k-fold law in closed
-    form when not compensated: a (2j - k) with probability C(k, j) / 2^k,
-    in O(k).  The terms C(k, j) / C(k, k - h), h = floor(k/2), are built
-    outward from the central one by the ratios C(k, j+1) / C(k, j), one
-    division and one product per step, mirrored exactly, and divided by
-    their math.fsum.  So a probability above 2^-1022 is off by at most
-    (2 |j - k/2| + sqrt(k) + 2) u relative, u = 2^-53, to first order:
-    2 u per step, u sqrt(k) >= 2 u E|J - k/2| for the sum's share, and u
-    each for the fsum and the division.  Other laws are powered by
-    repeated squaring.  Either way SupportExplosion is raised before any
-    law or grid above `cap` points is built.
+    Two atoms -a, +a of equal probability (a law that :func:`_mirrored`
+    accepts) take their k-fold law in closed form: a (2j - k) with
+    probability C(k, j) / 2^k, in O(k).  The terms C(k, j) / C(k, k - h),
+    h = floor(k/2), are built outward from the central one by the ratios
+    C(k, j+1) / C(k, j), one division and one product per step, mirrored
+    exactly, and divided by their math.fsum.  So a probability above
+    2^-1022 is off by at most (2 |j - k/2| + sqrt(k) + 2) u relative,
+    u = 2^-53, to first order: 2 u per step, u sqrt(k) >= 2 u E|J - k/2|
+    for the sum's share, and u each for the fsum and the division.  Other
+    laws are powered by repeated squaring.  Either way SupportExplosion is
+    raised before any law or grid above `cap` points is built.
     """
-    one = _one_law(values, probs, compensated)
-    mirrored = _mirrored(one[0])
-    return _run_law(one, k, cap, mirrored), mirrored
+    one = _one_law(values, probs)
+    return _run_law(one, k, cap, _mirrored(one))
 
 
-def _one_law(values, probs, compensated: bool) -> tuple:
-    """The finite law (values, probs) as a (law, low parts) pair of
-    :func:`_merged`, without its atoms of probability 0."""
+def _one_law(values, probs) -> np.ndarray:
+    """The finite law (values, probs) as a law of :func:`_merged`, without
+    its atoms of probability 0."""
     law = np.asarray(values, dtype=float) + 1j * np.asarray(probs, dtype=float)
-    law = law[law.imag != 0.0]  # an atom of probability 0 would only widen every grid
-    return _merged(law, np.zeros(len(law)) if compensated else None)
+    return _merged(law[law.imag != 0.0])  # an atom of probability 0 would only widen every grid
 
 
 def _mirrored(law: np.ndarray) -> bool:
@@ -369,11 +352,10 @@ def _mirrored(law: np.ndarray) -> bool:
     return np.array_equal(law, -law[::-1].conj())
 
 
-def _run_law(one: tuple, k: int, cap: int, mirrored: bool) -> tuple:
+def _run_law(one: np.ndarray, k: int, cap: int, mirrored: bool) -> np.ndarray:
     """The law of the sum of k copies of the law `one` of :func:`_one_law`,
     `mirrored` or not, as :func:`run_law` builds it."""
-    law, lo = one
-    if not (len(law) == 2 and mirrored and lo is None):
+    if not (len(one) == 2 and mirrored):
         return _power(one, k, partial(_sum_law, cap=cap))
     if k + 1 > cap:
         raise SupportExplosion(f"a law of {k + 1} points exceeds {cap}")
@@ -381,28 +363,20 @@ def _run_law(one: tuple, k: int, cap: int, mirrored: bool) -> tuple:
     upper = np.cumprod(np.concatenate(([1.0], np.arange(h, 0, -1) / np.arange(k - h + 1, k + 1))))
     probs = np.concatenate((upper[::-1], upper[1 - k % 2:]))
     probs /= math.fsum(probs)
-    return law[1].real * (2.0 * np.arange(k + 1) - k) + 1j * probs, None
+    return one[1].real * (2.0 * np.arange(k + 1) - k) + 1j * probs
 
 
 def _atom_abs_moment(runs: Sequence[tuple[Sequence, Sequence, int]], p: float) -> float:
-    """E |S|^p, exact up to rounding, for S a sum of independent summands
-    of finite support, given as runs (values, probs, k) of k copies of one law.
-
-    For p >= 1, |s|^p moves by O(eps) relative to (sum_k |v_k|)^p when an
-    atom s = sum_k v_k is rounded by O(eps sum_k |v_k|), so plain float sums
-    serve.  For p < 1 a sum that cancels to near 0 would be off by
-    (eps sum_k |v_k|)^p; there atoms carry low parts (see
-    :func:`_sum_law`), which cut that to (eps^2 sum_k |v_k|)^p.
-    """
-    if p <= 0:
-        raise ValueError("p must be positive")
-    return law_abs_moment(_atom_law(runs, compensated=p < 1), p)
+    """E |S|^p for p >= 1, exact up to rounding, for S a sum of independent
+    summands of finite support, given as runs (values, probs, k) of k
+    copies of one law."""
+    _check_p(p)
+    return law_abs_moment(_atom_law(runs), p)
 
 
-def _atom_law(runs: Sequence[tuple[Sequence, Sequence, int]], compensated: bool) -> np.ndarray:
-    """The law of S, or of |S|, for S as in :func:`_atom_abs_moment`, with
-    low parts while it is built if `compensated`: a law on which E |.|^p
-    is E |S|^p at every p.
+def _atom_law(runs: Sequence[tuple[Sequence, Sequence, int]]) -> np.ndarray:
+    """The law of S, or of |S|, for S as in :func:`_atom_abs_moment`: a law
+    on which E |.|^p is E |S|^p at every p.
 
     Each run's law is built as :func:`run_law` builds it, the first before
     the reduce and each other one at its step, so a refused grid ends the
@@ -413,12 +387,10 @@ def _atom_law(runs: Sequence[tuple[Sequence, Sequence, int]], compensated: bool)
     """
     if not runs:
         raise ValueError("need at least one summand")
-    ones = [_one_law(values, probs, compensated) for values, probs, _ in runs]
-    mirrored = [_mirrored(law) for law, _ in ones]
+    ones = [_one_law(values, probs) for values, probs, _ in runs]
+    mirrored = list(map(_mirrored, ones))
     laws = (_run_law(one, k, _MAX_GRID, m) for one, m, (_, _, k) in zip(ones, mirrored, runs))
     first = next(laws)
     if all(mirrored[1:]):
-        law, lo = first
-        lo = None if lo is None else np.sign(law.real) * lo
-        first = _merged(np.abs(law.real) + 1j * law.imag, lo)
-    return reduce(partial(_sum_law, cap=_MAX_GRID), laws, first)[0]
+        first = _merged(np.abs(first.real) + 1j * first.imag)
+    return reduce(partial(_sum_law, cap=_MAX_GRID), laws, first)

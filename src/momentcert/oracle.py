@@ -1,12 +1,12 @@
 """Independent ground-truth engines.
 
-Exact E|S|^p for finite-support inputs (the grid engine of
-:mod:`exactmoments`, on its one point budget), seeded Monte Carlo with
-confidence intervals for everything else, the one dispatcher that picks
-an engine for E|S|^p, and the verdict function that checks a bound report
-against a ground-truth value.  Each is a function of its arguments and
-keeps nothing between calls, save the expansion rows that the even-moment
-engine keeps on each moment profile and the two sums per start of the
+Exact E|S|^p for finite-support inputs at p >= 1 (the grid engine of
+:mod:`exactmoments`, one law format on one point budget), seeded Monte
+Carlo with confidence intervals for everything else, the one dispatcher
+that picks an engine for E|S|^p, and the verdict function that checks a
+bound report against a ground-truth value.  Each is a function of its
+arguments and keeps nothing between calls, save the even-moment engine's
+expansion rows on each moment profile and the two sums per start of the
 last few Monte Carlo passes over several starts (:func:`mc_moment`).
 Monte Carlo uses one thread per CPU the process may run on, from a pool
 that the process keeps for its life and a forked child starts afresh;
@@ -96,9 +96,10 @@ class Verdict:
 
 
 def exact_discrete_moment(specs: Sequence[VariableSpec], p: float) -> float:
-    """E |sum_k X_k|^p for finite-support specs, which may be given as Runs,
-    by the finite-support engine, equal specs forming one run wherever they
-    sit; SupportExplosion past its budget."""
+    """E |sum_k X_k|^p, p >= 1, for finite-support specs, which may be
+    given as Runs, by the finite-support engine, equal specs forming one
+    run wherever they sit; ValueError below p = 1, SupportExplosion past
+    its budget."""
     runs = []
     for spec, k in counts(specs).items():
         atoms = spec.atoms()
@@ -139,16 +140,16 @@ def _finite_table(runs) -> tuple[list[AliasTable], list]:
     for spec, k in runs:
         atoms = spec.atoms()
         try:
-            run = None if atoms is None else run_law(*atoms, k, _TABLE_CAP)[0]
+            run = None if atoms is None else run_law(*atoms, k, _TABLE_CAP)
         except SupportExplosion:
             run = None
         if run is None:
             rest.append((spec, k))
-        elif laws and len(laws[-1][0]) * len(run[0]) <= _TABLE_CAP:
+        elif laws and len(laws[-1]) * len(run) <= _TABLE_CAP:
             laws[-1] = _sum_law(laws[-1], run, _TABLE_CAP)
         else:
             laws.append(run)
-    return [AliasTable(law.real, law.imag) for law, _ in laws], rest
+    return [AliasTable(law.real, law.imag) for law in laws], rest
 
 
 def _moment_sums(segments, p: float, samples: int, seed: int) -> tuple[tuple[float, float], ...]:
@@ -271,7 +272,7 @@ def estimate_moment(
     """E|S|^p for S the sum of ``seq.variables[part]``, by the first engine
     that applies, each handed the runs ``seq.runs.cut(part)``: exact
     convolution of seq's runs of cached moment profiles
-    (``seq.profile_runs``) for even p; if ``exact_atoms``, the
+    (``seq.profile_runs``) for even p; if ``exact_atoms`` and p >= 1, the
     exact finite-support engine on atom summands; quadrature for 2 < p < 4
     on symmetric parametric summands, converged when its budget is at most
     ``tol * variance^(p/2)``, relative to the sum's scale at every
@@ -299,7 +300,7 @@ def estimate_moment(
         return Estimate(raw, 0.0, raw ** (1.0 / p), 0.0, "exact")
     runs = seq.runs.cut(part)
     heads = [s for s, _ in runs]  # one spec per run of equal specs
-    if exact_atoms and all(s.atoms() is not None for s in heads):
+    if exact_atoms and p >= 1.0 and all(s.atoms() is not None for s in heads):
         raw = exact_discrete_moment(runs, p)
         return Estimate(raw, 0.0, raw ** (1.0 / p), 0.0, "exact")
     parametric = all(s.family != "raw_moments" for s in heads)

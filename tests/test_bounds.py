@@ -131,6 +131,20 @@ class TestMinimalC:
                     assert prof.moment(2 * l) <= bound * prof.variance ** l * (1 + 1e-9)
 
 
+class TestScaleFreeConstants:
+    def test_underflowing_variance_powers(self):
+        """(E X^2)^3 = 8e-327 underflows to 0 at b = 1e-53, q = 0.001, and
+        (E X^2)^2 = 4e-324 rounds to one subnormal at b = 1e-80, q = 0.01:
+        read at scale 1, m and C are those of b = 1."""
+        tiny, unit = (seq_of(symmetric_three_point(b, 0.001), 200) for b in (1e-53, 1.0))
+        assert compute_m(tiny) == compute_m(unit) == 84
+        for r in (2, 3):
+            assert minimal_C_symmetric(tiny, r) == minimal_C_symmetric(unit, r)
+            assert minimal_C_centered(tiny, r) == minimal_C_centered(unit, r)
+        assert minimal_C_symmetric(tiny, 3) == 9.128709291752768
+        assert compute_m(seq_of(symmetric_three_point(1e-80, 0.01), 30)) == 9
+
+
 class TestBoundP24:
     def test_ten_laplace_p4(self):
         rep = bound_p_2_4(seq_of(symmetric_exponential(1.0), 10), 4.0)

@@ -18,6 +18,7 @@ from conftest import (
 from momentcert import (
     SequenceSpec,
     bound_general_p,
+    exact_discrete_moment,
     gaussian,
     gaussian_lp_norm,
     rademacher,
@@ -250,7 +251,7 @@ class TestScaledSignRows:
 
 class TestRademacherAbsMoment:
     def test_single_weight(self):
-        for p in (0.5, 1.0, 2.7, 4.0):
+        for p in (1.0, 2.7, 4.0):
             assert rademacher_abs_moment((1.0,), p) == pytest.approx(1.0)
 
     def test_two_weights_p3(self):
@@ -298,7 +299,7 @@ def small_laws(draw):
 class TestFiniteSupportEngine:
     @given(
         st.lists(st.tuples(small_laws(), st.integers(1, 5)), min_size=1, max_size=3),
-        st.floats(0.5, 6.0),
+        st.floats(1.0, 6.0),
     )
     @settings(max_examples=150, deadline=None)
     def test_matches_brute_force(self, runs, p):
@@ -315,32 +316,31 @@ class TestFiniteSupportEngine:
         got = exactmoments._atom_abs_moment([(v, q, k) for (v, q), k in runs], p)
         assert abs(got - math.fsum(terms)) <= 1e-12 * math.fsum(scale)
 
-    def test_cancelling_sums_below_p_one(self):
-        # Three copies of +-0.5, +-a and a point at -0.5: 0.5 + a - a - 0.5
-        # is 0, which a plain float sum of the grid misses by about 1e-16,
-        # and at p = 1/2 that moved the moment by 3e-10.
-        a = 0.8538074796326739
-        law = ((0.5, a, -0.5, -a), (0.25,) * 4)
-        atoms = list(zip(*law))
-        want = math.fsum(
-            0.25**3 * abs(math.fsum([x, y, z, -0.5])) ** 0.5
-            for (x, _), (y, _), (z, _) in itertools.product(atoms, repeat=3)
-        )
-        got = exactmoments._atom_abs_moment([(*law, 3), ((-0.5,), (1.0,), 1)], 0.5)
-        assert abs(got - want) <= 1e-15
+    def test_refuses_p_below_one(self):
+        """Each exact entry refuses p < 1, where a sum of atoms that
+        cancels to near 0 would carry its float rounding to the power p."""
+        law = ((-0.5, 0.5), (0.5, 0.5))
+        calls = [
+            lambda p: rademacher_abs_moment((1.0, 0.5), p),
+            lambda p: exact_discrete_moment([rademacher(1.0), rademacher(0.5)], p),
+            lambda p: exactmoments._atom_abs_moment([(*law, 3)], p),
+        ]
+        for call in calls:
+            for p in (0.5, 0.999, math.nan):
+                with pytest.raises(ValueError, match="p >= 1"):
+                    call(p)
+            assert call(1.0) > 0.0
 
-    @pytest.mark.parametrize("compensated", [False, True])
-    def test_zero_probability_atoms_are_dropped(self, compensated):
+    def test_zero_probability_atoms_are_dropped(self):
         """Six three-point summands at q = 1/2 are six fair signs: the atom
-        0 of probability 0 drops out, leaving the 7 atoms of the signs' law,
-        and without low parts that law takes the closed form."""
+        0 of probability 0 drops out, leaving the 7 atoms of the signs' law
+        in its closed form."""
         b = 0.7
-        three, mirrored = exactmoments.run_law((-b, 0.0, b), (0.5, 0.0, 0.5), 6, 1024,
-                                               compensated)
-        signs, _ = exactmoments.run_law((-b, b), (0.5, 0.5), 6, 1024, compensated)
-        assert mirrored
-        assert len(three[0]) == 7 and np.all(three[0].imag > 0.0)
-        assert np.array_equal(three[0], signs[0])
+        three = exactmoments.run_law((-b, 0.0, b), (0.5, 0.0, 0.5), 6, 1024)
+        signs = exactmoments.run_law((-b, b), (0.5, 0.5), 6, 1024)
+        assert isinstance(three, np.ndarray) and exactmoments._mirrored(three)
+        assert len(three) == 7 and np.all(three.imag > 0.0)
+        assert np.array_equal(three, signs)
         law = ((-b, 0.0, b), (0.5, 0.0, 0.5), 6)
         assert (exactmoments._atom_abs_moment([law], 3.3)
                 == exactmoments._atom_abs_moment([((-b, b), (0.5, 0.5), 6)], 3.3))
@@ -350,8 +350,8 @@ class TestFiniteSupportEngine:
         """The closed form for k fair signs: atoms a (2j - k), mirrored
         exactly, each probability within the docstring's bound of
         C(k, j) / 2^k wherever that is above 2^-1022."""
-        (law, lo), mirrored = exactmoments.run_law((-0.5, 0.5), (0.5, 0.5), k, 10**6)
-        assert mirrored and lo is None and len(law) == k + 1
+        law = exactmoments.run_law((-0.5, 0.5), (0.5, 0.5), k, 10**6)
+        assert isinstance(law, np.ndarray) and exactmoments._mirrored(law) and len(law) == k + 1
         assert np.array_equal(law.real, 0.5 * (2.0 * np.arange(k + 1) - k))
         assert np.array_equal(law.imag, law.imag[::-1])
         u, tiny = Fraction(2) ** -53, Fraction(2) ** -1022

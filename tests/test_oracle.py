@@ -49,7 +49,7 @@ class TestExactDiscreteMoment:
         rng = np.random.default_rng(40)
         for _ in range(15):
             n = int(rng.integers(1, 10))
-            p = float(rng.uniform(0.5, 6.0))
+            p = float(rng.uniform(1.0, 6.0))
             sig = rng.uniform(0.3, 1.5, n)
             specs = [rademacher(float(s)) for s in sig]
             assert exact_discrete_moment(specs, p) == pytest.approx(
@@ -557,6 +557,14 @@ class TestEstimateMoment:
         raw = exact_discrete_moment(list(seq.variables), 3.0)
         assert est == Estimate(raw, 0.0, raw ** (1.0 / 3.0), 0.0, "exact")
         assert estimate_moment(seq, 3.0, slice(None), **ENGINES).provenance == "quadrature"
+
+    def test_atoms_below_p_one_take_monte_carlo(self):
+        """The exact finite-support engine takes p >= 1 only, so below it
+        atom summands fall through to Monte Carlo."""
+        seq = SequenceSpec((rademacher(1.0),) * 5)
+        est = estimate_moment(seq, 0.5, slice(None), **{**ENGINES, "exact_atoms": True})
+        mc = mc_moment(list(seq.variables), 0.5, samples=20_000, seed=1)
+        assert est == Estimate(mc.raw_mean, mc.raw_half_width, mc.point, mc.half_width, "mc")
 
     def test_quadrature_budgets(self):
         p = 3.5
