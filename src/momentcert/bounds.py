@@ -282,23 +282,25 @@ def _non_certifying(statement_id, p, assumptions, constants=None):
 
 def compute_m(seq: SequenceSpec) -> int:
     """Head length m = max_k ceil((1/6) E X_k^4 / (E X_k^2)^2), computed
-    once for a sequence and its sorted copy, each ratio by :func:`_scaled`."""
-    return _once(seq._shared, "m", lambda: _ceil(max(
-        mu / power for mu, power in (_scaled(p, 4) for p in seq.distinct_profiles(4))) / 6.0))
+    once for a sequence and its sorted copy, each ratio by :func:`_ratio`."""
+    return _once(seq._shared, "m", lambda: _ceil(
+        max(_ratio(p, 4) for p in seq.distinct_profiles(4)) / 6.0))
 
 
-def _scaled(prof, l: int) -> tuple[float, float]:
-    """|E X^l| and (E X^2)^{l/2} of a profile, both times 2^{-h l} for
-    E X^2 = s 4^h, 1/4 <= s < 1: s^{l/2} neither under- nor overflows, nor
-    does l! s^{l/2} at l <= 170, so a ratio rounds as at scale 1."""
+def _ratio(prof, l: int, num: float = 1.0, den: float = 1.0) -> float:
+    """|E X^l| num / (den (E X^2)^{l/2}) of a profile, rounded as at scale 1:
+    with E X^2 = s 4^h, 1/4 <= s < 1, both sides are scaled by the power of
+    two that puts den s^{l/2} in [1/2, 1), so neither overflows before it."""
     h = (math.frexp(prof.variance)[1] + 1) // 2
-    return abs(_ldexp(prof.moment(l), -h * l)), math.ldexp(prof.variance, -2 * h) ** (l / 2.0)
+    den *= math.ldexp(prof.variance, -2 * h) ** (l / 2.0)
+    k = math.frexp(den)[1]
+    return abs(_ldexp(prof.moment(l), -h * l - k)) * num / math.ldexp(den, -k)
 
 
 def _minimal_C(seq: SequenceSpec, r: int, orders: range, flag: str) -> float:
     """Least C >= 1 with |E X_k^l| <= C^{l-2} l!/2^{l/2} (E X_k^2)^{l/2}
     for every l in orders and all k, each profile `flag` (symmetric or
-    centered) and each ratio by :func:`_scaled`; l = 2 holds automatically.
+    centered) and each ratio by :func:`_ratio`; l = 2 holds automatically.
     Computed once per (flag, r) for a sequence and its sorted copy."""
     if (flag, r) in seq._shared:
         return seq._shared[flag, r]
@@ -307,8 +309,7 @@ def _minimal_C(seq: SequenceSpec, r: int, orders: range, flag: str) -> float:
         if not getattr(prof, flag):
             raise ValueError(f"minimal_C_{flag} requires {flag} profiles")
         for l, factorial in zip(orders, factorials):
-            mu, power = _scaled(prof, l)
-            ratio = mu * 2 ** (l / 2.0) / (factorial * power)
+            ratio = _ratio(prof, l, 2 ** (l / 2.0), factorial)
             if ratio > 1.0:
                 c = max(c, ratio ** (1.0 / (l - 2)))
     seq._shared[flag, r] = c

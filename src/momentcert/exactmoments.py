@@ -33,6 +33,8 @@ __all__ = [
 
 # Most points that one product of two finite-support laws may form.
 _MAX_GRID = 20_000_000
+# Least p of the finite-support engine (:func:`_check_p` says why).
+FINITE_P_MIN = 1.0
 
 
 class SupportExplosion(ValueError):
@@ -278,11 +280,11 @@ def law_abs_moment(law: np.ndarray, p: float) -> float:
 
 
 def _check_p(p: float) -> None:
-    """Refuse p < 1 (ValueError).  An atom s = sum_k v_k, a float sum off by
-    O(eps sum_k |v_k|), has |s|^p off by O(eps) relative to (sum_k |v_k|)^p
-    at p >= 1, but by up to (eps sum_k |v_k|)^p below 1."""
-    if not p >= 1.0:
-        raise ValueError(f"the finite-support engine takes p >= 1, got p = {p}")
+    """Refuse p < FINITE_P_MIN (ValueError).  An atom s = sum_k v_k, a float
+    sum off by O(eps sum_k |v_k|), has |s|^p off by O(eps) relative to
+    (sum_k |v_k|)^p at p >= 1, but by up to (eps sum_k |v_k|)^p below 1."""
+    if not p >= FINITE_P_MIN:
+        raise ValueError(f"the finite-support engine takes p >= {FINITE_P_MIN:g}, got p = {p}")
 
 
 def rademacher_abs_moment(sigmas: Sequence[float], p: float) -> float:
@@ -336,8 +338,7 @@ def run_law(values, probs, k: int, cap: int) -> np.ndarray:
     laws are powered by repeated squaring.  Either way SupportExplosion is
     raised before any law or grid above `cap` points is built.
     """
-    one = _one_law(values, probs)
-    return _run_law(one, k, cap, _mirrored(one))
+    return _run_law(_one_law(values, probs), k, cap)
 
 
 def _one_law(values, probs) -> np.ndarray:
@@ -352,10 +353,10 @@ def _mirrored(law: np.ndarray) -> bool:
     return np.array_equal(law, -law[::-1].conj())
 
 
-def _run_law(one: np.ndarray, k: int, cap: int, mirrored: bool) -> np.ndarray:
+def _run_law(one: np.ndarray, k: int, cap: int) -> np.ndarray:
     """The law of the sum of k copies of the law `one` of :func:`_one_law`,
-    `mirrored` or not, as :func:`run_law` builds it."""
-    if not (len(one) == 2 and mirrored):
+    as :func:`run_law` builds it."""
+    if not (len(one) == 2 and _mirrored(one)):
         return _power(one, k, partial(_sum_law, cap=cap))
     if k + 1 > cap:
         raise SupportExplosion(f"a law of {k + 1} points exceeds {cap}")
@@ -388,9 +389,8 @@ def _atom_law(runs: Sequence[tuple[Sequence, Sequence, int]]) -> np.ndarray:
     if not runs:
         raise ValueError("need at least one summand")
     ones = [_one_law(values, probs) for values, probs, _ in runs]
-    mirrored = list(map(_mirrored, ones))
-    laws = (_run_law(one, k, _MAX_GRID, m) for one, m, (_, _, k) in zip(ones, mirrored, runs))
+    laws = (_run_law(one, k, _MAX_GRID) for one, (_, _, k) in zip(ones, runs))
     first = next(laws)
-    if all(mirrored[1:]):
+    if all(map(_mirrored, ones[1:])):
         first = _merged(np.abs(first.real) + 1j * first.imag)
     return reduce(partial(_sum_law, cap=_MAX_GRID), laws, first)

@@ -27,8 +27,8 @@ import numpy as np
 from .charfn import CharFunction, haagerup_moment
 from .distmodel import AliasTable, NoEngine, VariableSpec, sample_suffixes
 from .exactmoments import (
-    SupportExplosion, _atom_abs_moment, _sum_law, counts, is_even, run_law, run_lengths,
-    sum_even_moment,
+    FINITE_P_MIN, SupportExplosion, _atom_abs_moment, _sum_law, counts, is_even, run_law,
+    run_lengths, sum_even_moment,
 )
 
 if TYPE_CHECKING:
@@ -272,15 +272,15 @@ def estimate_moment(
     """E|S|^p for S the sum of ``seq.variables[part]``, by the first engine
     that applies, each handed the runs ``seq.runs.cut(part)``: exact
     convolution of seq's runs of cached moment profiles
-    (``seq.profile_runs``) for even p; if ``exact_atoms`` and p >= 1, the
-    exact finite-support engine on atom summands; quadrature for 2 < p < 4
-    on symmetric parametric summands, converged when its budget is at most
-    ``tol * variance^(p/2)``, relative to the sum's scale at every
-    variance; else Monte Carlo, unless a summand is a raw moment profile
-    without atoms (NoEngine).  A quadrature norm's budget is the raw one
-    mapped through the monotone 1/p-power; Monte Carlo maps the
-    interval's endpoints.  A value or budget that overflowed a float
-    raises OverflowError.
+    (``seq.profile_runs``) for even p; if ``exact_atoms`` and p >=
+    ``FINITE_P_MIN`` = 1, the exact finite-support engine on atom summands;
+    quadrature for 2 < p < 4 on symmetric parametric summands, converged
+    when its budget is at most ``tol * variance^(p/2)``, relative to the
+    sum's scale at every variance; else Monte Carlo, unless a summand is a
+    raw moment profile without atoms (NoEngine).  A quadrature norm's
+    budget is the raw one mapped through the monotone 1/p-power; Monte
+    Carlo maps the interval's endpoints.  A value or budget that
+    overflowed a float raises OverflowError.
 
     ``starts``, if given, names the 0-based starts of every suffix sum
     whose Monte Carlo estimate should come from one pass, ``part`` being
@@ -300,7 +300,7 @@ def estimate_moment(
         return Estimate(raw, 0.0, raw ** (1.0 / p), 0.0, "exact")
     runs = seq.runs.cut(part)
     heads = [s for s, _ in runs]  # one spec per run of equal specs
-    if exact_atoms and p >= 1.0 and all(s.atoms() is not None for s in heads):
+    if exact_atoms and p >= FINITE_P_MIN and all(s.atoms() is not None for s in heads):
         raw = exact_discrete_moment(runs, p)
         return Estimate(raw, 0.0, raw ** (1.0 / p), 0.0, "exact")
     parametric = all(s.family != "raw_moments" for s in heads)

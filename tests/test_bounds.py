@@ -135,7 +135,11 @@ class TestScaleFreeConstants:
     def test_underflowing_variance_powers(self):
         """(E X^2)^3 = 8e-327 underflows to 0 at b = 1e-53, q = 0.001, and
         (E X^2)^2 = 4e-324 rounds to one subnormal at b = 1e-80, q = 0.01:
-        read at scale 1, m and C are those of b = 1."""
+        read at scale 1, m and C are those of b = 1.  At b = 1, q = 1e-4
+        and l = 170 the ratio is 2.7e29, so |E X^l| 2^85 scaled by 2^{-170 h}
+        alone is 2.7e29 x 170! s^85, past the float range, though the ratio
+        is finite; C (set at l = 4) is one value at every power-of-two b,
+        where the unscaled (E X^2)^{l/2} turns 0 below b = 1."""
         tiny, unit = (seq_of(symmetric_three_point(b, 0.001), 200) for b in (1e-53, 1.0))
         assert compute_m(tiny) == compute_m(unit) == 84
         for r in (2, 3):
@@ -143,6 +147,10 @@ class TestScaleFreeConstants:
             assert minimal_C_centered(tiny, r) == minimal_C_centered(unit, r)
         assert minimal_C_symmetric(tiny, 3) == 9.128709291752768
         assert compute_m(seq_of(symmetric_three_point(1e-80, 0.01), 30)) == 9
+        for r in range(80, 86):
+            c = {(minimal_C_symmetric(s, r), minimal_C_centered(s, r)) for s in (
+                seq_of(symmetric_three_point(b, 1e-4), 30) for b in (1.0, 0.5, 2.0, 0.125))}
+            assert c == {(28.867513459481287, 28.867513459481287)}
 
 
 class TestBoundP24:

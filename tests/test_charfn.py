@@ -262,7 +262,7 @@ def laplace_sum_third_moment(n: int, sigma: float) -> float:
 
 
 def mpmath_abs_moment(summands, p, dps=30):
-    """E|S|^p from the compensated identity, by mpmath's tanh-sinh rule at
+    """E|S|^p from Haagerup's identity, by mpmath's tanh-sinh rule at
     dps digits.  `summands` holds (phi, variance, fourth moment) per
     summand, the moments as exact Fractions.  phi - 1 + variance t^2/2 is
     formed with 40 spare digits, and below t = 1e-8 it is m4 t^4/24."""
