@@ -27,10 +27,10 @@ from .exactmoments import (
     gaussian_lp_norm,
     is_even,
     law_abs_moment,
-    rademacher_even_moment,
     rademacher_moments,
     run_lengths,
     sign_law,
+    sign_orders_agree,
     sum_even_moment,
 )
 from .oracle import estimate_moment
@@ -93,10 +93,12 @@ class SequenceSpec:
     hash and repr see ``variables`` only.  What depends on the distinct
     specs alone (their variances and moment profiles, the constants m and
     C) is computed once, in tables by distinct spec that the sorted copy
-    shares, so the rows that :func:`exactmoments.moments_of_sum` keeps on
-    a profile are built once per sequence and order, and dropped with
-    them.  Every other summary is itself a Runs, which the engines take as
-    they are.
+    shares.  A table of even-order moments (the profiles, the weighted-sign
+    moments) is built at the highest order asked so far and serves every
+    order up to its own, so a job that asks its highest order first builds
+    each once, and the rows that :func:`exactmoments.moments_of_sum` keeps
+    on a profile are built once per sequence and dropped with it.  Every
+    other summary is itself a Runs, which the engines take as they are.
     """
 
     variables: tuple[VariableSpec, ...]
@@ -211,30 +213,53 @@ class SequenceSpec:
         offsets = self.runs.offsets
         return tuple(chain.from_iterable(range(offsets[i], offsets[i + 1]) for i in self._ranks))
 
-    def _profiles(self, max_order: int) -> dict:
-        """The moment profile of each distinct spec."""
-        return _once(self._shared, ("profiles", max_order),
-                     lambda: {s: s.moments(max_order) for s in self._variance})
+    def _profiles(self, max_order: int) -> tuple[int, dict]:
+        """(order, table): the moment profile of each distinct spec, in the
+        one table that the sequence and its sorted copy share, built at the
+        highest order asked so far (order >= max_order).  Entry t of a
+        profile does not depend on the order it was built to, so the table
+        serves every lower order.  An order whose profiles cannot be built
+        fails where it is asked, and leaves the table as it was."""
+        order, table = self._shared.get("profiles", (-1, None))
+        if order < max_order:
+            order, table = max_order, {s: s.moments(max_order) for s in self._variance}
+            self._shared["profiles"] = order, table
+        return order, table
 
     def distinct_profiles(self, max_order: int) -> tuple:
-        """One moment profile per distinct spec, in no particular order."""
-        return tuple(self._profiles(max_order).values())
+        """One moment profile per distinct spec, of order max_order or
+        higher (:meth:`_profiles`), in no particular order."""
+        return tuple(self._profiles(max_order)[1].values())
 
     def profile_runs(self, max_order: int, part: slice = slice(None)) -> Runs:
         """(profile, k) for the runs of equal moment profiles among the
-        summands `part`, a slice without step: adjacent runs whose profiles
-        compare equal are merged, as :func:`exactmoments.sum_even_moment`
-        would merge them."""
-        def make():
-            table = self._profiles(max_order)
-            return Runs.join((table[s], k) for s, k in self.runs)
-        return _once(self._own, ("runs", max_order), make).cut(part)
+        summands `part`, a slice without step, from the table of
+        :meth:`_profiles`: adjacent runs whose profiles compare equal are
+        merged, as :func:`exactmoments.sum_even_moment` would merge them.
+        The runs are kept by the table's order, so every order it serves
+        reads one set of runs."""
+        order, table = self._profiles(max_order)
+        kept = self._own.get("runs")
+        if kept is None or kept[0] != order:
+            kept = self._own["runs"] = order, Runs.join((table[s], k) for s, k in self.runs)
+        return kept[1].cut(part)
 
     def rademacher_even_moment(self, r: int) -> float:
-        """E (sum_k sqrt(v_k) eps_k)^{2r} over the whole sequence:
-        :func:`exactmoments.rademacher_even_moment` on its weight runs,
-        once per r."""
-        return _once(self._own, ("signs", r), lambda: rademacher_even_moment(self.weight_runs, r))
+        """E (sum_k sqrt(v_k) eps_k)^{2r} over the whole sequence, read from
+        one list of :func:`exactmoments.rademacher_moments` on its weight
+        runs, built at the highest order asked so far.  A lower order reads
+        that list only where :func:`exactmoments.sign_orders_agree` shows
+        that no run could take the order-dependent power row, and otherwise
+        computes its own, so every value has the bits of
+        :func:`exactmoments.rademacher_even_moment` at its own r."""
+        want = max(2 * r, 2)
+        order, table = self._own.get("signs", (-1, None))
+        if order == want or order > want and sign_orders_agree(self.weight_runs.total, order):
+            return table[2 * r]
+        moments = rademacher_moments(self.weight_runs, want)
+        if want > order:
+            self._own["signs"] = want, moments
+        return moments[2 * r]
 
 
 @dataclass(frozen=True)
@@ -367,14 +392,17 @@ def bound_p_2_4(seq: SequenceSpec, p: float) -> BoundReport:
     )
 
 
-def _cutoff(sorted_seq: SequenceSpec, r: int, j: int, symmetric: bool) -> tuple[float, int]:
+def _cutoff(sorted_seq: SequenceSpec, r: int, j: int, symmetric: bool) -> tuple[float, int | None]:
     """Growth constant C up to order 2r and cutoff D_j = ceil(C^2 j) for
-    symmetric summands, ceil(C^2 (j+1) j/2) for centered ones."""
+    symmetric summands, ceil(C^2 (j+1) j/2) for centered ones; D_j is None
+    where it overflows a float (C may be inf), a cutoff past every n."""
     if symmetric:
         c = minimal_C_symmetric(sorted_seq, r)
-        return c, _ceil(c * c * j)
-    c = minimal_C_centered(sorted_seq, r)
-    return c, _ceil(c * c * (j + 1) * j / 2.0)
+        d = c * c * j
+    else:
+        c = minimal_C_centered(sorted_seq, r)
+        d = c * c * (j + 1) * j / 2.0
+    return c, _ceil(d) if math.isfinite(d) else None
 
 
 def _bound_even(seq: SequenceSpec, r: int, symmetric: bool) -> BoundReport:
@@ -393,8 +421,11 @@ def _bound_even(seq: SequenceSpec, r: int, symmetric: bool) -> BoundReport:
     if not all(a.satisfied for a in assumptions):
         return _non_certifying(statement, p, assumptions)
     c, cutoff = _cutoff(sorted_seq, r, r - 1, symmetric)
-    constants = {"C": c, "cutoff_index": cutoff}
     formula = "ceil(C^2 (r-1))" if symmetric else "ceil(C^2 r(r-1)/2)"
+    if cutoff is None:
+        assumptions.append(Assumption("cutoff_below_n", False, f"{formula} overflows a float"))
+        return _non_certifying(statement, p, assumptions)
+    constants = {"C": c, "cutoff_index": cutoff}
     assumptions.append(
         Assumption("cutoff_below_n", cutoff < n, f"{formula}={cutoff} < n={n}")
     )
@@ -453,6 +484,9 @@ def bound_general_p(seq: SequenceSpec, p: float, r: int) -> BoundReport:
     if not all(a.satisfied for a in assumptions):
         return _non_certifying("truncated_general_p_upper", p, assumptions)
     c, cutoff = _cutoff(sorted_seq, r, half, sorted_seq.all_symmetric)
+    if cutoff is None:
+        assumptions.append(Assumption("cutoff_within_n", False, "the cutoff overflows a float"))
+        return _non_certifying("truncated_general_p_upper", p, assumptions)
     cutoff += 1
     multiplier = (2.0 * half + 1.0) / (2.0 * half - 1.0)
     constants = {"C": c, "cutoff_index": cutoff, "multiplier": multiplier}
@@ -652,7 +686,7 @@ class TailCheckReport:
     tail_moment: float
     symmetric_function_bound: float
     rademacher_bound: float
-    cutoff_index: int
+    cutoff_index: int | None  # None where it overflows a float
     growth_constant: float
     passed: bool
     applicable: bool = True
@@ -661,7 +695,7 @@ class TailCheckReport:
 def _check_tail_bounds(seq: SequenceSpec, r: int, symmetric: bool) -> TailCheckReport:
     sorted_seq = seq.sorted()
     c, cutoff = _cutoff(sorted_seq, r, r - 1, symmetric)
-    if r < 2 or cutoff >= len(sorted_seq):
+    if r < 2 or cutoff is None or cutoff >= len(sorted_seq):
         return TailCheckReport(math.nan, math.nan, math.nan, cutoff, c, False, False)
     tail = sum_even_moment(sorted_seq.profile_runs(2 * r, slice(cutoff, None)), r)
     esym = math.factorial(2 * r) / 2 ** r * elementary_symmetric(sorted_seq.variance_runs, r)

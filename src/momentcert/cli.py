@@ -240,12 +240,21 @@ def _report_row(report: BoundReport) -> dict:
 
 def _all_reports(seq: SequenceSpec, cfg: RunConfig) -> list[BoundReport]:
     """Every statement's report at each of its (p, r) cases, sorted by
-    (statement, p)."""
+    (statement, p), then r.  The cases are evaluated from the highest
+    moment order they may read, max(p, 2r), down, and at equal orders from
+    the highest p (the order of the sign moments), so that each of the
+    sequence's even-order tables (moment profiles, sign moments) is built
+    once, at the highest order a case asks of it, and serves the lower
+    ones; the reports are then put back by case index."""
     ps, rs = sorted(set(cfg.p_values)), sorted(set(cfg.r_values))
     engine = {"tol": cfg.tol, "mc_samples": cfg.samples, "mc_seed": cfg.seed,
               "mc_confidence": cfg.confidence}
-    reports = [row.build(seq, p, r, **engine)
-               for row in STATEMENTS.values() for p, r in row.cases(ps, rs)]
+    cases = [(row, p, r) for row in STATEMENTS.values() for p, r in row.cases(ps, rs)]
+    reports = [None] * len(cases)
+    for i in sorted(range(len(cases)), reverse=True,
+                    key=lambda i: (max(cases[i][1], 2 * (cases[i][2] or 0)), cases[i][1])):
+        row, p, r = cases[i]
+        reports[i] = row.build(seq, p, r, **engine)
     reports.sort(key=lambda rep: (rep.statement_id, rep.p))
     return reports
 
@@ -254,9 +263,11 @@ def _all_reports(seq: SequenceSpec, cfg: RunConfig) -> list[BoundReport]:
 
 
 def _run_moments(cfg: RunConfig) -> list[dict]:
+    """One row per p and 2r, by increasing p, evaluated from the highest
+    down so that the sequence's profile table is built once."""
     seq = SequenceSpec(tuple(cfg.variables))
     rows = []
-    for p in sorted(set(cfg.p_values) | {2.0 * r for r in cfg.r_values}):
+    for p in sorted(set(cfg.p_values) | {2.0 * r for r in cfg.r_values}, reverse=True):
         try:
             est = _estimate(seq, p, slice(None), cfg)
             row = {"p": p, "lp_norm": _estimate_tag(est, raw=False)}
@@ -264,7 +275,7 @@ def _run_moments(cfg: RunConfig) -> list[dict]:
             row = _unverified({"p": p}, exc)
         row["gaussian_center"] = _tag(gaussian_lp_norm(p) * math.sqrt(seq.total_variance), "exact")
         rows.append(row)
-    return rows
+    return rows[::-1]
 
 
 def _run_bound(cfg: RunConfig) -> list[dict]:

@@ -28,6 +28,7 @@ __all__ = [
     "rademacher_abs_moment",
     "Runs",
     "sign_law",
+    "sign_orders_agree",
     "sum_even_moment",
 ]
 
@@ -257,6 +258,17 @@ def rademacher_moments(sigmas: Sequence[float], order: int) -> list[float]:
         mant, e = math.frexp(a)
         m = _convolve(order, m, [_ldexp(x_t * mant ** t, e * t) for t, x_t in enumerate(x)])
     return m
+
+
+def sign_orders_agree(n: int, order: int) -> bool:
+    """Whether :func:`rademacher_moments` on at most n signs gives every
+    entry up to `order` the bits it has at each lower order.  The entries
+    of a run do not depend on the order, but the choice of its power row
+    does: it is taken where some x_t, t <= order, overflows.  True when
+    none can: x_t <= (t-1)!! k^{t/2} (Gaussian domination), increasing in
+    t and k, and that bound at t = order and k = n is below 2^1023, which
+    leaves the rounding of x_t a factor of 2 below overflow."""
+    return math.prod(range(1, order, 2)) * n ** (order // 2) < 2 ** 1023
 
 
 def rademacher_even_moment(sigmas: Sequence[float], r: int) -> float:

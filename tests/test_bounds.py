@@ -152,6 +152,23 @@ class TestScaleFreeConstants:
                 seq_of(symmetric_three_point(b, 1e-4), 30) for b in (1.0, 0.5, 2.0, 0.125))}
             assert c == {(28.867513459481287, 28.867513459481287)}
 
+    def test_infinite_growth_constant_fails_the_cutoff(self):
+        """At q = 1e-300 the l = 6 ratio (2q)^-2 is past the float range, so
+        C = inf and every cutoff is past n: each statement fails its cutoff
+        assumption, which names the overflow, and the tail checks are not
+        applicable."""
+        seq = seq_of(symmetric_three_point(1.0, 1e-300), 30)
+        assert minimal_C_symmetric(seq, 3) == minimal_C_centered(seq, 3) == math.inf
+        for rep, name in ((bound_even_symmetric(seq, 3), "cutoff_below_n"),
+                          (bound_even_centered(seq, 3), "cutoff_below_n"),
+                          (bound_general_p(seq, 6.0, 3), "cutoff_within_n")):
+            assert [a.name for a in rep.failed_assumptions()] == [name]
+            assert "overflows a float" in rep.assumptions[-1].detail
+            assert rep.constants == {}
+        for check in (check_symmetric_tail_bounds, check_centered_tail_bounds):
+            rep = check(seq, 3)
+            assert not rep.applicable and not rep.passed and rep.cutoff_index is None
+
 
 class TestBoundP24:
     def test_ten_laplace_p4(self):

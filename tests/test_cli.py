@@ -24,6 +24,7 @@ from momentcert.cli import (
 from momentcert.cli import _json as cli_json
 from momentcert import SequenceSpec, distmodel, estimate_moment, exactmoments, oracle
 from momentcert.distmodel import (
+    VariableSpec,
     gaussian,
     rademacher,
     spec_from_atoms,
@@ -186,6 +187,34 @@ class TestBoundCommand:
         for row in rows:
             assert row["failed"] == ["enumeration_cap"]
             assert re.fullmatch(r"a grid of \d+ points exceeds 65536", row["assumptions"][-1]["detail"])
+
+    @pytest.mark.parametrize("command", ["bound", "verify"])
+    def test_one_profile_per_distinct_spec(self, tmp_path, monkeypatch, command):
+        # The cases run from the highest order down, so each distinct spec
+        # builds its profile once, at order 6, and the sign moments take
+        # one fair-sign profile, for their one list at order 6.
+        calls = count_calls(monkeypatch, VariableSpec, "moments")
+        variables = [{"family": "gaussian", "sigma": 1.0, "count": 5},
+                     {"family": "uniform", "a": 1.2, "count": 4},
+                     {"family": "symmetric_three_point", "b": 0.7, "q": 0.3, "count": 3},
+                     {"family": "gaussian", "sigma": 1.0, "count": 2},
+                     {"family": "symmetric_exponential", "sigma": 0.6, "count": 6}]
+        cfg = load_config(write_config(tmp_path, {"command": command, "variables": variables,
+                                                  "p_values": [4, 6], "r_values": [2, 3]}))
+        status, _ = run(cfg)
+        assert status == EXIT_OK
+        assert len(calls) == len(set(calls))
+        assert set(calls) == {(spec, 6) for spec in {*cfg.variables, rademacher(1.0)}}
+
+    def test_truncated_rows_keep_r_ascending(self, tmp_path):
+        # r = 3 reads the higher order and is evaluated first; its row
+        # still comes after r = 2's at p = 4.
+        doc = {"command": "bound", "variables": LAPLACE_TEN, "p_values": [4, 6], "r_values": [2, 3]}
+        _, document = run(load_config(write_config(tmp_path, doc)))
+        rows = [row for row in json.loads(document)["rows"]
+                if row["statement"] == "truncated_general_p_upper"]
+        assert [(row["p"], row["assumptions"][0]["detail"]) for row in rows] == [
+            (4.0, "2 <= p=4.0 <= 2r=4"), (4.0, "2 <= p=4.0 <= 2r=6"), (6.0, "2 <= p=6.0 <= 2r=6")]
 
     def test_statement_cases_pinned(self, tmp_path):
         # Each row of bounds.STATEMENTS reports at its own (p, r) cases, and

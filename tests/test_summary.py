@@ -2,6 +2,7 @@
 import dataclasses
 import itertools
 import math
+import re
 import sys
 from concurrent.futures import ThreadPoolExecutor
 
@@ -400,21 +401,48 @@ class TestConstantsOncePerSequence:
         assert compute_m(seq) == compute_m(srt) == brute_m(seq)
         assert calls.count(4) == 3
 
-    def test_rademacher_moment_once_per_r(self, monkeypatch):
+    def test_rademacher_moments_once_at_the_highest_order(self, monkeypatch):
         seq = SequenceSpec((uniform(1.0),) * 30 + (gaussian(2.0),) * 20)
         calls, signs = [], []
-        real, real_signs = bounds.sum_even_moment, bounds.rademacher_even_moment
+        real, real_signs = bounds.sum_even_moment, bounds.rademacher_moments
         monkeypatch.setattr(bounds, "sum_even_moment",
                             lambda runs, r: calls.append((len(runs), r)) or real(runs, r))
-        monkeypatch.setattr(bounds, "rademacher_even_moment",
-                            lambda runs, r: signs.append((runs, r)) or real_signs(runs, r))
-        reports = [bound_general_p(seq, p, r) for p in (4.0, 6.0) for r in (3, 4)]
+        monkeypatch.setattr(bounds, "rademacher_moments",
+                            lambda runs, order: signs.append((runs, order)) or real_signs(runs, order))
+        reports = [bound_general_p(seq, p, r) for p in (6.0, 4.0) for r in (3, 4)]
         check_symmetric_tail_bounds(seq, 3)
         assert all(rep.certifying for rep in reports)
-        # One sign moment per p over the two weight runs, which the tail
-        # check reads again, and the tail check's own sum past its cutoff.
-        assert sorted((len(runs), r) for runs, r in signs) == [(2, 2), (2, 3)]
-        assert all(runs == ((2.0, 20), (math.sqrt(1.0 / 3.0), 30)) for runs, _ in signs)
+        # One sign list over the two weight runs, at the highest order, from
+        # which p = 4 and the tail check read r = 2 and 3, and the tail
+        # check's own sum past its cutoff.
+        assert signs == [(((2.0, 20), (math.sqrt(1.0 / 3.0), 30)), 6)]
         assert calls == [(2, 3)]
         weights = tuple(map(math.sqrt, variances(seq.sorted())))
-        assert reports[0].aux["rademacher_abs_moment"] == rademacher_even_moment(weights, 2)
+        assert reports[0].aux["rademacher_abs_moment"] == rademacher_even_moment(weights, 3)
+        assert reports[2].aux["rademacher_abs_moment"] == rademacher_even_moment(weights, 2)
+
+    @pytest.mark.parametrize("runs", [
+        ((0.3, 100),), ((0.7, 1000),), ((0.95, 100), (0.05, 1000)),
+        ((1.0, 3), (2.0 ** -100, 4)), ((2.0 ** -300, 5),), ((0.5, 7), (2.0 ** -600, 2)),
+    ], ids=["0.3x100", "0.7x1000", "two-overflowing", "2^-100", "2^-300", "2^-600"])
+    def test_sign_moments_have_the_bits_of_their_own_order(self, runs):
+        """Whichever orders were asked before, the sequence's sign moment at
+        r has the bits of rademacher_even_moment at r, or its refusal.  Runs
+        of weights in (0, 1) on 100 or 1000 signs overflow x_t at high
+        orders and are expanded on their power rows there; weights of
+        2^-100 and 2^-300 have subnormal powers, which are refused, and
+        2^-600 has a variance, and so a weight, of 0."""
+        rng = np.random.default_rng(31)
+        specs = tuple(s for a, k in runs for s in [rademacher(a)] * k)
+        for _ in range(3):
+            seq = SequenceSpec(specs)
+            for r in rng.permutation([1, 2, 3, 5, 8, 13, 21, 34, 55, 84, 85]):
+                r = int(r)
+                try:
+                    want = rademacher_even_moment(seq.weight_runs, r)
+                except ValueError as exc:
+                    with pytest.raises(ValueError, match=re.escape(str(exc))):
+                        seq.rademacher_even_moment(r)
+                    continue
+                got = seq.rademacher_even_moment(r)
+                assert got == want, (r, got, want)
