@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, partial
 from itertools import accumulate, chain, repeat
 from operator import itemgetter
 from typing import Callable, Sequence
@@ -30,7 +30,6 @@ from .exactmoments import (
     rademacher_moments,
     run_lengths,
     sign_law,
-    sign_orders_agree,
     sum_even_moment,
 )
 from .oracle import estimate_moment
@@ -81,6 +80,15 @@ def _once(cache: dict, key, make):
     if key not in cache:
         cache[key] = make()
     return cache[key]
+
+
+def _highest(cache: dict, key, order: int, make):
+    """(built, table): cache[key], made by make(order) unless it was made at
+    an order built >= order.  A make that raises leaves the cache as it was."""
+    built, table = cache.get(key, (-1, None))
+    if built < order:
+        built, table = cache[key] = order, make(order)
+    return built, table
 
 
 @dataclass(frozen=True)
@@ -216,15 +224,11 @@ class SequenceSpec:
     def _profiles(self, max_order: int) -> tuple[int, dict]:
         """(order, table): the moment profile of each distinct spec, in the
         one table that the sequence and its sorted copy share, built at the
-        highest order asked so far (order >= max_order).  Entry t of a
+        highest order asked so far (:func:`_highest`).  Entry t of a
         profile does not depend on the order it was built to, so the table
-        serves every lower order.  An order whose profiles cannot be built
-        fails where it is asked, and leaves the table as it was."""
-        order, table = self._shared.get("profiles", (-1, None))
-        if order < max_order:
-            order, table = max_order, {s: s.moments(max_order) for s in self._variance}
-            self._shared["profiles"] = order, table
-        return order, table
+        serves every lower order."""
+        return _highest(self._shared, "profiles", max_order,
+                        lambda order: {s: s.moments(order) for s in self._variance})
 
     def distinct_profiles(self, max_order: int) -> tuple:
         """One moment profile per distinct spec, of order max_order or
@@ -239,27 +243,20 @@ class SequenceSpec:
         The runs are kept by the table's order, so every order it serves
         reads one set of runs."""
         order, table = self._profiles(max_order)
-        kept = self._own.get("runs")
-        if kept is None or kept[0] != order:
-            kept = self._own["runs"] = order, Runs.join((table[s], k) for s, k in self.runs)
-        return kept[1].cut(part)
+        runs = _highest(self._own, "runs", order,
+                        lambda _: Runs.join((table[s], k) for s, k in self.runs))[1]
+        return runs.cut(part)
 
     def rademacher_even_moment(self, r: int) -> float:
         """E (sum_k sqrt(v_k) eps_k)^{2r} over the whole sequence, read from
         one list of :func:`exactmoments.rademacher_moments` on its weight
-        runs, built at the highest order asked so far.  A lower order reads
-        that list only where :func:`exactmoments.sign_orders_agree` shows
-        that no run could take the order-dependent power row, and otherwise
-        computes its own, so every value has the bits of
+        runs, built at the highest order asked so far (:func:`_highest`).
+        Entry 2r of that list does not depend on the order it was built
+        to, so every value has the bits of
         :func:`exactmoments.rademacher_even_moment` at its own r."""
-        want = max(2 * r, 2)
-        order, table = self._own.get("signs", (-1, None))
-        if order == want or order > want and sign_orders_agree(self.weight_runs.total, order):
-            return table[2 * r]
-        moments = rademacher_moments(self.weight_runs, want)
-        if want > order:
-            self._own["signs"] = want, moments
-        return moments[2 * r]
+        signs = _highest(self._own, "signs", max(2 * r, 2),
+                         partial(rademacher_moments, self.weight_runs))[1]
+        return signs[2 * r]
 
 
 @dataclass(frozen=True)

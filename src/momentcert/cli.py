@@ -373,7 +373,8 @@ def _run_check_lemmas(cfg: RunConfig) -> list[dict]:
             if holds and (tail := check(seq, r)).applicable:
                 record(name, tail.passed, r=r, cutoff=tail.cutoff_index)
         ratio = check_rademacher_moment_ratio(sorted_seq.weight_runs, r)
-        record("rademacher_moment_ratio", ratio.passed, r=r, ratio=ratio.ratio)
+        record("rademacher_moment_ratio", ratio.passed, r=r,  # null for the inf of a 0 rhs
+               ratio=ratio.ratio if math.isfinite(ratio.ratio) else None)
     return rows
 
 

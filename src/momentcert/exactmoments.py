@@ -28,7 +28,6 @@ __all__ = [
     "rademacher_abs_moment",
     "Runs",
     "sign_law",
-    "sign_orders_agree",
     "sum_even_moment",
 ]
 
@@ -235,12 +234,12 @@ def rademacher_moments(sigmas: Sequence[float], order: int) -> list[float]:
     by :func:`_run_moments` on one fair-sign profile, built per call.  For
     a = m 2^e (math.frexp), entry t is x_t m^t scaled by 2^(e t) with
     :func:`_ldexp`: one rounding below the smallest normal float 2^-1022,
-    inf on overflow.  The runs are convolved, in O(order^2) each.
-
-    The weight's own sign profile, a^t at even t, can fail its checks (an
-    even moment of 0, a Lyapunov chain broken by rounding) only where
-    a^order < 2^-1022; there that power row is validated (ValueError).  A
-    run whose x_t overflows while a < 1 is expanded on that row instead.
+    inf on overflow.  Only where x_t overflows while a < 1 is entry t
+    taken from the expansion on the power row a^t instead, which is built
+    and validated (ValueError) only then.  So each entry, and each run's
+    choice of it, reads entries up to t alone: the list at a higher order
+    begins with the bits of the list at a lower one.  The runs are
+    convolved, in O(order^2) each.
     """
     unit, m = rademacher(1.0).moments(order), [1.0] + [0.0] * order
     for a, k in counts(sigmas, abs).items():
@@ -249,26 +248,15 @@ def rademacher_moments(sigmas: Sequence[float], order: int) -> list[float]:
         if not math.isfinite(a):
             raise ValueError(f"sign weights must be finite, got {a!r}")
         x = _run_moments(unit, k, order)
-        if a < 1.0 and (math.inf in x or a ** order < 2.0 ** -1022):
+        mant, e = math.frexp(a)
+        row = [_ldexp(x_t * mant ** t, e * t) for t, x_t in enumerate(x)]
+        if a < 1.0 and math.inf in x:
             powers = MomentProfile([a ** t if t % 2 == 0 else 0.0 for t in range(order + 1)],
                                    symmetric=True, centered=True)
-            if math.inf in x:
-                m = _convolve(order, m, _run_moments(powers, k, order))
-                continue
-        mant, e = math.frexp(a)
-        m = _convolve(order, m, [_ldexp(x_t * mant ** t, e * t) for t, x_t in enumerate(x)])
+            row = [y if x_t < math.inf else z
+                   for x_t, y, z in zip(x, row, _run_moments(powers, k, order))]
+        m = _convolve(order, m, row)
     return m
-
-
-def sign_orders_agree(n: int, order: int) -> bool:
-    """Whether :func:`rademacher_moments` on at most n signs gives every
-    entry up to `order` the bits it has at each lower order.  The entries
-    of a run do not depend on the order, but the choice of its power row
-    does: it is taken where some x_t, t <= order, overflows.  True when
-    none can: x_t <= (t-1)!! k^{t/2} (Gaussian domination), increasing in
-    t and k, and that bound at t = order and k = n is below 2^1023, which
-    leaves the rounding of x_t a factor of 2 below overflow."""
-    return math.prod(range(1, order, 2)) * n ** (order // 2) < 2 ** 1023
 
 
 def rademacher_even_moment(sigmas: Sequence[float], r: int) -> float:

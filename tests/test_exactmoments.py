@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
@@ -143,7 +143,7 @@ def sign_runs(draw, subnormal=False):
     weights 0, one |sigma| possibly in several non-adjacent runs, and an
     order up to 12.  With `subnormal`, one |sigma| = a whose power a^order
     lies between 2^-1040 and the smallest normal float, 2^-1022: a
-    subnormal power whose rounding the Lyapunov check tolerates."""
+    subnormal power that keeps a few bits."""
     order = draw(st.integers(2, 12))
     if subnormal:
         mags = [2.0 ** (-draw(st.floats(1022.5, 1040.0)) / order)]
@@ -213,14 +213,36 @@ class TestScaledSignRows:
         (1e-60, "even moment mu_6 must be positive"),
         (2.0 ** -179 * 1.4 ** (1.0 / 6.0), "Lyapunov chain violated at order 6"),
     ])
-    def test_subnormal_powers_are_refused_as_a_weight_profile(self, a, message):
+    def test_subnormal_powers_are_scaled_where_no_power_row_is_read(self, a, message):
         """a^6 underflows to 0, or rounds to one subnormal step, 0.71 of
-        its value: the weight's own sign profile refuses both, and so does
-        the scaled row, beside any other weight."""
+        its value: the weight's own sign profile refuses both, but two
+        signs of weight a have finite x_t, so their row is scaled, beside
+        another weight, within the budget against exact rationals."""
         with pytest.raises(ValueError, match=message):
             rademacher(a).moments(6)
-        with pytest.raises(ValueError, match=message):
-            exactmoments.rademacher_moments((1.0, a, a), 6)
+        self.check(exactmoments.Runs([(1.0, 1), (a, 2)]), 6)
+
+    def test_a_power_row_that_is_read_and_underflows_is_refused(self):
+        """10^6 signs of weight 2^-10 overflow x_t at high orders, so those
+        entries read the power row, whose a^108 = 2^-1080 underflows to 0.
+        The moment at order 170, about 1.2e151, fits neither row."""
+        with pytest.raises(ValueError, match="even moment mu_108 must be positive"):
+            exactmoments.rademacher_moments(exactmoments.Runs([(2.0 ** -10, 10 ** 6)]), 170)
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(runs=st.lists(st.tuples(st.floats(2.0 ** -6, 1.0, exclude_max=True),
+                                   st.integers(100, 10 ** 6)), min_size=1, max_size=4),
+           orders=st.tuples(st.integers(2, 170), st.integers(2, 170)))
+    @example(runs=[(0.95, 100), (0.05, 1000)], orders=(2, 170))
+    def test_a_lower_order_is_a_prefix_bit_for_bit(self, runs, orders):
+        """Each entry, and its choice between the scaled and the power row,
+        reads entries up to its own t: the list at a lower order is the
+        head of the list at a higher one.  Weights of 2^-6 or more keep
+        a^170 normal, so no power row is refused; x_t overflows on 100
+        signs at t = 170, on 10^6 from t = 84 on."""
+        lo, hi = sorted(orders)
+        high = exactmoments.rademacher_moments(exactmoments.Runs(runs), hi)
+        assert high[:lo + 1] == exactmoments.rademacher_moments(exactmoments.Runs(runs), lo)
 
     def test_non_finite_weights_are_refused(self):
         for a in (math.inf, -math.inf, math.nan):

@@ -430,8 +430,8 @@ class TestConstantsOncePerSequence:
         r has the bits of rademacher_even_moment at r, or its refusal.  Runs
         of weights in (0, 1) on 100 or 1000 signs overflow x_t at high
         orders and are expanded on their power rows there; weights of
-        2^-100 and 2^-300 have subnormal powers, which are refused, and
-        2^-600 has a variance, and so a weight, of 0."""
+        2^-100 and 2^-300 have powers that underflow, which their scaled
+        rows round, and 2^-600 has a variance, and so a weight, of 0."""
         rng = np.random.default_rng(31)
         specs = tuple(s for a, k in runs for s in [rademacher(a)] * k)
         for _ in range(3):

@@ -58,28 +58,40 @@ def default_workloads() -> list[str]:
     return [w["name"] for w in doc["workloads"]]
 
 
-def batch_lines(workload: str, seed: int, batch: int) -> list[str]:
-    """The digest line of every job of one batch, in job order."""
-    lines = []
+def digest_line(label: str, status: int, document: str) -> str:
+    """`label exit sha256(document)`."""
+    return f"{label} {status} {hashlib.sha256(document.encode('utf-8')).hexdigest()}"
+
+
+def batch_documents(workload: str, seed: int, batch: int) -> list[tuple[str, int, str]]:
+    """(`workload seed batch job`, exit, document) for every job of one
+    batch, in job order."""
+    out = []
     with tempfile.TemporaryDirectory() as tmp:
         config = Path(tmp) / "job.json"
         for job, doc in enumerate(workloads.make_batch(workload, seed, batch)):
             config.write_text(json.dumps(doc, sort_keys=True), encoding="utf-8")
-            status, document = cli.run(cli.load_config(str(config)))
-            digest = hashlib.sha256(document.encode("utf-8")).hexdigest()
-            lines.append(f"{workload} {seed} {batch} {job} {status} {digest}")
-    return lines
+            out.append((f"{workload} {seed} {batch} {job}", *cli.run(cli.load_config(str(config)))))
+    return out
 
 
-def config_line(path: Path) -> str:
-    """The digest line of the document that `momentcert --config path`
-    writes, or, where it exits 2 without a document, of its `error:` line."""
+def batch_lines(workload: str, seed: int, batch: int) -> list[str]:
+    """The digest line of every job of one batch, in job order."""
+    return [digest_line(*job) for job in batch_documents(workload, seed, batch)]
+
+
+def config_document(path: Path) -> tuple[str, int, str]:
+    """(`config name`, exit, document) for `momentcert --config path`: the
+    document it writes, or, where it exits 2 without one, its `error:` line."""
     out, err = io.StringIO(), io.StringIO()
     with redirect_stdout(out), redirect_stderr(err):
         status = cli.main(["--config", str(path)])
-    document = out.getvalue() or err.getvalue()
-    digest = hashlib.sha256(document.encode("utf-8")).hexdigest()
-    return f"config {path.name} {status} {digest}"
+    return f"config {path.name}", status, out.getvalue() or err.getvalue()
+
+
+def config_line(path: Path) -> str:
+    """The digest line of :func:`config_document`."""
+    return digest_line(*config_document(path))
 
 
 def config_lines() -> list[str]:
