@@ -22,6 +22,7 @@ from .distmodel import VariableSpec
 from .exactmoments import (
     Runs,
     SupportExplosion,
+    _highest,
     _ldexp,
     gaussian_abs_moment,
     gaussian_lp_norm,
@@ -82,15 +83,6 @@ def _once(cache: dict, key, make):
     return cache[key]
 
 
-def _highest(cache: dict, key, order: int, make):
-    """(built, table): cache[key], made by make(order) unless it was made at
-    an order built >= order.  A make that raises leaves the cache as it was."""
-    built, table = cache.get(key, (-1, None))
-    if built < order:
-        built, table = cache[key] = order, make(order)
-    return built, table
-
-
 @dataclass(frozen=True)
 class SequenceSpec:
     """An ordered family of independent variables.
@@ -99,14 +91,17 @@ class SequenceSpec:
     of k equal consecutive specs.  Every summary is built from the runs on
     first use and kept in the instance's ``__dict__``; fields, equality,
     hash and repr see ``variables`` only.  What depends on the distinct
-    specs alone (their variances and moment profiles, the constants m and
-    C) is computed once, in tables by distinct spec that the sorted copy
-    shares.  A table of even-order moments (the profiles, the weighted-sign
-    moments) is built at the highest order asked so far and serves every
-    order up to its own, so a job that asks its highest order first builds
-    each once, and the rows that :func:`exactmoments.moments_of_sum` keeps
-    on a profile are built once per sequence and dropped with it.  Every
-    other summary is itself a Runs, which the engines take as they are.
+    specs alone (their variances and moment profiles, the head length m
+    and the growth roots of C) is computed once, in tables by distinct spec
+    that the sorted copy shares.  A table of even orders (the profiles, the
+    growth roots, the weighted-sign moments, the profile runs of each
+    part) is built at the highest order asked so far and serves every
+    order up to its own, so a job that asks its highest order first
+    builds each once.  What :func:`exactmoments.moments_of_sum` keeps (the
+    ground list of each part's sum, on that part's profile runs; the
+    expansion rows and the sum of each run length, on each profile) is
+    built once per sequence and dropped with it.  Every other summary is
+    itself a Runs, which the engines take as they are.
     """
 
     variables: tuple[VariableSpec, ...]
@@ -240,12 +235,15 @@ class SequenceSpec:
         summands `part`, a slice without step, from the table of
         :meth:`_profiles`: adjacent runs whose profiles compare equal are
         merged, as :func:`exactmoments.sum_even_moment` would merge them.
-        The runs are kept by the table's order, so every order it serves
-        reads one set of runs."""
+        The runs of the whole sequence and of each part are kept by the
+        table's order, so every order it serves reads one Runs per part,
+        and with it the ground list that :func:`exactmoments.moments_of_sum`
+        keeps on those runs."""
         order, table = self._profiles(max_order)
         runs = _highest(self._own, "runs", order,
                         lambda _: Runs.join((table[s], k) for s, k in self.runs))[1]
-        return runs.cut(part)
+        return _highest(self._own, ("runs", *part.indices(len(self))), order,
+                        lambda _: runs.cut(part))[1]
 
     def rademacher_even_moment(self, r: int) -> float:
         """E (sum_k sqrt(v_k) eps_k)^{2r} over the whole sequence, read from
@@ -322,20 +320,31 @@ def _ratio(prof, l: int, num: float = 1.0, den: float = 1.0) -> float:
 def _minimal_C(seq: SequenceSpec, r: int, orders: range, flag: str) -> float:
     """Least C >= 1 with |E X_k^l| <= C^{l-2} l!/2^{l/2} (E X_k^2)^{l/2}
     for every l in orders and all k, each profile `flag` (symmetric or
-    centered) and each ratio by :func:`_ratio`; l = 2 holds automatically.
-    Computed once per (flag, r) for a sequence and its sorted copy."""
-    if (flag, r) in seq._shared:
-        return seq._shared[flag, r]
-    c, factorials = 1.0, [math.factorial(l) for l in orders]
-    for prof in seq.distinct_profiles(2 * r):
-        if not getattr(prof, flag):
-            raise ValueError(f"minimal_C_{flag} requires {flag} profiles")
-        for l, factorial in zip(orders, factorials):
-            ratio = _ratio(prof, l, 2 ** (l / 2.0), factorial)
+    centered); l = 2 holds automatically.  C is the largest of 1 and the
+    growth roots at `orders` (:func:`_roots`), read from one table for
+    both flags and every r, which a sequence and its sorted copy share,
+    built at the highest order asked so far (:func:`_highest`)."""
+    if not all(getattr(prof, flag) for prof in seq.distinct_profiles(2 * r)):
+        raise ValueError(f"minimal_C_{flag} requires {flag} profiles")
+    roots = _highest(seq._shared, "roots", 2 * r, partial(_roots, seq))[1]
+    return max((roots[l] for l in orders), default=1.0)
+
+
+def _roots(seq: SequenceSpec, order: int) -> list[float]:
+    """Entry l, 3 <= l <= order: the largest ratio^(1/(l-2)) over the
+    distinct profiles whose ratio = |E X^l| 2^{l/2} / (l! (E X^2)^{l/2})
+    (by :func:`_ratio`) exceeds 1, else 1.  Entry l reads order l alone;
+    a moment of 0 (odd l of a symmetric law) has ratio 0 and is skipped."""
+    roots, scales = [1.0] * (order + 1), [(l, 2 ** (l / 2.0), math.factorial(l))
+                                          for l in range(3, order + 1)]
+    for prof in seq.distinct_profiles(order):
+        for l, num, den in scales:
+            if prof.moment(l) == 0.0:
+                continue
+            ratio = _ratio(prof, l, num, den)
             if ratio > 1.0:
-                c = max(c, ratio ** (1.0 / (l - 2)))
-    seq._shared[flag, r] = c
-    return c
+                roots[l] = max(roots[l], ratio ** (1.0 / (l - 2)))
+    return roots
 
 
 def minimal_C_symmetric(seq: SequenceSpec, r: int) -> float:
@@ -534,12 +543,21 @@ def check_rademacher_moment_ratio(w: Sequence[float], r: int) -> RatioCheckRepor
     with M_{2j} = E (sum sigma_k eps_k)^{2j}.  Requires |sigma| sorted
     nonincreasing; `w` may be Runs.  Returns the ratio LHS/RHS (inf when
     the RHS vanishes).
+
+    Both sides are homogeneous of degree 4r in the weights, so they are
+    computed on the weights scaled by the power of two 2^-e that puts the
+    largest |sigma| in [1/2, 1) (math.frexp), where neither underflows,
+    and the ratio and the verdict are read there; lhs and rhs are then
+    scaled back by 2^(4re).  Where no weight leaves the normal range every
+    scaling is exact, so the ratio has the bits of the unscaled one.
     """
     if r < 1:
         raise ValueError("r must be at least 1")
     w = run_lengths(w)
     if any(abs(a) < abs(b) for (a, _), (b, _) in zip(w, w[1:])):
         raise ValueError("weights must be sorted by |sigma| nonincreasing")
+    e = math.frexp(w[0][0])[1] if w else 0
+    w = Runs((math.ldexp(s, -e), k) for s, k in w)
     m = rademacher_moments(w, 2 * r)
     m2r, m_prev = m[2 * r], m[2 * r - 2]
     lhs = (2.0 * r + 1.0) / (2.0 * r - 1.0) * m2r * m2r
@@ -547,7 +565,8 @@ def check_rademacher_moment_ratio(w: Sequence[float], r: int) -> RatioCheckRepor
     er1 = elementary_symmetric(sq, r + 1) if r + 1 <= w.total else 0.0
     rhs = math.factorial(2 * r + 2) / 2 ** (r + 1) * er1 * m_prev
     ratio = math.inf if rhs == 0.0 else lhs / rhs
-    return RatioCheckReport(lhs, rhs, ratio, lhs >= rhs * (1.0 - 1e-12))
+    passed = lhs >= rhs * (1.0 - 1e-12)
+    return RatioCheckReport(_ldexp(lhs, 4 * r * e), _ldexp(rhs, 4 * r * e), ratio, passed)
 
 
 def logconcave_radius(seq: SequenceSpec, p: float) -> BoundReport:

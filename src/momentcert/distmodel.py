@@ -106,6 +106,10 @@ class MomentProfile:
         the rows Y_2, Y_3, ... as a run first needs them."""
         return {1: [0.0, 0.0, *self.moments[2:]]}
 
+    # {k: (order, [E (X_1 + ... + X_k)^t for t = 0..order])}, each set whole
+    # by :func:`exactmoments._run_moments` at the highest order asked so far.
+    run_sums = cached_property(lambda self: {})
+
     def truncated(self, max_order: int) -> "MomentProfile":
         if max_order > self.max_order:
             raise ValueError(

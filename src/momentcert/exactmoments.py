@@ -86,6 +86,9 @@ class Runs(tuple):
         return list(accumulate(map(itemgetter(1), self), initial=0))
 
     total = property(lambda self: self.offsets[-1])  # the number of items
+    # What an engine keeps with these runs: the moments of the sum of runs
+    # of profiles (:func:`moments_of_sum`), by name.
+    kept = cached_property(lambda self: {})
 
     def cut(self, part: slice) -> "Runs":
         """The runs of the items `part`, a slice without step."""
@@ -122,9 +125,11 @@ def counts(items: Sequence, key=None) -> Counter:
 
 
 @lru_cache(maxsize=None)
-def _binomials(t: int) -> tuple[float, ...]:
-    """Row t of Pascal's triangle, each entry a float rounded once."""
-    return tuple(float(math.comb(t, i)) for i in range(t + 1))
+def _binomials(order: int) -> tuple[tuple[float, ...], ...]:
+    """Rows 0..order of Pascal's triangle, each entry a float rounded once;
+    the table of each order shares its rows with the one below."""
+    row = tuple(float(math.comb(order, i)) for i in range(order + 1))
+    return (*_binomials(order - 1), row) if order else (row,)
 
 
 def _convolve(order: int, a: Sequence[float], b: Sequence[float]) -> list[float]:
@@ -132,7 +137,7 @@ def _convolve(order: int, a: Sequence[float], b: Sequence[float]) -> list[float]
     Y (b): c_t = sum_i C(t, i) a_{t-i} b_i, over the pairs of nonzero
     entries only, each c_t summed in increasing i."""
     nonzero = [(s, x) for s, x in enumerate(a[: order + 1]) if x != 0.0]
-    binomials = list(map(_binomials, range(order + 1)))
+    binomials = _binomials(order)
     out = [0.0] * (order + 1)
     for i, y in enumerate(b[: order + 1]):
         if y != 0.0:
@@ -141,6 +146,17 @@ def _convolve(order: int, a: Sequence[float], b: Sequence[float]) -> list[float]
                     break
                 out[s + i] += binomials[s + i][i] * x * y
     return out
+
+
+def _highest(cache: dict, key, order: int, make):
+    """(built, table): cache[key], made by make(order) unless it was made at
+    an order built >= order.  The table is stored only once make returns,
+    so a make that raises leaves the cache as it was, and a reader never
+    sees a table that is half built."""
+    built, table = cache.get(key, (-1, None))
+    if built < order:
+        built, table = cache[key] = order, make(order)
+    return built, table
 
 
 def _power(x, k: int, times):
@@ -159,7 +175,7 @@ def _power(x, k: int, times):
 def sum_even_moment(profiles: Sequence[MomentProfile], r: int) -> float:
     """E (sum_k X_k)^{2r} for independent centered X_k, exact up to rounding:
     :func:`moments_of_sum` on the runs of consecutive equal profiles, which
-    `profiles` may give as Runs."""
+    `profiles` may give as Runs, which then keep that list."""
     if r < 0:
         raise ValueError("r must be non-negative")
     if not profiles:
@@ -176,12 +192,17 @@ def moments_of_sum(runs: Sequence[tuple[MomentProfile, int]], order: int) -> lis
     E S_k^t = sum_{j=1}^{floor(t/2)} C(k, j) Y_j(t), with Y_1 = (0, 0, mu_2,
     ..., mu_t) and Y_j the binomial convolution of Y_{j-1} with Y_1.  The
     rows depend on the profile alone and are kept on it
-    (``MomentProfile.active_rows``), so a run costs O(order^2) at any k.
-    The runs are then convolved.  Entry t reads only entries up to t, so it
-    does not depend on `order`.  For symmetric summands every term is
-    nonnegative, so the rounding is relative to the result however widely
-    the variances spread; odd moments of asymmetric summands may cancel,
-    and their rounding carries no bound yet.
+    (``MomentProfile.active_rows``), so a run costs O(order^2) at any k,
+    and so is the finished sum of each run length k
+    (``MomentProfile.run_sums``, by :func:`_run_moments`), so each distinct
+    (profile, k) is expanded once however many grounds and orders read it.
+    The runs are then convolved.  Entry t reads only entries up to t, so
+    it does not depend on `order`: given as Runs, the runs keep the list,
+    built once to the highest order that all their profiles hold
+    (:func:`_highest`), and every order is read from it.  For symmetric
+    summands every term is nonnegative, so the rounding is relative to the
+    result however widely the variances spread; odd moments of asymmetric
+    summands may cancel, and their rounding carries no bound yet.
     """
     for prof, _ in runs:
         if not prof.centered:
@@ -190,6 +211,14 @@ def moments_of_sum(runs: Sequence[tuple[MomentProfile, int]], order: int) -> lis
             raise ValueError(
                 f"profile holds moments to order {prof.max_order}, need {order}"
             )
+    if not isinstance(runs, Runs):
+        return _sum_of_runs(runs, order)
+    top = min((prof.max_order for prof, _ in runs), default=order)
+    return _highest(runs.kept, "moments", top, partial(_sum_of_runs, runs))[1][: order + 1]
+
+
+def _sum_of_runs(runs: Sequence[tuple[MomentProfile, int]], order: int) -> list[float]:
+    """The convolution of the runs' moments of :func:`moments_of_sum`."""
     m = [1.0] + [0.0] * order
     for prof, k in runs:
         m = _convolve(order, m, _run_moments(prof, k, order))
@@ -197,11 +226,20 @@ def moments_of_sum(runs: Sequence[tuple[MomentProfile, int]], order: int) -> lis
 
 
 def _run_moments(prof: MomentProfile, k: int, order: int) -> Sequence[float]:
-    """E S_k^t for t = 0..order, S_k the sum of k independent copies of the
-    centered profile: its own moments at k = 1, else the expansion over
-    active summands of :func:`moments_of_sum`."""
+    """E S_k^t for t = 0..order or beyond, S_k the sum of k independent
+    copies of the centered profile: its own moments at k = 1, else the
+    expansion over active summands of :func:`moments_of_sum`, kept per k
+    on the profile at the highest order asked so far (:func:`_highest`).
+    Entry t does not depend on the order the list was built to, so the
+    kept list serves every lower order; callers read its first order + 1
+    entries and never change it."""
     if k == 1:
         return prof.moments
+    return _highest(prof.run_sums, k, order, partial(_expand_run, prof, k))[1]
+
+
+def _expand_run(prof: MomentProfile, k: int, order: int) -> list[float]:
+    """The expansion of :func:`_run_moments` for k >= 2, built to `order`."""
     rows = prof.active_rows
     out = [1.0] + [0.0] * order
     c = 1
@@ -210,10 +248,10 @@ def _run_moments(prof: MomentProfile, k: int, order: int) -> Sequence[float]:
             rows[j] = _convolve(prof.max_order, rows[j - 1], rows[1])
         c = c * (k - j + 1) // j  # C(k, j), exactly
         shift = max(0, c.bit_length() - 1000)  # past the float range, 2^shift is put back last
-        coef = float(c >> shift)
+        coef, row = float(c >> shift), rows[j]
         for t in range(2 * j, order + 1):
-            if rows[j][t] != 0.0:  # odd orders of a symmetric law are 0
-                out[t] += _ldexp(coef * rows[j][t], shift)
+            if row[t] != 0.0:  # odd orders of a symmetric law are 0
+                out[t] += _ldexp(coef * row[t], shift) if shift else coef * row[t]
     return out
 
 
@@ -231,7 +269,8 @@ def rademacher_moments(sigmas: Sequence[float], order: int) -> list[float]:
 
     The k signs of each distinct nonzero |sigma| = a are one run, in
     first-seen order, with moments a^t x_t: x_t = E (eps_1 + ... + eps_k)^t
-    by :func:`_run_moments` on one fair-sign profile, built per call.  For
+    by :func:`_run_moments` on one fair-sign profile, built per call, which
+    keeps x per distinct count k, so runs of equal length expand it once.  For
     a = m 2^e (math.frexp), entry t is x_t m^t scaled by 2^(e t) with
     :func:`_ldexp`: one rounding below the smallest normal float 2^-1022,
     inf on overflow.  Only where x_t overflows while a < 1 is entry t
@@ -249,7 +288,7 @@ def rademacher_moments(sigmas: Sequence[float], order: int) -> list[float]:
             raise ValueError(f"sign weights must be finite, got {a!r}")
         x = _run_moments(unit, k, order)
         mant, e = math.frexp(a)
-        row = [_ldexp(x_t * mant ** t, e * t) for t, x_t in enumerate(x)]
+        row = [_ldexp(x_t * mant ** t, e * t) if x_t else 0.0 for t, x_t in enumerate(x)]
         if a < 1.0 and math.inf in x:
             powers = MomentProfile([a ** t if t % 2 == 0 else 0.0 for t in range(order + 1)],
                                    symmetric=True, centered=True)

@@ -6,8 +6,9 @@ Carlo with confidence intervals for everything else, the one dispatcher
 that picks an engine for E|S|^p, and the verdict function that checks a
 bound report against a ground-truth value.  Each is a function of its
 arguments and keeps nothing between calls, save the even-moment engine's
-expansion rows on each moment profile and the two sums per start of the
-last few Monte Carlo passes over several starts (:func:`mc_moment`).
+lists on a sequence and its profiles (:func:`estimate_moment`) and the
+two sums per start of the last few Monte Carlo passes over several
+starts (:func:`mc_moment`).
 Monte Carlo uses one thread per CPU the process may run on, from a pool
 that the process keeps for its life and a forked child starts afresh;
 its result does not depend on that count.
@@ -288,12 +289,17 @@ def estimate_moment(
     (:func:`mc_moment` with ``start`` and ``starts``), and the calls for
     the other starts read their sums back.  The other engines ignore it.
 
-    The even-p engine keeps the rows of its expansion on seq's profiles
-    (``MomentProfile.active_rows``), which live as long as seq and its
-    sorted copy, so a later call reads them back.  Monte Carlo keeps the
-    two sums per start of its last few passes over several starts, and
-    its worker threads, one pool per process.  No other value is kept
-    between calls: two equal calls run every other engine twice.
+    The even-p engine keeps, on the profile runs of each part that seq
+    keeps, one ground list, the moments of the part's sum to the order of
+    seq's profile table, so every even p of one part reads one list
+    (:func:`exactmoments.moments_of_sum`), and, on seq's profiles, the
+    rows of its expansion and the sum of each run length
+    (``MomentProfile.active_rows`` and ``run_sums``); all of them live as
+    long as seq, the profiles as long as its sorted copy too.  Monte
+    Carlo keeps the two sums per start of its last few passes over
+    several starts, and its worker threads, one pool per process.  No
+    other value is kept between calls: two equal calls run every other
+    engine twice.
     """
     if is_even(p):
         raw = sum_even_moment(seq.profile_runs(int(p), part), int(p) // 2)

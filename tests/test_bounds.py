@@ -37,7 +37,7 @@ from momentcert import (
     uniform,
 )
 from momentcert.distmodel import from_profile
-from momentcert.exactmoments import is_even, rademacher_abs_moment
+from momentcert.exactmoments import Runs, is_even, rademacher_abs_moment
 
 
 def seq_of(spec, n):
@@ -407,6 +407,33 @@ class TestRatioCheck:
     def test_unsorted_rejected(self):
         with pytest.raises(ValueError):
             check_rademacher_moment_ratio((0.5, 1.0), 1)
+
+    @pytest.mark.parametrize("r", [1, 2, 3, 4])
+    def test_ratio_is_the_same_at_every_power_of_two(self, r):
+        """Both sides are homogeneous of degree 4r, so at every power-of-two
+        scale of the weights the ratio and the verdict have the bits of
+        scale 1, also where the sides underflow (2^-600) or overflow
+        (2^300 at r >= 2); lhs and rhs are those of scale 1 times 2^(4rh)."""
+        base = ((1.5, 3), (0.75, 2), (0.1, 4))
+        want = check_rademacher_moment_ratio(Runs(base), r)
+        assert want.passed and 1.0 < want.ratio < math.inf
+        for h in (-600, -300, -40, 0, 40, 300):
+            rep = check_rademacher_moment_ratio(Runs((math.ldexp(a, h), k) for a, k in base), r)
+            assert (rep.ratio, rep.passed) == (want.ratio, want.passed)
+            assert rep.lhs == exactmoments._ldexp(want.lhs, 4 * r * h)
+            assert rep.rhs == exactmoments._ldexp(want.rhs, 4 * r * h)
+
+    def test_underflowing_sides_are_not_a_vacuous_pass(self):
+        """30 weights of 1.4e-150 (30 x symmetric_three_point(1, 1e-300)):
+        M_6^2 and e_4 of the squared weights underflow to 0, yet the ratio
+        is that of 30 equal weights, not the inf of a vanishing rhs."""
+        seq = SequenceSpec((symmetric_three_point(1.0, 1e-300),) * 30).sorted()
+        rep = check_rademacher_moment_ratio(seq.weight_runs, 3)
+        assert rep.lhs == rep.rhs == 0.0
+        assert rep.ratio == 1.0999669381278578
+        assert rep.ratio == pytest.approx(check_rademacher_moment_ratio((1.0,) * 30, 3).ratio,
+                                          rel=1e-13)
+        assert rep.passed
 
 
 class TestLatalaBounds:

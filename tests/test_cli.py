@@ -339,11 +339,13 @@ class TestVerifyCommand:
 
 
 class TestGroundsComputedOncePerJob:
-    """verify computes each (p, start_index) ground truth once per job."""
+    """verify computes each (p, start_index) ground truth once per job: an
+    even p builds one ground list per part (exactmoments._sum_of_runs, kept
+    on the part's profile runs), the other engines run once per ground."""
 
     @pytest.mark.parametrize("p, r, engine, provenance, tail", [
         (3.0, 2, (oracle, "haagerup_moment"), "quadrature", 2),
-        (4.0, 2, (oracle, "sum_even_moment"), "exact", 3),
+        (4.0, 2, (exactmoments, "_sum_of_runs"), "exact", 3),
         (5.0, 3, (oracle, "_moment_sums"), "mc", 3),
     ], ids=["quadrature", "exact", "mc"])
     def test_one_engine_run_per_distinct_ground(self, tmp_path, monkeypatch, p, r, engine,

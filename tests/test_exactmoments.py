@@ -14,6 +14,7 @@ from conftest import (
     rademacher_abs_moment_brute,
     random_centered_atom_spec,
     random_symmetric_seq,
+    random_symmetric_spec,
 )
 from momentcert import (
     SequenceSpec,
@@ -646,6 +647,41 @@ class TestActiveSummandExpansion:
             if order >= 2:
                 fresh = [(spec.moments(order), k) for spec, k in runs]
                 assert exactmoments.moments_of_sum(fresh, order) == top[: order + 1]
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2**32 - 1), ks=st.lists(st.integers(1, 300), min_size=1, max_size=4),
+           orders=st.permutations(range(2, 13)))
+    def test_kept_run_sums_have_the_bits_of_fresh_ones(self, seed, ks, orders):
+        """Random symmetric and asymmetric profiles asked for the sums of
+        runs of random lengths at shuffled orders: each list, kept per
+        length on the profile at the highest order asked so far, begins
+        with the bits of _run_moments on a fresh profile of that order."""
+        rng = np.random.default_rng(seed)
+        specs = [random_symmetric_spec(rng), random_centered_atom_spec(rng, 12)]
+        profs = [spec.moments(12) for spec in specs]
+        for order in orders:
+            for spec, prof in zip(specs, profs):
+                for k in ks:
+                    got = exactmoments._run_moments(prof, k, order)
+                    fresh = exactmoments._run_moments(spec.moments(order), k, order)
+                    assert list(got[: order + 1]) == list(fresh)
+        for prof in profs:
+            assert sorted(prof.run_sums) == sorted(set(ks) - {1})
+            assert all(built == len(row) - 1 == 12 for built, row in prof.run_sums.values())
+
+    def test_equal_counts_expand_the_fair_sign_profile_once(self, monkeypatch):
+        """Three weights with 5 signs each and one with 2: the call's one
+        fair-sign profile expands the counts 5 and 2 once each."""
+        calls = count_calls(monkeypatch, exactmoments, "_expand_run")
+        sigmas = (2.0,) * 5 + (1.0,) * 5 + (0.5,) * 2 + (0.25,) * 5
+        got = exactmoments.rademacher_moments(sigmas, 8)
+        assert sorted(k for _, k, _ in calls) == [2, 5]
+        assert calls[0][0] is calls[1][0]
+        want = [Fraction(1)] + [Fraction(0)] * 8
+        for a in sigmas:
+            want = binomial_convolution(want, [Fraction(1), Fraction(0)] + [
+                Fraction(a) ** t if t % 2 == 0 else Fraction(0) for t in range(2, 9)])
+        assert_moments_close(got, [float(x) for x in want], 1e-14)
 
     @pytest.mark.parametrize("name", sorted(EXPANSION_SPECS) + ["atoms-rounded"])
     def test_one_copy_is_the_profile(self, name):

@@ -11,13 +11,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import expand, profiles, random_centered_atom_spec, random_symmetric_spec, variances
+from conftest import (
+    count_calls, expand, profiles, random_centered_atom_spec, random_symmetric_spec, variances,
+)
 from momentcert import (
     SequenceSpec,
     bound_general_p,
     bounds,
     check_symmetric_tail_bounds,
     compute_m,
+    estimate_moment,
     exactmoments,
     gaussian,
     minimal_C_centered,
@@ -387,19 +390,28 @@ class TestRunSummary:
 
 class TestConstantsOncePerSequence:
     def test_m_and_c_are_computed_once_for_a_sequence_and_its_copy(self, monkeypatch):
+        """One table of growth roots serves both flags and every r of a
+        sequence and its sorted copy; asked at its highest order first, it
+        is built once, else once more per higher order."""
         seq = SequenceSpec((gaussian(1.0), symmetric_three_point(2.0, 0.1), gaussian(1.0)))
         srt = seq.sorted()
-        calls = []
-        real = SequenceSpec.distinct_profiles
-        monkeypatch.setattr(SequenceSpec, "distinct_profiles",
-                            lambda s, order: calls.append(order) or real(s, order))
-        want = {r: (minimal_C_symmetric(seq, r), minimal_C_centered(seq, r)) for r in (2, 3)}
+        tables = []
+        real = bounds._roots
+        monkeypatch.setattr(bounds, "_roots",
+                            lambda s, order: tables.append(order) or real(s, order))
+        want = {r: (minimal_C_symmetric(seq, r), minimal_C_centered(seq, r)) for r in (3, 2)}
         for s in (seq, srt, seq):
             for r in (2, 3):
                 assert (minimal_C_symmetric(s, r), minimal_C_centered(s, r)) == want[r]
-        assert sorted(calls) == [4, 4, 6, 6]  # one profile read per (r, kind)
+        assert tables == [6]
+        assert want == {r: (brute_c_symmetric(seq, r), brute_c_centered(seq, r)) for r in (2, 3)}
+        other = SequenceSpec(seq.variables)
+        for r in (2, 3, 2):
+            assert minimal_C_centered(other, r) == want[r][1]
+        assert tables == [6, 4, 6]
+        ratios = count_calls(monkeypatch, bounds, "_ratio")
         assert compute_m(seq) == compute_m(srt) == brute_m(seq)
-        assert calls.count(4) == 3
+        assert len(ratios) == 2  # one per distinct spec, for the sequence and its copy
 
     def test_rademacher_moments_once_at_the_highest_order(self, monkeypatch):
         seq = SequenceSpec((uniform(1.0),) * 30 + (gaussian(2.0),) * 20)
@@ -446,3 +458,65 @@ class TestConstantsOncePerSequence:
                     continue
                 got = seq.rademacher_even_moment(r)
                 assert got == want, (r, got, want)
+
+
+def looped_minimal_C(seq, r, flag):
+    """The growth constant by one loop per (flag, r) over the distinct
+    profiles at order 2r, each ratio by bounds._ratio: the computation that
+    one table of growth roots per sequence replaced."""
+    if r < (2 if flag == "symmetric" else 1):
+        return 1.0
+    orders = range(4, 2 * r + 1, 2) if flag == "symmetric" else range(3, 2 * r + 1)
+    c, factorials = 1.0, [math.factorial(l) for l in orders]
+    for prof in (spec.moments(2 * r) for spec in dict.fromkeys(seq.variables)):
+        if not getattr(prof, flag):
+            raise ValueError(f"minimal_C_{flag} requires {flag} profiles")
+        for l, factorial in zip(orders, factorials):
+            ratio = bounds._ratio(prof, l, 2 ** (l / 2.0), factorial)
+            if ratio > 1.0:
+                c = max(c, ratio ** (1.0 / (l - 2)))
+    return c
+
+
+class TestOrderFreeTables:
+    """The growth roots and the moment lists of each part, kept per
+    sequence at the highest order asked so far, give the bits of the
+    computations they replaced whatever order the orders come in."""
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(seq=st.one_of(mixed_sequences(), run_sequences(wide=True, longest=6)),
+           rs=st.permutations(range(1, 7)))
+    def test_growth_constants_match_the_loop_per_flag_and_r(self, seq, rs):
+        for r in rs:
+            for s in (seq, seq.sorted()):
+                for flag, minimal_C in (("symmetric", minimal_C_symmetric),
+                                        ("centered", minimal_C_centered)):
+                    try:
+                        want = looped_minimal_C(s, r, flag)
+                    except ValueError as exc:
+                        with pytest.raises(ValueError, match=re.escape(str(exc))):
+                            minimal_C(s, r)
+                    else:
+                        assert minimal_C(s, r) == want
+
+    @settings(max_examples=25, deadline=None, derandomize=True)
+    @given(seq=mixed_sequences(), data=st.data())
+    def test_part_lists_have_the_bits_of_fresh_sums(self, seq, data):
+        """Two parts asked at orders 4, then 6, then 4: each even moment
+        has the bits of sum_even_moment on fresh profiles, read from the
+        part's kept runs and by estimate_moment, and after order 6 both
+        orders read one list, kept on one Runs per part."""
+        cut = data.draw(st.integers(1, len(seq) - 1))
+        parts = (slice(0, cut), slice(cut, None))
+        for order in (4, 6, 4):
+            for part in parts:
+                fresh = sum_even_moment([v.moments(order) for v in seq.variables[part]], order // 2)
+                assert sum_even_moment(seq.profile_runs(order, part), order // 2) == fresh
+                est = estimate_moment(seq, float(order), part, exact_atoms=False, tol=1e-8,
+                                      samples=10_000, seed=0, confidence=0.99)
+                assert (est.raw, est.provenance) == (fresh, "exact")
+        for part in parts:
+            runs = seq.profile_runs(4, part)
+            assert runs is seq.profile_runs(6, part)
+            built, top = runs.kept["moments"]
+            assert built == 6 and exactmoments.moments_of_sum(runs, 4) == top[:5]
