@@ -335,8 +335,8 @@ def _roots(seq: SequenceSpec, order: int) -> list[float]:
     distinct profiles whose ratio = |E X^l| 2^{l/2} / (l! (E X^2)^{l/2})
     (by :func:`_ratio`) exceeds 1, else 1.  Entry l reads order l alone;
     a moment of 0 (odd l of a symmetric law) has ratio 0 and is skipped."""
-    roots, scales = [1.0] * (order + 1), [(l, 2 ** (l / 2.0), math.factorial(l))
-                                          for l in range(3, order + 1)]
+    roots = [1.0] * (order + 1)
+    scales = [(l, 2 ** (l / 2.0), math.factorial(l)) for l in range(3, order + 1)]
     for prof in seq.distinct_profiles(order):
         for l, num, den in scales:
             if prof.moment(l) == 0.0:
